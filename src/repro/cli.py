@@ -34,7 +34,7 @@ Commands::
 
     python -m repro profile [--synthetic N] [--algorithm ida]
         [--heuristic h0] [--budget N] [--top N] [--sort cumulative]
-        [--kernel legacy|columnar|columnar+delta] [--spans]
+        [--spans]
 
     python -m repro store info --path DIR
 
@@ -373,12 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="cumulative",
         choices=["cumulative", "tottime"],
         help="profile ordering (default cumulative)",
-    )
-    profile.add_argument(
-        "--kernel",
-        default=None,
-        choices=["legacy", "columnar", "columnar+delta"],
-        help="pin the kernel mode for the run (default: current switches)",
     )
     profile.add_argument(
         "--cold",
@@ -827,11 +821,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.synthetic < 1:
         print("error: --synthetic needs a size >= 1", file=sys.stderr)
         return 2
-    if args.kernel is not None:
-        from .relational import caching
-
-        caching.set_columnar_kernel(args.kernel != "legacy")
-        caching.set_incremental_heuristics(args.kernel == "columnar+delta")
     if args.spans:
         from .experiments import span_profile_point
 
@@ -905,11 +894,9 @@ def cmd_info(_args: argparse.Namespace) -> int:
     print("extensions: " + ", ".join(EXTENSION_HEURISTIC_NAMES))
     print(f"telemetry: structured tracing (schema v{SCHEMA_VERSION}), "
           "metrics registry (counters/gauges/histograms)")
-    from .relational import caching
     from .serialize import FAST_JSON_BACKEND
 
-    print(f"kernel: {caching.kernel_mode()} (REPRO_COLUMNAR_KERNEL, "
-          f"REPRO_INCREMENTAL_HEURISTICS), json backend: {FAST_JSON_BACKEND}")
+    print(f"json backend: {FAST_JSON_BACKEND}")
     print("sinks: " + ", ".join(SINK_NAMES))
     print("events: " + ", ".join(EVENT_TYPES))
     from .backends import backend_names, get_backend

@@ -14,8 +14,7 @@ reassembles the emitted spans into a phase tree
 collapsed-stack export — attribution by discovery phase rather than by
 Python function, at trace overhead instead of cProfile overhead.
 
-Exposed as ``repro profile`` (``--spans`` for the span variant) on the CLI
-and as the standalone ``tools/profile_kernel.py`` script.
+Exposed as ``repro profile`` (``--spans`` for the span variant) on the CLI.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import cProfile
 import pstats
 from dataclasses import dataclass, field
 
-from ..relational import caching
 from ..search import SearchConfig, discover_mapping
 
 #: sort orders accepted by :func:`profile_point`
@@ -48,7 +46,6 @@ class KernelProfile:
     n: int
     algorithm: str
     heuristic: str
-    kernel_mode: str
     status: str
     states_examined: int
     elapsed_seconds: float
@@ -58,8 +55,7 @@ class KernelProfile:
     def table(self) -> str:
         """ASCII rendering: headline line plus the top-N sink rows."""
         lines = [
-            f"profile: synthetic n={self.n} {self.algorithm}/{self.heuristic} "
-            f"kernel={self.kernel_mode}",
+            f"profile: synthetic n={self.n} {self.algorithm}/{self.heuristic}",
             f"status={self.status} states_examined={self.states_examined} "
             f"elapsed={self.elapsed_seconds:.3f}s",
             "",
@@ -154,7 +150,6 @@ def profile_point(
         n=n,
         algorithm=algorithm,
         heuristic=heuristic,
-        kernel_mode=caching.kernel_mode(),
         status=result.status,
         states_examined=result.stats.states_examined,
         elapsed_seconds=result.stats.elapsed,
@@ -170,7 +165,6 @@ class SpanProfile:
     n: int
     algorithm: str
     heuristic: str
-    kernel_mode: str
     status: str
     states_examined: int
     elapsed_seconds: float
@@ -181,8 +175,7 @@ class SpanProfile:
         from ..obs.spans import render_span_tree
 
         lines = [
-            f"span profile: synthetic n={self.n} "
-            f"{self.algorithm}/{self.heuristic} kernel={self.kernel_mode}",
+            f"span profile: synthetic n={self.n} {self.algorithm}/{self.heuristic}",
             f"status={self.status} states_examined={self.states_examined} "
             f"elapsed={self.elapsed_seconds:.3f}s",
             "",
@@ -232,7 +225,6 @@ def span_profile_point(
         n=n,
         algorithm=algorithm,
         heuristic=heuristic,
-        kernel_mode=caching.kernel_mode(),
         status=result.status,
         states_examined=result.stats.states_examined,
         elapsed_seconds=result.stats.elapsed,

@@ -58,25 +58,6 @@ class Operator(abc.ABC):
             return False
         return True
 
-    def apply_delta(
-        self, db: Database, registry: "FunctionRegistry | None" = None
-    ) -> "tuple[Database, StateDelta]":
-        """Apply this operator, returning the child state *and* its delta.
-
-        The delta is recovered by an identity sweep
-        (:meth:`~repro.fira.delta.StateDelta.between`): every operator
-        passes untouched relations through by reference, so the sweep is
-        linear in the relation count.  Search successor generation threads
-        the delta to the incremental-heuristic layer.
-
-        Raises:
-            OperatorApplicationError: exactly as :meth:`apply` would.
-        """
-        from .delta import StateDelta
-
-        child = self.apply(db, registry)
-        return child, StateDelta.between(db, child)
-
     @abc.abstractmethod
     def __str__(self) -> str:
         """Parseable textual form (see :mod:`repro.fira.parser`)."""

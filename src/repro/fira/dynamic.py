@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import OperatorApplicationError
-from ..relational import caching
 from ..relational.database import Database
 from ..relational.intern import NULL_TOKEN, TEXTS, intern_value
 from ..relational.relation import Relation, TokenRow
-from ..relational.types import NULL, Value, is_null, value_to_text
+from ..relational.types import Value, is_null, value_to_text
 from .base import RelationOperator
 
 #: reserved column names introduced by demote
@@ -78,22 +77,15 @@ class Promote(RelationOperator):
 
         new_columns: list[str] = []
         seen: set[str] = set()
-        if caching.columnar_kernel_enabled():
-            texts = TEXTS
-            for trow in rel.sorted_token_rows():
-                token = trow[name_pos]
-                if token == NULL_TOKEN:
-                    continue
-                column = texts[token]
-                if column and column not in seen:
-                    seen.add(column)
-                    new_columns.append(column)
-        else:
-            for row in rel.sorted_rows():
-                column = _column_name_for(row[name_pos])
-                if column is not None and column not in seen:
-                    seen.add(column)
-                    new_columns.append(column)
+        texts = TEXTS
+        for trow in rel.sorted_token_rows():
+            token = trow[name_pos]
+            if token == NULL_TOKEN:
+                continue
+            column = texts[token]
+            if column and column not in seen:
+                seen.add(column)
+                new_columns.append(column)
         if not new_columns:
             raise OperatorApplicationError(
                 f"promote: column {self.name_attr!r} of {self.relation!r} has no "
@@ -106,29 +98,7 @@ class Promote(RelationOperator):
                 f"with existing attributes of {self.relation!r}"
             )
 
-        if caching.columnar_kernel_enabled():
-            return db.with_relation(
-                self._promote_columnar(rel, name_pos, value_pos, new_columns)
-            )
-        new_rows = []
-        for row in rel.rows:
-            column = _column_name_for(row[name_pos])
-            extension = tuple(
-                row[value_pos] if column == new_col else NULL
-                for new_col in new_columns
-            )
-            new_rows.append(row + extension)
-        promoted = Relation(
-            rel.name, rel.attributes + tuple(new_columns), new_rows
-        )
-        return db.with_relation(promoted)
-
-    @staticmethod
-    def _promote_columnar(
-        rel: Relation, name_pos: int, value_pos: int, new_columns: list[str]
-    ) -> Relation:
-        """Token fast path: build the ragged relation without value tuples."""
-        texts = TEXTS
+        # build the ragged relation directly over token rows
         attrs = rel.attributes + tuple(new_columns)
         order = sorted(range(len(attrs)), key=lambda i: attrs[i])
         canonical_attrs = tuple(attrs[i] for i in order)
@@ -144,8 +114,8 @@ class Promote(RelationOperator):
                     extension[slot] = trow[value_pos]
             tokens = trow + tuple(extension)
             token_rows.add(tuple(tokens[i] for i in order))
-        return Relation._from_token_rows(
-            rel.name, canonical_attrs, frozenset(token_rows)
+        return db.with_relation(
+            Relation._from_token_rows(rel.name, canonical_attrs, frozenset(token_rows))
         )
 
     def is_applicable(self, db: Database) -> bool:
@@ -188,25 +158,18 @@ class Demote(RelationOperator):
                     f"demote: {self.relation!r} already has reserved column {reserved!r}"
                 )
         attrs = rel.attributes + (DEMOTE_REL_ATTR, DEMOTE_ATT_ATTR)
-        if caching.columnar_kernel_enabled():
-            order = sorted(range(len(attrs)), key=lambda i: attrs[i])
-            canonical_attrs = tuple(attrs[i] for i in order)
-            name_token = intern_value(rel.name)
-            attr_tokens = [intern_value(a) for a in rel.attributes]
-            token_rows: set[TokenRow] = set()
-            for trow in rel.token_rows:
-                for attr_token in attr_tokens:
-                    tokens = trow + (name_token, attr_token)
-                    token_rows.add(tuple(tokens[i] for i in order))
-            demoted = Relation._from_token_rows(
-                rel.name, canonical_attrs, frozenset(token_rows)
-            )
-            return db.with_relation(demoted)
-        new_rows = []
-        for row in rel.rows:
-            for attr in rel.attributes:
-                new_rows.append(row + (rel.name, attr))
-        demoted = Relation(rel.name, attrs, new_rows)
+        order = sorted(range(len(attrs)), key=lambda i: attrs[i])
+        canonical_attrs = tuple(attrs[i] for i in order)
+        name_token = intern_value(rel.name)
+        attr_tokens = [intern_value(a) for a in rel.attributes]
+        token_rows: set[TokenRow] = set()
+        for trow in rel.token_rows:
+            for attr_token in attr_tokens:
+                tokens = trow + (name_token, attr_token)
+                token_rows.add(tuple(tokens[i] for i in order))
+        demoted = Relation._from_token_rows(
+            rel.name, canonical_attrs, frozenset(token_rows)
+        )
         return db.with_relation(demoted)
 
     def is_applicable(self, db: Database) -> bool:
@@ -249,42 +212,30 @@ class Dereference(RelationOperator):
                 f"deref: {self.relation!r} already has attribute {self.new_attr!r}"
             )
 
-        if caching.columnar_kernel_enabled():
-            if not isinstance(self.new_attr, str) or not self.new_attr:
-                raise OperatorApplicationError(
-                    f"deref: invalid new attribute name {self.new_attr!r}"
-                )
-            texts = TEXTS
-            pointer_pos = rel.attribute_position(self.pointer_attr)
-            positions = {attr: i for i, attr in enumerate(rel.attributes)}
-            attrs = rel.attributes + (self.new_attr,)
-            order = sorted(range(len(attrs)), key=lambda i: attrs[i])
-            canonical_attrs = tuple(attrs[i] for i in order)
-            token_rows: set[TokenRow] = set()
-            for trow in rel.token_rows:
-                pointer = trow[pointer_pos]
-                if pointer == NULL_TOKEN:
-                    new_token = NULL_TOKEN
-                else:
-                    position = positions.get(texts[pointer])
-                    new_token = trow[position] if position is not None else NULL_TOKEN
-                tokens = trow + (new_token,)
-                token_rows.add(tuple(tokens[i] for i in order))
-            extended = Relation._from_token_rows(
-                rel.name, canonical_attrs, frozenset(token_rows)
+        if not isinstance(self.new_attr, str) or not self.new_attr:
+            raise OperatorApplicationError(
+                f"deref: invalid new attribute name {self.new_attr!r}"
             )
-            return db.with_relation(extended)
-
-        def dereference(row_dict: dict[str, Value]) -> Value:
-            pointer = row_dict[self.pointer_attr]
-            if is_null(pointer):
-                return NULL
-            name = value_to_text(pointer)
-            if name in row_dict:
-                return row_dict[name]
-            return NULL
-
-        return db.with_relation(rel.extend(self.new_attr, dereference))
+        texts = TEXTS
+        pointer_pos = rel.attribute_position(self.pointer_attr)
+        positions = {attr: i for i, attr in enumerate(rel.attributes)}
+        attrs = rel.attributes + (self.new_attr,)
+        order = sorted(range(len(attrs)), key=lambda i: attrs[i])
+        canonical_attrs = tuple(attrs[i] for i in order)
+        token_rows: set[TokenRow] = set()
+        for trow in rel.token_rows:
+            pointer = trow[pointer_pos]
+            if pointer == NULL_TOKEN:
+                new_token = NULL_TOKEN
+            else:
+                position = positions.get(texts[pointer])
+                new_token = trow[position] if position is not None else NULL_TOKEN
+            tokens = trow + (new_token,)
+            token_rows.add(tuple(tokens[i] for i in order))
+        extended = Relation._from_token_rows(
+            rel.name, canonical_attrs, frozenset(token_rows)
+        )
+        return db.with_relation(extended)
 
     def is_applicable(self, db: Database) -> bool:
         if not db.has_relation(self.relation):
@@ -324,42 +275,17 @@ class Partition(RelationOperator):
                 f"partition: {self.relation!r} has no attribute {self.attribute!r}"
             )
         position = rel.attribute_position(self.attribute)
-        if caching.columnar_kernel_enabled():
-            texts = TEXTS
-            token_groups: dict[str, list[TokenRow]] = {}
-            for trow in rel.sorted_token_rows():
-                token = trow[position]
-                name = texts[token] if token != NULL_TOKEN else ""
-                if not name:
-                    raise OperatorApplicationError(
-                        f"partition: column {self.attribute!r} of {self.relation!r} "
-                        "contains values that cannot name a relation"
-                    )
-                token_groups.setdefault(name, []).append(trow)
-            if not token_groups:
-                raise OperatorApplicationError(
-                    f"partition: relation {self.relation!r} is empty"
-                )
-            result = db.without_relation(self.relation)
-            for name in token_groups:
-                if result.has_relation(name):
-                    raise OperatorApplicationError(
-                        f"partition: partition name {name!r} collides with an "
-                        "existing relation"
-                    )
-            return result.with_relations(
-                Relation._from_token_rows(name, rel.attributes, frozenset(rows))
-                for name, rows in token_groups.items()
-            )
-        groups: dict[str, list] = {}
-        for row in rel.sorted_rows():
-            name = _column_name_for(row[position])
-            if name is None:
+        texts = TEXTS
+        groups: dict[str, list[TokenRow]] = {}
+        for trow in rel.sorted_token_rows():
+            token = trow[position]
+            name = texts[token] if token != NULL_TOKEN else ""
+            if not name:
                 raise OperatorApplicationError(
                     f"partition: column {self.attribute!r} of {self.relation!r} "
                     "contains values that cannot name a relation"
                 )
-            groups.setdefault(name, []).append(row)
+            groups.setdefault(name, []).append(trow)
         if not groups:
             raise OperatorApplicationError(
                 f"partition: relation {self.relation!r} is empty"
@@ -368,11 +294,12 @@ class Partition(RelationOperator):
         for name in groups:
             if result.has_relation(name):
                 raise OperatorApplicationError(
-                    f"partition: partition name {name!r} collides with an existing "
-                    "relation"
+                    f"partition: partition name {name!r} collides with an "
+                    "existing relation"
                 )
         return result.with_relations(
-            Relation(name, rel.attributes, rows) for name, rows in groups.items()
+            Relation._from_token_rows(name, rel.attributes, frozenset(rows))
+            for name, rows in groups.items()
         )
 
     def is_applicable(self, db: Database) -> bool:

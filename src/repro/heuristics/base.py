@@ -55,13 +55,6 @@ class Heuristic(abc.ABC):
     #: registry key (e.g. ``"h1"``, ``"cosine"``)
     name: str = ""
 
-    #: whether this heuristic consumes :mod:`repro.relational.summary`
-    #: state summaries when the incremental kill switch is on.  The search
-    #: engine only threads parent/delta provenance through successor
-    #: generation for heuristics that declare interest (h0 does not, so
-    #: blind runs pay nothing for the machinery).
-    wants_summaries: bool = True
-
     def __init__(self, target: Database) -> None:
         self._target = target
         self._cache: OrderedDict[Database, int] = OrderedDict()

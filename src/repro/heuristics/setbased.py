@@ -13,9 +13,7 @@ candidate state ``x`` and target ``t``:
 
 from __future__ import annotations
 
-from ..relational import caching
 from ..relational.database import Database
-from ..relational.summary import database_summary
 from ..relational.tnf import tnf_projections
 from .base import Heuristic
 
@@ -24,7 +22,6 @@ class BlindHeuristic(Heuristic):
     """h0 — constant zero; turns IDA*/RBFS into blind uniform-cost search."""
 
     name = "h0"
-    wants_summaries = False
 
     def estimate(self, state: Database) -> int:
         return 0
@@ -38,22 +35,8 @@ class MissingTokensHeuristic(Heuristic):
     def __init__(self, target: Database) -> None:
         super().__init__(target)
         self._t_rel, self._t_att, self._t_val = tnf_projections(target)
-        target_summary = database_summary(target)
-        self._t_rel_ids = frozenset(target_summary.rel_ids)
-        self._t_att_ids = frozenset(target_summary.att_ids)
-        self._t_val_ids = frozenset(target_summary.val_ids)
 
     def estimate(self, state: Database) -> int:
-        if caching.incremental_heuristics_enabled():
-            # Token ids and texts are in bijection, so counting missing ids
-            # against the (delta-maintained) summary projections equals the
-            # legacy text-set arithmetic exactly.
-            summary = database_summary(state)
-            return (
-                len(self._t_rel_ids - summary.rel_ids)
-                + len(self._t_att_ids - summary.att_ids)
-                + len(self._t_val_ids - summary.val_ids)
-            )
         x_rel, x_att, x_val = tnf_projections(state)
         return (
             len(self._t_rel - x_rel)
@@ -76,22 +59,8 @@ class CrossLevelHeuristic(Heuristic):
     def __init__(self, target: Database) -> None:
         super().__init__(target)
         self._t_rel, self._t_att, self._t_val = tnf_projections(target)
-        target_summary = database_summary(target)
-        self._t_rel_ids = frozenset(target_summary.rel_ids)
-        self._t_att_ids = frozenset(target_summary.att_ids)
-        self._t_val_ids = frozenset(target_summary.val_ids)
 
     def estimate(self, state: Database) -> int:
-        if caching.incremental_heuristics_enabled():
-            summary = database_summary(state)
-            return (
-                len(self._t_rel_ids & summary.att_ids)
-                + len(self._t_rel_ids & summary.val_ids)
-                + len(self._t_att_ids & summary.rel_ids)
-                + len(self._t_att_ids & summary.val_ids)
-                + len(self._t_val_ids & summary.rel_ids)
-                + len(self._t_val_ids & summary.att_ids)
-            )
         x_rel, x_att, x_val = tnf_projections(state)
         return (
             len(self._t_rel & x_att)

@@ -8,9 +8,7 @@ the target string, normalized by the longer length and scaled to ``[0, k]``.
 
 from __future__ import annotations
 
-from ..relational import caching
 from ..relational.database import Database
-from ..relational.summary import database_summary
 from ..relational.tnf import database_string
 from .base import ScaledHeuristic, round_half_up
 
@@ -87,17 +85,7 @@ class LevenshteinHeuristic(ScaledHeuristic):
         self._target_string = database_string(target)
 
     def estimate(self, state: Database) -> int:
-        if caching.incremental_heuristics_enabled():
-            # Rebuild the string view from the delta-maintained summary's
-            # triple counts instead of the TNF cell walk; same multiset of
-            # per-cell terms, same sort, same string — cached under the
-            # same view key, so the arms share work when mixed.
-            state_string = state.cached_view(
-                "database_string",
-                lambda: database_summary(state).to_database_string(),
-            )
-        else:
-            state_string = database_string(state)
+        state_string = database_string(state)
         longest = max(len(state_string), len(self._target_string))
         if longest == 0:
             return 0

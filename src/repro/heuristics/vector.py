@@ -6,14 +6,6 @@ the database's TNF rows.  The paper indexes the full ``n³`` triple space
 over the token universe of the critical instances; since almost every
 component is zero we represent vectors sparsely — all three distances only
 involve the union of the two supports.
-
-All three heuristics reduce to three exact integer aggregates: the state's
-sum of squared counts ``S²``, the target's ``T²``, and their inner product
-``D`` (``distance² = S² − 2D + T²``; ``cos = D / (√S²·√T²)``).  When the
-incremental kill switch is on, ``S²`` and ``D`` come from the state's
-delta-maintained :class:`~repro.relational.summary.DatabaseSummary` instead
-of a fresh term vector; the aggregates are identical integers either way,
-so the two arms agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,9 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from ..relational import caching
 from ..relational.database import Database
-from ..relational.summary import database_summary
 from ..relational.tnf import tnf_triples
 from .base import Heuristic, ScaledHeuristic, round_half_up
 
@@ -74,43 +64,25 @@ def cosine_similarity(
     return dot / denominator
 
 
-class _TargetVectorMixin:
-    """Shared target-side compilation for the triple-space heuristics."""
-
-    def _compile_target(self, target: Database) -> None:
-        self._target_vector = term_vector(target)
-        target_summary = database_summary(target)
-        self._target_triples = target_summary.triples
-        self._target_sum_sq = target_summary.sum_sq
-
-
-class EuclideanHeuristic(_TargetVectorMixin, Heuristic):
+class EuclideanHeuristic(Heuristic):
     """hE — unnormalized Euclidean distance in triple space."""
 
     name = "euclid"
 
     def __init__(self, target: Database) -> None:
         super().__init__(target)
-        self._compile_target(target)
+        self._target_vector = term_vector(target)
 
     def estimate(self, state: Database) -> int:
-        if caching.incremental_heuristics_enabled():
-            summary = database_summary(state)
-            squared = (
-                summary.sum_sq
-                - 2 * summary.dot(self._target_triples)
-                + self._target_sum_sq
-            )
-            return round_half_up(math.sqrt(squared))
         return round_half_up(euclidean_distance(term_vector(state), self._target_vector))
 
 
-class NormalizedEuclideanHeuristic(_TargetVectorMixin, ScaledHeuristic):
+class NormalizedEuclideanHeuristic(ScaledHeuristic):
     """h|E| — Euclidean distance between unit-normalized vectors, scaled by k.
 
-    For unit vectors ``‖s/‖s‖ − t/‖t‖‖² = 2 − 2·cos(s, t)``, so both arms
-    share one float tail over the exact integer aggregates (S², T², D) and
-    agree bit-for-bit.
+    For unit vectors ``‖s/‖s‖ − t/‖t‖‖² = 2 − 2·cos(s, t)``, so the estimate
+    is one float tail over three exact integer aggregates: the state's sum
+    of squared counts, the target's, and their inner product.
     """
 
     name = "euclid_norm"
@@ -118,35 +90,28 @@ class NormalizedEuclideanHeuristic(_TargetVectorMixin, ScaledHeuristic):
 
     def __init__(self, target: Database, k: float | None = None) -> None:
         super().__init__(target, k)
-        self._compile_target(target)
+        self._target_vector = term_vector(target)
+        self._target_sum_sq = sum(c * c for c in self._target_vector.values())
 
-    def _scaled_distance(self, sum_sq: int, dot: int) -> int:
+    def estimate(self, state: Database) -> int:
+        state_vector = term_vector(state)
+        sum_sq = sum(count * count for count in state_vector.values())
+        target_vector = self._target_vector
         target_sum_sq = self._target_sum_sq
         if sum_sq == 0 and target_sum_sq == 0:
             return 0  # both databases are empty of cells
         if sum_sq == 0 or target_sum_sq == 0:
             return round_half_up(self.k)
-        cosine = dot / (math.sqrt(sum_sq) * math.sqrt(target_sum_sq))
-        squared = max(0.0, 2.0 - 2.0 * cosine)
-        return round_half_up(self.k * math.sqrt(squared))
-
-    def estimate(self, state: Database) -> int:
-        if caching.incremental_heuristics_enabled():
-            summary = database_summary(state)
-            return self._scaled_distance(
-                summary.sum_sq, summary.dot(self._target_triples)
-            )
-        state_vector = term_vector(state)
-        sum_sq = sum(count * count for count in state_vector.values())
-        target_vector = self._target_vector
         dot = sum(
             state_vector[k] * target_vector[k]
             for k in state_vector.keys() & target_vector.keys()
         )
-        return self._scaled_distance(sum_sq, dot)
+        cosine = dot / (math.sqrt(sum_sq) * math.sqrt(target_sum_sq))
+        squared = max(0.0, 2.0 - 2.0 * cosine)
+        return round_half_up(self.k * math.sqrt(squared))
 
 
-class CosineHeuristic(_TargetVectorMixin, ScaledHeuristic):
+class CosineHeuristic(ScaledHeuristic):
     """hcos — ``k * (1 - cosine_similarity)``; low for near-parallel vectors."""
 
     name = "cosine"
@@ -154,20 +119,10 @@ class CosineHeuristic(_TargetVectorMixin, ScaledHeuristic):
 
     def __init__(self, target: Database, k: float | None = None) -> None:
         super().__init__(target, k)
-        self._compile_target(target)
+        self._target_vector = term_vector(target)
         self._target_norm = vector_norm(self._target_vector)
 
     def estimate(self, state: Database) -> int:
-        if caching.incremental_heuristics_enabled():
-            summary = database_summary(state)
-            if not summary.triples and not self._target_triples:
-                return 0  # both databases are empty of cells
-            denominator = math.sqrt(summary.sum_sq) * self._target_norm
-            if denominator == 0:
-                similarity = 0.0
-            else:
-                similarity = summary.dot(self._target_triples) / denominator
-            return round_half_up(self.k * (1.0 - similarity))
         state_vector = term_vector(state)
         if not state_vector and not self._target_vector:
             return 0  # both databases are empty of cells

@@ -33,12 +33,6 @@ from .intern import (
     token_value,
 )
 from .relation import Relation, Row, TokenRow
-from .summary import (
-    DatabaseSummary,
-    RelationSummary,
-    database_summary,
-    relation_summary,
-)
 from .tnf import (
     TNF_ATTRIBUTES,
     database_string,
@@ -91,10 +85,6 @@ __all__ = [
     "token_text",
     "token_text_id",
     "token_value",
-    "DatabaseSummary",
-    "RelationSummary",
-    "database_summary",
-    "relation_summary",
     "NULL",
     "NullType",
     "Value",

@@ -6,7 +6,7 @@ critical instance.  Databases are canonical and hashable (relations sorted
 by name), so the search engine can deduplicate and compare states directly.
 
 Like :class:`~repro.relational.relation.Relation`, databases memoise their
-derived views (attribute-name union, value set, value-text set, TNF triples,
+derived views (attribute-name union, value set, value-text ids, TNF triples,
 the TNF database string, ...): states are immutable, and both search
 algorithms and every heuristic re-consult the same views for the same state
 many times per run.  Views are stored once per database value and always
@@ -19,9 +19,8 @@ from bisect import bisect_right
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import NameCollisionError, SchemaError, UnknownRelationError
-from . import caching
 from .relation import Relation
-from .types import Value, is_null, value_to_text
+from .types import Value
 
 
 class Database:
@@ -70,13 +69,10 @@ class Database:
         for the database's lifetime; later calls return the stored object.
         Stored views must be immutable (tuple/frozenset/str/int).  The TNF
         views in :mod:`repro.relational.tnf` cache through this hook.
-        Respects the :mod:`~repro.relational.caching` ablation switch.
         """
         try:
             return self._views[key]
         except KeyError:
-            if not caching.view_caching_enabled():
-                return compute()
             value = self._views[key] = compute()
             return value
 
@@ -163,29 +159,13 @@ class Database:
 
         return self.cached_view(("value_set", include_null), compute)
 
-    def value_texts(self) -> frozenset[str]:
-        """The text forms of all non-NULL data values (memoised).
-
-        The search proposal rules compare this view against target token
-        sets (e.g. demotions are proposed only when a metadata token is
-        still missing from the state's data values).
-        """
-
-        def compute() -> frozenset[str]:
-            if caching.columnar_kernel_enabled():
-                from .intern import TEXTS
-
-                return frozenset(TEXTS[i] for i in self.value_text_ids())
-            return frozenset(value_to_text(v) for v in self.value_set())
-
-        return self.cached_view("value_texts", compute)
-
     def value_text_ids(self) -> frozenset[int]:
         """Token ids of the text forms of all non-NULL data values (memoised).
 
-        The integer-set counterpart of :meth:`value_texts`, consulted by the
-        columnar proposal rules (once per expansion, hence the inlined
-        cache probe).
+        The search proposal rules compare this view against target token
+        sets (e.g. demotions are proposed only when a metadata token is
+        still missing from the state's data values), once per expansion,
+        hence the inlined cache probe.
         """
         views = self._views
         hit = views.get("value_text_ids")
@@ -194,9 +174,7 @@ class Database:
         ids: set[int] = set()
         for rel in self._relations:
             ids.update(rel.value_text_ids())
-        value = frozenset(ids)
-        if caching.view_caching_enabled():
-            views["value_text_ids"] = value
+        value = views["value_text_ids"] = frozenset(ids)
         return value
 
     @property

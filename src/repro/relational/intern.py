@@ -1,4 +1,4 @@
-"""Process-global value intern pool for the columnar kernel.
+"""Process-global value intern pool behind the columnar relation storage.
 
 Every atomic value that enters a :class:`~repro.relational.relation.Relation`
 is interned to a small integer **token id**; relations store rows as tuples
@@ -9,12 +9,10 @@ flag) is computed exactly once per distinct value per process.
 
 The pool is keyed by the raw value under Python equality, which makes the
 token mapping *equality-faithful*: two values are assigned the same token
-iff they compare equal.  This mirrors the legacy string-backed kernel, whose
-``frozenset`` row storage already conflated ``==``-equal values (``1``,
-``True`` and ``1.0`` hash equal and collapse to whichever was inserted
-first); here the surviving representative is the first-seen value
-process-wide rather than per-frozenset.  Equality, hashing and containment
-semantics are therefore identical to the legacy path by construction.
+iff they compare equal.  Like any ``frozenset`` of value rows, this
+conflates ``==``-equal values (``1``, ``True`` and ``1.0`` hash equal and
+collapse to one representative); the surviving representative is the
+first-seen value process-wide.
 
 Token ids are **process-local** and must never cross a process boundary:
 pickled relations ship their value rows (see ``Relation.__getstate__``) and

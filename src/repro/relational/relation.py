@@ -6,22 +6,16 @@ a frozenset, so two relations with the same name, attribute set, and tuple
 set are equal (and hash equal) regardless of construction order.  This is
 what lets the search engine deduplicate whole-database states cheaply.
 
-Since the columnar-kernel rewrite, the primary storage is a frozenset of
-**token-id tuples**: every cell value is interned once per process (see
-:mod:`repro.relational.intern`) and rows hold small integers.  Hashing,
-equality, row deduplication and containment are integer-tuple operations,
-and the text/sort-key data consulted by the search hot loops is shared
-per-token instead of recomputed per relation.  The value-level API
-(:attr:`rows`, :meth:`column_values`, ...) is unchanged: value rows are a
-derived view reconstructed from the tokens on demand.
-
-The :mod:`~repro.relational.caching` columnar kill switch selects between
-the token fast paths and the legacy value/text computations; both produce
-identical results (the token mapping is equality-faithful), so the switch
-is purely a cost-model ablation.
+The primary storage is a frozenset of **token-id tuples**: every cell value
+is interned once per process (see :mod:`repro.relational.intern`) and rows
+hold small integers.  Hashing, equality, row deduplication and containment
+are integer-tuple operations, and the text/sort-key data consulted by the
+search hot loops is shared per-token instead of recomputed per relation.
+The value-level API (:attr:`rows`, :meth:`column_values`, ...) serves value
+rows as a derived view reconstructed from the tokens on demand.
 
 Immutability also makes every derived view (sorted rows, column value sets,
-column text sets, ...) a pure function of the relation, so views are computed
+column text ids, ...) a pure function of the relation, so views are computed
 lazily once and memoised for the lifetime of the value — IDA*/RBFS re-visit
 the same states across iterations and the successor-proposal rules consult
 the same column views many times per expansion.  All cached views are
@@ -36,16 +30,14 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import SchemaError, UnknownAttributeError
-from . import caching
 from .intern import (
     NULL_TOKEN,
     SORT_KEYS,
     TEXT_IDS,
-    TEXTS,
     VALUES,
     intern_value,
 )
-from .types import NULL, Value, check_value, is_null, value_sort_key, value_to_text
+from .types import NULL, Value, is_null, value_to_text
 
 #: sentinel distinguishing "view absent" from legitimately-falsy view values
 #: (``has_nulls`` caches booleans) during view transplantation
@@ -204,13 +196,10 @@ class Relation:
         Stored views must be immutable (tuple/frozenset/str/int) and never
         ``None`` — the hottest accessors bypass this method with a plain
         ``self._views.get(key)`` probe and treat ``None`` as a miss.
-        Respects the :mod:`~repro.relational.caching` ablation switch.
         """
         try:
             return self._views[key]
         except KeyError:
-            if not caching.view_caching_enabled():
-                return compute()
             value = self._views[key] = compute()
             return value
 
@@ -261,19 +250,14 @@ class Relation:
         hit = views.get("attribute_set")
         if hit is not None:
             return hit
-        value = frozenset(self._attributes)
-        if caching.view_caching_enabled():
-            views["attribute_set"] = value
+        value = views["attribute_set"] = frozenset(self._attributes)
         return value
 
     @property
     def rows(self) -> frozenset[Row]:
         """Rows as value tuples aligned with :attr:`attributes`.
 
-        A derived view of the token storage, memoised unconditionally (it
-        plays the role the primary storage played before the columnar
-        rewrite, so even the cache-ablation arms keep it — the legacy cost
-        model treats value rows as free).
+        A derived view of the token storage, memoised on first use.
         """
         try:
             return self._views["value_rows"]
@@ -330,17 +314,11 @@ class Relation:
 
     def column_values(self, attr: str, include_null: bool = False) -> frozenset[Value]:
         """The set of values appearing in column *attr* (memoised)."""
-        pos = self.attribute_position(attr)
 
         def compute() -> frozenset[Value]:
-            if caching.columnar_kernel_enabled():
-                values = VALUES
-                tokens = self.column_tokens(attr, include_null=include_null)
-                return frozenset(values[t] for t in tokens)
-            values = (row[pos] for row in self.rows)
-            if include_null:
-                return frozenset(values)
-            return frozenset(v for v in values if not is_null(v))
+            values = VALUES
+            tokens = self.column_tokens(attr, include_null=include_null)
+            return frozenset(values[t] for t in tokens)
 
         return self.cached_view(("column_values", attr, include_null), compute)
 
@@ -355,28 +333,8 @@ class Relation:
         tokens = frozenset(trow[pos] for trow in self._token_rows)
         if not include_null:
             tokens -= {NULL_TOKEN}
-        if caching.view_caching_enabled():
-            views[key] = tokens
+        views[key] = tokens
         return tokens
-
-    def column_texts(self, attr: str) -> frozenset[str]:
-        """The text forms of the non-NULL values in column *attr* (memoised).
-
-        This is the view the search proposal rules compare against target
-        token sets (promotions, partitions, dereferences): values are
-        rendered with :func:`~repro.relational.types.value_to_text`.
-        """
-        self.attribute_position(attr)  # raise early with a precise error
-
-        def compute() -> frozenset[str]:
-            if caching.columnar_kernel_enabled():
-                texts = TEXTS
-                return frozenset(texts[i] for i in self.column_text_ids(attr))
-            return frozenset(
-                value_to_text(v) for v in self.column_values(attr)
-            )
-
-        return self.cached_view(("column_texts", attr), compute)
 
     def column_text_id_sets(self) -> tuple[frozenset[int], ...]:
         """Per-column text-id sets, aligned with :attr:`attributes` (memoised).
@@ -391,19 +349,18 @@ class Relation:
         if hit is not None:
             return hit
         text_ids = TEXT_IDS
-        value = tuple(
+        value = views["column_text_id_sets"] = tuple(
             frozenset(text_ids[t] for t in self.column_tokens(attr))
             for attr in self._attributes
         )
-        if caching.view_caching_enabled():
-            views["column_text_id_sets"] = value
         return value
 
     def column_text_ids(self, attr: str) -> frozenset[int]:
         """Token ids of the text forms of column *attr*'s non-NULL values.
 
-        The integer-set counterpart of :meth:`column_texts`: the proposal
-        rules intersect this with target-side text-id sets (memoised).
+        Values are rendered with
+        :func:`~repro.relational.types.value_to_text`; one entry of
+        :meth:`column_text_id_sets` (memoised).
         """
         try:
             pos = self._index[attr]
@@ -415,17 +372,10 @@ class Relation:
         """The set of all data values appearing anywhere (memoised)."""
 
         def compute() -> frozenset[Value]:
-            if caching.columnar_kernel_enabled():
-                values = VALUES
-                return frozenset(
-                    values[t] for t in self.value_tokens(include_null=include_null)
-                )
-            out: set[Value] = set()
-            for row in self.rows:
-                for v in row:
-                    if include_null or not is_null(v):
-                        out.add(v)
-            return frozenset(out)
+            values = VALUES
+            return frozenset(
+                values[t] for t in self.value_tokens(include_null=include_null)
+            )
 
         return self.cached_view(("value_set", include_null), compute)
 
@@ -457,9 +407,7 @@ class Relation:
         hit = views.get("attribute_ids")
         if hit is not None:
             return hit
-        value = _interned_name_set(self._attributes)
-        if caching.view_caching_enabled():
-            views["attribute_ids"] = value
+        value = views["attribute_ids"] = _interned_name_set(self._attributes)
         return value
 
     def schema_name_ids(self) -> frozenset[int]:
@@ -472,21 +420,18 @@ class Relation:
         hit = views.get("schema_name_ids")
         if hit is not None:
             return hit
-        value = self.attribute_ids() | {intern_value(self._name)}
-        if caching.view_caching_enabled():
-            views["schema_name_ids"] = value
+        value = views["schema_name_ids"] = self.attribute_ids() | {
+            intern_value(self._name)
+        }
         return value
 
     @property
     def has_nulls(self) -> bool:
         """Whether any tuple contains a NULL (memoised)."""
 
-        def compute() -> bool:
-            if caching.columnar_kernel_enabled():
-                return any(NULL_TOKEN in trow for trow in self._token_rows)
-            return any(any(is_null(v) for v in row) for row in self.rows)
-
-        return self.cached_view("has_nulls", compute)
+        return self.cached_view(
+            "has_nulls", lambda: any(NULL_TOKEN in trow for trow in self._token_rows)
+        )
 
     def sorted_rows(self) -> list[Row]:
         """Rows in a deterministic total order (for display and TNF ids).
@@ -500,17 +445,9 @@ class Relation:
         """The memoised, immutable form of :meth:`sorted_rows`."""
 
         def compute() -> tuple[Row, ...]:
-            if caching.columnar_kernel_enabled():
-                values = VALUES
-                return tuple(
-                    tuple(values[t] for t in trow)
-                    for trow in self.sorted_token_rows()
-                )
+            values = VALUES
             return tuple(
-                sorted(
-                    self.rows,
-                    key=lambda row: tuple(value_sort_key(v) for v in row),
-                )
+                tuple(values[t] for t in trow) for trow in self.sorted_token_rows()
             )
 
         return self.cached_view("sorted_rows", compute)
@@ -556,8 +493,7 @@ class Relation:
         and the transfer is a single tuple permutation sharing the member
         frozensets.  Unless *columns_only*, whole-relation cell aggregates
         (value text ids, has-nulls) transfer too; those are
-        permutation-invariant but not projection-safe.  Callers must hold
-        the view-caching switch enabled.
+        permutation-invariant but not projection-safe.
         """
         src = self._views
         if not src:
@@ -582,8 +518,6 @@ class Relation:
 
     def renamed(self, new_name: str) -> "Relation":
         """A copy of this relation under a new name."""
-        if not caching.columnar_kernel_enabled():
-            return Relation(new_name, self._attributes, self.rows)
         if not isinstance(new_name, str) or not new_name:
             raise SchemaError(
                 f"relation name must be a non-empty string, got {new_name!r}"
@@ -592,21 +526,20 @@ class Relation:
         child = Relation._from_token_rows(
             new_name, self._attributes, self._token_rows, self._index
         )
-        if caching.view_caching_enabled():
-            self._seed_column_views(child)
-            src, dst = self._views, child._views
-            miss = _TRANSPLANT_MISS
-            # name-independent whole-relation views (rows and schema shared)
-            for key in (
-                "attribute_set",
-                "attribute_ids",
-                "sorted_token_rows",
-                "sorted_rows",
-                "value_rows",
-            ):
-                hit = src.get(key, miss)
-                if hit is not miss:
-                    dst[key] = hit
+        self._seed_column_views(child)
+        src, dst = self._views, child._views
+        miss = _TRANSPLANT_MISS
+        # name-independent whole-relation views (rows and schema shared)
+        for key in (
+            "attribute_set",
+            "attribute_ids",
+            "sorted_token_rows",
+            "sorted_rows",
+            "value_rows",
+        ):
+            hit = src.get(key, miss)
+            if hit is not miss:
+                dst[key] = hit
         return child
 
     def rename_attribute(self, old: str, new: str) -> "Relation":
@@ -617,10 +550,6 @@ class Relation:
                 f"cannot rename {old!r} to {new!r}: attribute already exists "
                 f"in relation {self._name!r}"
             )
-        if not caching.columnar_kernel_enabled():
-            attrs = list(self._attributes)
-            attrs[pos] = new
-            return Relation(self._name, attrs, self.rows)
         if not isinstance(new, str) or not new:
             raise SchemaError(
                 f"attribute names must be non-empty strings, got {new!r} "
@@ -636,39 +565,35 @@ class Relation:
             views = self._views
             token_rows = views.get(("permuted_rows", perm))
             if token_rows is None:
-                token_rows = frozenset(map(itemgetter(*perm), self._token_rows))
-                if caching.view_caching_enabled():
-                    views[("permuted_rows", perm)] = token_rows
+                token_rows = views[("permuted_rows", perm)] = frozenset(
+                    map(itemgetter(*perm), self._token_rows)
+                )
         child = Relation._from_token_rows(
             self._name, canonical_attrs, token_rows, index
         )
-        if caching.view_caching_enabled():
-            # transplant inlined from _seed_column_views: renames sit on the
-            # hottest operator path.  Child column i carries parent column
-            # perm[i] (the same permutation applied to the token rows;
-            # identity when shared).
-            src = self._views
-            if src:
-                dst = child._views
-                cols = src.get("column_text_id_sets")
-                if cols is not None:
-                    dst["column_text_id_sets"] = (
-                        cols if perm is None else tuple(map(cols.__getitem__, perm))
-                    )
-                hit = src.get("value_text_ids")
-                if hit is not None:
-                    dst["value_text_ids"] = hit
-                hit = src.get("has_nulls", _TRANSPLANT_MISS)
-                if hit is not _TRANSPLANT_MISS:
-                    dst["has_nulls"] = hit
+        # transplant inlined from _seed_column_views: renames sit on the
+        # hottest operator path.  Child column i carries parent column
+        # perm[i] (the same permutation applied to the token rows;
+        # identity when shared).
+        src = self._views
+        if src:
+            dst = child._views
+            cols = src.get("column_text_id_sets")
+            if cols is not None:
+                dst["column_text_id_sets"] = (
+                    cols if perm is None else tuple(map(cols.__getitem__, perm))
+                )
+            hit = src.get("value_text_ids")
+            if hit is not None:
+                dst["value_text_ids"] = hit
+            hit = src.get("has_nulls", _TRANSPLANT_MISS)
+            if hit is not _TRANSPLANT_MISS:
+                dst["has_nulls"] = hit
         return child
 
     def project(self, attrs: Sequence[str]) -> "Relation":
         """Projection onto *attrs* (set semantics: duplicate rows collapse)."""
         positions = [self.attribute_position(a) for a in attrs]
-        if not caching.columnar_kernel_enabled():
-            rows = {tuple(row[p] for p in positions) for row in self.rows}
-            return Relation(self._name, attrs, rows)
         attrs = tuple(attrs)
         if not attrs:
             raise SchemaError(
@@ -690,10 +615,9 @@ class Relation:
                 map(itemgetter(*canonical_positions), self._token_rows)
             )
         child = Relation._from_token_rows(self._name, canonical_attrs, token_rows)
-        if caching.view_caching_enabled():
-            # duplicate-row collapse never removes the last copy of a value,
-            # so surviving columns keep their exact value sets
-            self._seed_column_views(child, canonical_positions, columns_only=True)
+        # duplicate-row collapse never removes the last copy of a value,
+        # so surviving columns keep their exact value sets
+        self._seed_column_views(child, canonical_positions, columns_only=True)
         return child
 
     def drop_attribute(self, attr: str) -> "Relation":
@@ -715,12 +639,6 @@ class Relation:
             raise SchemaError(
                 f"cannot extend {self._name!r} with {attr!r}: attribute already exists"
             )
-        if not caching.columnar_kernel_enabled():
-            new_rows = []
-            for row in self.rows:
-                row_dict = dict(zip(self._attributes, row))
-                new_rows.append(row + (check_value(compute(row_dict)),))
-            return Relation(self._name, self._attributes + (attr,), new_rows)
         if not isinstance(attr, str) or not attr:
             raise SchemaError(
                 f"attribute names must be non-empty strings, got {attr!r} "
@@ -746,13 +664,6 @@ class Relation:
 
     def filter_rows(self, predicate: Callable[[dict[str, Value]], bool]) -> "Relation":
         """Relational selection: keep rows whose dict satisfies *predicate*."""
-        if not caching.columnar_kernel_enabled():
-            kept = [
-                row
-                for row in self.rows
-                if predicate(dict(zip(self._attributes, row)))
-            ]
-            return Relation(self._name, self._attributes, kept)
         values = VALUES
         attributes = self._attributes
         kept_tokens = frozenset(
@@ -776,26 +687,14 @@ class Relation:
         if not other.attribute_set <= self.attribute_set:
             return False
 
-        if caching.columnar_kernel_enabled():
-            def compute_tokens() -> frozenset[TokenRow]:
-                positions = [self._index[a] for a in other.attributes]
-                return frozenset(
-                    tuple(trow[p] for p in positions) for trow in self._token_rows
-                )
-
-            projected_tokens = self.cached_view(
-                ("token_projection", other.attributes), compute_tokens
-            )
-            return other.token_rows <= projected_tokens
-
-        def compute() -> frozenset[Row]:
-            positions = [self.attribute_position(a) for a in other.attributes]
+        def compute() -> frozenset[TokenRow]:
+            positions = [self._index[a] for a in other.attributes]
             return frozenset(
-                tuple(row[p] for p in positions) for row in self.rows
+                tuple(trow[p] for p in positions) for trow in self._token_rows
             )
 
-        projected = self.cached_view(("projection", other.attributes), compute)
-        return other.rows <= projected
+        projected = self.cached_view(("token_projection", other.attributes), compute)
+        return other.token_rows <= projected
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):

@@ -17,11 +17,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..errors import TNFError
-from . import caching
 from .database import Database
 from .intern import NULL_TOKEN, TEXTS, VALUES
 from .relation import Relation
-from .types import Value, is_null, value_to_text
+from .types import Value
 
 TNF_ATTRIBUTES = ("TID", "REL", "ATT", "VALUE")
 
@@ -45,28 +44,17 @@ def tnf_cells(db: Database) -> tuple[TNFCell, ...]:
     def compute() -> tuple[TNFCell, ...]:
         cells: list[TNFCell] = []
         tid_counter = 0
-        if caching.columnar_kernel_enabled():
-            values = VALUES
-            for rel in db:
-                attributes = rel.attributes
-                name = rel.name
-                for trow in rel.sorted_token_rows():
-                    tid_counter += 1
-                    tid = f"t{tid_counter}"
-                    for attr, token in zip(attributes, trow):
-                        if token == NULL_TOKEN:
-                            continue
-                        cells.append((tid, name, attr, values[token]))
-            return tuple(cells)
+        values = VALUES
         for rel in db:
             attributes = rel.attributes
-            for row in rel.sorted_rows_view():
+            name = rel.name
+            for trow in rel.sorted_token_rows():
                 tid_counter += 1
                 tid = f"t{tid_counter}"
-                for attr, value in zip(attributes, row):
-                    if is_null(value):
+                for attr, token in zip(attributes, trow):
+                    if token == NULL_TOKEN:
                         continue
-                    cells.append((tid, rel.name, attr, value))
+                    cells.append((tid, name, attr, values[token]))
         return tuple(cells)
 
     return db.cached_view("tnf_cells", compute)
@@ -134,22 +122,17 @@ def tnf_triples(db: Database) -> tuple[tuple[str, str, str], ...]:
     """
 
     def compute() -> tuple[tuple[str, str, str], ...]:
-        if caching.columnar_kernel_enabled():
-            texts = TEXTS
-            triples: list[tuple[str, str, str]] = []
-            for rel in db:
-                attributes = rel.attributes
-                name = rel.name
-                for trow in rel.sorted_token_rows():
-                    for attr, token in zip(attributes, trow):
-                        if token == NULL_TOKEN:
-                            continue
-                        triples.append((name, attr, texts[token]))
-            return tuple(triples)
-        return tuple(
-            (rel, att, value_to_text(value))
-            for (_tid, rel, att, value) in tnf_cells(db)
-        )
+        texts = TEXTS
+        triples: list[tuple[str, str, str]] = []
+        for rel in db:
+            attributes = rel.attributes
+            name = rel.name
+            for trow in rel.sorted_token_rows():
+                for attr, token in zip(attributes, trow):
+                    if token == NULL_TOKEN:
+                        continue
+                    triples.append((name, attr, texts[token]))
+        return tuple(triples)
 
     return db.cached_view("tnf_triples", compute)
 

@@ -3,8 +3,8 @@
 Bundles the knobs of the mapping-discovery search: the state budget, which
 operator families the successor generator may propose, whether the
 symmetry-breaking canonicalisation of commuting operator runs is active
-(the paper's "simple enhancements to search", §2.3), and the memoisation
-knobs of the transposition table (see :mod:`repro.search.problem`).
+(the paper's "simple enhancements to search", §2.3), and the capacity of
+the memo tables (see :mod:`repro.search.problem`).
 """
 
 from __future__ import annotations
@@ -45,15 +45,12 @@ class SearchConfig:
         prune_targets: restrict operator proposals to ones that can supply a
             missing target token (the remaining §2.3 enhancement rules).
         max_depth: optional hard depth cap (None = unbounded).
-        cache_successors: memoise ``successors(state, last_op)`` results and
-            ``is_goal(state)`` verdicts in the problem's transposition table
-            so IDA*'s iteration re-probes and RBFS's re-expansions do not
-            re-apply operators.  Semantically transparent: the cached search
-            visits exactly the same states in the same order.
         cache_capacity: bound (entries, LRU eviction) on each memo table —
             the transposition table, the goal-verdict table, and the
             heuristic estimate cache.  ``None`` means unbounded, trading the
-            algorithms' linear-memory guarantee for maximum reuse.
+            algorithms' linear-memory guarantee for maximum reuse.  The
+            tables are semantically transparent: a bounded search visits
+            exactly the same states in the same order.
         deadline_seconds: optional wall-clock deadline for the run.  The
             kernel checks ``perf_counter`` cooperatively (every few
             examinations plus once per successor expansion — see
@@ -70,7 +67,6 @@ class SearchConfig:
     break_symmetry: bool = True
     prune_targets: bool = True
     max_depth: int | None = None
-    cache_successors: bool = True
     cache_capacity: int | None = None
     deadline_seconds: float | None = None
 

@@ -25,7 +25,6 @@ from ..obs.events import SEARCH_END, SEARCH_START, SOLUTION
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import CallbackProgress, ProgressSink
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..relational import caching
 from ..relational.database import Database
 from ..semantics.correspondence import Correspondence
 from ..semantics.functions import FunctionRegistry
@@ -171,12 +170,6 @@ def discover_mapping(
                 cancel=cancel,
             )
             h = make_heuristic(heuristic, target, k=k, algorithm=algorithm)
-            # Thread parent/delta provenance through successor generation only
-            # when the incremental-heuristic layer will consume it — blind (h0)
-            # runs and ablated runs pay nothing for the machinery.
-            problem.track_deltas = caching.incremental_heuristics_enabled() and getattr(
-                h, "wants_summaries", False
-            )
             stats = SearchStats(budget=problem.config.max_states)
             stats.deadline_seconds = problem.config.deadline_seconds
             stats.cancel_token = cancel

@@ -28,9 +28,8 @@ re-deriving its successor list (and goal verdict) each time is pure waste —
 results and ``is_goal(state)`` verdicts.  The successor key includes the
 *canonical symmetry key* of ``last_op`` (the part of the producing operator
 the symmetry-breaking rules actually consult), so cached results are exact.
-``SearchConfig.cache_successors`` toggles the table and
-``SearchConfig.cache_capacity`` bounds it (LRU eviction); hit / miss /
-eviction counts and per-phase timings land in
+``SearchConfig.cache_capacity`` bounds the tables (LRU eviction); hit /
+miss / eviction counts and per-phase timings land in
 :class:`~repro.search.stats.SearchStats`.
 """
 
@@ -60,13 +59,10 @@ from ..errors import (
     SchemaError,
     SearchCancelled,
 )
-from ..fira.delta import StateDelta
 from ..obs.events import CACHE_HIT, CACHE_MISS, GENERATE, GOAL_TEST
-from ..relational import caching
 from ..relational.database import Database
 from ..relational.intern import intern_value
 from ..relational.relation import Relation, _interned_name_set
-from ..relational.summary import attach_provenance
 from ..relational.types import NULL, is_null
 from ..semantics.correspondence import Correspondence
 from ..semantics.functions import FunctionRegistry, builtin_registry
@@ -160,12 +156,6 @@ class MappingProblem:
         self.registry = registry if registry is not None else builtin_registry()
         self.config = config if config is not None else SearchConfig()
         self.cancel_token = cancel
-        #: when True, successor generation attaches ``(parent, delta)``
-        #: provenance to each child state for the incremental-heuristic
-        #: layer (see :mod:`repro.relational.summary`).  The search engine
-        #: switches this on only when the heuristic wants summaries and the
-        #: incremental kill switch is enabled.
-        self.track_deltas = False
         for corr in self.correspondences:
             corr.check_signature(self.registry)
 
@@ -175,7 +165,6 @@ class MappingProblem:
         self._target_attrs_by_rel = {
             rel.name: rel.attribute_set for rel in target
         }
-        self._target_value_texts = target.value_texts()
         self._target_value_text_ids = target.value_text_ids()
         self._target_rel_ids = frozenset(
             intern_value(name) for name in self._target_rels
@@ -195,14 +184,8 @@ class MappingProblem:
         # rest of the state — and operators pass untouched relations through
         # by reference, so consecutive states share almost all relations.
         # Memoising per relation value turns the per-expansion proposal cost
-        # from O(state cells) into O(changed cells).  Columnar-kernel only
-        # (see _move_caching_enabled); also gated by the same
-        # ``cache_successors`` knob as the transposition table.
+        # from O(state cells) into O(changed cells).
         self._relation_move_cache: OrderedDict[tuple, object] = OrderedDict()
-        # Snapshot of _move_caching_enabled(), refreshed once per proposal
-        # pass (the hot loops read an attribute instead of re-consulting
-        # the kill switch per probe; flips between searches still apply).
-        self._moves_cached = False
         # Fixed per problem: which non-symmetry families the config allows
         # (the static bundle shape — see _static_moves).
         self._partition_allowed = self.config.allows("partition")
@@ -418,30 +401,14 @@ class MappingProblem:
                 )
         return loaded
 
-    def _move_caching_enabled(self) -> bool:
-        """Whether per-relation proposal views are memoised.
-
-        Move caching is a columnar-kernel feature: with the kill switch
-        off, proposals are rebuilt per expansion exactly as the
-        pre-columnar implementation did, so the legacy ablation arms
-        measure the original cost shape.  :meth:`_propose` snapshots this
-        into ``_moves_cached`` once per pass for the hot loops.
-        """
-        return self.config.cache_successors and caching.columnar_kernel_enabled()
-
     def _relation_view(self, key: tuple, rel: Relation, build) -> object:
         """Memoise a per-relation proposal view (LRU, capacity-bound).
 
         *key* is chosen by the caller: data-dependent views key on the
         relation *value*, schema-only views (rename groups, drops, merges,
         demote candidates) key on ``(name, attributes, ...)`` so they are
-        shared across states whose relations differ only in data.  Only
-        ever populated in columnar mode (see :meth:`_move_caching_enabled`),
-        so entries are always token-set shaped; a mid-process kill-switch
-        flip simply bypasses the cache.
+        shared across states whose relations differ only in data.
         """
-        if not self._moves_cached:
-            return build(rel)
         cache = self._relation_move_cache
         value = cache.get(key)
         capacity = self.config.cache_capacity
@@ -458,8 +425,8 @@ class MappingProblem:
         """The canonical object for *state* (first-seen equal value wins).
 
         Search re-derives equal databases along many paths; returning one
-        canonical object per value means every memoised view (column texts,
-        TNF triples, ...) is computed once per *value* instead of once per
+        canonical object per value means every memoised view (column text
+        ids, TNF triples, ...) is computed once per *value* instead of once per
         derivation.  Semantically free: databases are immutable and compare
         by value.
         """
@@ -479,17 +446,12 @@ class MappingProblem:
     ) -> bool:
         """Goal test: *state* contains the target critical instance.
 
-        Verdicts are memoised when ``config.cache_successors`` is on; time
-        spent and hit/miss counts are recorded on *stats* when given.
+        Verdicts are memoised; time spent and hit/miss counts are recorded
+        on *stats* when given.
         """
         start = perf_counter()
         tracer = stats.tracer if stats is not None else None
         try:
-            if not self.config.cache_successors:
-                verdict = state.contains(self.target)
-                if tracer is not None and tracer.enabled:
-                    tracer.emit(GOAL_TEST, verdict=verdict)
-                return verdict
             cache = self._goal_cache
             verdict = cache.get(state, _GOAL_MISS)
             if verdict is not _GOAL_MISS:
@@ -530,11 +492,10 @@ class MappingProblem:
         it drives the symmetry-breaking canonicalisation of commuting runs.
         Results are deterministic: sorted by family order then textual form.
 
-        When ``config.cache_successors`` is on, results are served from the
-        transposition table keyed by ``(state, symmetry key of last_op)``;
-        a hit skips proposal and operator application entirely.
-        ``stats.states_generated`` counts successors *delivered*, so it is
-        identical with the table on or off.
+        Results are served from the transposition table keyed by
+        ``(state, symmetry key of last_op)``; a hit skips proposal and
+        operator application entirely.  ``stats.states_generated`` counts
+        successors *delivered*, so a hit counts like a fresh generation.
 
         Limit checks: each call polls the problem's cancel token and, via
         *stats*, the wall-clock deadline — one check per expansion keeps
@@ -549,13 +510,6 @@ class MappingProblem:
         start = perf_counter()
         tracer = stats.tracer if stats is not None else None
         try:
-            if not self.config.cache_successors:
-                out = self._compute_successors(state, last_op)
-                if stats is not None:
-                    stats.generated(len(out))
-                if tracer is not None and tracer.enabled:
-                    self._emit_generate(tracer, out, cached=False)
-                return out
             key = (state, self._symmetry_key(last_op))
             cache = self._successor_cache
             hit = cache.get(key)
@@ -622,8 +576,6 @@ class MappingProblem:
         """Uncached successor generation (propose, apply, deduplicate)."""
         moves = self._propose(state, last_op)
         moves.sort(key=lambda op: (_FAMILY_ORDER.get(op.keyword, 99), str(op)))
-        intern = self.config.cache_successors
-        track = self.track_deltas
         out: list[tuple[Operator, Database]] = []
         seen: set[Database] = {state}
         for op in moves:
@@ -634,14 +586,7 @@ class MappingProblem:
             if child in seen:
                 continue  # no-op or duplicate of an earlier move
             seen.add(child)
-            canonical = self._intern(child) if intern else child
-            if track:
-                # The identity sweep needs the freshly applied child (its
-                # untouched relations are the parent's objects); the summary
-                # it implies is a value property, so it transfers to the
-                # canonical object unchanged.
-                attach_provenance(canonical, state, StateDelta.between(state, child))
-            out.append((op, canonical))
+            out.append((op, self._intern(child)))
         return out
 
     # -- proposal rules -----------------------------------------------------------
@@ -655,7 +600,6 @@ class MappingProblem:
         """
         config = self.config
         prune = config.prune_targets
-        self._moves_cached = self._move_caching_enabled()
         moves: list[Operator] = []
         missing_rels = self._target_rels.difference(state.relation_name_view())
 
@@ -671,14 +615,7 @@ class MappingProblem:
         if self._static_families:
             demote_missing: frozenset = frozenset()
             if self._demote_allowed and prune:
-                if caching.columnar_kernel_enabled():
-                    demote_missing = (
-                        self._target_value_text_ids - state.value_text_ids()
-                    )
-                else:
-                    demote_missing = (
-                        self._target_value_texts - state.value_texts()
-                    )
+                demote_missing = self._target_value_text_ids - state.value_text_ids()
             view = self._relation_view
             data_build = self._data_moves
             schema_build = self._schema_moves
@@ -746,11 +683,7 @@ class MappingProblem:
             return moves
         # Candidate tokens per column are relation-local; only the
         # "is the candidate still missing" test depends on the state.
-        missing: frozenset | set
-        if caching.columnar_kernel_enabled():
-            missing = _interned_name_set(missing_rels)
-        else:
-            missing = missing_rels
+        missing = _interned_name_set(missing_rels)
         view = self._relation_view
         build = self._partition_candidates
         for rel in state:
@@ -778,7 +711,6 @@ class MappingProblem:
         follows_rename = self.config.break_symmetry and isinstance(
             last_op, RenameAttribute
         )
-        cached = self._moves_cached
         view = self._relation_view
         build = self._attribute_rename_groups
         moves: list[Operator] = []
@@ -788,11 +720,6 @@ class MappingProblem:
                 if follows_rename and last_op.relation == rel.name
                 else None
             )
-            if not cached:
-                # uncached (ablation) arms build exactly the floored list —
-                # grouping would construct moves the floor then discards
-                moves.extend(self._attribute_rename_moves(rel, floor))
-                continue
             # schema key: rename groups never look at column contents
             groups = view(("rename_att", rel.name, rel.attributes), rel, build)
             if not groups:
@@ -804,28 +731,6 @@ class MappingProblem:
                 for old, group in groups:
                     if old > floor:  # canonical order within a run of renames
                         moves.extend(group)
-        return moves
-
-    def _attribute_rename_moves(
-        self, rel: Relation, floor: str | None
-    ) -> list[Operator]:
-        prune = self.config.prune_targets
-        if prune:
-            wanted = self._missing_atts_for(rel)
-        else:
-            wanted = self._target_atts - rel.attribute_set
-        if not wanted:
-            return []
-        ordered = sorted(wanted)
-        target_atts = self._target_atts
-        moves: list[Operator] = []
-        for old in rel.attributes:
-            if prune and old in target_atts:
-                continue  # never rename away a name the target uses
-            if floor is not None and old <= floor:
-                continue  # canonical order within a run of renames
-            for new in ordered:
-                moves.append(RenameAttribute(rel.name, old, new))
         return moves
 
     def _attribute_rename_groups(
@@ -841,7 +746,7 @@ class MappingProblem:
         ordered = _sorted_names(wanted)
         target_atts = self._target_atts
         name = rel.name
-        make = _rename_attribute_op  # flyweight: groups only built when cached
+        make = _rename_attribute_op
         groups: list[tuple[str, tuple[Operator, ...]]] = []
         for old in rel.attributes:
             if prune and old in target_atts:
@@ -889,45 +794,32 @@ class MappingProblem:
 
     def _promote_moves(self, rel: Relation) -> tuple[Operator, ...]:
         # The per-column "can this supply a missing token" tests are the
-        # hottest comparisons in proposal; on the columnar kernel they run
-        # over interned text ids (integer set intersections) instead of
-        # rendered text sets.  Equal strings share one token, so the two
-        # arms accept exactly the same columns.
-        prune = self.config.prune_targets
+        # hottest comparisons in proposal; they run over interned text ids
+        # (integer set intersections), and equal strings share one token.
+        make = _promote_op
+        name = rel.name
+        attrs = rel.attributes
+        if not self.config.prune_targets:
+            return tuple(make(name, n, v) for n in attrs for v in attrs)
         wanted = self._missing_atts_for(rel)
-        if prune and not wanted:
+        if not wanted:
             return ()
+        wanted_ids = _interned_name_set(wanted)
+        target_value_ids = self._target_value_text_ids
+        cols = rel.column_text_id_sets()
+        # the value-side test is independent of the name attribute, so
+        # hoist it out of the nested loop (same pairs, same order)
+        value_attrs = [
+            attr
+            for attr, col in zip(attrs, cols)
+            if not target_value_ids.isdisjoint(col)
+        ]
         moves: list[Operator] = []
-        if prune and caching.columnar_kernel_enabled():
-            wanted_ids = _interned_name_set(wanted)
-            target_value_ids = self._target_value_text_ids
-            make = _promote_op
-            name = rel.name
-            attrs = rel.attributes
-            cols = rel.column_text_id_sets()
-            # the value-side test is independent of the name attribute, so
-            # hoist it out of the nested loop (same pairs, same order)
-            value_attrs = [
-                attr
-                for attr, col in zip(attrs, cols)
-                if not target_value_ids.isdisjoint(col)
-            ]
-            for name_attr, col in zip(attrs, cols):
-                if wanted_ids.isdisjoint(col):
-                    continue
-                for value_attr in value_attrs:
-                    moves.append(make(name, name_attr, value_attr))
-            return tuple(moves)
-        for name_attr in rel.attributes:
-            if prune:
-                if not rel.column_texts(name_attr) & wanted:
-                    continue
-            for value_attr in rel.attributes:
-                if prune:
-                    value_texts = rel.column_texts(value_attr)
-                    if not value_texts & self._target_value_texts:
-                        continue
-                moves.append(Promote(rel.name, name_attr, value_attr))
+        for name_attr, col in zip(attrs, cols):
+            if wanted_ids.isdisjoint(col):
+                continue
+            for value_attr in value_attrs:
+                moves.append(make(name, name_attr, value_attr))
         return tuple(moves)
 
     def _partition_candidates(
@@ -939,20 +831,12 @@ class MappingProblem:
         ``column & missing`` test factors as ``(column & target) & missing``
         because missing relations are always a subset of target relations.
         """
-        if caching.columnar_kernel_enabled():
-            target: frozenset = self._target_rel_ids
-            pairs = [
-                (attr, cand)
-                for attr, col in zip(rel.attributes, rel.column_text_id_sets())
-                if (cand := col & target)
-            ]
-        else:
-            pairs = [
-                (attr, frozenset(cand))
-                for attr in rel.attributes
-                if (cand := rel.column_texts(attr) & self._target_rels)
-            ]
-        return tuple(pairs)
+        target = self._target_rel_ids
+        return tuple(
+            (attr, cand)
+            for attr, col in zip(rel.attributes, rel.column_text_id_sets())
+            if (cand := col & target)
+        )
 
     def _merge_moves(self, rel: Relation) -> tuple[Operator, ...]:
         prune = self.config.prune_targets
@@ -971,7 +855,6 @@ class MappingProblem:
         follows_drop = self.config.break_symmetry and isinstance(
             last_op, DropAttribute
         )
-        cached = self._moves_cached
         view = self._relation_view
         build = self._drop_entries
         moves: list[Operator] = []
@@ -981,13 +864,6 @@ class MappingProblem:
                 if follows_drop and last_op.relation == rel.name
                 else None
             )
-            if not cached:
-                moves.extend(
-                    op
-                    for attr, op in self._drop_entries(rel)
-                    if floor is None or attr > floor
-                )
-                continue
             # schema key: droppability depends on names plus the nulls bit
             entries = view(("drop", rel.name, rel.attributes, rel.has_nulls), rel, build)
             if not entries:
@@ -1023,26 +899,16 @@ class MappingProblem:
         )
         if not wanted:
             return ()
-        columnar = caching.columnar_kernel_enabled()
+        ordered = _sorted_names(wanted)
+        attr_ids = rel.attribute_ids()
+        make = _dereference_op
+        name = rel.name
         moves: list[Operator] = []
-        if columnar:
-            ordered = _sorted_names(wanted)
-            attr_ids = rel.attribute_ids()
-            make = _dereference_op
-            name = rel.name
-            for pointer, col in zip(rel.attributes, rel.column_text_id_sets()):
-                if prune and attr_ids.isdisjoint(col):
-                    continue  # pointer values never name an attribute
-                for new in ordered:
-                    moves.append(make(name, pointer, new))
-            return tuple(moves)
-        ordered = sorted(wanted)
-        attr_names = rel.attribute_set
-        for pointer in rel.attributes:
-            if prune and not rel.column_texts(pointer) & attr_names:
+        for pointer, col in zip(rel.attributes, rel.column_text_id_sets()):
+            if prune and attr_ids.isdisjoint(col):
                 continue  # pointer values never name an attribute
             for new in ordered:
-                moves.append(Dereference(rel.name, pointer, new))
+                moves.append(make(name, pointer, new))
         return tuple(moves)
 
     def _demote_candidates(self, rel: Relation) -> frozenset:
@@ -1052,11 +918,7 @@ class MappingProblem:
         # subset of target values, so intersecting these candidates with
         # the missing set matches the original schema-names & missing
         # test).
-        if caching.columnar_kernel_enabled():
-            return rel.schema_name_ids() & self._target_value_text_ids
-        return frozenset(
-            (set(rel.attributes) | {rel.name}) & self._target_value_texts
-        )
+        return rel.schema_name_ids() & self._target_value_text_ids
 
     def _propose_products(self, state: Database) -> Iterable[Operator]:
         relations = list(state)

@@ -3,11 +3,10 @@
 ``REPRO_WARM_STORE=0`` (or ``false`` / ``no``) disables every store code
 path: :func:`repro.store.resolve_store` returns ``None`` regardless of the
 ``store=`` argument, so ``discover_mapping`` runs exactly the cold path —
-no fingerprinting, no memo lookup, no spill export.  The switch follows
-the ablation idiom of :mod:`repro.relational.caching`: read once from the
-environment at import (so it propagates into spawned workers), flippable
-at runtime for tests via :func:`set_warm_store` /
-:func:`warm_store_disabled`.
+no fingerprinting, no memo lookup, no spill export.  The switch is read
+once from the environment at import (so it propagates into spawned
+workers) and is flippable at runtime for tests via :func:`set_warm_store`
+/ :func:`warm_store_disabled`.
 """
 
 from __future__ import annotations

@@ -45,3 +45,13 @@ def people() -> Database:
             ]
         }
     )
+
+
+def pytest_addoption(parser) -> None:
+    parser.addoption(
+        "--update-goldens",
+        action="store_true",
+        default=False,
+        help="rewrite tests/goldens/search.json from the current search "
+        "instead of checking against it",
+    )

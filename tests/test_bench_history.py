@@ -19,12 +19,18 @@ def bench_history():
     return module
 
 
-def _write_kernel_json(path: Path, vs_seed: float, vs_memoized: float) -> Path:
+def _write_warm_json(
+    path: Path, warm_vs_cold: float, preseed_vs_cold: float
+) -> Path:
     payload = {
-        "headline": {"vs_seed": vs_seed, "vs_memoized": vs_memoized, "size": 6},
+        "headline": {
+            "warm_vs_cold": warm_vs_cold,
+            "preseed_vs_cold": preseed_vs_cold,
+            "size": 6,
+        },
         "arms": {},
     }
-    file = path / "BENCH_kernel_columnar.json"
+    file = path / "BENCH_warm_start.json"
     file.write_text(json.dumps(payload))
     return file
 
@@ -38,8 +44,8 @@ def _write_scaling_json(path: Path, speedup: float) -> Path:
 
 class TestExtraction:
     def test_bench_name_strips_prefix(self, bench_history):
-        assert bench_history.bench_name("BENCH_kernel_columnar.json") == (
-            "kernel_columnar"
+        assert bench_history.bench_name("BENCH_warm_start.json") == (
+            "warm_start"
         )
         assert bench_history.bench_name("/a/b/BENCH_parallel_scaling.json") == (
             "parallel_scaling"
@@ -59,57 +65,57 @@ class TestExtraction:
 
 class TestRecordAndCheck:
     def test_record_then_check_passes(self, bench_history, tmp_path, capsys):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.5, vs_memoized=2.3)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5, preseed_vs_cold=2.3)
         scaling = _write_scaling_json(tmp_path, speedup=1.0)
         history = tmp_path / "history.jsonl"
         assert bench_history.main(
-            ["record", str(kernel), str(scaling), "--history", str(history)]
+            ["record", str(warm), str(scaling), "--history", str(history)]
         ) == 0
         entries = [
             json.loads(line) for line in history.read_text().splitlines()
         ]
         assert [e["bench"] for e in entries] == [
-            "kernel_columnar", "parallel_scaling",
+            "warm_start", "parallel_scaling",
         ]
-        assert entries[0]["metrics"]["headline.vs_seed"] == 5.5
+        assert entries[0]["metrics"]["headline.warm_vs_cold"] == 5.5
         assert entries[1]["metrics"]["arms.workers_2.speedup"] == 1.0
         assert bench_history.main(
-            ["check", str(kernel), str(scaling), "--history", str(history)]
+            ["check", str(warm), str(scaling), "--history", str(history)]
         ) == 0
-        assert "ok kernel_columnar" in capsys.readouterr().out
+        assert "ok warm_start" in capsys.readouterr().out
 
     def test_check_with_no_history_passes_vacuously(
         self, bench_history, tmp_path
     ):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.5, vs_memoized=2.3)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5, preseed_vs_cold=2.3)
         history = tmp_path / "empty.jsonl"
         assert bench_history.main(
-            ["check", str(kernel), "--history", str(history)]
+            ["check", str(warm), "--history", str(history)]
         ) == 0
 
     def test_injected_regression_exits_nonzero(
         self, bench_history, tmp_path, capsys
     ):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.5, vs_memoized=2.3)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5, preseed_vs_cold=2.3)
         history = tmp_path / "history.jsonl"
-        bench_history.main(["record", str(kernel), "--history", str(history)])
-        slower = _write_kernel_json(tmp_path, vs_seed=3.0, vs_memoized=2.3)
+        bench_history.main(["record", str(warm), "--history", str(history)])
+        slower = _write_warm_json(tmp_path, warm_vs_cold=3.0, preseed_vs_cold=2.3)
         assert bench_history.main(
             ["check", str(slower), "--history", str(history)]
         ) == 1
         err = capsys.readouterr().err
         assert "REGRESSION" in err
-        assert "headline.vs_seed" in err
+        assert "headline.warm_vs_cold" in err
 
     def test_threshold_tolerates_small_dips(self, bench_history, tmp_path):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.0, vs_memoized=2.0)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.0, preseed_vs_cold=2.0)
         history = tmp_path / "history.jsonl"
-        bench_history.main(["record", str(kernel), "--history", str(history)])
-        dip = _write_kernel_json(tmp_path, vs_seed=4.5, vs_memoized=1.9)
+        bench_history.main(["record", str(warm), "--history", str(history)])
+        dip = _write_warm_json(tmp_path, warm_vs_cold=4.5, preseed_vs_cold=1.9)
         assert bench_history.main(
             ["check", str(dip), "--history", str(history)]
         ) == 0
-        cliff = _write_kernel_json(tmp_path, vs_seed=4.5, vs_memoized=1.9)
+        cliff = _write_warm_json(tmp_path, warm_vs_cold=4.5, preseed_vs_cold=1.9)
         assert bench_history.main(
             ["check", str(cliff), "--history", str(history),
              "--threshold", "0.01"]
@@ -117,7 +123,7 @@ class TestRecordAndCheck:
 
     def test_missing_file_exits_two(self, bench_history, tmp_path, capsys):
         assert bench_history.main(
-            ["check", str(tmp_path / "BENCH_kernel_columnar.json"),
+            ["check", str(tmp_path / "BENCH_warm_start.json"),
              "--history", str(tmp_path / "h.jsonl")]
         ) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -131,11 +137,11 @@ class TestRecordAndCheck:
         assert "no tracked metrics" in capsys.readouterr().err
 
     def test_corrupt_history_exits_two(self, bench_history, tmp_path, capsys):
-        kernel = _write_kernel_json(tmp_path, vs_seed=5.5, vs_memoized=2.3)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5, preseed_vs_cold=2.3)
         history = tmp_path / "history.jsonl"
         history.write_text("{broken\n")
         assert bench_history.main(
-            ["check", str(kernel), "--history", str(history)]
+            ["check", str(warm), "--history", str(history)]
         ) == 2
         assert "bad history line" in capsys.readouterr().err
 
@@ -151,12 +157,12 @@ def test_write_bench_json_env_hook_appends(tmp_path, monkeypatch):
 
     history = tmp_path / "auto.jsonl"
     monkeypatch.setenv("REPRO_BENCH_HISTORY", str(history))
-    payload = {"headline": {"vs_seed": 5.0, "vs_memoized": 2.0}}
-    write_bench_json(tmp_path / "BENCH_kernel_columnar.json", payload)
+    payload = {"headline": {"warm_vs_cold": 5.0, "preseed_vs_cold": 2.0}}
+    write_bench_json(tmp_path / "BENCH_warm_start.json", payload)
     entry = json.loads(history.read_text().splitlines()[0])
-    assert entry["bench"] == "kernel_columnar"
+    assert entry["bench"] == "warm_start"
     assert entry["metrics"] == {
-        "headline.vs_seed": 5.0, "headline.vs_memoized": 2.0,
+        "headline.warm_vs_cold": 5.0, "headline.preseed_vs_cold": 2.0,
     }
     # untracked payloads write their JSON but skip the history
     write_bench_json(tmp_path / "BENCH_mystery.json", {"x": 1})

@@ -1,11 +1,14 @@
-"""The memoized kernel is semantically invisible: cache on == cache off.
+"""The memo tables are semantically invisible: cache on == cache off.
 
 Every algorithm x heuristic combination must return the identical result —
 same status, same operator sequence, same states examined *in the same
-order* — whether the transposition table and derived-view caches are on
-(the default) or fully disabled.  This is the contract that lets the
-caches exist at all: they may only change how fast the search runs, never
-what it does.
+order* — whether the memo tables are unbounded (the default) or starved
+to one entry each (``cache_capacity=1``), so that nearly every probe
+misses and every insert evicts: the transposition, goal-verdict, state
+intern and proposal tables plus the heuristic estimate memo.  This is the
+contract that lets the tables exist at all: they may only change how fast
+the search runs, never what it does.  The goldens pin IDA* and RBFS
+against recorded runs; this sweep also covers A*, greedy and beam.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import pytest
 
 from repro.errors import MappingNotFound, SearchBudgetExceeded
 from repro.heuristics import HEURISTIC_NAMES, make_heuristic
-from repro.relational.caching import view_caching_disabled
 from repro.search import ALGORITHMS, MappingProblem, SearchConfig, SearchStats
 from repro.workloads import matching_pair
 
@@ -24,9 +26,13 @@ BUDGET = 100_000
 
 
 def run_search(algorithm: str, heuristic: str, size: int, cache_on: bool):
-    """One raw algorithm invocation, returning (status, ops, stats)."""
+    """One raw algorithm invocation, returning (status, ops, stats).
+
+    *cache_on* False starves every memo table to a single entry.
+    """
     pair = matching_pair(size)
-    config = SearchConfig(cache_successors=cache_on, max_states=BUDGET)
+    capacity = None if cache_on else 1
+    config = SearchConfig(cache_capacity=capacity, max_states=BUDGET)
     problem = MappingProblem(pair.source, pair.target, config=config)
     h = make_heuristic(heuristic, pair.target, algorithm=algorithm)
     stats = SearchStats(budget=BUDGET, trace=True)
@@ -47,10 +53,9 @@ def run_search(algorithm: str, heuristic: str, size: int, cache_on: bool):
 def test_cache_on_off_identical(algorithm, heuristic):
     size = 3 if heuristic in BLIND else 5
     status_on, ops_on, stats_on = run_search(algorithm, heuristic, size, True)
-    with view_caching_disabled():
-        status_off, ops_off, stats_off = run_search(
-            algorithm, heuristic, size, False
-        )
+    status_off, ops_off, stats_off = run_search(
+        algorithm, heuristic, size, False
+    )
 
     assert status_on == status_off
     on_ops = [str(op) for op in (ops_on or [])]
@@ -60,6 +65,8 @@ def test_cache_on_off_identical(algorithm, heuristic):
     assert stats_on.states_generated == stats_off.states_generated
     # not just the same count — the same states in the same order
     assert stats_on.examined_states == stats_off.examined_states
+    assert stats_on.cache_evictions == 0
+    assert stats_off.cache_evictions > 0  # the starved tables really churned
 
 
 def test_cached_run_reports_cache_traffic():
@@ -74,11 +81,3 @@ def test_cached_run_reports_cache_traffic():
         + stats.heuristic_cache_hits
     )
 
-
-def test_uncached_run_reports_no_transposition_traffic():
-    status, _, stats = run_search("ida", "h0", 3, cache_on=False)
-    assert status == "found"
-    assert stats.successor_cache_hits == 0
-    assert stats.successor_cache_misses == 0
-    assert stats.goal_cache_hits == 0
-    assert stats.goal_cache_misses == 0

@@ -5,13 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import UnknownAttributeError
-from repro.relational import Database, Relation, database_string, tnf_cells
-from repro.relational.caching import (
-    set_view_caching,
-    view_caching_disabled,
-    view_caching_enabled,
+from repro.relational import (
+    Database,
+    Relation,
+    database_string,
+    tnf_cells,
+    token_text,
 )
 from repro.relational.tnf import tnf_projections, tnf_triples
+
+
+def texts(token_ids) -> frozenset[str]:
+    return frozenset(token_text(i) for i in token_ids)
 
 
 @pytest.fixture
@@ -30,21 +35,22 @@ class TestRelationViews:
         assert rel.value_set() is rel.value_set()
         assert rel.attribute_set is rel.attribute_set
         assert rel.column_values("A") is rel.column_values("A")
-        assert rel.column_texts("A") is rel.column_texts("A")
+        assert rel.column_text_ids("A") is rel.column_text_ids("A")
         assert rel.sorted_rows_view() is rel.sorted_rows_view()
 
     def test_views_are_immutable_containers(self, rel):
         assert isinstance(rel.value_set(), frozenset)
-        assert isinstance(rel.column_texts("A"), frozenset)
+        assert isinstance(rel.column_text_ids("A"), frozenset)
+        assert isinstance(rel.column_text_id_sets(), tuple)
         assert isinstance(rel.sorted_rows_view(), tuple)
 
     def test_column_texts_contents(self, rel):
-        assert rel.column_texts("A") == frozenset({"1", "2"})
-        assert rel.column_texts("B") == frozenset({"x", "y"})
+        assert texts(rel.column_text_ids("A")) == frozenset({"1", "2"})
+        assert texts(rel.column_text_ids("B")) == frozenset({"x", "y"})
 
     def test_column_texts_unknown_attribute(self, rel):
         with pytest.raises(UnknownAttributeError):
-            rel.column_texts("Nope")
+            rel.column_text_ids("Nope")
 
     def test_sorted_rows_returns_a_private_list(self, rel):
         """Mutating the list sorted_rows() hands out can't poison the view."""
@@ -63,22 +69,22 @@ class TestRelationViews:
         assert rel.value_set() is not rel.value_set(include_null=True)
 
     def test_derived_relations_start_cold_and_correct(self, rel):
-        warm = rel.column_texts("A")
+        warm = rel.column_text_ids("A")
         renamed = rel.rename_attribute("A", "Z")
-        assert renamed.column_texts("Z") == warm
-        assert rel.column_texts("A") is warm  # original untouched
+        assert renamed.column_text_ids("Z") == warm
+        assert rel.column_text_ids("A") is warm  # original untouched
         with pytest.raises(UnknownAttributeError):
-            renamed.column_texts("A")
+            renamed.column_text_ids("A")
 
 
 class TestDatabaseViews:
     def test_views_computed_once(self, db):
         assert db.attribute_names() is db.attribute_names()
         assert db.value_set() is db.value_set()
-        assert db.value_texts() is db.value_texts()
+        assert db.value_text_ids() is db.value_text_ids()
 
     def test_value_texts_contents(self, db):
-        assert db.value_texts() == frozenset({"1", "2", "3", "x", "y"})
+        assert texts(db.value_text_ids()) == frozenset({"1", "2", "3", "x", "y"})
 
     def test_tnf_views_memoised(self, db):
         assert tnf_cells(db) is tnf_cells(db)
@@ -100,38 +106,3 @@ class TestDatabaseViews:
         assert db.attribute_names() is names
         assert "D" not in names
 
-
-class TestKillSwitch:
-    def test_enabled_by_default(self):
-        assert view_caching_enabled()
-
-    def test_disabled_views_recompute(self, rel):
-        with view_caching_disabled():
-            assert not view_caching_enabled()
-            first = rel.value_set()
-            second = rel.value_set()
-        assert first == second
-        assert first is not second  # nothing was stored
-        assert view_caching_enabled()
-        # back on: the store fills as usual
-        assert rel.value_set() is rel.value_set()
-
-    def test_disabled_still_serves_already_cached_views(self, rel):
-        warm = rel.column_texts("A")
-        with view_caching_disabled():
-            assert rel.column_texts("A") is warm
-
-    def test_set_view_caching_restores(self):
-        set_view_caching(False)
-        try:
-            assert not view_caching_enabled()
-        finally:
-            set_view_caching(True)
-        assert view_caching_enabled()
-
-    def test_nested_disable_restores_previous(self):
-        with view_caching_disabled():
-            with view_caching_disabled():
-                assert not view_caching_enabled()
-            assert not view_caching_enabled()
-        assert view_caching_enabled()

@@ -93,7 +93,7 @@ class TestPickleSafety:
 
     def test_database_round_trip_drops_views(self):
         db = Database.from_dict({"R": [{"A": 1}], "S": [{"B": 2}]})
-        db.value_texts()  # warm a memoised view
+        db.value_text_ids()  # warm a memoised view
         clone = pickle.loads(pickle.dumps(db))
         assert clone == db
         assert clone._views == {}

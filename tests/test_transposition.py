@@ -80,18 +80,6 @@ class TestSuccessorCache:
         assert stats.successor_cache_misses == 3
         assert len(problem._successor_cache) <= 1
 
-    def test_disabled_cache_reports_nothing(self):
-        problem = make_problem(cache_successors=False)
-        stats = SearchStats()
-        state = problem.initial_state()
-        first = problem.successors(state, None, stats)
-        second = problem.successors(state, None, stats)
-        assert first == second
-        assert stats.successor_cache_hits == 0
-        assert stats.successor_cache_misses == 0
-        assert not problem._successor_cache
-        assert stats.states_generated == 2 * len(first)
-
     def test_clear_caches(self):
         problem = make_problem()
         state = problem.initial_state()
@@ -169,8 +157,7 @@ class TestInterning:
 class TestConfig:
     def test_cache_fields_default_on(self):
         config = SearchConfig()
-        assert config.cache_successors is True
-        assert config.cache_capacity is None
+        assert config.cache_capacity is None  # unbounded tables
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

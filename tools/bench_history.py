@@ -2,7 +2,7 @@
 """Track ``BENCH_*.json`` headline metrics across runs and flag regressions.
 
 The perf benches publish machine-readable results at the repo root
-(``BENCH_kernel_columnar.json``, ``BENCH_parallel_scaling.json``).  Each
+(``BENCH_parallel_scaling.json``, ``BENCH_warm_start.json``, ...).  Each
 file carries one or two *headline* numbers — the speedup ratios the repo's
 performance story rests on.  This tool keeps them honest over time:
 
@@ -47,7 +47,6 @@ DEFAULT_THRESHOLD = 0.15
 #: bench name (the ``<name>`` of ``BENCH_<name>.json``) -> tracked
 #: higher-is-better metrics as dotted paths into the payload
 TRACKED_METRICS: dict[str, tuple[str, ...]] = {
-    "kernel_columnar": ("headline.vs_seed", "headline.vs_memoized"),
     "parallel_scaling": ("arms.workers_2.speedup",),
     "sql_backends": ("headline.sqlite_vs_minisql",),
     "warm_start": ("headline.warm_vs_cold", "headline.preseed_vs_cold"),
@@ -55,7 +54,7 @@ TRACKED_METRICS: dict[str, tuple[str, ...]] = {
 
 
 def bench_name(path: str | Path) -> str:
-    """``BENCH_kernel_columnar.json`` -> ``kernel_columnar``."""
+    """``BENCH_warm_start.json`` -> ``warm_start``."""
     stem = Path(path).stem
     return stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
 
