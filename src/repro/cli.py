@@ -178,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="warm-start store directory: serve memoised mappings "
         "(re-verified against this pair), pre-seed search caches from "
-        "prior runs, and record this run's results for the next one "
-        "(disable globally with REPRO_WARM_STORE=0)",
+        "prior runs, and record this run's results for the next one",
     )
 
     experiments = sub.add_parser(
@@ -419,8 +418,12 @@ def _open_trace_sink(path: str) -> JsonlSink | int:
         return 2
 
 
-def cmd_discover(args: argparse.Namespace) -> int:
-    """Run mapping discovery between two CSV-directory instances."""
+def _load_pair(args: argparse.Namespace) -> tuple | int:
+    """Load the pair named by ``--synthetic N`` or ``--source``/``--target``.
+
+    Returns ``(source, target, workload label)``, or exit code 2 after
+    printing the usage error.
+    """
     if args.synthetic is not None:
         if args.synthetic < 1:
             print("error: --synthetic needs a size >= 1", file=sys.stderr)
@@ -428,16 +431,56 @@ def cmd_discover(args: argparse.Namespace) -> int:
         from .workloads import matching_pair
 
         pair = matching_pair(args.synthetic)
-        source, target = pair.source, pair.target
-    elif args.source and args.target:
+        return pair.source, pair.target, f"synthetic matching n={args.synthetic}"
+    if args.source and args.target:
         source = load_database_dir(args.source)
         target = load_database_dir(args.target)
-    else:
-        print(
-            "error: discover needs either --synthetic N or --source and --target",
-            file=sys.stderr,
+        return source, target, f"{args.source} -> {args.target}"
+    print(
+        f"error: {args.command} needs either --synthetic N or --source and "
+        "--target",
+        file=sys.stderr,
+    )
+    return 2
+
+
+def _print_mapping(args: argparse.Namespace, expression, source) -> int:
+    """The output tail of a found discovery, single-algorithm or portfolio."""
+    print()
+    print(expression if not expression.is_identity else "(identity)")
+    if args.show_matching:
+        print()
+        print("# induced schema matching")
+        print(extract_matching(expression))
+    if args.show_sql:
+        print()
+        print(compile_expression(expression, source, builtin_registry()))
+    if args.execute:
+        from .backends import execute_mapping
+
+        executed = execute_mapping(
+            expression, source, backend=args.backend, registry=builtin_registry()
         )
-        return 2
+        print()
+        print(
+            f"executed on backend {executed.backend} "
+            f"({executed.script.statement_count} statement(s), "
+            f"{executed.execute_seconds * 1000:.1f} ms)"
+        )
+        print()
+        print(executed.database.to_text())
+    if args.output:
+        Path(args.output).write_text(str(expression) + "\n")
+        print(f"\nexpression written to {args.output}")
+    return 0
+
+
+def cmd_discover(args: argparse.Namespace) -> int:
+    """Run mapping discovery between two CSV-directory instances."""
+    pair = _load_pair(args)
+    if isinstance(pair, int):
+        return pair
+    source, target, _workload = pair
     correspondences = [
         _parse_correspondence_arg(text) for text in args.correspondence
     ]
@@ -503,36 +546,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         return EXIT_DEADLINE_EXCEEDED
     if not result.found:
         return 1
-    print()
-    print(result.expression if not result.expression.is_identity else "(identity)")
-    if args.show_matching:
-        print()
-        print("# induced schema matching")
-        print(extract_matching(result.expression))
-    if args.show_sql:
-        print()
-        print(compile_expression(result.expression, source, builtin_registry()))
-    if args.execute:
-        from .backends import execute_mapping
-
-        executed = execute_mapping(
-            result.expression,
-            source,
-            backend=args.backend,
-            registry=builtin_registry(),
-        )
-        print()
-        print(
-            f"executed on backend {executed.backend} "
-            f"({executed.script.statement_count} statement(s), "
-            f"{executed.execute_seconds * 1000:.1f} ms)"
-        )
-        print()
-        print(executed.database.to_text())
-    if args.output:
-        Path(args.output).write_text(str(result.expression) + "\n")
-        print(f"\nexpression written to {args.output}")
-    return 0
+    return _print_mapping(args, result.expression, source)
 
 
 def _discover_portfolio(args, source, target, correspondences) -> int:
@@ -561,20 +575,7 @@ def _discover_portfolio(args, source, target, correspondences) -> int:
         ):
             return EXIT_DEADLINE_EXCEEDED
         return 1
-    result = race.result
-    print()
-    print(result.expression if not result.expression.is_identity else "(identity)")
-    if args.show_matching:
-        print()
-        print("# induced schema matching")
-        print(extract_matching(result.expression))
-    if args.show_sql:
-        print()
-        print(compile_expression(result.expression, source, builtin_registry()))
-    if args.output:
-        Path(args.output).write_text(str(result.expression) + "\n")
-        print(f"\nexpression written to {args.output}")
-    return 0
+    return _print_mapping(args, race.result.expression, source)
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -771,25 +772,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(run_profile(events))
         return 0
 
-    if args.synthetic is not None:
-        if args.synthetic < 1:
-            print("error: --synthetic needs a size >= 1", file=sys.stderr)
-            return 2
-        from .workloads import matching_pair
-
-        pair = matching_pair(args.synthetic)
-        source, target = pair.source, pair.target
-        workload = f"synthetic matching n={args.synthetic}"
-    elif args.source and args.target:
-        source = load_database_dir(args.source)
-        target = load_database_dir(args.target)
-        workload = f"{args.source} -> {args.target}"
-    else:
-        print(
-            "error: trace needs either --synthetic N or --source and --target",
-            file=sys.stderr,
-        )
-        return 2
+    pair = _load_pair(args)
+    if isinstance(pair, int):
+        return pair
+    source, target, workload = pair
     if not args.output:
         print("error: trace needs --output FILE to record into", file=sys.stderr)
         return 2
@@ -856,7 +842,7 @@ def cmd_store(args: argparse.Namespace) -> int:
     if args.action == "info":
         info = store.info()
         memo = info["memo"]
-        print(f"store: {info['path']}  (enabled: {info['enabled']})")
+        print(f"store: {info['path']}")
         print(
             f"memo: {memo['entries']} entr(ies) across {memo['fingerprints']} "
             f"pair(s), {memo['bytes']} byte(s), version {memo['version']}"
@@ -923,12 +909,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
         f"start methods: {methods} (* = preferred)"
     )
     from .search.config import SearchConfig
-    from .store import (
-        DEFAULT_MAX_ENTRIES,
-        DEFAULT_MAX_SPILL_STATES,
-        DEFAULT_MAX_SPILLS,
-        warm_store_enabled,
-    )
+    from .store import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_SPILL_STATES, DEFAULT_MAX_SPILLS
 
     print(
         "caches: transposition + goal + heuristic LRU "
@@ -936,9 +917,9 @@ def cmd_info(_args: argparse.Namespace) -> int:
         "per-cache hit/miss/eviction counters in experiment reports)"
     )
     print(
-        f"store: warm-start {'enabled' if warm_store_enabled() else 'DISABLED'} "
-        f"(REPRO_WARM_STORE; defaults: {DEFAULT_MAX_ENTRIES} memo pairs, "
-        f"{DEFAULT_MAX_SPILLS} spills x {DEFAULT_MAX_SPILL_STATES} states)"
+        f"store: warm-start via --store DIR (defaults: {DEFAULT_MAX_ENTRIES} "
+        f"memo pairs, {DEFAULT_MAX_SPILLS} spills x "
+        f"{DEFAULT_MAX_SPILL_STATES} states)"
     )
     return 0
 

@@ -7,6 +7,11 @@ in the paper; tasks that exhaust the state budget are reported at the budget
 value with status ``budget_exceeded`` — the equivalent of the paper's plots
 being cut at 10^6.
 
+Every ``run_*`` function turns its grid into
+:class:`~repro.parallel.fanout.PointSpec`\\ s and runs each through the one
+executor, :func:`~repro.parallel.fanout.run_spec`, so a point is searched
+the same way serially and in a pool.
+
 Telemetry hooks: every ``run_*`` function accepts ``trace_dir=`` (persist a
 JSONL trace per measured point next to the archived series — each
 :class:`ExperimentPoint` then carries its ``trace_path``) and ``metrics=``
@@ -14,28 +19,29 @@ JSONL trace per measured point next to the archived series — each
 counters and distribution histograms across the whole series).
 
 Parallelism: every ``run_*`` function also accepts ``workers=N`` — the
-series' measured points shard across a process pool
-(:mod:`repro.parallel.fanout`) and come back re-sorted by grid index, so
-the persisted points are identical to a serial sweep except for the
-volatile fields (wall-clock, and trace paths gaining a per-worker ``.w{n}``
-marker).  ``workers=0`` (the default) keeps the serial code path untouched;
-pools that fail to start degrade back to serial execution automatically.
-With ``stop_after_cutoff`` a parallel sweep still *measures* every
-requested point (workers cannot see each other's cut-offs) and truncates on
-collection, trading wasted work for wall-clock.
+series' specs shard across a process pool (:mod:`repro.parallel.fanout`)
+and come back re-sorted by grid index, so the persisted points are
+identical to a serial sweep except for the volatile fields (wall-clock, and
+trace paths gaining a per-worker ``.w{n}`` marker).  ``workers=0`` (the
+default) runs the specs in this process; pools that fail to start degrade
+back to serial execution automatically.  The two differ only in cut-off
+handling: with ``stop_after_cutoff`` a serial sweep stops at its first
+cut-off point and never searches the sizes after it, while a parallel
+sweep *measures* every requested point (workers cannot see each other's
+cut-offs) and truncates on collection, trading wasted work for wall-clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.sinks import JsonlSink
-from ..obs.tracer import Tracer
+from ..parallel.fanout import PointSpec, run_experiment_points, run_spec
+from ..parallel.providers import has_provider
 from ..search.config import SearchConfig
-from ..search.engine import discover_mapping
 from ..search.result import STATUS_FOUND, SearchResult
 from ..workloads.bamm import BammDomain, bamm_corpus
 from ..workloads.semantic_domains import (
@@ -98,10 +104,10 @@ class ExperimentSeries:
         return [p.states for p in self.points]
 
 
-def _point(x: float, result: SearchResult, trace_path: str = "") -> ExperimentPoint:
+def _point(spec: PointSpec, result: SearchResult) -> ExperimentPoint:
     size = len(result.expression) if result.expression is not None else 0
     return ExperimentPoint(
-        x=x,
+        x=spec.x,
         states=result.states_examined,
         status=result.status,
         expression_size=size,
@@ -111,7 +117,7 @@ def _point(x: float, result: SearchResult, trace_path: str = "") -> ExperimentPo
         successor_cache_evictions=result.stats.successor_cache_evictions,
         goal_cache_evictions=result.stats.goal_cache_evictions,
         elapsed_seconds=result.stats.elapsed,
-        trace_path=trace_path,
+        trace_path=spec.trace_path,
         deadline_seconds=result.stats.deadline_seconds or 0.0,
     )
 
@@ -132,22 +138,13 @@ def _trace_path(trace_dir: str | Path | None, label: str, x: float) -> str:
     return str(path)
 
 
-def _trace_sink(
-    trace_dir: str | Path | None, label: str, x: float
-) -> tuple[Tracer | None, str]:
-    """A JSONL tracer for one measured point (None when tracing is off)."""
-    path = _trace_path(trace_dir, label, x)
-    if not path:
-        return None, ""
-    return Tracer(JsonlSink(path)), path
+def _truncate_after_cutoff(
+    points: Iterable[ExperimentPoint],
+) -> list[ExperimentPoint]:
+    """Keep points up to and including the first that found no mapping.
 
-
-def _truncate_after_cutoff(points: list[ExperimentPoint]) -> list[ExperimentPoint]:
-    """Apply the serial ``stop_after_cutoff`` contract to collected points.
-
-    A serial sweep appends the first failing point and stops; a parallel
-    sweep measures the whole grid and truncates here, so both persist the
-    same series.
+    Pulls *points* one at a time, so fed a lazy serial sweep it stops the
+    sweep itself: the sizes after the cut-off are never searched.
     """
     out: list[ExperimentPoint] = []
     for point in points:
@@ -155,6 +152,27 @@ def _truncate_after_cutoff(points: list[ExperimentPoint]) -> list[ExperimentPoin
         if not point.found:
             break
     return out
+
+
+def _sweep(
+    label: str,
+    specs: Iterable[PointSpec],
+    *,
+    stop_after_cutoff: bool,
+    metrics: MetricsRegistry | None,
+    workers: int,
+    start_method: str | None,
+) -> ExperimentSeries:
+    """Run one series' specs, serially (lazily, in order) or on a pool."""
+    if workers >= 1:
+        points: Iterable[ExperimentPoint] = run_experiment_points(
+            list(specs), workers, start_method=start_method, metrics=metrics
+        )
+    else:
+        points = (_point(spec, run_spec(spec, metrics)) for spec in specs)
+    if stop_after_cutoff:
+        points = _truncate_after_cutoff(points)
+    return ExperimentSeries(label=label, points=tuple(points))
 
 
 def run_matching_series(
@@ -188,57 +206,32 @@ def run_matching_series(
     serve memoised mappings and workers warm each other's searches.
     """
     label = f"{algorithm}/{heuristic}"
-    if workers >= 1:
-        from ..parallel.fanout import PointSpec, run_experiment_points
-
-        specs = [
-            PointSpec(
-                index=i,
-                kind="matching",
-                x=size,
-                algorithm=algorithm,
-                heuristic=heuristic,
-                k=k,
-                budget=budget,
-                size=size,
-                trace_path=_trace_path(trace_dir, label, size),
-                store_path=str(store) if store is not None else "",
-                collect_metrics=metrics is not None,
-                deadline_seconds=deadline_seconds or 0.0,
-            )
-            for i, size in enumerate(sizes)
-        ]
-        points = run_experiment_points(
-            specs, workers, start_method=start_method, metrics=metrics
-        )
-        if stop_after_cutoff:
-            points = _truncate_after_cutoff(points)
-        return ExperimentSeries(label=label, points=tuple(points))
     config = SearchConfig(max_states=budget, deadline_seconds=deadline_seconds)
-    points = []
-    for size in sizes:
-        pair = matching_pair(size)
-        tracer, trace_path = _trace_sink(trace_dir, label, size)
-        try:
-            result = discover_mapping(
-                pair.source,
-                pair.target,
+
+    def specs():
+        for i, size in enumerate(sizes):
+            pair = matching_pair(size)
+            yield PointSpec(
+                index=i,
+                x=size,
+                source=pair.source,
+                target=pair.target,
                 algorithm=algorithm,
                 heuristic=heuristic,
                 k=k,
                 config=config,
-                simplify=False,
-                tracer=tracer,
-                metrics=metrics,
-                store=store,
+                trace_path=_trace_path(trace_dir, label, size),
+                store_path=str(store) if store is not None else "",
             )
-        finally:
-            if tracer is not None:
-                tracer.close()
-        points.append(_point(size, result, trace_path))
-        if stop_after_cutoff and not result.found:
-            break
-    return ExperimentSeries(label=label, points=tuple(points))
+
+    return _sweep(
+        label,
+        specs(),
+        stop_after_cutoff=stop_after_cutoff,
+        metrics=metrics,
+        workers=workers,
+        start_method=start_method,
+    )
 
 
 def run_bamm_domain(
@@ -259,57 +252,34 @@ def run_bamm_domain(
     Returns one point per interface (x = interface id); callers average the
     states (the paper reports per-domain averages).  *limit* restricts the
     number of interfaces for quick runs.  ``workers >= 1`` shards the
-    interfaces across a process pool (databases ship with the spec — BAMM
-    tasks are generated, not rebuildable from a name).  *deadline_seconds*
-    bounds each interface's wall-clock individually.
+    interfaces across a process pool.  *deadline_seconds* bounds each
+    interface's wall-clock individually.
     """
     tasks = domain.tasks[:limit] if limit is not None else domain.tasks
     label = f"{algorithm}/{heuristic}/{domain.name}"
-    if workers >= 1:
-        from ..parallel.fanout import PointSpec, run_experiment_points
-
-        specs = [
-            PointSpec(
-                index=i,
-                kind="databases",
-                x=task.interface_id,
-                algorithm=algorithm,
-                heuristic=heuristic,
-                k=k,
-                budget=budget,
-                source=task.source,
-                target=task.target,
-                trace_path=_trace_path(trace_dir, label, task.interface_id),
-                collect_metrics=metrics is not None,
-                deadline_seconds=deadline_seconds or 0.0,
-            )
-            for i, task in enumerate(tasks)
-        ]
-        points = run_experiment_points(
-            specs, workers, start_method=start_method, metrics=metrics
-        )
-        return ExperimentSeries(label=label, points=tuple(points))
     config = SearchConfig(max_states=budget, deadline_seconds=deadline_seconds)
-    points = []
-    for task in tasks:
-        tracer, trace_path = _trace_sink(trace_dir, label, task.interface_id)
-        try:
-            result = discover_mapping(
-                task.source,
-                task.target,
-                algorithm=algorithm,
-                heuristic=heuristic,
-                k=k,
-                config=config,
-                simplify=False,
-                tracer=tracer,
-                metrics=metrics,
-            )
-        finally:
-            if tracer is not None:
-                tracer.close()
-        points.append(_point(task.interface_id, result, trace_path))
-    return ExperimentSeries(label=label, points=tuple(points))
+    specs = (
+        PointSpec(
+            index=i,
+            x=task.interface_id,
+            source=task.source,
+            target=task.target,
+            algorithm=algorithm,
+            heuristic=heuristic,
+            k=k,
+            config=config,
+            trace_path=_trace_path(trace_dir, label, task.interface_id),
+        )
+        for i, task in enumerate(tasks)
+    )
+    return _sweep(
+        label,
+        specs,
+        stop_after_cutoff=False,
+        metrics=metrics,
+        workers=workers,
+        start_method=start_method,
+    )
 
 
 def average_states(series: ExperimentSeries) -> float:
@@ -352,76 +322,43 @@ def run_semantic_series(
 ) -> ExperimentSeries:
     """Experiment 3 (Fig. 9): states vs number of complex functions.
 
-    ``workers >= 1`` shards the function counts across a process pool when
-    the domain's function registry has a named provider (the registry
-    itself holds callables and cannot cross a process line); unknown
-    domains fall back to the serial sweep.  *deadline_seconds* bounds each
+    Every point names the domain's function registry by its provider (the
+    registry holds callables and cannot cross a process line), serial or
+    with ``workers >= 1``; a domain with no registered provider raises
+    ``KeyError`` before any search.  *deadline_seconds* bounds each
     point's wall-clock individually.
     """
+    if not has_provider(domain.name):
+        raise KeyError(
+            f"semantic domain {domain.name!r} has no registry provider; "
+            "register one with repro.parallel.register_provider()"
+        )
     label = f"{algorithm}/{heuristic}/{domain.name}"
-    if workers >= 1:
-        from ..parallel.providers import has_provider
-
-        if has_provider(domain.name):
-            from ..parallel.fanout import PointSpec, run_experiment_points
-
-            grid: list[int] = []
-            for n in counts:
-                if n > domain.max_functions:
-                    break
-                grid.append(n)
-            specs = []
-            for i, n in enumerate(grid):
-                task = domain.task(n)
-                specs.append(
-                    PointSpec(
-                        index=i,
-                        kind="semantic",
-                        x=n,
-                        algorithm=algorithm,
-                        heuristic=heuristic,
-                        k=k,
-                        budget=budget,
-                        source=task.source,
-                        target=task.target,
-                        correspondences=tuple(task.correspondences),
-                        registry_provider=domain.name,
-                        trace_path=_trace_path(trace_dir, label, n),
-                        collect_metrics=metrics is not None,
-                        deadline_seconds=deadline_seconds or 0.0,
-                    )
-                )
-            points = run_experiment_points(
-                specs, workers, start_method=start_method, metrics=metrics
-            )
-            if stop_after_cutoff:
-                points = _truncate_after_cutoff(points)
-            return ExperimentSeries(label=label, points=tuple(points))
     config = SearchConfig(max_states=budget, deadline_seconds=deadline_seconds)
-    points = []
-    for n in counts:
-        if n > domain.max_functions:
-            break
-        task = domain.task(n)
-        tracer, trace_path = _trace_sink(trace_dir, label, n)
-        try:
-            result = discover_mapping(
-                task.source,
-                task.target,
+
+    def specs():
+        grid = takewhile(lambda n: n <= domain.max_functions, counts)
+        for i, n in enumerate(grid):
+            task = domain.task(n)
+            yield PointSpec(
+                index=i,
+                x=n,
+                source=task.source,
+                target=task.target,
                 algorithm=algorithm,
                 heuristic=heuristic,
                 k=k,
-                correspondences=task.correspondences,
-                registry=task.registry,
                 config=config,
-                simplify=False,
-                tracer=tracer,
-                metrics=metrics,
+                correspondences=tuple(task.correspondences),
+                registry_provider=domain.name,
+                trace_path=_trace_path(trace_dir, label, n),
             )
-        finally:
-            if tracer is not None:
-                tracer.close()
-        points.append(_point(n, result, trace_path))
-        if stop_after_cutoff and not result.found:
-            break
-    return ExperimentSeries(label=label, points=tuple(points))
+
+    return _sweep(
+        label,
+        specs(),
+        stop_after_cutoff=stop_after_cutoff,
+        metrics=metrics,
+        workers=workers,
+        start_method=start_method,
+    )

@@ -9,15 +9,17 @@ would have produced.
 
 Design decisions, in the order they matter:
 
-* **Specs, not objects.**  A spec ships either plain parameters (synthetic
-  sizes rebuild in the worker) or pickle-safe critical instances plus a
-  *registry provider name* (see :mod:`repro.parallel.providers`) — never a
-  live ``FunctionRegistry`` or a warm ``MappingProblem``.
+* **One request, one executor.**  A :class:`PointSpec` is the whole
+  discovery request in pickle-safe form: the critical instances, a
+  :class:`~repro.search.config.SearchConfig`, correspondences and a
+  *registry provider name* (see :mod:`repro.parallel.providers`) — never
+  a live ``FunctionRegistry`` or a warm ``MappingProblem``.
+  :func:`run_spec` runs one; serial sweeps, fan-out chunks and portfolio
+  arms all call it, so a point is searched the same way wherever it runs.
 * **Chunked dispatch, one chunk per worker.**  Chunks are dealt round-robin
-  (:func:`~repro.parallel.pool.strided_chunks`), each worker runs its chunk
-  serially, and module-level workload caches stay warm across the chunk's
-  points (the same synthetic pair / semantic domain is rebuilt once per
-  process, not once per point).
+  (:func:`~repro.parallel.pool.strided_chunks`) and each worker runs its
+  chunk serially inside the shared worker envelope
+  (:func:`~repro.parallel.pool.run_in_worker`).
 * **Per-worker trace files.**  When a spec carries a trace path, the chunk
   id is spliced in as ``.w{chunk}`` before the extension
   (:func:`~repro.parallel.pool.worker_trace_path`) so no two workers ever
@@ -41,34 +43,31 @@ Design decisions, in the order they matter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pickle import PicklingError
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ..experiments.runner import ExperimentPoint, ExperimentSeries, _point
 from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import JsonlSink
 from ..obs.tracer import Tracer
 from ..relational.database import Database
-from ..resilience.faults import enter_worker, inject
+from ..resilience.faults import inject
 from ..resilience.runtime import (
     absorb_resilience,
-    resilience_counters,
-    resilience_delta,
     resilience_warning,
     retry_call,
 )
+from ..search.cancel import CancelToken
 from ..search.config import SearchConfig
 from ..search.engine import discover_mapping
+from ..search.result import SearchResult
 from ..semantics.correspondence import Correspondence
-from .pool import strided_chunks, try_executor, worker_trace_path
+from .pool import run_in_worker, strided_chunks, try_executor, worker_trace_path
 from .providers import resolve_registry
 
-#: spec kinds understood by the worker
-KIND_MATCHING = "matching"
-KIND_DATABASES = "databases"
-KIND_SEMANTIC = "semantic"
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.runner import ExperimentPoint, ExperimentSeries
 
 #: fault-injection sites (see repro.resilience.faults)
 SITE_FANOUT_POOL = "fanout.pool"  #: parent, before the pool spins up
@@ -81,136 +80,105 @@ POOL_RETRIES = 2
 
 @dataclass(frozen=True)
 class PointSpec:
-    """One measured grid point, in pickle-safe form.
+    """One discovery request, in pickle-safe form.
 
     Attributes:
-        index: position in the grid (collection re-sorts on this).
-        kind: ``"matching"`` (rebuild the synthetic pair from ``size``),
-            ``"databases"`` (ship ``source``/``target`` directly), or
-            ``"semantic"`` (databases plus correspondences and a registry
-            provider name).
-        x: the point's independent variable, recorded verbatim.
-        algorithm / heuristic / k / budget: search parameters.
-        size: synthetic pair size (``matching`` kind only).
-        source / target: critical instances (``databases`` / ``semantic``).
-        correspondences: declared complex correspondences (``semantic``).
-        registry_provider: provider name resolving the function registry in
-            the worker (``semantic``; None means built-ins).
+        source / target: the critical instances.
+        algorithm / heuristic / k: search parameters.
+        config: the :class:`SearchConfig` (budget, per-request
+            ``deadline_seconds``, ...); each worker enforces the deadline
+            cooperatively inside its own search, so one slow point cannot
+            starve the rest of a chunk.
+        simplify: post-simplify a found expression (portfolio arms do;
+            sweeps measure the raw search).
+        correspondences: declared complex correspondences.
+        registry_provider: provider name resolving the function registry
+            where the spec runs (None means the built-ins).
         trace_path: JSONL trace destination ("" = untraced); fan-out
             rewrites it with the worker marker before dispatch.
         store_path: warm-start store directory ("" = no store); workers
-            share the path, so each chunk pre-seeds from and spills to
-            the same :class:`~repro.store.WarmStartStore` files.
-        collect_metrics: record this point into the chunk's local
-            :class:`~repro.obs.metrics.MetricsRegistry` for merging.
-        deadline_seconds: per-point wall-clock deadline (0.0 = unbounded);
-            each worker enforces it cooperatively inside its own search,
-            so one slow point cannot starve the rest of the chunk.
+            share the path, so each pre-seeds from and spills to the same
+            :class:`~repro.store.WarmStartStore` files.
+        index: position in the grid (collection re-sorts on this).
+        x: the point's independent variable, recorded verbatim.
     """
 
-    index: int
-    kind: str
-    x: float
+    source: Database
+    target: Database
     algorithm: str
     heuristic: str
     k: float | None = None
-    budget: int = 1_000_000
-    size: int = 0
-    source: Database | None = None
-    target: Database | None = None
+    config: SearchConfig = field(default_factory=SearchConfig)
+    simplify: bool = False
     correspondences: tuple[Correspondence, ...] = ()
     registry_provider: str | None = None
     trace_path: str = ""
     store_path: str = ""
-    collect_metrics: bool = False
-    deadline_seconds: float = 0.0
+    index: int = 0
+    x: float = 0.0
 
 
-@lru_cache(maxsize=64)
-def _matching_pair_cached(size: int):
-    """Per-process synthetic pair cache (warm across a chunk's points)."""
-    from ..workloads.synthetic import matching_pair
+def run_spec(
+    spec: PointSpec,
+    metrics: MetricsRegistry | None = None,
+    cancel: CancelToken | None = None,
+) -> SearchResult:
+    """Run one request: the path every sweep point and portfolio arm takes.
 
-    return matching_pair(size)
-
-
-def _execute_spec(spec: PointSpec, metrics: MetricsRegistry | None) -> ExperimentPoint:
-    """Run one grid point exactly as the serial runner would."""
-    if spec.kind == KIND_MATCHING:
-        pair = _matching_pair_cached(spec.size)
-        source, target = pair.source, pair.target
-        correspondences: tuple[Correspondence, ...] = ()
-        registry = None
-    elif spec.kind == KIND_DATABASES:
-        source, target = spec.source, spec.target
-        correspondences, registry = (), None
-    elif spec.kind == KIND_SEMANTIC:
-        source, target = spec.source, spec.target
-        correspondences = spec.correspondences
-        registry = resolve_registry(spec.registry_provider)
-    else:
-        raise ValueError(f"unknown point spec kind {spec.kind!r}")
+    Resolves the registry by provider name, streams the JSONL trace when
+    ``trace_path`` is set, and calls
+    :func:`~repro.search.engine.discover_mapping`.
+    """
     tracer = Tracer(JsonlSink(spec.trace_path)) if spec.trace_path else None
     try:
-        result = discover_mapping(
-            source,
-            target,
+        return discover_mapping(
+            spec.source,
+            spec.target,
             algorithm=spec.algorithm,
             heuristic=spec.heuristic,
             k=spec.k,
-            correspondences=correspondences,
-            registry=registry,
-            config=SearchConfig(
-                max_states=spec.budget,
-                deadline_seconds=spec.deadline_seconds or None,
-            ),
-            simplify=False,
+            correspondences=spec.correspondences,
+            registry=resolve_registry(spec.registry_provider),
+            config=spec.config,
+            simplify=spec.simplify,
             tracer=tracer,
             metrics=metrics,
+            cancel=cancel,
             store=spec.store_path or None,
         )
     finally:
         if tracer is not None:
             tracer.close()
-    return _point(spec.x, result, spec.trace_path)
 
 
 def _run_chunk(
-    specs: Sequence[PointSpec],
+    specs: Sequence[PointSpec], collect_metrics: bool
 ) -> tuple[list[tuple[int, ExperimentPoint]], MetricsRegistry | None]:
     """Worker entry point: run one chunk serially, return indexed points.
 
-    The chunk shares one local :class:`MetricsRegistry` (when any spec asks
-    for metrics), mirroring how a serial sweep accumulates into a single
-    registry; the parent merges chunk registries on collection.
+    The chunk shares one local :class:`MetricsRegistry` (when the caller
+    collects metrics), mirroring how a serial sweep accumulates into a
+    single registry; the parent merges chunk registries on collection.
     """
-    metrics = MetricsRegistry() if any(s.collect_metrics for s in specs) else None
-    out: list[tuple[int, ExperimentPoint]] = []
-    for spec in specs:
-        out.append((spec.index, _execute_spec(spec, metrics)))
-    return out, metrics
+    from ..experiments.runner import _point  # the runner imports this module
+
+    metrics = MetricsRegistry() if collect_metrics else None
+    points = [(spec.index, _point(spec, run_spec(spec, metrics))) for spec in specs]
+    return points, metrics
 
 
 def _run_chunk_pooled(
-    specs: Sequence[PointSpec],
+    specs: Sequence[PointSpec], collect_metrics: bool
 ) -> tuple[
     list[tuple[int, ExperimentPoint]], MetricsRegistry | None, dict[str, int]
 ]:
-    """Pool-dispatched chunk entry: arm worker-scope faults, then run.
-
-    ``enter_worker()`` marks this process so ``scope="worker"`` fault specs
-    fire here but *not* during a serial fallback re-run in the parent —
-    otherwise an injected worker crash would take the parent down with it.
-
-    The third element is the chunk's ``resilience.*`` counter delta — the
-    warnings this worker raised (e.g. its tracer degrading to untraced) —
-    which the parent absorbs into its own ledger on collection.
-    """
-    baseline = resilience_counters()
-    enter_worker()
-    inject(SITE_FANOUT_WORKER, key=f"chunk{specs[0].index}" if specs else None)
-    points, metrics = _run_chunk(specs)
-    return points, metrics, resilience_delta(baseline)
+    """Pool-dispatched chunk entry: :func:`_run_chunk` in the worker envelope."""
+    (points, metrics), delta = run_in_worker(
+        SITE_FANOUT_WORKER,
+        f"chunk{specs[0].index}" if specs else None,
+        partial(_run_chunk, specs, collect_metrics),
+    )
+    return points, metrics, delta
 
 
 def _mark_worker_traces(chunks: list[list[PointSpec]]) -> list[list[PointSpec]]:
@@ -250,6 +218,7 @@ def run_experiment_points(
     if not specs:
         return []
     chunks = _mark_worker_traces(strided_chunks(list(specs), max(1, workers)))
+    collect_metrics = metrics is not None
     outcomes: list[tuple] | None = None
     if workers >= 1:
         from concurrent.futures.process import BrokenProcessPool
@@ -261,7 +230,12 @@ def run_experiment_points(
                 return None  # pool machinery unavailable on this platform
             with executor:
                 inject(SITE_FANOUT_SUBMIT)
-                return list(executor.map(_run_chunk_pooled, chunks))
+                return list(
+                    executor.map(
+                        partial(_run_chunk_pooled, collect_metrics=collect_metrics),
+                        chunks,
+                    )
+                )
 
         try:
             outcomes = retry_call(
@@ -280,7 +254,7 @@ def run_experiment_points(
     if outcomes is None:
         # serial fallback: warnings land directly in this process's
         # ledger, so the shipped delta is empty by construction
-        outcomes = [(*_run_chunk(chunk), {}) for chunk in chunks]
+        outcomes = [(*_run_chunk(chunk, collect_metrics), {}) for chunk in chunks]
     indexed: list[tuple[int, ExperimentPoint]] = []
     for chunk_points, chunk_metrics, chunk_resilience in outcomes:
         indexed.extend(chunk_points)
@@ -306,7 +280,4 @@ def normalize_point(point: ExperimentPoint) -> ExperimentPoint:
 
 def normalize_series(series: ExperimentSeries) -> ExperimentSeries:
     """A copy of *series* with every point normalized (label untouched)."""
-    return ExperimentSeries(
-        label=series.label,
-        points=tuple(normalize_point(p) for p in series.points),
-    )
+    return replace(series, points=tuple(normalize_point(p) for p in series.points))

@@ -17,7 +17,10 @@ This module centralises the process-level mechanics both entry points
 * **graceful degradation** — :func:`try_executor` returns ``None`` instead
   of raising when process pools are unavailable (missing ``_multiprocessing``
   in minimal builds, fork failures, read-only semaphore dirs); callers then
-  run the identical work serially in-process.
+  run the identical work serially in-process;
+* **the worker envelope** — :func:`run_in_worker` is how a fan-out chunk
+  and a portfolio arm run in a child: arm worker-scope faults, fire the
+  site, run, and ship the ``resilience.*`` counters raised meanwhile home.
 
 Nothing here imports the search kernel, so the module is cheap to import
 inside freshly spawned workers.
@@ -27,7 +30,10 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
+
+from ..resilience.faults import enter_worker, inject
+from ..resilience.runtime import resilience_counters, resilience_delta
 
 T = TypeVar("T")
 
@@ -162,3 +168,31 @@ def worker_trace_path(path: str, worker_id: int) -> str:
     if p.suffix:
         return str(p.with_suffix(f".w{worker_id}{p.suffix}"))
     return f"{path}.w{worker_id}"
+
+
+def run_in_worker(
+    site: str,
+    key: str | None,
+    run: Callable[[], T],
+    on_error: Callable[[BaseException], T] | None = None,
+) -> tuple[T, dict[str, int]]:
+    """Run *run* as a worker; return its result and the counters it raised.
+
+    ``enter_worker()`` marks this process so ``scope="worker"`` fault specs
+    fire here but *not* during a serial fallback re-run in the parent —
+    otherwise an injected worker crash would take the parent down with
+    it.  The second element is the ``resilience.*`` delta since entry (e.g.
+    a tracer degrading to untraced), which the parent absorbs on
+    collection.  With *on_error*, any exception — the injected one at
+    *site* included — becomes ``on_error(err)`` and the delta still ships.
+    """
+    baseline = resilience_counters()
+    try:
+        enter_worker()
+        inject(site, key=key)
+        result = run()
+    except BaseException as err:  # noqa: BLE001 - on_error decides
+        if on_error is None:
+            raise
+        result = on_error(err)
+    return result, resilience_delta(baseline)

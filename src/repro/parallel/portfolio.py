@@ -10,7 +10,10 @@ the first *verified* mapping, cancelling the losers mid-search.
 :func:`discover_mapping_portfolio` does exactly that:
 
 * one child process per arm (default portfolio: IDA*, RBFS, A*, beam),
-  each running :func:`~repro.search.engine.discover_mapping` unchanged;
+  each running its :class:`~repro.parallel.fanout.PointSpec` through the
+  same executor as every sweep point
+  (:func:`~repro.parallel.fanout.run_spec`) inside the shared worker
+  envelope (:func:`~repro.parallel.pool.run_in_worker`);
 * a worker that finds an expression **verifies it before racing home**
   (applies the expression to the source and checks target containment),
   and the parent re-verifies before declaring a winner — a corrupted or
@@ -42,29 +45,29 @@ from __future__ import annotations
 
 import queue as queue_mod
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Mapping, Sequence
 
 from ..fira.expression import MappingExpression
 from ..obs.metrics import MetricsRegistry
-from ..obs.sinks import JsonlSink
-from ..obs.tracer import Tracer
 from ..relational.database import Database
-from ..resilience.faults import enter_worker, inject
-from ..resilience.runtime import (
-    absorb_resilience,
-    resilience_counters,
-    resilience_delta,
-    resilience_warning,
-)
+from ..resilience.faults import inject
+from ..resilience.runtime import absorb_resilience, resilience_warning
 from ..search.cancel import CancelToken
 from ..search.config import SearchConfig
-from ..search.engine import ALGORITHM_NAMES, discover_mapping
+from ..search.engine import ALGORITHM_NAMES
 from ..search.result import STATUS_FOUND, SearchResult
 from ..search.stats import SearchStats
 from ..semantics.correspondence import Correspondence
-from .pool import POOL_UNAVAILABLE_ERRORS, get_context, resolve_start_method
+from .fanout import PointSpec, run_spec
+from .pool import (
+    POOL_UNAVAILABLE_ERRORS,
+    get_context,
+    resolve_start_method,
+    run_in_worker,
+)
 from .providers import resolve_registry
 
 #: the default racing portfolio — the paper's two linear-memory algorithms
@@ -171,64 +174,47 @@ def _arm_trace_path(trace_dir: str | Path | None, arm: str) -> str:
     return str(path)
 
 
-def _run_arm(
-    arm: str,
-    source: Database,
-    target: Database,
-    heuristic: str,
-    k: float | None,
-    correspondences: tuple[Correspondence, ...],
-    registry_provider: str | None,
-    config: SearchConfig,
-    simplify: bool,
-    trace_path: str,
-    store: str = "",
-    cancel: CancelToken | None = None,
-) -> dict:
-    """Run one arm to completion and summarise it as a picklable dict.
+def _verifies(operators, spec: PointSpec) -> bool:
+    """Whether *operators* applied to the spec's source contain its target."""
+    registry = resolve_registry(spec.registry_provider)
+    mapped = MappingExpression(operators).apply(spec.source, registry)
+    return mapped.contains(spec.target)
 
-    *store* (a path, shipped as a string so it pickles) points every arm
-    at one shared :class:`~repro.store.WarmStartStore`: the first arm to
-    spill its memo tables warms the others mid-race, and the winner's
-    mapping lands in the memo for the next request.
-    """
-    registry = resolve_registry(registry_provider)
-    tracer = Tracer(JsonlSink(trace_path)) if trace_path else None
-    try:
-        result = discover_mapping(
-            source,
-            target,
-            algorithm=arm,
-            heuristic=heuristic,
-            k=k,
-            correspondences=correspondences,
-            registry=registry,
-            config=config,
-            simplify=simplify,
-            tracer=tracer,
-            metrics=None,
-            cancel=cancel,
-            store=store or None,
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    verified = False
-    if result.found:
-        mapped = result.expression.apply(source, registry)
-        verified = mapped.contains(target)
+
+def _run_arm(spec: PointSpec, cancel: CancelToken | None = None) -> dict:
+    """Run one arm's spec and summarise it, verified, as a picklable dict."""
+    result = run_spec(spec, cancel=cancel)
+    operators = tuple(result.expression) if result.found else None
     return {
-        "arm": arm,
+        "arm": spec.algorithm,
         "status": result.status,
-        "verified": verified,
-        "operators": tuple(result.expression) if result.found else None,
+        "verified": operators is not None and _verifies(operators, spec),
+        "operators": operators,
         "stats": result.stats.as_dict(),
-        "trace_path": trace_path,
+        "trace_path": spec.trace_path,
         "error": "",
     }
 
 
-def _race_arm(out_queue, kwargs: dict, cancel_event=None) -> None:
+def _error_payload(arm: str, error: str, trace_path: str = "") -> dict:
+    """The report of an arm that crashed or raised instead of finishing."""
+    return {
+        "arm": arm,
+        "status": ARM_STATUS_ERROR,
+        "verified": False,
+        "operators": None,
+        "stats": {},
+        "trace_path": trace_path,
+        "error": error,
+    }
+
+
+def _raised_payload(spec: PointSpec, err: BaseException) -> dict:
+    error = f"{type(err).__name__}: {err}"
+    return _error_payload(spec.algorithm, error, spec.trace_path)
+
+
+def _race_arm(out_queue, spec: PointSpec, cancel_event=None) -> None:
     """Child-process entry point: run the arm, report, never raise.
 
     *cancel_event* is the arm's shared ``multiprocessing.Event``; wrapped
@@ -236,32 +222,20 @@ def _race_arm(out_queue, kwargs: dict, cancel_event=None) -> None:
     cooperatively (status ``"cancelled"``, partial stats intact) instead
     of terminating it blind.
 
-    Every payload carries the arm's ``resilience.*`` counter delta (the
-    warnings this child raised, e.g. a tracer going dark mid-race), so the
-    parent can absorb cross-process degradations into its own ledger.
+    Every payload — a crash report included — carries the arm's
+    ``resilience.*`` counter delta (the warnings this child raised, e.g. a
+    tracer going dark mid-race), so the parent can absorb cross-process
+    degradations into its own ledger.
     """
-    arm = kwargs.get("arm", "?")
-    baseline = resilience_counters()
-    try:
-        enter_worker()
-        inject(SITE_PORTFOLIO_ARM, key=arm)
-        token = CancelToken(cancel_event) if cancel_event is not None else None
-        payload = _run_arm(**kwargs, cancel=token)
-        payload["resilience"] = resilience_delta(baseline)
-        out_queue.put(payload)
-    except BaseException as err:  # noqa: BLE001 - crash must become a report
-        out_queue.put(
-            {
-                "arm": arm,
-                "status": ARM_STATUS_ERROR,
-                "verified": False,
-                "operators": None,
-                "stats": {},
-                "trace_path": kwargs.get("trace_path", ""),
-                "error": f"{type(err).__name__}: {err}",
-                "resilience": resilience_delta(baseline),
-            }
-        )
+    token = CancelToken(cancel_event) if cancel_event is not None else None
+    payload, delta = run_in_worker(
+        SITE_PORTFOLIO_ARM,
+        spec.algorithm,
+        partial(_run_arm, spec, token),
+        on_error=partial(_raised_payload, spec),
+    )
+    payload["resilience"] = delta
+    out_queue.put(payload)
 
 
 def _stats_from_dict(
@@ -325,19 +299,15 @@ def _pick_best(payloads: "dict[str, Mapping]", arms: Sequence[str]) -> Mapping |
     )
 
 
-def _verify_payload(
-    payload: Mapping,
-    source: Database,
-    target: Database,
-    registry_provider: str | None,
-) -> bool:
-    """Parent-side re-verification of a worker's claimed mapping."""
+def _wins(payload: Mapping, spec: PointSpec) -> bool:
+    """A found, worker-verified mapping that re-verifies in this process."""
     operators = payload.get("operators")
-    if operators is None:
-        return False
-    registry = resolve_registry(registry_provider)
-    mapped = MappingExpression(operators).apply(source, registry)
-    return mapped.contains(target)
+    return (
+        payload["status"] == STATUS_FOUND
+        and payload["verified"]
+        and operators is not None
+        and _verifies(operators, spec)
+    )
 
 
 def discover_mapping_portfolio(
@@ -404,21 +374,22 @@ def discover_mapping_portfolio(
         )
     config = config if config is not None else SearchConfig()
     started = perf_counter()
-
-    def arm_kwargs(arm: str) -> dict:
-        return {
-            "arm": arm,
-            "source": source,
-            "target": target,
-            "heuristic": heuristic,
-            "k": k,
-            "correspondences": tuple(correspondences),
-            "registry_provider": registry_provider,
-            "config": config,
-            "simplify": simplify,
-            "trace_path": _arm_trace_path(trace_dir, arm),
-            "store": str(store) if store is not None else "",
-        }
+    specs = [
+        PointSpec(
+            source=source,
+            target=target,
+            algorithm=arm,
+            heuristic=heuristic,
+            k=k,
+            config=config,
+            simplify=simplify,
+            correspondences=tuple(correspondences),
+            registry_provider=registry_provider,
+            trace_path=_arm_trace_path(trace_dir, arm),
+            store_path=str(store) if store is not None else "",
+        )
+        for arm in arms
+    ]
 
     context = None
     resolved_method = None
@@ -427,19 +398,13 @@ def discover_mapping_portfolio(
         if resolved_method is not None:
             context = get_context(resolved_method)
     if context is None:
-        outcome = _race_serial(
-            arms, arm_kwargs, source, target, registry_provider, cancel
-        )
+        outcome = _race_serial(specs, cancel)
         mode, resolved_method = "serial", None
     else:
         try:
             outcome = _race_processes(
                 context,
-                arms,
-                arm_kwargs,
-                source,
-                target,
-                registry_provider,
+                specs,
                 timeout,
                 cancel,
                 cancel_grace,
@@ -450,9 +415,7 @@ def discover_mapping_portfolio(
             resilience_warning(
                 "portfolio_degraded", f"{type(exc).__name__}: {exc}"
             )
-            outcome = _race_serial(
-                arms, arm_kwargs, source, target, registry_provider, cancel
-            )
+            outcome = _race_serial(specs, cancel)
             mode, resolved_method = "serial", None
     winner, payloads, reports = outcome
 
@@ -489,12 +452,7 @@ def discover_mapping_portfolio(
 
 
 def _race_serial(
-    arms: Sequence[str],
-    arm_kwargs,
-    source: Database,
-    target: Database,
-    registry_provider: str | None,
-    cancel: CancelToken | None = None,
+    specs: Sequence[PointSpec], cancel: CancelToken | None = None
 ) -> tuple[str | None, dict, list[ArmReport]]:
     """In-process fallback: run arms in order, stop at first verified win.
 
@@ -504,29 +462,18 @@ def _race_serial(
     payloads: dict[str, Mapping] = {}
     reports: list[ArmReport] = []
     winner: str | None = None
-    for arm in arms:
+    for spec in specs:
+        arm = spec.algorithm
         if winner is not None or (cancel is not None and cancel.cancelled):
             reports.append(ArmReport(arm=arm, status=ARM_STATUS_CANCELLED))
             continue
         try:
-            payload = _run_arm(**arm_kwargs(arm), cancel=cancel)
+            payload = _run_arm(spec, cancel)
         except Exception as err:  # noqa: BLE001 - match process-mode isolation
-            payload = {
-                "arm": arm,
-                "status": ARM_STATUS_ERROR,
-                "verified": False,
-                "operators": None,
-                "stats": {},
-                "trace_path": arm_kwargs(arm)["trace_path"],
-                "error": f"{type(err).__name__}: {err}",
-            }
+            payload = _raised_payload(spec, err)
         payloads[arm] = payload
         reports.append(_report_from_payload(payload))
-        if (
-            payload["status"] == STATUS_FOUND
-            and payload["verified"]
-            and _verify_payload(payload, source, target, registry_provider)
-        ):
+        if _wins(payload, spec):
             winner = arm
     return winner, payloads, reports
 
@@ -562,25 +509,9 @@ def _reap_processes(processes: Mapping[str, object], terminate_grace: float) -> 
     return kills
 
 
-def _crash_payload(arm: str, process) -> dict:
-    return {
-        "arm": arm,
-        "status": ARM_STATUS_ERROR,
-        "verified": False,
-        "operators": None,
-        "stats": {},
-        "trace_path": "",
-        "error": f"worker exited with code {process.exitcode} before reporting",
-    }
-
-
 def _race_processes(
     context,
-    arms: Sequence[str],
-    arm_kwargs,
-    source: Database,
-    target: Database,
-    registry_provider: str | None,
+    specs: Sequence[PointSpec],
     timeout: float | None,
     cancel: CancelToken | None = None,
     cancel_grace: float = DEFAULT_CANCEL_GRACE,
@@ -595,13 +526,15 @@ def _race_processes(
     queue resources after the race either.
     """
     inject(SITE_PORTFOLIO_SPAWN)
+    specs_by_arm = {spec.algorithm: spec for spec in specs}
+    arms = tuple(specs_by_arm)
     out_queue = context.Queue()
     cancel_events = {arm: context.Event() for arm in arms}
     processes = {}
-    for arm in arms:
+    for arm, spec in specs_by_arm.items():
         process = context.Process(
             target=_race_arm,
-            args=(out_queue, arm_kwargs(arm), cancel_events[arm]),
+            args=(out_queue, spec, cancel_events[arm]),
             daemon=True,
         )
         processes[arm] = process
@@ -632,18 +565,18 @@ def _race_processes(
                     if now - first_seen >= _DRAIN_GRACE:
                         pending.discard(arm)
                         resilience_warning("worker_crashes", arm)
-                        payloads[arm] = _crash_payload(arm, process)
+                        payloads[arm] = _error_payload(
+                            arm,
+                            f"worker exited with code {process.exitcode} "
+                            "before reporting",
+                        )
                 continue
             arm = payload.get("arm")
             if arm not in pending:
                 continue
             pending.discard(arm)
             payloads[arm] = payload
-            if (
-                payload["status"] == STATUS_FOUND
-                and payload["verified"]
-                and _verify_payload(payload, source, target, registry_provider)
-            ):
+            if _wins(payload, specs_by_arm[arm]):
                 winner = arm
                 break
     finally:

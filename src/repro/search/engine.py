@@ -8,6 +8,7 @@ expression in L together with search statistics.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, Sequence
 
 from ..errors import (
@@ -116,8 +117,7 @@ def discover_mapping(
             ``served_from_store=True``); on a miss the problem's memo
             tables are pre-seeded from the store's shared spill, and after
             the run the discovered mapping and the tables are persisted
-            for the next process.  All store traffic is best-effort and
-            disabled entirely by ``REPRO_WARM_STORE=0``.
+            for the next process.  All store traffic is best-effort.
 
     Returns:
         A :class:`SearchResult`; check ``result.found`` / ``result.status``.
@@ -135,105 +135,96 @@ def discover_mapping(
         progress_sink = progress
     else:
         progress_sink = CallbackProgress(progress)
-    store_obj = None
+    config = config if config is not None else SearchConfig()
+    store_obj = served = None
     if store is not None:
         # Lazy import: only runs with a store requested, keeping repro.store
         # (and its fingerprint/serialize machinery) off the cold hot path.
         from ..store import resolve_store
 
         store_obj = resolve_store(store)
-    if store_obj is not None:
-        served = _serve_from_store(
-            store_obj,
-            source,
-            target,
-            algorithm=algorithm,
-            heuristic=heuristic,
-            k=k,
-            correspondences=correspondences,
-            registry=registry,
-            config=config,
-            run_tracer=run_tracer,
-            metrics=metrics,
-            progress_sink=progress_sink,
-        )
-        if served is not None:
-            return served
-    with run_tracer.span("discover", algorithm=algorithm, heuristic=heuristic):
-        with run_tracer.span("setup"):
-            problem = MappingProblem(
+        with run_tracer.span(
+            "store_lookup", algorithm=algorithm, heuristic=heuristic
+        ):
+            served = store_obj.serve(
                 source,
                 target,
-                correspondences=correspondences,
+                algorithm=algorithm,
+                heuristic=heuristic,
+                k=k,
                 registry=registry,
-                config=config,
-                cancel=cancel,
+                metrics=metrics,
+                tracer=run_tracer,
             )
-            h = make_heuristic(heuristic, target, k=k, algorithm=algorithm)
-            stats = SearchStats(budget=problem.config.max_states)
-            stats.deadline_seconds = problem.config.deadline_seconds
-            stats.cancel_token = cancel
-            stats.tracer = run_tracer
-            if metrics is not None:
-                stats.metrics = metrics
-            if progress_sink is not None:
-                stats.progress = progress_sink
-            h.cache_capacity = problem.config.cache_capacity
-            h.bind_stats(stats)
-            if store_obj is not None:
-                with run_tracer.span("store_preseed"):
-                    store_obj.preseed(
-                        problem, h, metrics=metrics, tracer=run_tracer
-                    )
+    # A served request examines no state: it builds no problem or heuristic
+    # and opens no discover span, so its trace is the store lookup plus the
+    # search_start / solution / search_end records every run emits.
+    discover_span = (
+        nullcontext()
+        if served is not None
+        else run_tracer.span("discover", algorithm=algorithm, heuristic=heuristic)
+    )
+    with discover_span:
+        stats = SearchStats(
+            budget=config.max_states,
+            tracer=run_tracer,
+            metrics=metrics,
+            deadline_seconds=config.deadline_seconds,
+            cancel_token=cancel,
+            progress=progress_sink,
+        )
+        if served is None:
+            with run_tracer.span("setup"):
+                problem = MappingProblem(
+                    source,
+                    target,
+                    correspondences=correspondences,
+                    registry=registry,
+                    config=config,
+                    cancel=cancel,
+                )
+                h = make_heuristic(heuristic, target, k=k, algorithm=algorithm)
+                h.cache_capacity = config.cache_capacity
+                h.bind_stats(stats)
+                if store_obj is not None:
+                    with run_tracer.span("store_preseed"):
+                        store_obj.preseed(
+                            problem, h, metrics=metrics, tracer=run_tracer
+                        )
         if run_tracer.enabled:
             run_tracer.emit(
                 SEARCH_START,
                 algorithm=algorithm,
                 heuristic=heuristic,
-                budget=problem.config.max_states,
+                budget=config.max_states,
                 source_relations=len(source.relation_names),
                 target_relations=len(target.relation_names),
-                correspondences=len(problem.correspondences),
+                correspondences=len(correspondences),
             )
         expression: MappingExpression | None = None
-        search_span = run_tracer.span("search")
-        try:
-            with search_span:
-                try:
-                    operators = ALGORITHMS[algorithm](problem, h, stats)
-                    status = STATUS_FOUND
-                finally:
-                    stats.end_loop_span()
-                    search_span.annotate(
-                        examined=stats.states_examined,
-                        generated=stats.states_generated,
-                        iterations=stats.iterations,
-                        max_depth=stats.max_depth,
-                    )
+        if served is not None:
+            status, expression = STATUS_FOUND, served[0]
+            operators = expression.operators
+        else:
+            status, operators = _search(algorithm, problem, h, stats, run_tracer)
+        if operators is not None:
             if run_tracer.enabled:
                 run_tracer.emit(
                     SOLUTION,
                     size=len(operators),
                     ops=[str(op) for op in operators],
                 )
-            expression = MappingExpression(operators)
-            if simplify:
-                with run_tracer.span("simplify"):
-                    expression = simplify_expression(
-                        expression, source, target, problem.registry
-                    )
-        except MappingNotFound:
-            status, expression = STATUS_NOT_FOUND, None
-        except SearchBudgetExceeded:
-            status, expression = STATUS_BUDGET_EXCEEDED, None
-        except SearchDeadlineExceeded:
-            status, expression = STATUS_DEADLINE_EXCEEDED, None
-        except SearchCancelled:
-            status, expression = STATUS_CANCELLED, None
+            if expression is None:
+                expression = MappingExpression(operators)
+                if simplify:
+                    with run_tracer.span("simplify"):
+                        expression = simplify_expression(
+                            expression, source, target, problem.registry
+                        )
         stats.stop_clock()
-        if store_obj is not None:
+        if store_obj is not None and served is None:
             with run_tracer.span("store_save"):
-                if status == STATUS_FOUND and expression is not None:
+                if expression is not None:
                     from ..store import config_signature
 
                     store_obj.record(
@@ -250,101 +241,53 @@ def discover_mapping(
                         metrics=metrics,
                         tracer=run_tracer,
                     )
-                store_obj.export(
-                    problem, h, metrics=metrics, tracer=run_tracer
-                )
+                store_obj.export(problem, h, metrics=metrics, tracer=run_tracer)
         if progress_sink is not None:
             progress_sink.finish()
     # Emitted after the discover span closes, keeping the trace contract
     # that search_end is the final record of every run.
     if run_tracer.enabled:
-        run_tracer.emit(SEARCH_END, status=status, **stats.as_dict())
+        flag = {"served_from_store": True} if served is not None else {}
+        run_tracer.emit(SEARCH_END, status=status, **flag, **stats.as_dict())
     return SearchResult(
         status=status,
         expression=expression,
         stats=stats,
         algorithm=algorithm,
         heuristic=heuristic,
+        served_from_store=served is not None,
     )
 
 
-def _serve_from_store(
-    store_obj,
-    source: Database,
-    target: Database,
-    *,
+def _search(
     algorithm: str,
-    heuristic: str,
-    k: float | None,
-    correspondences: Sequence[Correspondence],
-    registry: FunctionRegistry | None,
-    config: SearchConfig | None,
+    problem: MappingProblem,
+    h: Heuristic,
+    stats: SearchStats,
     run_tracer: Tracer,
-    metrics: MetricsRegistry | None,
-    progress_sink: "ProgressSink | None",
-) -> SearchResult | None:
-    """A memo-served result for this request, or ``None`` (search runs).
-
-    A served run's trace carries a ``store_lookup`` span plus the normal
-    ``search_start`` / ``solution`` / ``search_end`` records (flagged
-    ``served_from_store``), so replay tooling sees a complete run; there
-    is no ``discover`` span because no discovery happened.
-    """
-    with run_tracer.span(
-        "store_lookup", algorithm=algorithm, heuristic=heuristic
-    ):
-        served = store_obj.serve(
-            source,
-            target,
-            algorithm=algorithm,
-            heuristic=heuristic,
-            k=k,
-            registry=registry,
-            metrics=metrics,
-            tracer=run_tracer,
-        )
-    if served is None:
-        return None
-    expression, _entry = served
-    base = config if config is not None else SearchConfig()
-    stats = SearchStats(budget=base.max_states)
-    stats.deadline_seconds = base.deadline_seconds
-    stats.tracer = run_tracer
-    if metrics is not None:
-        stats.metrics = metrics
-    if run_tracer.enabled:
-        run_tracer.emit(
-            SEARCH_START,
-            algorithm=algorithm,
-            heuristic=heuristic,
-            budget=base.max_states,
-            source_relations=len(source.relation_names),
-            target_relations=len(target.relation_names),
-            correspondences=len(correspondences),
-        )
-        run_tracer.emit(
-            SOLUTION,
-            size=len(expression),
-            ops=[str(op) for op in expression.operators],
-        )
-    stats.stop_clock()
-    if progress_sink is not None:
-        progress_sink.finish()
-    if run_tracer.enabled:
-        run_tracer.emit(
-            SEARCH_END,
-            status=STATUS_FOUND,
-            served_from_store=True,
-            **stats.as_dict(),
-        )
-    return SearchResult(
-        status=STATUS_FOUND,
-        expression=expression,
-        stats=stats,
-        algorithm=algorithm,
-        heuristic=heuristic,
-        served_from_store=True,
-    )
+) -> tuple[str, "list[Operator] | None"]:
+    """Run the search algorithm; its status and the operators it found."""
+    search_span = run_tracer.span("search")
+    try:
+        with search_span:
+            try:
+                return STATUS_FOUND, ALGORITHMS[algorithm](problem, h, stats)
+            finally:
+                stats.end_loop_span()
+                search_span.annotate(
+                    examined=stats.states_examined,
+                    generated=stats.states_generated,
+                    iterations=stats.iterations,
+                    max_depth=stats.max_depth,
+                )
+    except MappingNotFound:
+        return STATUS_NOT_FOUND, None
+    except SearchBudgetExceeded:
+        return STATUS_BUDGET_EXCEEDED, None
+    except SearchDeadlineExceeded:
+        return STATUS_DEADLINE_EXCEEDED, None
+    except SearchCancelled:
+        return STATUS_CANCELLED, None
 
 
 class Tupelo:

@@ -13,15 +13,15 @@ cross-request cache, landed ahead of the server mode that will sit on it):
   fanout workers warm each other through one shared file;
 * :class:`~repro.store.store.WarmStartStore` — the directory facade the
   search engine, CLI (``discover --store`` / ``repro store``), and
-  parallel layers drive;
-* :mod:`repro.store.runtime` — the ``REPRO_WARM_STORE`` kill switch that
-  restores the cold path end to end.
+  parallel layers drive.
+
+There is no global switch: a discovery without a ``store=`` argument is
+the cold path.
 
 See ``docs/caching.md`` for formats, semantics, and knobs.
 """
 
 from .memo import DEFAULT_MAX_ENTRIES, STORE_VERSION, MappingMemo
-from .runtime import set_warm_store, warm_store_disabled, warm_store_enabled
 from .store import (
     DEFAULT_MAX_SPILLS,
     WarmStartStore,
@@ -52,8 +52,5 @@ __all__ = [
     "problem_signature",
     "read_spill",
     "resolve_store",
-    "set_warm_store",
-    "warm_store_disabled",
-    "warm_store_enabled",
     "write_spill",
 ]

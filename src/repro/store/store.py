@@ -24,7 +24,6 @@ from pathlib import Path
 from ..obs.events import STORE_HIT, STORE_MISS, STORE_WRITE
 from ..resilience.runtime import resilience_warning
 from .memo import DEFAULT_MAX_ENTRIES, MappingMemo
-from .runtime import warm_store_enabled
 from .warm import (
     DEFAULT_MAX_SPILL_STATES,
     problem_signature,
@@ -245,7 +244,6 @@ class WarmStartStore:
             "spill_bytes": spill_bytes,
             "max_spills": self.max_spills,
             "max_spill_states": self.max_spill_states,
-            "enabled": warm_store_enabled(),
         }
         return payload
 
@@ -272,13 +270,12 @@ class WarmStartStore:
 
 
 def resolve_store(store) -> WarmStartStore | None:
-    """The store to use for one discovery, honouring the kill switch.
+    """The store to use for one discovery.
 
-    Accepts ``None`` (no store), an existing :class:`WarmStartStore`, or a
-    path.  Returns ``None`` whenever ``REPRO_WARM_STORE=0`` so every
-    caller that threads ``store=`` through gets the cold path for free.
+    Accepts ``None`` (no store: the cold path), an existing
+    :class:`WarmStartStore`, or a path.
     """
-    if store is None or not warm_store_enabled():
+    if store is None:
         return None
     if isinstance(store, WarmStartStore):
         return store

@@ -52,6 +52,6 @@ def pytest_addoption(parser) -> None:
         "--update-goldens",
         action="store_true",
         default=False,
-        help="rewrite tests/goldens/search.json from the current search "
-        "instead of checking against it",
+        help="rewrite the tests/goldens/*.json files of the modules run "
+        "from the current code instead of checking against them",
     )

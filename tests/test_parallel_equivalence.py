@@ -9,6 +9,7 @@ equal to what the winning algorithm finds on its own.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,6 @@ from repro.parallel import (
     run_experiment_points,
 )
 from repro.parallel import fanout as fanout_module
-from repro.parallel.fanout import PointSpec
 from repro.parallel.pool import (
     cpu_count,
     default_workers,
@@ -199,10 +199,20 @@ class TestFanoutEquivalence:
     def test_empty_specs(self):
         assert run_experiment_points([], workers=2) == []
 
-    def test_unknown_spec_kind_rejected(self):
-        spec = PointSpec(index=0, kind="nope", x=1, algorithm="ida", heuristic="h1")
-        with pytest.raises(ValueError, match="unknown point spec kind"):
-            fanout_module._execute_spec(spec, None)
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_semantic_domain_without_provider_fails_fast(
+        self, workers, monkeypatch
+    ):
+        domain = replace(inventory_domain(), name="Unregistered")
+
+        def no_search(*_args, **_kwargs):
+            raise AssertionError("searched a domain with no provider")
+
+        monkeypatch.setattr(fanout_module, "discover_mapping", no_search)
+        with pytest.raises(KeyError, match="register_provider"):
+            run_semantic_series(
+                "ida", "h1", domain, counts=[1, 2], workers=workers
+            )
 
     def test_normalize_point_zeros_volatile_fields_only(self):
         series = run_matching_series("ida", "h1", [2], budget=20_000)

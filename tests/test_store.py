@@ -30,8 +30,6 @@ from repro.store import (
     WarmStartStore,
     problem_signature,
     read_spill,
-    resolve_store,
-    warm_store_disabled,
     write_spill,
 )
 from repro.workloads.synthetic import matching_pair
@@ -392,17 +390,6 @@ def test_store_serves_verified_hit_bit_identically(tmp_path):
     assert (
         warm.expression.apply(source, builtin_registry()).contains(target)
     )
-
-
-def test_kill_switch_restores_cold_path(tmp_path):
-    source, target = _pair(2)
-    _discover(source, target, store=tmp_path / "store")
-    with warm_store_disabled():
-        assert resolve_store(tmp_path / "store") is None
-        result = _discover(source, target, store=tmp_path / "store")
-    assert result.found
-    assert not result.served_from_store
-    assert result.states_examined > 0
 
 
 def test_store_info_and_gc(tmp_path):
