@@ -90,12 +90,6 @@ from .search import (
     discover_mapping,
     simplify_expression,
 )
-from .parallel import (
-    DEFAULT_PORTFOLIO,
-    PortfolioResult,
-    discover_mapping_portfolio,
-    race_table,
-)
 from .semantics import (
     Correspondence,
     FunctionRegistry,
@@ -168,10 +162,6 @@ __all__ = [
     "Tupelo",
     "discover_mapping",
     "simplify_expression",
-    "DEFAULT_PORTFOLIO",
-    "PortfolioResult",
-    "discover_mapping_portfolio",
-    "race_table",
     "Correspondence",
     "FunctionRegistry",
     "SemanticFunction",

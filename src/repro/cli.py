@@ -8,7 +8,7 @@ Commands::
     python -m repro discover (--source DIR --target DIR | --synthetic N)
         [--algorithm rbfs] [--heuristic h1] [--k K] [--budget N]
         [--correspondence "Total<-add(Cost,Fee)"]...
-        [--portfolio] [--show-matching] [--show-sql]
+        [--show-matching] [--show-sql]
         [--output FILE] [--trace FILE] [--progress] [--store DIR]
 
     python -m repro experiments --sizes 1 2 3 4
@@ -68,7 +68,6 @@ from .obs import (
 )
 from .relational import load_database_dir, save_database, tnf_encode
 from .search import ALGORITHM_NAMES, SearchConfig, discover_mapping
-from .search.result import STATUS_DEADLINE_EXCEEDED
 from .semantics import builtin_registry, decode_correspondence
 
 #: process exit code for a deadline-cut search (distinct from "not found")
@@ -105,12 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     discover.add_argument(
         "--algorithm", default="rbfs", choices=sorted(ALGORITHM_NAMES)
-    )
-    discover.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="race the algorithm portfolio across processes instead of "
-        "running a single algorithm (--algorithm is ignored)",
     )
     discover.add_argument(
         "--heuristic",
@@ -177,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="warm-start store directory: serve memoised mappings "
-        "(re-verified against this pair), pre-seed search caches from "
-        "prior runs, and record this run's results for the next one",
+        "(re-verified against this pair) and record this run's mapping "
+        "for the next one",
     )
 
     experiments = sub.add_parser(
@@ -330,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="PATH",
-        help="merge per-worker / per-arm JSONL traces (files or directories "
+        help="merge per-worker JSONL traces (files or directories "
         "of *.jsonl) into one causally-ordered timeline; with --output, "
         "write the merged trace there",
     )
@@ -391,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument(
         "action",
         choices=["info", "gc"],
-        help="info: summarise the memo and spills; gc: compact the memo "
-        "and drop the oldest spills over the bound",
+        help="info: summarise the mapping memo; gc: compact the memo",
     )
     store.add_argument(
         "--path", required=True, metavar="DIR", help="store directory"
@@ -445,7 +437,7 @@ def _load_pair(args: argparse.Namespace) -> tuple | int:
 
 
 def _print_mapping(args: argparse.Namespace, expression, source) -> int:
-    """The output tail of a found discovery, single-algorithm or portfolio."""
+    """The output tail of a found discovery."""
     print()
     print(expression if not expression.is_identity else "(identity)")
     if args.show_matching:
@@ -491,14 +483,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
         if args.backend != "auto":
             get_backend(args.backend)
-    if args.portfolio:
-        if args.progress:
-            print(
-                "note: --progress applies to single-algorithm runs only "
-                "(portfolio arms run in separate processes)",
-                file=sys.stderr,
-            )
-        return _discover_portfolio(args, source, target, correspondences)
     tracer = None
     if args.trace:
         sink = _open_trace_sink(args.trace)
@@ -547,35 +531,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
     if not result.found:
         return 1
     return _print_mapping(args, result.expression, source)
-
-
-def _discover_portfolio(args, source, target, correspondences) -> int:
-    """Race the algorithm portfolio for one discovery task."""
-    from .parallel import discover_mapping_portfolio, race_table
-
-    race = discover_mapping_portfolio(
-        source,
-        target,
-        heuristic=args.heuristic,
-        k=args.k,
-        correspondences=correspondences,
-        config=SearchConfig(
-            max_states=args.budget, deadline_seconds=args.deadline
-        ),
-        trace_dir=args.trace,
-        store=args.store,
-    )
-    print(race_table(race))
-    if args.trace:
-        print(f"per-arm traces written under {args.trace}")
-    if not race.found:
-        if (
-            race.result is not None
-            and race.result.status == STATUS_DEADLINE_EXCEEDED
-        ):
-            return EXIT_DEADLINE_EXCEEDED
-        return 1
-    return _print_mapping(args, race.result.expression, source)
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -849,11 +804,6 @@ def cmd_store(args: argparse.Namespace) -> int:
             + (f", {memo['corrupt_lines']} corrupt line(s) skipped"
                if memo["corrupt_lines"] else "")
         )
-        print(
-            f"spills: {info['spills']} file(s), {info['spill_bytes']} byte(s) "
-            f"(bounds: {info['max_spills']} spills, "
-            f"{info['max_spill_states']} states each)"
-        )
         return 0
     if args.max_entries is not None and args.max_entries < 1:
         print("error: --max-entries needs N >= 1", file=sys.stderr)
@@ -865,10 +815,6 @@ def cmd_store(args: argparse.Namespace) -> int:
     print(
         f"memo: kept {memo['kept']} entr(ies), dropped {memo['dropped']} "
         f"({memo['bytes_before']} -> {memo['bytes_after']} bytes)"
-    )
-    print(
-        f"spills: kept {summary['spills_kept']}, "
-        f"dropped {summary['spills_dropped']}"
     )
     return 0
 
@@ -909,7 +855,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
         f"start methods: {methods} (* = preferred)"
     )
     from .search.config import SearchConfig
-    from .store import DEFAULT_MAX_ENTRIES, DEFAULT_MAX_SPILL_STATES, DEFAULT_MAX_SPILLS
+    from .store import DEFAULT_MAX_ENTRIES
 
     print(
         "caches: transposition + goal + heuristic LRU "
@@ -917,9 +863,8 @@ def cmd_info(_args: argparse.Namespace) -> int:
         "per-cache hit/miss/eviction counters in experiment reports)"
     )
     print(
-        f"store: warm-start via --store DIR (defaults: {DEFAULT_MAX_ENTRIES} "
-        f"memo pairs, {DEFAULT_MAX_SPILLS} spills x "
-        f"{DEFAULT_MAX_SPILL_STATES} states)"
+        f"store: mapping memo via --store DIR (default bound: "
+        f"{DEFAULT_MAX_ENTRIES} pairs)"
     )
     return 0
 

@@ -203,7 +203,7 @@ def run_matching_series(
     (and, under *stop_after_cutoff*, ends the series like a budget cut).
     *store* points every measured point — serial or sharded — at one
     shared :class:`~repro.store.WarmStartStore` path, so repeated sweeps
-    serve memoised mappings and workers warm each other's searches.
+    serve memoised mappings.
     """
     label = f"{algorithm}/{heuristic}"
     config = SearchConfig(max_states=budget, deadline_seconds=deadline_seconds)

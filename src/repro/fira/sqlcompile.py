@@ -244,14 +244,23 @@ def _compile_partition(op: Partition, db: Database, d: SqlDialect) -> list[str]:
         f"-- partition: table names below come from the data of "
         f"{op.attribute!r} (instance-directed)"
     ]
+    # The algebra drops the input before naming the outputs, so a partition
+    # may reuse the input's name; SQL must move the input aside first.
+    input_table = op.relation
+    if any(value_to_text(value) == op.relation for value in names):
+        input_table = op.relation + "__tupelo_tmp"
+        statements.append(
+            f"ALTER TABLE {d.quote_identifier(op.relation)} "
+            f"RENAME TO {d.quote_identifier(input_table)};"
+        )
     for value in names:
         table = value_to_text(value)
         statements.append(
             f"CREATE TABLE {d.quote_identifier(table)} AS "
-            f"SELECT {d.select_modifier()}* FROM {d.quote_identifier(op.relation)} "
+            f"SELECT {d.select_modifier()}* FROM {d.quote_identifier(input_table)} "
             f"WHERE {d.quote_identifier(op.attribute)} = {d.quote_literal(value)};"
         )
-    statements.append(f"DROP TABLE {d.quote_identifier(op.relation)};")
+    statements.append(f"DROP TABLE {d.quote_identifier(input_table)};")
     return statements
 
 

@@ -71,46 +71,6 @@ class Heuristic(abc.ABC):
         """Report cache hits/misses/evictions and timing to *stats*."""
         self._stats = stats
 
-    def clear_cache(self) -> None:
-        """Drop all memoised estimates."""
-        self._cache.clear()
-
-    def memo_size(self) -> int:
-        """Number of memoised estimates (no snapshot copy)."""
-        return len(self._cache)
-
-    def export_memo(self) -> list[tuple[Database, int]]:
-        """Snapshot of the memoised estimates, least recently used first.
-
-        Consumed by the warm-start spill exporter
-        (:meth:`~repro.search.problem.MappingProblem.export_warm_tables`).
-        """
-        return list(self._cache.items())
-
-    def preseed_memo(self, entries) -> int:
-        """Bulk-load ``(state, estimate)`` pairs into the memo cache.
-
-        The warm-start inverse of :meth:`export_memo`: entries are inserted
-        in iteration order (so a capacity bound evicts the oldest, matching
-        the exported LRU order) and validated the way :meth:`__call__`
-        validates fresh estimates.  Returns the number of entries loaded.
-        """
-        cache = self._cache
-        count = 0
-        for state, value in entries:
-            value = int(value)
-            if value < 0:
-                raise ValueError(
-                    f"heuristic {self.name!r} memo holds negative estimate "
-                    f"{value}"
-                )
-            cache[state] = value
-            count += 1
-        if self.cache_capacity is not None:
-            while len(cache) > self.cache_capacity:
-                cache.popitem(last=False)
-        return count
-
     def __call__(self, state: Database) -> int:
         """The estimated distance from *state* to the target (memoised)."""
         stats = self._stats

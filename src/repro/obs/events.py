@@ -69,11 +69,11 @@ PROGRESS = "progress"
 BACKEND_COMPILE = "backend_compile"
 #: a compiled script finished executing on a backend
 BACKEND_EXECUTE = "backend_execute"
-#: the warm-start store served a verified artifact (kind: memo / spill)
+#: the warm-start store served a verified mapping (kind: memo)
 STORE_HIT = "store_hit"
-#: the warm-start store had nothing servable for a lookup (kind: memo / spill)
+#: the warm-start store had no verified mapping for a lookup (kind: memo)
 STORE_MISS = "store_miss"
-#: the warm-start store persisted an artifact (kind: memo / spill)
+#: the warm-start store recorded a discovered mapping (kind: memo)
 STORE_WRITE = "store_write"
 
 #: every event type a trace may contain, in rough lifecycle order.

@@ -1,8 +1,7 @@
 """Cross-process trace aggregation: many JSONL traces, one timeline.
 
 A parallel run leaves one trace file per process — the experiment fan-out
-writes per-worker ``<label>.w{n}.jsonl`` files and the portfolio racer
-per-arm ``arm_<name>.jsonl`` files.  Each file's timestamps are
+writes per-worker ``<label>.w{n}.jsonl`` files.  Each file's timestamps are
 ``perf_counter`` offsets from *that process's* tracer arming, so they are
 not comparable across files on their own; the ``wall``/``pid`` anchors the
 :class:`~repro.obs.sinks.JsonlSink` stamps into every ``trace_header``
@@ -19,8 +18,8 @@ stream that :func:`~repro.obs.report.replay_counters`,
 ``workers=2`` sweep aggregates to exactly the counters the serial sweep
 publishes.  ``repro trace --merge`` is the CLI face of this module.
 
-Worker files may be torn mid-line when a process was killed (portfolio
-losers, crashed workers): :func:`load_trace_lenient` tolerates a truncated
+Worker files may be torn mid-line when a process was killed (a crashed
+worker): :func:`load_trace_lenient` tolerates a truncated
 *final* line, recording it in :attr:`TraceSource.torn` instead of raising.
 Corruption anywhere else still fails loudly.
 """

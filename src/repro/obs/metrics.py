@@ -185,19 +185,15 @@ class MetricsRegistry:
                 out[name] = instrument.value
         return out
 
-    def publish_stats(
-        self, stats_dict: Mapping[str, float | int], prefix: str = "search."
-    ) -> None:
+    def publish_stats(self, stats_dict: Mapping[str, float | int]) -> None:
         """Publish a final ``SearchStats.as_dict()`` snapshot.
 
-        Integer quantities accumulate into ``<prefix><name>`` counters and
+        Integer quantities accumulate into ``search.<name>`` counters and
         float quantities (phase timers, elapsed) accumulate into gauges,
-        so a registry shared across several runs holds the totals.  The
-        portfolio racer publishes per-arm snapshots under
-        ``portfolio.<arm>.`` prefixes into one shared registry.
+        so a registry shared across several runs holds the totals.
         """
         for key, value in stats_dict.items():
-            name = f"{prefix}{key}"
+            name = f"search.{key}"
             if isinstance(value, float):
                 self.gauge(name).add(value)
             else:

@@ -16,9 +16,9 @@ per request and forwards updates to the client.  Interactively,
 
 Callbacks run on the search thread: keep them cheap, and never let them
 raise (exceptions would abort the search mid-run; :class:`ProgressSink`
-subclasses should catch their own errors).  Progress hooks do not pickle —
-the parallel fan-out and portfolio racer accept them only on their serial
-paths.
+subclasses should catch their own errors).  Progress hooks do not pickle,
+so a :class:`~repro.parallel.fanout.PointSpec` cannot carry one: attach
+them to in-process :func:`~repro.search.engine.discover_mapping` calls.
 """
 
 from __future__ import annotations

@@ -1,17 +1,11 @@
-"""Parallel execution layer: experiment fan-out and portfolio racing.
+"""Parallel execution layer: experiment fan-out across worker processes.
 
-Two entry points put every available core behind TUPELO:
-
-* :func:`~repro.parallel.fanout.run_experiment_points` — shard a grid of
-  independent experiment measurements across a process pool (the
-  ``workers=`` mode of the :mod:`repro.experiments.runner` functions).
-* :func:`~repro.parallel.portfolio.discover_mapping_portfolio` — race the
-  search-algorithm portfolio on one problem and return the first verified
-  mapping, cancelling the losers.
-
-Both degrade gracefully to serial execution when process pools are
-unavailable, and both guarantee the deterministic parts of their results
-are identical to a serial run (see ``docs/performance.md``).
+:func:`~repro.parallel.fanout.run_experiment_points` shards a grid of
+independent experiment measurements across a process pool (the
+``workers=`` mode of the :mod:`repro.experiments.runner` functions).  It
+degrades gracefully to serial execution when process pools are
+unavailable, and the deterministic parts of its results are identical to
+a serial run (see ``docs/performance.md``).
 """
 
 from .fanout import (
@@ -28,15 +22,6 @@ from .pool import (
     strided_chunks,
     supports_start_method,
     worker_trace_path,
-)
-from .portfolio import (
-    DEFAULT_CANCEL_GRACE,
-    DEFAULT_PORTFOLIO,
-    DEFAULT_TERMINATE_GRACE,
-    ArmReport,
-    PortfolioResult,
-    discover_mapping_portfolio,
-    race_table,
 )
 from .providers import (
     provider_names,
@@ -56,13 +41,6 @@ __all__ = [
     "strided_chunks",
     "supports_start_method",
     "worker_trace_path",
-    "DEFAULT_CANCEL_GRACE",
-    "DEFAULT_PORTFOLIO",
-    "DEFAULT_TERMINATE_GRACE",
-    "ArmReport",
-    "PortfolioResult",
-    "discover_mapping_portfolio",
-    "race_table",
     "provider_names",
     "register_provider",
     "resolve_registry",

@@ -14,8 +14,8 @@ Design decisions, in the order they matter:
   :class:`~repro.search.config.SearchConfig`, correspondences and a
   *registry provider name* (see :mod:`repro.parallel.providers`) — never
   a live ``FunctionRegistry`` or a warm ``MappingProblem``.
-  :func:`run_spec` runs one; serial sweeps, fan-out chunks and portfolio
-  arms all call it, so a point is searched the same way wherever it runs.
+  :func:`run_spec` runs one; serial sweeps and fan-out chunks both call
+  it, so a point is searched the same way wherever it runs.
 * **Chunked dispatch, one chunk per worker.**  Chunks are dealt round-robin
   (:func:`~repro.parallel.pool.strided_chunks`) and each worker runs its
   chunk serially inside the shared worker envelope
@@ -58,7 +58,6 @@ from ..resilience.runtime import (
     resilience_warning,
     retry_call,
 )
-from ..search.cancel import CancelToken
 from ..search.config import SearchConfig
 from ..search.engine import discover_mapping
 from ..search.result import SearchResult
@@ -89,16 +88,14 @@ class PointSpec:
             ``deadline_seconds``, ...); each worker enforces the deadline
             cooperatively inside its own search, so one slow point cannot
             starve the rest of a chunk.
-        simplify: post-simplify a found expression (portfolio arms do;
-            sweeps measure the raw search).
         correspondences: declared complex correspondences.
         registry_provider: provider name resolving the function registry
             where the spec runs (None means the built-ins).
         trace_path: JSONL trace destination ("" = untraced); fan-out
             rewrites it with the worker marker before dispatch.
         store_path: warm-start store directory ("" = no store); workers
-            share the path, so each pre-seeds from and spills to the same
-            :class:`~repro.store.WarmStartStore` files.
+            share the path, so each serves from and records into the same
+            :class:`~repro.store.WarmStartStore` memo.
         index: position in the grid (collection re-sorts on this).
         x: the point's independent variable, recorded verbatim.
     """
@@ -109,7 +106,6 @@ class PointSpec:
     heuristic: str
     k: float | None = None
     config: SearchConfig = field(default_factory=SearchConfig)
-    simplify: bool = False
     correspondences: tuple[Correspondence, ...] = ()
     registry_provider: str | None = None
     trace_path: str = ""
@@ -119,15 +115,14 @@ class PointSpec:
 
 
 def run_spec(
-    spec: PointSpec,
-    metrics: MetricsRegistry | None = None,
-    cancel: CancelToken | None = None,
+    spec: PointSpec, metrics: MetricsRegistry | None = None
 ) -> SearchResult:
-    """Run one request: the path every sweep point and portfolio arm takes.
+    """Run one request: the path every sweep point takes.
 
     Resolves the registry by provider name, streams the JSONL trace when
     ``trace_path`` is set, and calls
-    :func:`~repro.search.engine.discover_mapping`.
+    :func:`~repro.search.engine.discover_mapping` on the raw search path
+    (no post-simplify: sweeps measure what the search found).
     """
     tracer = Tracer(JsonlSink(spec.trace_path)) if spec.trace_path else None
     try:
@@ -140,10 +135,9 @@ def run_spec(
             correspondences=spec.correspondences,
             registry=resolve_registry(spec.registry_provider),
             config=spec.config,
-            simplify=spec.simplify,
+            simplify=False,
             tracer=tracer,
             metrics=metrics,
-            cancel=cancel,
             store=spec.store_path or None,
         )
     finally:

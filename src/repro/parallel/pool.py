@@ -2,8 +2,8 @@
 
 TUPELO's evaluation grid — (workload × algorithm × heuristic × size × trial)
 — is embarrassingly parallel: every measured point is an independent search.
-This module centralises the process-level mechanics both entry points
-(:mod:`repro.parallel.fanout`, :mod:`repro.parallel.portfolio`) need:
+This module centralises the process-level mechanics the fan-out
+(:mod:`repro.parallel.fanout`) needs:
 
 * **start-method selection** — ``fork`` is preferred where available (cheap,
   and children inherit already-imported modules plus any warm module-level
@@ -19,8 +19,8 @@ This module centralises the process-level mechanics both entry points
   in minimal builds, fork failures, read-only semaphore dirs); callers then
   run the identical work serially in-process;
 * **the worker envelope** — :func:`run_in_worker` is how a fan-out chunk
-  and a portfolio arm run in a child: arm worker-scope faults, fire the
-  site, run, and ship the ``resilience.*`` counters raised meanwhile home.
+  runs in a child: arm worker-scope faults, fire the site, run, and ship
+  the ``resilience.*`` counters raised meanwhile home.
 
 Nothing here imports the search kernel, so the module is cheap to import
 inside freshly spawned workers.
@@ -171,10 +171,7 @@ def worker_trace_path(path: str, worker_id: int) -> str:
 
 
 def run_in_worker(
-    site: str,
-    key: str | None,
-    run: Callable[[], T],
-    on_error: Callable[[BaseException], T] | None = None,
+    site: str, key: str | None, run: Callable[[], T]
 ) -> tuple[T, dict[str, int]]:
     """Run *run* as a worker; return its result and the counters it raised.
 
@@ -183,16 +180,10 @@ def run_in_worker(
     otherwise an injected worker crash would take the parent down with
     it.  The second element is the ``resilience.*`` delta since entry (e.g.
     a tracer degrading to untraced), which the parent absorbs on
-    collection.  With *on_error*, any exception — the injected one at
-    *site* included — becomes ``on_error(err)`` and the delta still ships.
+    collection.
     """
     baseline = resilience_counters()
-    try:
-        enter_worker()
-        inject(site, key=key)
-        result = run()
-    except BaseException as err:  # noqa: BLE001 - on_error decides
-        if on_error is None:
-            raise
-        result = on_error(err)
+    enter_worker()
+    inject(site, key=key)
+    result = run()
     return result, resilience_delta(baseline)

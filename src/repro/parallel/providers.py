@@ -7,8 +7,8 @@ specs carry a *provider name*, and each worker rebuilds the registry
 locally by calling the named zero-argument factory.
 
 The built-in providers cover everything the repository's own workloads
-need (``builtin`` plus the two Fig. 9 semantic domains).  Code that races
-or fans out custom domains registers a factory once per process — under
+need (``builtin`` plus the two Fig. 9 semantic domains).  Code that fans
+out custom domains registers a factory once per process — under
 ``fork`` the parent's registrations are inherited; under ``spawn`` the
 factory module must perform the registration at import time.
 """
@@ -72,7 +72,7 @@ def resolve_registry(provider: str | None) -> FunctionRegistry:
 
     Raises:
         KeyError: for unknown provider names — a worker raising this turns
-            into a clean per-point/per-arm error, not a hang.
+            into a clean per-point error, not a hang.
     """
     if provider is None:
         provider = BUILTIN_PROVIDER

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the chaos suite.
 
 Production code is sprinkled with :func:`inject` calls at its failure
-points ("sites": pool submission, worker entry, sink writes, portfolio
-spawn...).  With no plan activated an injection site costs one global
+points ("sites": pool submission, worker entry, sink writes, store
+I/O...).  With no plan activated an injection site costs one global
 load and one branch — the fleet-wide default.  Tests activate a plan of
 :class:`FaultSpec` records and the named sites then fail on command:
 crash the process, sleep, raise an ``OSError`` / ``PicklingError``, or
@@ -90,7 +90,7 @@ class FaultSpec:
         scope: one of :data:`SCOPE_NAMES`; ``worker`` specs fire only in
             processes that entered via :func:`enter_worker`.
         match: optional substring that must appear in the ``key`` the site
-            passes to :func:`inject` (targets e.g. one portfolio arm).
+            passes to :func:`inject` (targets e.g. one fan-out chunk).
         hits: per-process hit counter (runtime state, not part of the plan).
     """
 
@@ -207,7 +207,7 @@ def inject(site: str, key: str | None = None) -> None:
 
     Args:
         site: the site name this call guards.
-        key: optional discriminator (e.g. the portfolio arm name) matched
+        key: optional discriminator (e.g. the fan-out chunk id) matched
             against ``FaultSpec.match``.
     """
     plan = _PLAN if _PLAN_LOADED else _load_plan()

@@ -1,8 +1,8 @@
 """Degradation accounting and bounded retry.
 
-Every survivable failure in the parallel / telemetry layers records a
-``resilience.*`` counter here before degrading (parallel → serial,
-traced → untraced, portfolio → single arm).  The counters live in a
+Every survivable failure in the parallel, telemetry and store layers
+records a ``resilience.*`` counter here before degrading (parallel →
+serial, traced → untraced, stored → cold).  The counters live in a
 process-global registry — *not* the caller's
 :class:`~repro.obs.metrics.MetricsRegistry` — so degraded runs still
 publish bit-identical search metrics to healthy runs; the chaos suite
@@ -35,7 +35,7 @@ _EVENTS_CAP = 256
 def resilience_warning(name: str, detail: str = "") -> None:
     """Record one survivable failure: bump ``resilience.<name>``.
 
-    *detail* (free-form, e.g. the exception repr or the degraded arm) is
+    *detail* (free-form, e.g. the exception repr or the degraded path) is
     kept in a bounded in-process event list for test assertions and
     post-mortems; it never reaches the metric itself.
     """

@@ -1,76 +1,43 @@
 """Cooperative cancellation for mapping-discovery search.
 
-The paper bounds search by a state budget; a production caller also needs
-to *stop* a search that is no longer wanted — an interactive user moved on,
-or a portfolio race already has a verified winner.  :class:`CancelToken` is
-the cooperative half of that story: the caller (or a parent process) sets
-the token, and the kernel's periodic limit checks (see
+The paper bounds search by a state budget; a caller also needs to *stop* a
+search that is no longer wanted — an interactive user moved on, or a UI
+thread is shutting down.  :class:`CancelToken` is the cooperative half of
+that story: the caller (from any thread) sets the token, and the kernel's
+periodic limit checks (see
 :meth:`repro.search.stats.SearchStats.check_limits` and
 :meth:`repro.search.problem.MappingProblem.successors`) observe it and
 unwind with :class:`~repro.errors.SearchCancelled`, leaving partial
 :class:`~repro.search.stats.SearchStats` intact.
-
-A token can wrap a ``multiprocessing.Event`` so a parent process cancels a
-child's search across the process boundary without signals — the portfolio
-racer (:mod:`repro.parallel.portfolio`) cancels losing arms this way first
-and only escalates to ``terminate()`` / ``kill()`` when an arm does not
-react in time.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
-
-@runtime_checkable
-class _EventLike(Protocol):  # pragma: no cover - typing helper
-    """The slice of threading/multiprocessing Event the token consults."""
-
-    def is_set(self) -> bool: ...
-
-    def set(self) -> None: ...
-
 
 class CancelToken:
-    """A cooperative cancellation flag, optionally event-backed.
+    """A cooperative, in-process cancellation flag.
 
-    Args:
-        event: optional ``threading.Event`` / ``multiprocessing.Event``;
-            when given, :meth:`cancel` sets it and :attr:`cancelled` reads
-            it, so the token works across threads and process boundaries.
-            Without one the token is a plain in-process flag (the cheapest
-            possible check on the search hot path).
+    A plain attribute read is the cheapest possible check on the search
+    hot path; setting it from another thread is safe because the search
+    only ever reads it.
     """
 
-    __slots__ = ("_flag", "_event")
+    __slots__ = ("_flag",)
 
-    def __init__(self, event: _EventLike | None = None) -> None:
+    def __init__(self) -> None:
         self._flag = False
-        self._event = event
 
     def cancel(self) -> None:
         """Request cancellation (idempotent; safe from any thread)."""
         self._flag = True
-        if self._event is not None:
-            self._event.set()
 
     @property
     def cancelled(self) -> bool:
-        """Whether cancellation has been requested.
-
-        The first positive event read latches into the local flag, so
-        repeated polls after cancellation never touch the event again.
-        """
-        if self._flag:
-            return True
-        if self._event is not None and self._event.is_set():
-            self._flag = True
-            return True
-        return False
+        """Whether cancellation has been requested."""
+        return self._flag
 
     def __bool__(self) -> bool:
-        return self.cancelled
+        return self._flag
 
     def __repr__(self) -> str:
-        backing = type(self._event).__name__ if self._event is not None else "flag"
-        return f"<CancelToken {backing} cancelled={self.cancelled}>"
+        return f"<CancelToken cancelled={self._flag}>"

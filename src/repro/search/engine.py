@@ -100,9 +100,8 @@ def discover_mapping(
             distribution histograms fill during the run and the final
             counters are published into it.
         cancel: optional :class:`~repro.search.cancel.CancelToken`; setting
-            it (from any thread, or across a process boundary when
-            event-backed) makes the search unwind cooperatively with a
-            ``cancelled`` result carrying the partial stats.
+            it (from any thread) makes the search unwind cooperatively
+            with a ``cancelled`` result carrying the partial stats.
         progress: optional live-progress hook — a
             :class:`~repro.obs.progress.ProgressSink` or a plain callable
             taking a :class:`~repro.obs.progress.ProgressUpdate`.  Called
@@ -114,10 +113,9 @@ def discover_mapping(
             :class:`~repro.store.WarmStartStore` or a directory path.
             Before searching, the store's mapping memo is consulted (a hit
             is re-verified against *source*/*target* and returned with
-            ``served_from_store=True``); on a miss the problem's memo
-            tables are pre-seeded from the store's shared spill, and after
-            the run the discovered mapping and the tables are persisted
-            for the next process.  All store traffic is best-effort.
+            ``served_from_store=True``); on a miss the discovered mapping
+            is recorded for the next request.  All store traffic is
+            best-effort.
 
     Returns:
         A :class:`SearchResult`; check ``result.found`` / ``result.status``.
@@ -186,11 +184,6 @@ def discover_mapping(
                 h = make_heuristic(heuristic, target, k=k, algorithm=algorithm)
                 h.cache_capacity = config.cache_capacity
                 h.bind_stats(stats)
-                if store_obj is not None:
-                    with run_tracer.span("store_preseed"):
-                        store_obj.preseed(
-                            problem, h, metrics=metrics, tracer=run_tracer
-                        )
         if run_tracer.enabled:
             run_tracer.emit(
                 SEARCH_START,
@@ -222,26 +215,24 @@ def discover_mapping(
                             expression, source, target, problem.registry
                         )
         stats.stop_clock()
-        if store_obj is not None and served is None:
-            with run_tracer.span("store_save"):
-                if expression is not None:
-                    from ..store import config_signature
+        if store_obj is not None and expression is not None and served is None:
+            from ..store import config_signature
 
-                    store_obj.record(
-                        source,
-                        target,
-                        expression=expression,
-                        algorithm=algorithm,
-                        heuristic=heuristic,
-                        k=k,
-                        signature=config_signature(
-                            problem.config, problem.correspondences
-                        ),
-                        states_examined=stats.states_examined,
-                        metrics=metrics,
-                        tracer=run_tracer,
-                    )
-                store_obj.export(problem, h, metrics=metrics, tracer=run_tracer)
+            with run_tracer.span("store_save"):
+                store_obj.record(
+                    source,
+                    target,
+                    expression=expression,
+                    algorithm=algorithm,
+                    heuristic=heuristic,
+                    k=k,
+                    signature=config_signature(
+                        problem.config, problem.correspondences
+                    ),
+                    states_examined=stats.states_examined,
+                    metrics=metrics,
+                    tracer=run_tracer,
+                )
         if progress_sink is not None:
             progress_sink.finish()
     # Emitted after the discover span closes, keeping the trace contract

@@ -1,56 +1,31 @@
-"""Warm-start store: cross-request mapping memo + shared search caches.
+"""Warm-start store: a cross-request mapping memo.
 
-The persistence and sharing layer for discovery results (ROADMAP item 1's
-cross-request cache, landed ahead of the server mode that will sit on it):
+The persistence layer for discovery results:
 
 * :mod:`repro.store.memo` — an append-only, corruption-tolerant JSONL memo
   mapping canonical pair fingerprints
   (:mod:`repro.relational.fingerprint`) to previously discovered
   :class:`~repro.fira.expression.MappingExpression`\\ s, re-verified
   against the live instances before being served;
-* :mod:`repro.store.warm` — per-problem spills of the transposition /
-  goal / heuristic memo tables, merged atomically so portfolio arms and
-  fanout workers warm each other through one shared file;
 * :class:`~repro.store.store.WarmStartStore` — the directory facade the
   search engine, CLI (``discover --store`` / ``repro store``), and
-  parallel layers drive.
+  fan-out workers drive.
 
 There is no global switch: a discovery without a ``store=`` argument is
 the cold path.
 
-See ``docs/caching.md`` for formats, semantics, and knobs.
+See ``docs/caching.md`` for the format, semantics, and counters.
 """
 
-from .memo import DEFAULT_MAX_ENTRIES, STORE_VERSION, MappingMemo
-from .store import (
-    DEFAULT_MAX_SPILLS,
-    WarmStartStore,
-    open_store,
-    resolve_store,
-)
-from .warm import (
-    DEFAULT_MAX_SPILL_STATES,
-    SPILL_VERSION,
-    config_signature,
-    merge_tables,
-    problem_signature,
-    read_spill,
-    write_spill,
-)
+from .memo import DEFAULT_MAX_ENTRIES, STORE_VERSION, MappingMemo, config_signature
+from .store import WarmStartStore, open_store, resolve_store
 
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
-    "DEFAULT_MAX_SPILLS",
-    "DEFAULT_MAX_SPILL_STATES",
     "MappingMemo",
-    "SPILL_VERSION",
     "STORE_VERSION",
     "WarmStartStore",
     "config_signature",
-    "merge_tables",
     "open_store",
-    "problem_signature",
-    "read_spill",
     "resolve_store",
-    "write_spill",
 ]

@@ -15,13 +15,18 @@ and re-verified against the *current* instance pair
 (``expression.apply(source).contains(target)``) before it is returned —
 this one check subsumes fingerprint collisions, stale entries from older
 code, and hand-edited files.  Every degraded path (unparseable line,
-wrong version, failed verification, I/O error) bumps a PR-5
+wrong version, failed verification, I/O error) bumps a
 ``resilience.store_*`` counter and falls back to a cold search; the memo
 never raises into a discovery.
+
+Each entry also records :func:`config_signature`, a hash of the config
+knobs that change what a discovered mapping *means*, so an entry can be
+traced back to the search space it came from.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -32,6 +37,8 @@ from ..fira.parser import parse_expression
 from ..relational.database import Database
 from ..relational.fingerprint import pair_fingerprint, pair_shape_fingerprint
 from ..resilience.runtime import resilience_warning, retry_call
+from ..search.config import SearchConfig
+from ..semantics.correspondence import encode_correspondence
 from ..semantics.functions import FunctionRegistry, builtin_registry
 from ..serialize import json_dumps_compact, json_loads
 
@@ -45,6 +52,22 @@ DEFAULT_MAX_ENTRIES = 1024
 #: per fingerprint, how many request variants (algorithm/heuristic/k) are
 #: kept by compaction — newest first
 _VARIANTS_PER_KEY = 4
+
+
+def config_signature(config: SearchConfig, correspondences=()) -> str:
+    """Hash of the config knobs that change what a discovered mapping means."""
+    payload = {
+        "enabled_operators": sorted(config.enabled_operators),
+        "break_symmetry": config.break_symmetry,
+        "prune_targets": config.prune_targets,
+        "max_depth": config.max_depth,
+        "correspondences": sorted(
+            encode_correspondence(corr) for corr in correspondences
+        ),
+    }
+    return hashlib.sha256(
+        ("tupelo-cfg-v1" + json_dumps_compact(payload)).encode("utf-8")
+    ).hexdigest()
 
 
 def _request_key(entry: Mapping) -> tuple:
@@ -247,30 +270,23 @@ class MappingMemo:
         algorithm: str | None = None,
         heuristic: str | None = None,
         k: float | None = None,
-        exact_only: bool = False,
     ) -> tuple[MappingExpression, dict] | None:
         """A stored mapping *verified against this very pair*, or ``None``.
 
         Entries recorded under the requested ``(algorithm, heuristic, k)``
         are preferred (and, when served, reproduce the cold search's result
-        bit for bit — the memo stored exactly what that search found);
-        with ``exact_only=False`` any other verified entry for the
-        fingerprint is an acceptable fallback, since verification — not
-        provenance — is what makes an answer correct.  Each candidate is
-        parsed and applied; any failure (stale operator vocabulary, a
-        fingerprint collision, hand-edited entries) degrades to the next
-        candidate and ultimately to ``None``, never to an exception.
+        bit for bit — the memo stored exactly what that search found); any
+        other verified entry for the fingerprint is an acceptable fallback,
+        since verification — not provenance — is what makes an answer
+        correct.  Each candidate is parsed and applied; any failure (stale
+        operator vocabulary, a fingerprint collision, hand-edited entries)
+        degrades to the next candidate and ultimately to ``None``, never
+        to an exception.
         """
         self.refresh()
         fp = pair_fingerprint(source, target)
         reg = registry if registry is not None else builtin_registry()
         for entry in self._candidates(fp, algorithm, heuristic, k):
-            if exact_only and _request_key(entry) != (
-                algorithm,
-                heuristic,
-                k if k is None else float(k),
-            ):
-                continue
             try:
                 expression = parse_expression(entry["expression"])
                 verified = expression.apply(source, reg).contains(target)

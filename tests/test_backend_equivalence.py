@@ -36,7 +36,9 @@ from repro.workloads.bamm import bamm_domain
 from repro.workloads.flights import (
     b_to_a_expression,
     b_to_c_expression,
+    flights_c,
     flights_registry,
+    total_cost_correspondence,
 )
 
 #: every backend runnable in this environment (duckdb joins when installed)
@@ -68,6 +70,28 @@ class TestFlightsPipelines:
         assert_all_backends_match(
             b_to_c_expression(), flights_b(), flights_registry()
         )
+
+    def test_ida_b_to_c_partitions_into_its_input_name(self):
+        """IDA* renames Prices to AirEast, then partitions AirEast on a
+        Carrier column whose values include AirEast: the compiled script
+        must move the input aside before creating the partitions."""
+        result = discover_mapping(
+            flights_b(),
+            flights_c(),
+            algorithm="ida",
+            heuristic="h1",
+            correspondences=[total_cost_correspondence()],
+            registry=flights_registry(),
+        )
+        assert result.found
+        assert result.states_examined == 501
+        assert str(result.expression.operators[-1]) == (
+            "partition[AirEast](Carrier)"
+        )
+        algebra = assert_all_backends_match(
+            result.expression, flights_b(), flights_registry()
+        )
+        assert algebra.contains(flights_c())
 
 
 class TestSyntheticWorkloads:

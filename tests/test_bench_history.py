@@ -19,15 +19,9 @@ def bench_history():
     return module
 
 
-def _write_warm_json(
-    path: Path, warm_vs_cold: float, preseed_vs_cold: float
-) -> Path:
+def _write_warm_json(path: Path, warm_vs_cold: float) -> Path:
     payload = {
-        "headline": {
-            "warm_vs_cold": warm_vs_cold,
-            "preseed_vs_cold": preseed_vs_cold,
-            "size": 6,
-        },
+        "headline": {"warm_vs_cold": warm_vs_cold, "size": 6},
         "arms": {},
     }
     file = path / "BENCH_warm_start.json"
@@ -65,7 +59,7 @@ class TestExtraction:
 
 class TestRecordAndCheck:
     def test_record_then_check_passes(self, bench_history, tmp_path, capsys):
-        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5, preseed_vs_cold=2.3)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5)
         scaling = _write_scaling_json(tmp_path, speedup=1.0)
         history = tmp_path / "history.jsonl"
         assert bench_history.main(
@@ -87,7 +81,7 @@ class TestRecordAndCheck:
     def test_check_with_no_history_passes_vacuously(
         self, bench_history, tmp_path
     ):
-        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5, preseed_vs_cold=2.3)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5)
         history = tmp_path / "empty.jsonl"
         assert bench_history.main(
             ["check", str(warm), "--history", str(history)]
@@ -96,10 +90,10 @@ class TestRecordAndCheck:
     def test_injected_regression_exits_nonzero(
         self, bench_history, tmp_path, capsys
     ):
-        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5, preseed_vs_cold=2.3)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5)
         history = tmp_path / "history.jsonl"
         bench_history.main(["record", str(warm), "--history", str(history)])
-        slower = _write_warm_json(tmp_path, warm_vs_cold=3.0, preseed_vs_cold=2.3)
+        slower = _write_warm_json(tmp_path, warm_vs_cold=3.0)
         assert bench_history.main(
             ["check", str(slower), "--history", str(history)]
         ) == 1
@@ -108,14 +102,14 @@ class TestRecordAndCheck:
         assert "headline.warm_vs_cold" in err
 
     def test_threshold_tolerates_small_dips(self, bench_history, tmp_path):
-        warm = _write_warm_json(tmp_path, warm_vs_cold=5.0, preseed_vs_cold=2.0)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.0)
         history = tmp_path / "history.jsonl"
         bench_history.main(["record", str(warm), "--history", str(history)])
-        dip = _write_warm_json(tmp_path, warm_vs_cold=4.5, preseed_vs_cold=1.9)
+        dip = _write_warm_json(tmp_path, warm_vs_cold=4.5)
         assert bench_history.main(
             ["check", str(dip), "--history", str(history)]
         ) == 0
-        cliff = _write_warm_json(tmp_path, warm_vs_cold=4.5, preseed_vs_cold=1.9)
+        cliff = _write_warm_json(tmp_path, warm_vs_cold=4.5)
         assert bench_history.main(
             ["check", str(cliff), "--history", str(history),
              "--threshold", "0.01"]
@@ -137,7 +131,7 @@ class TestRecordAndCheck:
         assert "no tracked metrics" in capsys.readouterr().err
 
     def test_corrupt_history_exits_two(self, bench_history, tmp_path, capsys):
-        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5, preseed_vs_cold=2.3)
+        warm = _write_warm_json(tmp_path, warm_vs_cold=5.5)
         history = tmp_path / "history.jsonl"
         history.write_text("{broken\n")
         assert bench_history.main(
@@ -157,13 +151,11 @@ def test_write_bench_json_env_hook_appends(tmp_path, monkeypatch):
 
     history = tmp_path / "auto.jsonl"
     monkeypatch.setenv("REPRO_BENCH_HISTORY", str(history))
-    payload = {"headline": {"warm_vs_cold": 5.0, "preseed_vs_cold": 2.0}}
+    payload = {"headline": {"warm_vs_cold": 5.0}}
     write_bench_json(tmp_path / "BENCH_warm_start.json", payload)
     entry = json.loads(history.read_text().splitlines()[0])
     assert entry["bench"] == "warm_start"
-    assert entry["metrics"] == {
-        "headline.warm_vs_cold": 5.0, "headline.preseed_vs_cold": 2.0,
-    }
+    assert entry["metrics"] == {"headline.warm_vs_cold": 5.0}
     # untracked payloads write their JSON but skip the history
     write_bench_json(tmp_path / "BENCH_mystery.json", {"x": 1})
     assert len(history.read_text().splitlines()) == 1

@@ -116,23 +116,6 @@ class TestDiscoverExecute:
         assert "executed on backend" in out
         assert "B01" in out
 
-    def test_portfolio_discover_executes_too(self, capsys):
-        code = main(
-            [
-                "discover",
-                "--synthetic",
-                "3",
-                "--portfolio",
-                "--execute",
-                "--backend",
-                "sqlite",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "portfolio race" in out
-        assert "executed on backend sqlite" in out
-
     def test_discover_bogus_backend_fails_before_search(self, capsys):
         code = main(
             ["discover", "--synthetic", "3", "--execute", "--backend", "nope"]

@@ -1,4 +1,4 @@
-"""Brute-force oracles for the relational kernel.
+"""Brute-force oracles for the relational kernel and the search.
 
 The kernel computes over interned token rows and memoised views that
 derivations transplant from parent to child.  These property tests check
@@ -16,14 +16,20 @@ whatever the kernel does internally:
 Instances mix NULLs, duplicate values, empty relations and numeric-looking
 text (``"1"`` beside ``1``), and are checked both fresh and after chains of
 renames and projections taken from relations whose views are already warm.
+
+The search oracle is a breadth-first search over the same successor
+function: under the blind heuristic h0, IDA*, RBFS and A* must return raw
+paths exactly as long as the shallowest goal BFS finds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import discover_mapping
 from repro.errors import NameCollisionError, SchemaError
 from repro.heuristics.vector import term_vector
 from repro.relational import (
@@ -34,6 +40,14 @@ from repro.relational import (
     is_null,
     tnf_projections,
     value_to_text,
+)
+from repro.search.problem import MappingProblem
+from repro.workloads import flights_b, matching_pair
+from repro.workloads.flights import (
+    flights_a,
+    flights_c,
+    flights_registry,
+    total_cost_correspondence,
 )
 
 # -- strategies -------------------------------------------------------------
@@ -206,3 +220,78 @@ class TestTnfViewOracle:
         assert database_string(db) == "".join(
             sorted(rel + att + val for rel, att, val in naive_triples(db))
         )
+
+
+# -- search optimality oracle ------------------------------------------------
+
+
+def bfs_depth(problem: MappingProblem) -> int | None:
+    """Length of a shortest operator path from the source to a goal.
+
+    Breadth-first over ``problem.successors(state, last_op)``, deduplicated
+    on ``(state, last_op)`` because successor generation depends on both
+    (symmetry breaking reads the operator that produced the state).
+    """
+    root = (problem.initial_state(), None)
+    if problem.is_goal(root[0]):
+        return 0
+    seen = {root}
+    frontier = [root]
+    depth = 0
+    while frontier:
+        depth += 1
+        next_frontier = []
+        for state, last_op in frontier:
+            for op, child in problem.successors(state, last_op):
+                node = (child, op)
+                if node in seen:
+                    continue
+                if problem.is_goal(child):
+                    return depth
+                seen.add(node)
+                next_frontier.append(node)
+        frontier = next_frontier
+    return None
+
+
+def _optimality_cases():
+    for n in range(1, 5):
+        pair = matching_pair(n)
+        yield pytest.param(
+            pair.source, pair.target, (), None, n, id=f"synthetic n={n}"
+        )
+    yield pytest.param(
+        flights_b(), flights_a(), (), flights_registry(), 6, id="flights B->A"
+    )
+    yield pytest.param(
+        flights_b(),
+        flights_c(),
+        (total_cost_correspondence(),),
+        flights_registry(),
+        3,
+        id="flights B->C",
+    )
+
+
+@pytest.mark.parametrize(
+    "source, target, correspondences, registry, depth", _optimality_cases()
+)
+def test_blind_search_returns_optimal_raw_paths(
+    source, target, correspondences, registry, depth
+):
+    problem = MappingProblem(
+        source, target, correspondences=correspondences, registry=registry
+    )
+    assert bfs_depth(problem) == depth
+    for algorithm in ("ida", "rbfs", "astar"):
+        result = discover_mapping(
+            source,
+            target,
+            algorithm=algorithm,
+            heuristic="h0",
+            correspondences=correspondences,
+            registry=registry,
+            simplify=False,
+        )
+        assert result.found, algorithm
+        assert len(result.expression.operators) == depth, algorithm

@@ -1,4 +1,4 @@
-"""Orchestration goldens: what sweeps, the serial race and traces return.
+"""Orchestration goldens: what sweeps and traced discoveries return.
 
 ``tests/goldens/search.json`` pins single discoveries.  This module pins
 the layer above them, compared with ``tests/goldens/orchestration.json``:
@@ -7,13 +7,10 @@ the layer above them, compared with ``tests/goldens/orchestration.json``:
   sweep per ``run_*`` function (x, states, status, expression size and
   cache counters; wall-clock and trace paths zeroed), including a matching
   sweep whose budget cuts it off before its last size;
-* the serial portfolio race on the size-3 synthetic pair: winner, every
-  arm's status and states, and the winning expression;
 * the shape of four traced discoveries (cold, store miss, store served and
   budget cut): the event sequence, span names and each event's key set.
 
-Process-mode race winners depend on the start method, so they are not
-pinned.  The file is rewritten only by running this module with
+The file is rewritten only by running this module with
 ``--update-goldens``::
 
     PYTHONPATH=src python -m pytest tests/test_orchestration_goldens.py --update-goldens
@@ -35,7 +32,7 @@ from repro.experiments.runner import (
 )
 from repro.obs import memory_tracer
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import discover_mapping_portfolio, normalize_series
+from repro.parallel import normalize_series
 from repro.workloads import bamm_domain, inventory_domain, matching_pair
 
 GOLDENS = Path(__file__).parent / "goldens" / "orchestration.json"
@@ -86,17 +83,6 @@ def _series_record(series) -> dict:
     return json.loads(json.dumps(asdict(normalize_series(series))))
 
 
-def _serial_race(_tmp: Path) -> dict:
-    pair = matching_pair(3)
-    race = discover_mapping_portfolio(pair.source, pair.target, parallel=False)
-    return {
-        "winner": race.winner,
-        "mode": race.mode,
-        "arms": [[a.arm, a.status, a.states_examined] for a in race.arms],
-        "expression": str(race.result.expression),
-    }
-
-
 def _trace_shape(run) -> list:
     """Event name, span name and key set of every record *run* emits."""
     tracer, sink = memory_tracer()
@@ -143,7 +129,6 @@ def _trace_budget_cut(_tmp: Path) -> list:
 
 
 RUNS = {
-    "portfolio/serial/n=3/h1": _serial_race,
     "trace/cold/n=2/ida/h1": _trace_cold,
     "trace/store_miss/n=2/ida/h1": _trace_store_miss,
     "trace/store_served/n=2/ida/h1": _trace_store_served,

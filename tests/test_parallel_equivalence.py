@@ -2,8 +2,7 @@
 
 The layer's contract is *equivalence*: a parallel sweep must persist
 bit-identical ExperimentPoints to a serial sweep (modulo wall-clock and the
-per-worker trace-path marker), and a portfolio race must return a mapping
-equal to what the winning algorithm finds on its own.
+per-worker trace-path marker).
 """
 
 from __future__ import annotations
@@ -21,11 +20,8 @@ from repro.experiments.runner import (
 from repro.obs import load_trace, replay_counters
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
-    DEFAULT_PORTFOLIO,
-    discover_mapping_portfolio,
     normalize_point,
     normalize_series,
-    race_table,
     run_experiment_points,
 )
 from repro.parallel import fanout as fanout_module
@@ -43,7 +39,6 @@ from repro.parallel.providers import (
     resolve_registry,
 )
 from repro.relational import Database, Relation
-from repro.search import SearchConfig, discover_mapping
 from repro.search.problem import MappingProblem
 from repro.semantics import FunctionRegistry
 from repro.workloads.bamm import bamm_corpus
@@ -253,125 +248,6 @@ class TestProviders:
             providers._PROVIDERS.pop(name, None)
 
 
-class TestPortfolio:
-    def test_race_matches_winning_solo_run(self):
-        pair = matching_pair(3)
-        race = discover_mapping_portfolio(
-            pair.source, pair.target, config=SearchConfig(max_states=50_000)
-        )
-        assert race.found
-        assert race.winner in DEFAULT_PORTFOLIO
-        solo = discover_mapping(
-            pair.source,
-            pair.target,
-            algorithm=race.winner,
-            config=SearchConfig(max_states=50_000),
-        )
-        assert solo.found
-        assert race.result.expression == solo.expression
-
-    def test_race_on_semantic_domain(self):
-        domain = inventory_domain()
-        task = domain.task(1)
-        race = discover_mapping_portfolio(
-            task.source,
-            task.target,
-            algorithms=("ida", "greedy"),
-            correspondences=task.correspondences,
-            registry_provider=domain.name,
-            config=SearchConfig(max_states=50_000),
-        )
-        assert race.found
-        applied = race.result.expression.apply(task.source, task.registry)
-        assert applied.contains(task.target)
-        # acceptance: identical expression to the winning solo run
-        solo = discover_mapping(
-            task.source,
-            task.target,
-            algorithm=race.winner,
-            correspondences=task.correspondences,
-            registry=task.registry,
-            config=SearchConfig(max_states=50_000),
-        )
-        assert race.result.expression == solo.expression
-
-    def test_serial_mode_equivalent(self):
-        pair = matching_pair(2)
-        race = discover_mapping_portfolio(
-            pair.source,
-            pair.target,
-            parallel=False,
-            config=SearchConfig(max_states=50_000),
-        )
-        assert race.mode == "serial"
-        assert race.found
-        solo = discover_mapping(
-            pair.source,
-            pair.target,
-            algorithm=race.winner,
-            config=SearchConfig(max_states=50_000),
-        )
-        assert race.result.expression == solo.expression
-
-    def test_losers_reported_cancelled_or_finished(self):
-        pair = matching_pair(2)
-        race = discover_mapping_portfolio(
-            pair.source, pair.target, config=SearchConfig(max_states=50_000)
-        )
-        statuses = {arm.arm: arm.status for arm in race.arms}
-        assert set(statuses) == set(DEFAULT_PORTFOLIO)
-        assert statuses[race.winner] == "found"
-
-    def test_metrics_published_per_arm(self):
-        pair = matching_pair(2)
-        metrics = MetricsRegistry()
-        race = discover_mapping_portfolio(
-            pair.source,
-            pair.target,
-            config=SearchConfig(max_states=50_000),
-            metrics=metrics,
-        )
-        assert metrics.counter("portfolio.races").value == 1
-        assert metrics.counter(f"portfolio.wins.{race.winner}").value == 1
-        assert (
-            metrics.counter(
-                f"portfolio.{race.winner}.states_examined"
-            ).value
-            == race.arm(race.winner).states_examined
-        )
-
-    def test_per_arm_traces(self, tmp_path):
-        pair = matching_pair(2)
-        race = discover_mapping_portfolio(
-            pair.source,
-            pair.target,
-            algorithms=("ida", "greedy"),
-            parallel=False,  # deterministic: both arms run to completion check
-            config=SearchConfig(max_states=50_000),
-            trace_dir=tmp_path,
-        )
-        winner = race.arm(race.winner)
-        assert winner.trace_path
-        events = load_trace(winner.trace_path)
-        assert replay_counters(events)["states_examined"] == winner.states_examined
-
-    def test_rejects_unknown_algorithm(self):
-        pair = matching_pair(2)
-        with pytest.raises(ValueError, match="unknown"):
-            discover_mapping_portfolio(
-                pair.source, pair.target, algorithms=("quantum",)
-            )
-
-    def test_race_table_marks_winner(self):
-        pair = matching_pair(2)
-        race = discover_mapping_portfolio(
-            pair.source, pair.target, config=SearchConfig(max_states=50_000)
-        )
-        table = race_table(race)
-        assert "<- winner" in table
-        assert race.winner in table
-
-
 class TestMetricsMerge:
     def test_merge_counters_gauges_histograms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -394,12 +270,6 @@ class TestMetricsMerge:
         b.histogram("h", (1, 3)).observe(1)
         with pytest.raises(ValueError, match="buckets"):
             a.merge_from(b)
-
-    def test_publish_stats_prefix(self):
-        registry = MetricsRegistry()
-        registry.publish_stats({"states": 7, "elapsed": 0.5}, prefix="arm.ida.")
-        assert registry.counter("arm.ida.states").value == 7
-        assert registry.gauge("arm.ida.elapsed").value == 0.5
 
 
 class TestCli:
@@ -427,17 +297,6 @@ class TestCli:
         assert out.exists()
         captured = capsys.readouterr().out
         assert "ida/h1" in captured
-
-    def test_discover_synthetic_portfolio(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["discover", "--synthetic", "2", "--portfolio", "--budget", "50000"]
-        )
-        assert code == 0
-        captured = capsys.readouterr().out
-        assert "portfolio race" in captured
-        assert "<- winner" in captured
 
     def test_discover_requires_some_workload(self, capsys):
         from repro.cli import main

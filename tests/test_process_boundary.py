@@ -2,8 +2,7 @@
 
 One list of :class:`~repro.parallel.fanout.PointSpec`\\ s runs in this
 process and through ``fork``, ``forkserver`` and ``spawn`` pools; every run
-must give identical normalized points.  The portfolio also races once under
-``spawn`` and must return a verified winner.
+must give identical normalized points.
 
 Each run must also raise **zero** ``resilience.*`` counters.  A pool whose
 workers all crash degrades to a serial re-run in this process, and the
@@ -16,14 +15,12 @@ import pytest
 
 from repro.parallel import (
     PointSpec,
-    discover_mapping_portfolio,
     normalize_point,
     run_experiment_points,
     supports_start_method,
 )
 from repro.resilience.runtime import resilience_counters, resilience_delta
 from repro.search import SearchConfig
-from repro.semantics import builtin_registry
 from repro.workloads import inventory_domain, matching_pair
 
 START_METHODS = ("fork", "forkserver", "spawn")
@@ -85,22 +82,3 @@ def test_pool_points_equal_in_process_points(method, in_process):
     assert resilience_delta(baseline) == {}
     assert _normalized(points) == in_process
     assert all(p.found for p in points)
-
-
-def test_portfolio_race_under_spawn_returns_verified_winner():
-    if not supports_start_method("spawn"):
-        pytest.skip("start method 'spawn' not available here")
-    pair = matching_pair(3)
-    baseline = resilience_counters()
-    race = discover_mapping_portfolio(
-        pair.source,
-        pair.target,
-        config=SearchConfig(max_states=50_000),
-        start_method="spawn",
-    )
-    assert resilience_delta(baseline) == {}
-    assert (race.mode, race.start_method) == ("process", "spawn")
-    assert race.found
-    assert race.arm(race.winner).verified
-    mapped = race.result.expression.apply(pair.source, builtin_registry())
-    assert mapped.contains(pair.target)

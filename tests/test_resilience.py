@@ -4,7 +4,7 @@ Every test here either (a) cuts a real search with a wall-clock deadline
 or a :class:`CancelToken` and checks the partial result is usable, or
 (b) injects a deterministic fault (``repro.resilience.faults``) into a
 parallel/tracing path and checks the run degrades — parallel → serial,
-traced → untraced, portfolio → single-arm — with bit-identical
+traced → untraced — with bit-identical
 deterministic payloads and ``resilience.*`` counters recording what
 happened.  No test leaves child processes behind.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
-import signal
 import threading
 import time
 
@@ -37,14 +36,6 @@ from repro.parallel.fanout import (
     SITE_FANOUT_POOL,
     SITE_FANOUT_WORKER,
     normalize_series,
-)
-from repro.parallel.portfolio import (
-    SITE_PORTFOLIO_ARM,
-    SITE_PORTFOLIO_SPAWN,
-    _STATUS_RANK,
-    _pick_best,
-    _reap_processes,
-    discover_mapping_portfolio,
 )
 from repro.resilience import (
     CRASH_EXIT_CODE,
@@ -198,17 +189,6 @@ def test_cancel_token_basics():
     assert token.cancelled
     assert bool(token)
     token.cancel()  # idempotent
-    assert token.cancelled
-
-
-def test_cancel_token_wraps_multiprocessing_event():
-    event = mp.get_context("fork").Event()
-    token = CancelToken(event=event)
-    assert not token.cancelled
-    event.set()
-    assert token.cancelled
-    event.clear()
-    # the token latches: once observed cancelled, it stays cancelled
     assert token.cancelled
 
 
@@ -508,129 +488,6 @@ def test_jsonl_sink_write_fault_closes_file(tmp_path):
             sink.write({"type": "x"})
     # the failed sink is already closed; closing again stays safe
     sink.close()
-
-
-# ---------------------------------------------------------------------------
-# Portfolio under faults and cancellation
-# ---------------------------------------------------------------------------
-
-
-def _race(**kwargs):
-    pair = matching_pair(5)
-    kwargs.setdefault("config", SearchConfig(max_states=200_000))
-    kwargs.setdefault("cancel_grace", 0.5)
-    kwargs.setdefault("terminate_grace", 2.0)
-    return discover_mapping_portfolio(
-        pair.source, pair.target, heuristic="h1", **kwargs
-    )
-
-
-def test_portfolio_losers_cancel_cooperatively():
-    race = _race()
-    assert race.winner is not None
-    losers = [report for report in race.arms if report.arm != race.winner]
-    assert losers
-    for report in losers:
-        assert report.status in ("cancelled", "found", "not_found", "budget_exceeded")
-    # at least one loser handed back partial statistics on its way out
-    cancelled = [r for r in losers if r.status == "cancelled" and r.stats]
-    assert cancelled
-    assert cancelled[0].stats["states_examined"] >= 0
-    assert _no_leaked_children()
-
-
-def test_portfolio_arm_crash_does_not_kill_race():
-    spec = FaultSpec(site=SITE_PORTFOLIO_ARM, kind="crash", scope="worker", match="rbfs")
-    with fault_plan(spec, env=True):
-        race = _race()
-    assert race.winner is not None
-    assert race.winner != "rbfs"
-    assert race.arm("rbfs").status in ("error", "cancelled")
-    assert _no_leaked_children()
-
-
-def test_portfolio_spawn_fault_degrades_to_serial():
-    with fault_plan(FaultSpec(site=SITE_PORTFOLIO_SPAWN, kind="io_error")):
-        race = _race()
-    assert race.mode == "serial"
-    assert race.winner is not None
-    assert resilience_counters()["resilience.portfolio_degraded"] == 1
-    assert _no_leaked_children()
-
-
-def test_portfolio_arm_sink_fault_ships_trace_write_errors_home(tmp_path):
-    # each arm's JsonlSink dies at its 5th write (header + a few events
-    # land first), so every reporting arm finishes untraced and ships a
-    # trace_write_errors delta the parent must absorb
-    spec = FaultSpec(site=SITE_SINK_WRITE, kind="io_error", at=5, scope="worker")
-    with fault_plan(spec, env=True):
-        race = _race(trace_dir=tmp_path)
-    assert race.mode == "process"
-    assert race.winner is not None
-    assert resilience_counters()["resilience.trace_write_errors"] >= 1
-    assert _no_leaked_children()
-
-
-def test_portfolio_serial_sink_fault_counts_once(tmp_path):
-    # serial arms run in this process, so their warnings land directly in
-    # the ledger; the payload-absorb path must not double-count them
-    # (times=1 -> the fault fired exactly once across the whole race)
-    spec = FaultSpec(site=SITE_SINK_WRITE, kind="io_error", at=5)
-    with fault_plan(spec):
-        race = _race(trace_dir=tmp_path, parallel=False)
-    assert race.mode == "serial"
-    assert resilience_counters()["resilience.trace_write_errors"] == 1
-
-
-def test_portfolio_caller_cancel_stops_race():
-    token = CancelToken()
-    timer = threading.Timer(0.15, token.cancel)
-    timer.start()
-    try:
-        pair = matching_pair(7)
-        race = discover_mapping_portfolio(
-            pair.source,
-            pair.target,
-            heuristic="h0",
-            config=SearchConfig(max_states=10_000_000),
-            cancel=token,
-            cancel_grace=0.5,
-            terminate_grace=2.0,
-        )
-    finally:
-        timer.cancel()
-    assert race.winner is None
-    assert _no_leaked_children()
-
-
-def _ignore_sigterm_forever():
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    while True:
-        time.sleep(0.1)
-
-
-def test_reap_escalates_terminate_to_kill():
-    context = mp.get_context("fork")
-    child = context.Process(target=_ignore_sigterm_forever, daemon=True)
-    child.start()
-    time.sleep(0.1)  # let the child install its SIGTERM handler
-    killed = _reap_processes({"stubborn": child}, terminate_grace=0.3)
-    assert killed == 1
-    assert not child.is_alive()
-    assert resilience_counters()["resilience.portfolio_kills"] == 1
-    assert _no_leaked_children()
-
-
-def test_pick_best_prefers_more_informative_statuses():
-    assert _STATUS_RANK["deadline_exceeded"] > _STATUS_RANK["budget_exceeded"]
-    assert _STATUS_RANK["cancelled"] > _STATUS_RANK["deadline_exceeded"]
-    payloads = {
-        "ida": {"status": "deadline_exceeded"},
-        "rbfs": {"status": "cancelled"},
-        "astar": {"status": "not_found"},
-    }
-    best = _pick_best(payloads, ("ida", "rbfs", "astar"))
-    assert best["status"] == "not_found"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Warm-start store suite: fingerprints, memo, spills, and failure modes.
+"""Warm-start store suite: fingerprints, memo, and failure modes.
 
 The store's contract is *warmth is optional, correctness is not*: every
 test that damages a store file (corruption, truncation, version skew,
-forged entries, torn spills) asserts the search degrades to a cold run
+forged entries) asserts the search degrades to a cold run
 with a ``resilience.store_*`` counter — never an exception, never an
 unverified answer.
 """
@@ -23,15 +23,8 @@ from repro.relational.fingerprint import (
     shape_digest,
 )
 from repro.resilience.runtime import resilience_counters, resilience_delta
-from repro.search.problem import MappingProblem
 from repro.semantics import builtin_registry
-from repro.store import (
-    MappingMemo,
-    WarmStartStore,
-    problem_signature,
-    read_spill,
-    write_spill,
-)
+from repro.store import MappingMemo, WarmStartStore
 from repro.workloads.synthetic import matching_pair
 
 
@@ -297,84 +290,6 @@ def test_concurrent_reader_and_writer_on_one_path(tmp_path):
     assert served is not None and str(served[0]) == str(expression)
 
 
-# -- warm spills -------------------------------------------------------------
-
-
-def _problem(source, target):
-    return MappingProblem(source, target)
-
-
-def test_spill_round_trip_preseed_matches_cold(tmp_path):
-    source, target = _pair(3)
-    store = WarmStartStore(tmp_path / "store")
-    cold = _discover(source, target, store=store)
-    assert cold.found and not cold.served_from_store
-    # drop the memo so the next run must *search*, warmed by the spill only
-    store.memo.path.unlink()
-    warm = _discover(source, target, store=WarmStartStore(tmp_path / "store"))
-    assert warm.found and not warm.served_from_store
-    assert str(warm.expression) == str(cold.expression)
-    assert warm.states_examined == cold.states_examined
-    assert warm.stats.cache_hits >= cold.stats.cache_hits
-
-
-def test_unchanged_spill_is_not_rewritten(tmp_path):
-    # a search that runs entirely inside the pre-seeded tables must not
-    # re-encode and rewrite an identical spill (store.spill_skips)
-    from repro.obs.metrics import MetricsRegistry
-
-    source, target = _pair(3)
-    store = WarmStartStore(tmp_path / "store")
-    _discover(source, target, store=store)
-    store.memo.path.unlink()
-    [spill] = list((store.path / "warm").glob("*.json"))
-    before = (spill.stat().st_mtime_ns, spill.stat().st_size)
-
-    metrics = MetricsRegistry()
-    again = _discover(
-        source,
-        target,
-        store=WarmStartStore(tmp_path / "store"),
-        metrics=metrics,
-    )
-    assert again.found and not again.served_from_store
-    assert (spill.stat().st_mtime_ns, spill.stat().st_size) == before
-    assert metrics.counter("store.spill_skips").value == 1
-    assert metrics.counter("store.spill_writes").value == 0
-
-
-def test_torn_spill_degrades_cold(tmp_path):
-    source, target = _pair(2)
-    store = WarmStartStore(tmp_path / "store")
-    cold = _discover(source, target, store=store)
-    store.memo.path.unlink()
-    # truncate every spill file mid-payload
-    spills = list((store.path / "warm").glob("*.json"))
-    assert spills
-    for spill in spills:
-        spill.write_bytes(spill.read_bytes()[: 40])
-    baseline = resilience_counters()
-    again = _discover(source, target, store=WarmStartStore(tmp_path / "store"))
-    assert again.found
-    assert str(again.expression) == str(cold.expression)
-    delta = resilience_delta(baseline)
-    assert delta.get("resilience.store_torn_spill", 0) >= 1
-
-
-def test_spill_rejects_signature_mismatch(tmp_path):
-    source, target = _pair(2)
-    problem = _problem(source, target)
-    signature = problem_signature(problem)
-    tables = problem.export_warm_tables()
-    path = tmp_path / "spill.json"
-    assert write_spill(path, signature, tables, max_states=100) or True
-    assert read_spill(path, signature) is not None
-    baseline = resilience_counters()
-    assert read_spill(path, "deadbeef" * 8) is None
-    delta = resilience_delta(baseline)
-    assert delta.get("resilience.store_torn_spill", 0) >= 1
-
-
 # -- store facade and engine wiring ------------------------------------------
 
 
@@ -394,14 +309,35 @@ def test_store_serves_verified_hit_bit_identically(tmp_path):
 
 def test_store_info_and_gc(tmp_path):
     source, target = _pair(2)
-    store = WarmStartStore(tmp_path / "store", max_spills=0)
+    store = WarmStartStore(tmp_path / "store")
     _discover(source, target, store=store)
     info = store.info()
     assert info["memo"]["entries"] == 1
-    assert info["spills"] == 1
-    summary = store.gc()
-    assert summary["spills_dropped"] == 1
-    assert store.info()["spills"] == 0
+    assert store.gc()["memo"]["kept"] == 1
+    assert store.info()["memo"]["entries"] == 1
+
+
+def test_store_directory_holds_only_the_memo(tmp_path):
+    source, target = _pair(2)
+    store_dir = tmp_path / "store"
+    _discover(source, target, store=store_dir)
+    _discover(source, target, store=store_dir)
+    assert sorted(p.name for p in store_dir.iterdir()) == ["memo.jsonl"]
+
+
+def test_leftover_files_in_store_directory_are_ignored(tmp_path):
+    # a directory written by an older layout (e.g. a warm/ subdirectory)
+    # neither breaks serving nor changes a cold search
+    source, target = _pair(2)
+    store_dir = tmp_path / "store"
+    (store_dir / "warm").mkdir(parents=True)
+    (store_dir / "warm" / "stale.json").write_text("{not json")
+    cold = _discover(source, target)
+    miss = _discover(source, target, store=store_dir)
+    hit = _discover(source, target, store=store_dir)
+    assert not miss.served_from_store and hit.served_from_store
+    assert miss.states_examined == cold.states_examined
+    assert str(hit.expression) == str(miss.expression) == str(cold.expression)
 
 
 def test_cli_store_info_and_gc(tmp_path, capsys):
