@@ -10,7 +10,9 @@ ways:
    check they match the live ``SearchStats`` exactly;
 2. to disk (``JsonlSink`` via ``--trace``-style recording) — reload with
    ``load_trace`` (schema-validated) and render the full run profile;
-3. into a ``MetricsRegistry`` — aggregate depth/branching histograms.
+3. as a distribution — count part 1's ``expand`` events by depth with
+   ``collections.Counter`` (the trace, not a separate registry, keeps
+   every per-state value).
 
 Run:  python examples/trace_inspection.py
 """
@@ -18,14 +20,14 @@ Run:  python examples/trace_inspection.py
 from __future__ import annotations
 
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro import discover_mapping
 from repro.obs import (
-    DEPTH_BUCKETS,
+    EXPAND,
     JsonlSink,
     MemorySink,
-    MetricsRegistry,
     Tracer,
     load_trace,
     replay_counters,
@@ -42,14 +44,12 @@ def main() -> None:
 
     # --- 1. trace into memory and verify the replay contract ---------------
     sink = MemorySink()
-    registry = MetricsRegistry()
     result = discover_mapping(
         pair.source,
         pair.target,
         algorithm="ida",
         heuristic="h0",
         tracer=Tracer(sink),
-        metrics=registry,
         simplify=False,
     )
     replayed = replay_counters(sink.events)
@@ -79,13 +79,16 @@ def main() -> None:
         print(f"\npersisted {len(events)} events to {path.name}; profile:\n")
         print(run_profile(events))
 
-    # --- 3. what the metrics registry aggregated ----------------------------
-    depth = registry.histogram("search.depth", DEPTH_BUCKETS)
+    # --- 3. the depth distribution, read from part 1's expand events -------
+    depths = Counter(e["depth"] for e in sink.events if e["event"] == EXPAND)
+    examined = sum(depths.values())
+    mean = sum(depth * n for depth, n in depths.items()) / examined
     print(
-        f"\nmetrics registry: mean examined depth {depth.mean:.2f} "
-        f"over {depth.total} observations; "
-        f"{registry.counter('search.states_examined').value} states examined"
+        f"\nexpand events: mean examined depth {mean:.2f} over {examined} "
+        f"examinations; {result.stats.states_examined} states examined"
     )
+    for depth in sorted(depths):
+        print(f"  depth {depth}: {depths[depth]}")
 
 
 if __name__ == "__main__":

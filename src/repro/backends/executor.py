@@ -6,9 +6,8 @@ the fastest *faithful* engine available — duckdb, then sqlite, then the
 reference interpreter), compiles the pipeline into that engine's dialect,
 executes it, and hands back the resulting
 :class:`~repro.relational.database.Database` together with the compiled
-script and timings.  Telemetry rides along: ``backend.*`` counters/gauges
-on an optional :class:`~repro.obs.metrics.MetricsRegistry` and
-``backend_compile`` / ``backend_execute`` trace events on an optional
+script and timings.  Telemetry rides along as ``backend_compile`` /
+``backend_execute`` trace events on an optional
 :class:`~repro.obs.tracer.Tracer`.
 """
 
@@ -29,7 +28,6 @@ from .minisql_backend import MiniSqlBackend
 from .sqlite_backend import SqliteBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.metrics import MetricsRegistry
     from ..obs.tracer import Tracer
     from ..search.cancel import CancelToken
     from ..semantics.functions import FunctionRegistry
@@ -101,7 +99,6 @@ class Executor:
             :data:`AUTO_ORDER` that is available **and** supports the
             mapping/instance at hand (falling back to the reference engine,
             which supports everything).
-        metrics: optional registry receiving ``backend.*`` instruments.
         tracer: optional tracer receiving ``backend_compile`` /
             ``backend_execute`` events.
     """
@@ -109,13 +106,11 @@ class Executor:
     def __init__(
         self,
         backend: str = AUTO,
-        metrics: "MetricsRegistry | None" = None,
         tracer: "Tracer | None" = None,
     ) -> None:
         if backend != AUTO:
             get_backend(backend)  # validate eagerly: raises UnknownBackendError
         self.backend = backend
-        self.metrics = metrics
         self.tracer = tracer
 
     def resolve(
@@ -169,14 +164,6 @@ class Executor:
                 statements=script.statement_count,
                 dur=execute_seconds,
             )
-        if self.metrics is not None:
-            self.metrics.counter("backend.executions").inc()
-            self.metrics.counter(f"backend.{backend.name}.executions").inc()
-            self.metrics.counter("backend.statements").inc(
-                script.statement_count
-            )
-            self.metrics.gauge("backend.compile_seconds").add(compile_seconds)
-            self.metrics.gauge("backend.execute_seconds").add(execute_seconds)
 
         return ExecutionResult(
             backend=backend.name,
@@ -194,11 +181,10 @@ def execute_mapping(
     registry: "FunctionRegistry | None" = None,
     deadline: float | None = None,
     cancel: "CancelToken | None" = None,
-    metrics: "MetricsRegistry | None" = None,
     tracer: "Tracer | None" = None,
 ) -> ExecutionResult:
     """One-call mapping execution (see :class:`Executor`)."""
-    executor = Executor(backend=backend, metrics=metrics, tracer=tracer)
+    executor = Executor(backend=backend, tracer=tracer)
     return executor.execute(
         expression,
         source,

@@ -7,13 +7,15 @@ Commands::
 
     python -m repro discover (--source DIR --target DIR | --synthetic N)
         [--algorithm rbfs] [--heuristic h1] [--k K] [--budget N]
-        [--correspondence "Total<-add(Cost,Fee)"]...
-        [--show-matching] [--show-sql]
+        [--deadline SECONDS] [--correspondence "Total<-add(Cost,Fee)"]...
+        [--show-matching] [--show-sql] [--execute] [--backend NAME]
         [--output FILE] [--trace FILE] [--progress] [--store DIR]
 
     python -m repro experiments --sizes 1 2 3 4
-        [--algorithm ida]... [--heuristic h1] [--budget N]
-        [--workers N] [--trace-dir DIR] [--output FILE]
+        [--algorithm ida]... [--heuristic h1] [--k K] [--budget N]
+        [--deadline SECONDS] [--workers N]
+        [--start-method fork|forkserver|spawn] [--trace-dir DIR]
+        [--store DIR] [--output FILE]
 
     python -m repro apply --expression FILE --source DIR [--output DIR]
 
@@ -24,7 +26,8 @@ Commands::
     python -m repro tnf --source DIR
 
     python -m repro trace (--source DIR --target DIR | --synthetic N)
-        --output FILE [--algorithm ida] [--heuristic h0] [--budget N]
+        --output FILE [--algorithm ida] [--heuristic h0] [--k K]
+        [--budget N]
 
     python -m repro trace --inspect FILE
 
@@ -34,11 +37,11 @@ Commands::
 
     python -m repro profile [--synthetic N] [--algorithm ida]
         [--heuristic h0] [--budget N] [--top N] [--sort cumulative]
-        [--spans]
+        [--cold]
 
     python -m repro store info --path DIR
 
-    python -m repro store gc --path DIR
+    python -m repro store gc --path DIR [--max-entries N]
 
     python -m repro info
 
@@ -370,12 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cold",
         action="store_true",
         help="skip the unprofiled warm-up run (includes one-time costs)",
-    )
-    profile.add_argument(
-        "--spans",
-        action="store_true",
-        help="profile by discovery-phase spans (self/total time tree) "
-        "instead of cProfile function rows",
     )
 
     store = sub.add_parser(
@@ -762,18 +759,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.synthetic < 1:
         print("error: --synthetic needs a size >= 1", file=sys.stderr)
         return 2
-    if args.spans:
-        from .experiments import span_profile_point
-
-        span_profile = span_profile_point(
-            n=args.synthetic,
-            algorithm=args.algorithm,
-            heuristic=args.heuristic,
-            budget=args.budget,
-            warm=not args.cold,
-        )
-        print(span_profile.table())
-        return 0
     from .experiments import profile_point
 
     profile = profile_point(
@@ -825,7 +810,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
     print("heuristics: " + ", ".join(HEURISTIC_NAMES))
     print("extensions: " + ", ".join(EXTENSION_HEURISTIC_NAMES))
     print(f"telemetry: structured tracing (schema v{SCHEMA_VERSION}), "
-          "metrics registry (counters/gauges/histograms)")
+          "run counters on SearchStats (replayable from a trace)")
     from .serialize import FAST_JSON_BACKEND
 
     print(f"json backend: {FAST_JSON_BACKEND}")

@@ -13,9 +13,7 @@ from .kernel_profile import (
     PROFILE_SORTS,
     KernelProfile,
     ProfileRow,
-    SpanProfile,
     profile_point,
-    span_profile_point,
 )
 from .persist import load_series, save_series, series_from_dict, series_to_dict
 from .plots import SERIES_MARKS, ascii_chart
@@ -52,8 +50,6 @@ __all__ = [
     "KernelProfile",
     "ProfileRow",
     "profile_point",
-    "SpanProfile",
-    "span_profile_point",
     "load_series",
     "save_series",
     "series_from_dict",

@@ -7,14 +7,9 @@ heuristic) heuristic evaluation.  :func:`profile_point` runs one such
 discovery under :mod:`cProfile` and distils the top cumulative-time sinks,
 so a regression or an optimisation shows up as a moved line, not a vibe.
 
-:func:`span_profile_point` is the trace-native alternative: it runs the
-same discovery with a :class:`~repro.obs.sinks.MemorySink` tracer and
-reassembles the emitted spans into a phase tree
-(:mod:`repro.obs.spans`) with self/total time and an optional
-collapsed-stack export — attribution by discovery phase rather than by
-Python function, at trace overhead instead of cProfile overhead.
-
-Exposed as ``repro profile`` (``--spans`` for the span variant) on the CLI.
+Exposed as ``repro profile`` on the CLI.  For attribution by discovery
+phase rather than by Python function, ``repro trace`` renders the run's
+span tree and ``repro trace --collapse`` exports it as collapsed stacks.
 """
 
 from __future__ import annotations
@@ -157,76 +152,3 @@ def profile_point(
         rows=_distil(profiler, sort, top),
     )
 
-
-@dataclass(frozen=True)
-class SpanProfile:
-    """Result of one span-traced discovery run."""
-
-    n: int
-    algorithm: str
-    heuristic: str
-    status: str
-    states_examined: int
-    elapsed_seconds: float
-    roots: tuple = ()
-
-    def table(self) -> str:
-        """ASCII rendering: headline line plus the span tree."""
-        from ..obs.spans import render_span_tree
-
-        lines = [
-            f"span profile: synthetic n={self.n} {self.algorithm}/{self.heuristic}",
-            f"status={self.status} states_examined={self.states_examined} "
-            f"elapsed={self.elapsed_seconds:.3f}s",
-            "",
-            render_span_tree(self.roots),
-        ]
-        return "\n".join(lines)
-
-    def collapsed(self) -> list[str]:
-        """Collapsed-stack lines for flamegraph.pl / speedscope."""
-        from ..obs.spans import collapsed_stacks
-
-        return collapsed_stacks(self.roots)
-
-
-def span_profile_point(
-    n: int = 5,
-    algorithm: str = "ida",
-    heuristic: str = "h0",
-    budget: int = 1_000_000,
-    warm: bool = True,
-) -> SpanProfile:
-    """Trace one synthetic discovery and reassemble its span tree.
-
-    Same workload and warm-up contract as :func:`profile_point`, but the
-    measurement is the run's own span events instead of cProfile — phase
-    attribution (setup / search / expansion loop / successor generation /
-    heuristic evaluation / goal tests / simplify) with self/total time.
-    """
-    from ..obs.sinks import MemorySink
-    from ..obs.spans import build_span_tree
-    from ..obs.tracer import Tracer
-    from ..workloads import matching_pair
-
-    pair = matching_pair(n)
-    config = SearchConfig(max_states=budget)
-    if warm:
-        discover_mapping(
-            pair.source, pair.target, algorithm=algorithm,
-            heuristic=heuristic, config=config,
-        )
-    sink = MemorySink()
-    result = discover_mapping(
-        pair.source, pair.target, algorithm=algorithm,
-        heuristic=heuristic, config=config, tracer=Tracer(sink),
-    )
-    return SpanProfile(
-        n=n,
-        algorithm=algorithm,
-        heuristic=heuristic,
-        status=result.status,
-        states_examined=result.stats.states_examined,
-        elapsed_seconds=result.stats.elapsed,
-        roots=tuple(build_span_tree(sink.events)),
-    )

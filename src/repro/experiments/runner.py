@@ -12,11 +12,11 @@ Every ``run_*`` function turns its grid into
 executor, :func:`~repro.parallel.fanout.run_spec`, so a point is searched
 the same way serially and in a pool.
 
-Telemetry hooks: every ``run_*`` function accepts ``trace_dir=`` (persist a
+Telemetry: every ``run_*`` function accepts ``trace_dir=`` (persist a
 JSONL trace per measured point next to the archived series — each
-:class:`ExperimentPoint` then carries its ``trace_path``) and ``metrics=``
-(one shared :class:`~repro.obs.metrics.MetricsRegistry` accumulating
-counters and distribution histograms across the whole series).
+:class:`ExperimentPoint` then carries its ``trace_path``).  A series'
+counter totals are the sum of its points' counters, or offline the sum of
+:func:`~repro.obs.report.replay_counters` over its traces.
 
 Parallelism: every ``run_*`` function also accepts ``workers=N`` — the
 series' specs shard across a process pool (:mod:`repro.parallel.fanout`)
@@ -38,7 +38,6 @@ from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..obs.metrics import MetricsRegistry
 from ..parallel.fanout import PointSpec, run_experiment_points, run_spec
 from ..parallel.providers import has_provider
 from ..search.config import SearchConfig
@@ -159,17 +158,16 @@ def _sweep(
     specs: Iterable[PointSpec],
     *,
     stop_after_cutoff: bool,
-    metrics: MetricsRegistry | None,
     workers: int,
     start_method: str | None,
 ) -> ExperimentSeries:
     """Run one series' specs, serially (lazily, in order) or on a pool."""
     if workers >= 1:
         points: Iterable[ExperimentPoint] = run_experiment_points(
-            list(specs), workers, start_method=start_method, metrics=metrics
+            list(specs), workers, start_method=start_method
         )
     else:
-        points = (_point(spec, run_spec(spec, metrics)) for spec in specs)
+        points = (_point(spec, run_spec(spec)) for spec in specs)
     if stop_after_cutoff:
         points = _truncate_after_cutoff(points)
     return ExperimentSeries(label=label, points=tuple(points))
@@ -183,7 +181,6 @@ def run_matching_series(
     k: float | None = None,
     stop_after_cutoff: bool = True,
     trace_dir: str | Path | None = None,
-    metrics: MetricsRegistry | None = None,
     workers: int = 0,
     start_method: str | None = None,
     deadline_seconds: float | None = None,
@@ -195,7 +192,7 @@ def run_matching_series(
     each size.  With *stop_after_cutoff* (default), the series stops once a
     size exhausts the budget — larger sizes only get more expensive, which
     is how the paper's curves end at the 10^6 cut.  *trace_dir* persists a
-    JSONL trace per point; *metrics* aggregates counters across the series.
+    JSONL trace per point.
     With ``workers >= 1`` the sizes shard across a process pool (see the
     module docstring for the determinism contract).  *deadline_seconds*
     bounds every point's wall-clock individually; a point that runs out of
@@ -228,7 +225,6 @@ def run_matching_series(
         label,
         specs(),
         stop_after_cutoff=stop_after_cutoff,
-        metrics=metrics,
         workers=workers,
         start_method=start_method,
     )
@@ -242,7 +238,6 @@ def run_bamm_domain(
     k: float | None = None,
     limit: int | None = None,
     trace_dir: str | Path | None = None,
-    metrics: MetricsRegistry | None = None,
     workers: int = 0,
     start_method: str | None = None,
     deadline_seconds: float | None = None,
@@ -276,7 +271,6 @@ def run_bamm_domain(
         label,
         specs,
         stop_after_cutoff=False,
-        metrics=metrics,
         workers=workers,
         start_method=start_method,
     )
@@ -315,7 +309,6 @@ def run_semantic_series(
     k: float | None = None,
     stop_after_cutoff: bool = True,
     trace_dir: str | Path | None = None,
-    metrics: MetricsRegistry | None = None,
     workers: int = 0,
     start_method: str | None = None,
     deadline_seconds: float | None = None,
@@ -358,7 +351,6 @@ def run_semantic_series(
         label,
         specs(),
         stop_after_cutoff=stop_after_cutoff,
-        metrics=metrics,
         workers=workers,
         start_method=start_method,
     )

@@ -28,7 +28,6 @@ from time import perf_counter
 from typing import TYPE_CHECKING
 
 from ..obs.events import CACHE_HIT, CACHE_MISS
-from ..obs.metrics import HEURISTIC_BUCKETS
 from ..relational.database import Database
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,10 +97,6 @@ class Heuristic(abc.ABC):
             tracer = stats.tracer
             if tracer.enabled:
                 tracer.emit(CACHE_MISS, cache="heuristic", value=value)
-            if stats.metrics is not None:
-                stats.metrics.histogram(
-                    "search.heuristic_value", HEURISTIC_BUCKETS
-                ).observe(value)
         if self.cache_capacity is not None and len(cache) > self.cache_capacity:
             cache.popitem(last=False)
             if stats is not None:

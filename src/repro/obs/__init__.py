@@ -1,9 +1,11 @@
 """repro.obs — the TUPELO telemetry layer.
 
-Structured tracing (typed events, pluggable sinks), a metrics registry
-(counters / gauges / fixed-bucket histograms), and run-inspection tooling
-(trace replay + ASCII run profiles).  See ``docs/observability.md`` for
-the event taxonomy and usage patterns.
+Structured tracing (typed events, pluggable sinks) and run-inspection
+tooling (trace replay + ASCII run profiles).  A run's counters live on
+its :class:`~repro.search.stats.SearchStats` (``result.stats``) and in the
+trace's ``search_end`` record; :func:`replay_counters` rebuilds them
+offline.  See ``docs/observability.md`` for the event taxonomy and usage
+patterns.
 
 Quick use::
 
@@ -47,17 +49,8 @@ from .merge import (
     load_trace_lenient,
     merge_report,
     merge_traces,
-    merged_metrics,
+    merged_counters,
     write_merged,
-)
-from .metrics import (
-    BRANCHING_BUCKETS,
-    DEPTH_BUCKETS,
-    HEURISTIC_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
 )
 from .progress import (
     CallbackProgress,
@@ -99,7 +92,7 @@ __all__ = [
     "load_trace_lenient",
     "merge_report",
     "merge_traces",
-    "merged_metrics",
+    "merged_counters",
     "write_merged",
     "CallbackProgress",
     "ConsoleProgress",
@@ -131,13 +124,6 @@ __all__ = [
     "TRACE_HEADER",
     "validate_event",
     "validate_events",
-    "BRANCHING_BUCKETS",
-    "DEPTH_BUCKETS",
-    "HEURISTIC_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "replay_counters",
     "run_profile",
     "SINK_NAMES",

@@ -13,10 +13,9 @@ in causal (wall-clock) order, and re-sequences the result — producing one
 stream that :func:`~repro.obs.report.replay_counters`,
 :func:`~repro.obs.report.run_profile`, and
 :func:`~repro.obs.spans.build_span_tree` consume unchanged.
-:func:`merged_metrics` folds the per-source replayed counters into one
-:class:`~repro.obs.metrics.MetricsRegistry` via ``merge_from``, so a
-``workers=2`` sweep aggregates to exactly the counters the serial sweep
-publishes.  ``repro trace --merge`` is the CLI face of this module.
+:func:`merged_counters` sums the per-source replayed counters, so a
+``workers=2`` sweep aggregates to exactly the counters of the serial
+sweep.  ``repro trace --merge`` is the CLI face of this module.
 
 Worker files may be torn mid-line when a process was killed (a crashed
 worker): :func:`load_trace_lenient` tolerates a truncated
@@ -26,6 +25,7 @@ Corruption anywhere else still fails loudly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -33,7 +33,6 @@ from typing import IO, Iterable, Sequence
 from ..errors import TraceFormatError
 from ..serialize import json_dumps_compact, json_loads
 from .events import SCHEMA_VERSION, TRACE_HEADER, validate_event
-from .metrics import MetricsRegistry
 from .report import replay_counters
 
 
@@ -147,22 +146,16 @@ def merge_traces(paths: Iterable[str | Path]) -> MergedTrace:
     return MergedTrace(events=events, sources=sources, wall_base=wall_base)
 
 
-def merged_metrics(merged: MergedTrace) -> MetricsRegistry:
-    """Fold each source's replayed counters into one registry.
+def merged_counters(merged: MergedTrace) -> dict[str, int]:
+    """The sum of each source's :func:`~repro.obs.report.replay_counters`.
 
-    One registry per source is filled from
-    :func:`~repro.obs.report.replay_counters` (namespaced ``trace.*``) and
-    accumulated via :meth:`~repro.obs.metrics.MetricsRegistry.merge_from` —
-    the same mechanism the live fan-out uses — so the merged totals for a
-    ``workers=N`` run equal the serial run's totals.
+    Sources are summed one by one, so the totals for a ``workers=N`` run
+    equal the serial run's totals however the points were sharded.
     """
-    totals = MetricsRegistry()
+    totals: Counter[str] = Counter()
     for source in merged.sources:
-        per_source = MetricsRegistry()
-        for name, value in replay_counters(source.events).items():
-            per_source.counter(f"trace.{name}").inc(int(value))
-        totals.merge_from(per_source)
-    return totals
+        totals.update(replay_counters(source.events))
+    return dict(totals)
 
 
 def merge_report(merged: MergedTrace) -> str:
@@ -196,10 +189,9 @@ def merge_report(merged: MergedTrace) -> str:
             title="per-source (start+ = tracer armed after earliest source)",
         )
     )
-    totals = merged_metrics(merged).counters()
     total_rows = [
-        [name.removeprefix("trace."), value]
-        for name, value in totals.items()
+        [name, value]
+        for name, value in sorted(merged_counters(merged).items())
         if value
     ]
     if total_rows:
@@ -208,7 +200,7 @@ def merge_report(merged: MergedTrace) -> str:
             ascii_table(
                 ["counter", "total"],
                 total_rows,
-                title="merged counters (MetricsRegistry.merge_from)",
+                title="merged counters (sum of replayed counters)",
             )
         )
     if merged.torn_sources:

@@ -8,10 +8,8 @@ additional polling.  Each update is a frozen :class:`ProgressUpdate`
 snapshot: states examined/generated, frontier depth and size, the best
 f-value currently under expansion, and elapsed wall-clock.
 
-This is the exact per-request streaming contract the planned
-``repro serve`` mode exposes: a server attaches a :class:`CallbackProgress`
-per request and forwards updates to the client.  Interactively,
-``repro discover --progress`` renders updates with
+A caller attaches a :class:`CallbackProgress` per request to receive the
+updates.  Interactively, ``repro discover --progress`` renders them with
 :class:`ConsoleProgress`.
 
 Callbacks run on the search thread: keep them cheap, and never let them

@@ -37,8 +37,9 @@ Design decisions, in the order they matter:
   crash.  Transient pool failures are retried first
   (:func:`~repro.resilience.runtime.retry_call`, bounded with
   deterministic jittered backoff); every degradation records a
-  ``resilience.*`` counter in the process-global registry, never in the
-  caller's *metrics* (which must stay bit-identical to a healthy run).
+  ``resilience.*`` counter in the process-global ledger, never in a
+  point's :class:`~repro.search.stats.SearchStats` (which must stay
+  bit-identical to a healthy run).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from functools import partial
 from pickle import PicklingError
 from typing import TYPE_CHECKING, Sequence
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.sinks import JsonlSink
 from ..obs.tracer import Tracer
 from ..relational.database import Database
@@ -114,9 +114,7 @@ class PointSpec:
     x: float = 0.0
 
 
-def run_spec(
-    spec: PointSpec, metrics: MetricsRegistry | None = None
-) -> SearchResult:
+def run_spec(spec: PointSpec) -> SearchResult:
     """Run one request: the path every sweep point takes.
 
     Resolves the registry by provider name, streams the JSONL trace when
@@ -137,7 +135,6 @@ def run_spec(
             config=spec.config,
             simplify=False,
             tracer=tracer,
-            metrics=metrics,
             store=spec.store_path or None,
         )
     finally:
@@ -145,34 +142,22 @@ def run_spec(
             tracer.close()
 
 
-def _run_chunk(
-    specs: Sequence[PointSpec], collect_metrics: bool
-) -> tuple[list[tuple[int, ExperimentPoint]], MetricsRegistry | None]:
-    """Worker entry point: run one chunk serially, return indexed points.
-
-    The chunk shares one local :class:`MetricsRegistry` (when the caller
-    collects metrics), mirroring how a serial sweep accumulates into a
-    single registry; the parent merges chunk registries on collection.
-    """
+def _run_chunk(specs: Sequence[PointSpec]) -> list[tuple[int, ExperimentPoint]]:
+    """Worker entry point: run one chunk serially, return indexed points."""
     from ..experiments.runner import _point  # the runner imports this module
 
-    metrics = MetricsRegistry() if collect_metrics else None
-    points = [(spec.index, _point(spec, run_spec(spec, metrics))) for spec in specs]
-    return points, metrics
+    return [(spec.index, _point(spec, run_spec(spec))) for spec in specs]
 
 
 def _run_chunk_pooled(
-    specs: Sequence[PointSpec], collect_metrics: bool
-) -> tuple[
-    list[tuple[int, ExperimentPoint]], MetricsRegistry | None, dict[str, int]
-]:
+    specs: Sequence[PointSpec],
+) -> tuple[list[tuple[int, ExperimentPoint]], dict[str, int]]:
     """Pool-dispatched chunk entry: :func:`_run_chunk` in the worker envelope."""
-    (points, metrics), delta = run_in_worker(
+    return run_in_worker(
         SITE_FANOUT_WORKER,
         f"chunk{specs[0].index}" if specs else None,
-        partial(_run_chunk, specs, collect_metrics),
+        partial(_run_chunk, specs),
     )
-    return points, metrics, delta
 
 
 def _mark_worker_traces(chunks: list[list[PointSpec]]) -> list[list[PointSpec]]:
@@ -194,14 +179,11 @@ def run_experiment_points(
     specs: Sequence[PointSpec],
     workers: int,
     start_method: str | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> list[ExperimentPoint]:
     """Execute *specs* on a pool of *workers* processes.
 
     Points come back sorted by grid index — byte-identical (modulo
     wall-clock and trace-path markers) to running the specs serially.
-    Metrics observed by workers merge into *metrics* in chunk order
-    (commutative adds, so ordering cannot change totals).
 
     Degrades to serial in-process execution when pools are unavailable,
     break mid-run (retried up to :data:`POOL_RETRIES` times first — the
@@ -212,7 +194,6 @@ def run_experiment_points(
     if not specs:
         return []
     chunks = _mark_worker_traces(strided_chunks(list(specs), max(1, workers)))
-    collect_metrics = metrics is not None
     outcomes: list[tuple] | None = None
     if workers >= 1:
         from concurrent.futures.process import BrokenProcessPool
@@ -224,12 +205,7 @@ def run_experiment_points(
                 return None  # pool machinery unavailable on this platform
             with executor:
                 inject(SITE_FANOUT_SUBMIT)
-                return list(
-                    executor.map(
-                        partial(_run_chunk_pooled, collect_metrics=collect_metrics),
-                        chunks,
-                    )
-                )
+                return list(executor.map(_run_chunk_pooled, chunks))
 
         try:
             outcomes = retry_call(
@@ -248,12 +224,10 @@ def run_experiment_points(
     if outcomes is None:
         # serial fallback: warnings land directly in this process's
         # ledger, so the shipped delta is empty by construction
-        outcomes = [(*_run_chunk(chunk, collect_metrics), {}) for chunk in chunks]
+        outcomes = [(_run_chunk(chunk), {}) for chunk in chunks]
     indexed: list[tuple[int, ExperimentPoint]] = []
-    for chunk_points, chunk_metrics, chunk_resilience in outcomes:
+    for chunk_points, chunk_resilience in outcomes:
         indexed.extend(chunk_points)
-        if metrics is not None and chunk_metrics is not None:
-            metrics.merge_from(chunk_metrics)
         absorb_resilience(chunk_resilience)
     indexed.sort(key=lambda item: item[0])
     return [point for _index, point in indexed]

@@ -7,10 +7,11 @@ Two halves:
   :class:`FaultSpec` plans to crash workers, slow them down, break sink
   writes, or poison pickling — deterministically, selected by hit count.
 * :mod:`repro.resilience.runtime` — the degradation ledger.  Survivable
-  failures record ``resilience.*`` counters in a process-global registry
-  (kept out of caller metrics so degraded runs stay metric-identical to
-  healthy ones) and share :func:`retry_call`, the bounded
-  deterministic-jitter retry helper.
+  failures record ``resilience.*`` counts in a process-global
+  :class:`collections.Counter` (kept apart from a run's ``SearchStats``,
+  so degraded runs report the same search counters as healthy ones) and
+  share :func:`retry_call`, the bounded deterministic-jitter retry
+  helper.
 
 See ``docs/robustness.md`` for the degradation contract.
 """

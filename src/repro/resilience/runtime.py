@@ -3,10 +3,10 @@
 Every survivable failure in the parallel, telemetry and store layers
 records a ``resilience.*`` counter here before degrading (parallel →
 serial, traced → untraced, stored → cold).  The counters live in a
-process-global registry — *not* the caller's
-:class:`~repro.obs.metrics.MetricsRegistry` — so degraded runs still
-publish bit-identical search metrics to healthy runs; the chaos suite
-reads this registry to prove each failure path was actually taken.
+process-global :class:`collections.Counter`, apart from a run's
+:class:`~repro.search.stats.SearchStats`, so degraded runs still report
+bit-identical search counters to healthy runs; the chaos suite reads
+this ledger to prove each failure path was actually taken.
 
 :func:`retry_call` is the shared transient-failure helper: bounded
 attempts with exponential backoff and a *deterministic* jitter (seeded
@@ -17,15 +17,14 @@ from the site name and attempt number, never the wall clock or
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Callable, Mapping, TypeVar
 from zlib import crc32
 
-from ..obs.metrics import MetricsRegistry
-
 T = TypeVar("T")
 
-#: process-global registry for resilience.* warning counters
-RESILIENCE = MetricsRegistry()
+#: process-global ledger of resilience.* warning counts
+RESILIENCE: Counter[str] = Counter()
 
 #: recent (name, detail) warning events, newest last (bounded ring)
 _EVENTS: list[tuple[str, str]] = []
@@ -37,16 +36,20 @@ def resilience_warning(name: str, detail: str = "") -> None:
 
     *detail* (free-form, e.g. the exception repr or the degraded path) is
     kept in a bounded in-process event list for test assertions and
-    post-mortems; it never reaches the metric itself.
+    post-mortems; it never reaches the counter itself.
     """
-    RESILIENCE.counter(f"resilience.{name}").inc()
+    RESILIENCE[f"resilience.{name}"] += 1
     _EVENTS.append((name, detail))
     del _EVENTS[:-_EVENTS_CAP]
 
 
 def resilience_counters(prefix: str = "resilience.") -> dict[str, int]:
     """Snapshot of the global warning counters (sorted by name)."""
-    return RESILIENCE.counters(prefix)
+    return {
+        name: count
+        for name, count in sorted(RESILIENCE.items())
+        if name.startswith(prefix)
+    }
 
 
 def resilience_delta(baseline: Mapping[str, int]) -> dict[str, int]:
@@ -66,7 +69,7 @@ def resilience_delta(baseline: Mapping[str, int]) -> dict[str, int]:
 
 
 def absorb_resilience(delta: Mapping[str, int]) -> None:
-    """Fold a worker's shipped counter delta into this process's registry.
+    """Fold a worker's shipped counter delta into this process's ledger.
 
     The inverse of :func:`resilience_delta`: the parent calls this once
     per collected worker payload, so degradations that happened across a
@@ -75,7 +78,7 @@ def absorb_resilience(delta: Mapping[str, int]) -> None:
     """
     for name, amount in delta.items():
         if amount > 0:
-            RESILIENCE.counter(name).inc(int(amount))
+            RESILIENCE[name] += int(amount)
 
 
 def resilience_events() -> list[tuple[str, str]]:
@@ -89,7 +92,7 @@ def reset_resilience() -> None:
     Clears the singleton in place so every importer — including modules
     that bound ``RESILIENCE`` at import time — sees the fresh state.
     """
-    RESILIENCE._instruments.clear()
+    RESILIENCE.clear()
     _EVENTS.clear()
 
 

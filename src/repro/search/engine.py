@@ -23,7 +23,6 @@ from ..fira.expression import MappingExpression
 from ..heuristics.base import Heuristic
 from ..heuristics.registry import make_heuristic
 from ..obs.events import SEARCH_END, SEARCH_START, SOLUTION
-from ..obs.metrics import MetricsRegistry
 from ..obs.progress import CallbackProgress, ProgressSink
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..relational.database import Database
@@ -72,7 +71,6 @@ def discover_mapping(
     config: SearchConfig | None = None,
     simplify: bool = True,
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
     cancel: CancelToken | None = None,
     progress: "ProgressSink | Callable | None" = None,
     store=None,
@@ -96,9 +94,6 @@ def discover_mapping(
             the full event stream (``search_start`` ... ``search_end``)
             into its sink.  The caller keeps ownership: close the sink
             after the call if it holds a file.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            distribution histograms fill during the run and the final
-            counters are published into it.
         cancel: optional :class:`~repro.search.cancel.CancelToken`; setting
             it (from any thread) makes the search unwind cooperatively
             with a ``cancelled`` result carrying the partial stats.
@@ -134,6 +129,15 @@ def discover_mapping(
     else:
         progress_sink = CallbackProgress(progress)
     config = config if config is not None else SearchConfig()
+    # Built first so the run clock (and the deadline) covers the store
+    # lookup too; building it emits nothing.
+    stats = SearchStats(
+        budget=config.max_states,
+        tracer=run_tracer,
+        deadline_seconds=config.deadline_seconds,
+        cancel_token=cancel,
+        progress=progress_sink,
+    )
     store_obj = served = None
     if store is not None:
         # Lazy import: only runs with a store requested, keeping repro.store
@@ -151,7 +155,6 @@ def discover_mapping(
                 heuristic=heuristic,
                 k=k,
                 registry=registry,
-                metrics=metrics,
                 tracer=run_tracer,
             )
     # A served request examines no state: it builds no problem or heuristic
@@ -163,14 +166,6 @@ def discover_mapping(
         else run_tracer.span("discover", algorithm=algorithm, heuristic=heuristic)
     )
     with discover_span:
-        stats = SearchStats(
-            budget=config.max_states,
-            tracer=run_tracer,
-            metrics=metrics,
-            deadline_seconds=config.deadline_seconds,
-            cancel_token=cancel,
-            progress=progress_sink,
-        )
         if served is None:
             with run_tracer.span("setup"):
                 problem = MappingProblem(
@@ -230,7 +225,6 @@ def discover_mapping(
                         problem.config, problem.correspondences
                     ),
                     states_examined=stats.states_examined,
-                    metrics=metrics,
                     tracer=run_tracer,
                 )
         if progress_sink is not None:
@@ -301,7 +295,6 @@ class Tupelo:
         config: SearchConfig | None = None,
         simplify: bool = True,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
         progress: "ProgressSink | Callable | None" = None,
         store=None,
     ) -> None:
@@ -316,7 +309,6 @@ class Tupelo:
         self.simplify = simplify
         #: default telemetry hooks applied to every discover() call
         self.tracer = tracer
-        self.metrics = metrics
         self.progress = progress
         #: warm-start store shared by every discover() call (path or store)
         self.store = store
@@ -327,13 +319,12 @@ class Tupelo:
         target: Database,
         correspondences: Sequence[Correspondence] = (),
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
         cancel: CancelToken | None = None,
         progress: "ProgressSink | Callable | None" = None,
     ) -> SearchResult:
         """Discover a mapping expression from *source* to *target*.
 
-        *tracer* / *metrics* / *progress* override the engine-level
+        *tracer* / *progress* override the engine-level
         defaults for this one call (pass them to trace a single discovery
         out of many); *cancel* makes this one call cooperatively
         cancellable.
@@ -349,7 +340,6 @@ class Tupelo:
             config=self.config,
             simplify=self.simplify,
             tracer=tracer if tracer is not None else self.tracer,
-            metrics=metrics if metrics is not None else self.metrics,
             cancel=cancel,
             progress=progress if progress is not None else self.progress,
             store=self.store,

@@ -11,15 +11,16 @@ estimate cache — see :mod:`repro.search.problem` and
 eviction counters per cache, and per-phase wall-clock (successor generation,
 heuristic evaluation, goal tests) so benches can attribute time saved.
 
-``SearchStats`` is also the kernel's hand-hold on the telemetry layer
-(:mod:`repro.obs`): it carries the run's :class:`~repro.obs.tracer.Tracer`
+``SearchStats`` is the one store of a run's counters.  :meth:`as_dict`
+is the snapshot the engine publishes in the ``search_end`` event, and
+:func:`repro.obs.report.replay_counters` rebuilds it offline from a trace.
+It also carries the run's :class:`~repro.obs.tracer.Tracer`
 (``expand`` / ``iteration_start`` / ``budget_exceeded`` events are emitted
 from the counting methods themselves, so every algorithm is traced without
-per-algorithm plumbing) and, when a
-:class:`~repro.obs.metrics.MetricsRegistry` is attached, feeds the depth /
-branching-factor histograms live and publishes the full counter snapshot
-when the clock stops.  Both hooks are disabled-by-default and guarded so an
-untraced run pays one branch per instrumentation site.
+per-algorithm plumbing); the tracer is disabled by default and guarded so
+an untraced run pays one branch per instrumentation site.  Distributions
+(depth, branching factor, heuristic values) live only in the trace: read
+them from the ``expand``, ``generate`` and ``cache_miss`` events.
 
 All wall-clock quantities here use ``time.perf_counter()`` — monotonic and
 high-resolution; never ``time.time()``, whose wall-clock steps would skew
@@ -42,19 +43,19 @@ from ..obs.events import (
     ITERATION_START,
     PROGRESS,
 )
-from ..obs.metrics import BRANCHING_BUCKETS, DEPTH_BUCKETS
 from ..obs.progress import ProgressSink, ProgressUpdate
 from ..obs.tracer import NULL_TRACER, SpanHandle, Tracer
 from .cancel import CancelToken
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.metrics import MetricsRegistry
     from ..relational.database import Database
 
-#: examinations between wall-clock deadline / cancel-token polls — large
-#: enough that an unbounded run pays only a modulo per examination, small
-#: enough that a bounded run overshoots its deadline by at most a handful
-#: of state expansions
+#: examinations between wall-clock deadline / cancel-token polls and
+#: progress heartbeats — large enough that an unbounded run pays only a
+#: modulo per examination, small enough that a bounded run overshoots its
+#: deadline by at most a handful of state expansions.  Successor
+#: generation also polls once per expansion, so coarse-grained algorithms
+#: like beam stay responsive.
 LIMIT_CHECK_EVERY = 16
 
 
@@ -97,9 +98,6 @@ class SearchStats:
             by default).  Instrumentation sites read it from here, so
             attaching a real tracer to the stats object traces the whole
             run.
-        metrics: optional metrics registry; when set, depth and branching
-            histograms are observed live and :meth:`stop_clock` publishes
-            the final counter snapshot into it.
         deadline_seconds: optional wall-clock deadline (seconds from
             :attr:`started_at`); enforced cooperatively by
             :meth:`check_limits`, raising
@@ -107,13 +105,9 @@ class SearchStats:
         cancel_token: optional :class:`~repro.search.cancel.CancelToken`;
             when set (possibly from another process), :meth:`check_limits`
             raises :class:`~repro.errors.SearchCancelled`.
-        check_every: examinations between limit polls in :meth:`examine`
-            (successor generation additionally polls once per expansion via
-            :meth:`check_limits`, so coarse-grained algorithms like beam
-            stay responsive).
         progress: optional :class:`~repro.obs.progress.ProgressSink`; when
             set (or when the tracer is enabled), :meth:`check_limits` also
-            emits a heartbeat every :attr:`check_every` examinations —
+            emits a heartbeat every :data:`LIMIT_CHECK_EVERY` examinations —
             piggybacked on the existing limit polls, so progress streaming
             adds zero new polling.
         current_f: best f-value currently under expansion (cheap unguarded
@@ -146,10 +140,8 @@ class SearchStats:
     elapsed_seconds: float = 0.0
     clock_stopped: bool = False
     tracer: Tracer = NULL_TRACER
-    metrics: "MetricsRegistry | None" = None
     deadline_seconds: float | None = None
     cancel_token: CancelToken | None = None
-    check_every: int = LIMIT_CHECK_EVERY
     progress: ProgressSink | None = None
     current_f: float | None = None
     frontier_size: int = 0
@@ -171,8 +163,6 @@ class SearchStats:
                 self._loop_span = tracer.span("expand_loop")
                 self._loop_span.__enter__()
             tracer.emit(EXPAND, depth=depth, n=self.states_examined)
-        if self.metrics is not None:
-            self.metrics.histogram("search.depth", DEPTH_BUCKETS).observe(depth)
         if self.states_examined > self.budget:
             if tracer.enabled:
                 tracer.emit(
@@ -181,7 +171,7 @@ class SearchStats:
                     examined=self.states_examined,
                 )
             raise SearchBudgetExceeded(self.budget, self.states_examined)
-        if self.states_examined % self.check_every == 0 or self.states_examined == 1:
+        if self.states_examined % LIMIT_CHECK_EVERY == 0 or self.states_examined == 1:
             self.check_limits()
 
     def check_limits(self) -> None:
@@ -189,7 +179,7 @@ class SearchStats:
 
         Free when neither limit is configured (two attribute loads and two
         branches); with a limit set, one ``perf_counter`` read / one token
-        poll per call.  Called every :attr:`check_every` examinations from
+        poll per call.  Called every :data:`LIMIT_CHECK_EVERY` examinations from
         :meth:`examine` and once per expansion from
         :meth:`~repro.search.problem.MappingProblem.successors`.
 
@@ -220,13 +210,13 @@ class SearchStats:
             self._maybe_progress()
 
     def _maybe_progress(self) -> None:
-        """Emit a heartbeat if :attr:`check_every` examinations have passed.
+        """Emit a heartbeat if :data:`LIMIT_CHECK_EVERY` examinations passed.
 
         Throttled on the examination counter (not call count), so the
-        cadence is one heartbeat per ``check_every`` examinations no matter
-        how often :meth:`check_limits` is polled.
+        cadence is one heartbeat per ``LIMIT_CHECK_EVERY`` examinations no
+        matter how often :meth:`check_limits` is polled.
         """
-        if self.states_examined - self._progress_marker < self.check_every:
+        if self.states_examined - self._progress_marker < LIMIT_CHECK_EVERY:
             return
         self._progress_marker = self.states_examined
         elapsed = time.perf_counter() - self.started_at
@@ -278,10 +268,6 @@ class SearchStats:
     def generated(self, count: int = 1) -> None:
         """Record successor generation."""
         self.states_generated += count
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "search.branching_factor", BRANCHING_BUCKETS
-            ).observe(count)
 
     def iteration(self, **info: object) -> None:
         """Record one IDA* deepening iteration / RBFS re-expansion.
@@ -299,20 +285,16 @@ class SearchStats:
             tracer.emit(ITERATION_START, n=self.iterations, **info)
 
     def stop_clock(self) -> None:
-        """Freeze :attr:`elapsed_seconds` and publish attached metrics.
+        """Freeze :attr:`elapsed_seconds` and close the expansion-loop span.
 
         Idempotent: a second call is a no-op.  Re-freezing would silently
-        lengthen ``elapsed_seconds``, and re-publishing would double-count
-        every monotone counter in the attached
-        :class:`~repro.obs.metrics.MetricsRegistry`.
+        lengthen ``elapsed_seconds``.
         """
         if self.clock_stopped:
             return
         self.end_loop_span()
         self.elapsed_seconds = time.perf_counter() - self.started_at
         self.clock_stopped = True
-        if self.metrics is not None:
-            self.metrics.publish_stats(self.as_dict())
 
     @property
     def elapsed(self) -> float:

@@ -11,8 +11,8 @@ known for this exact pair?) and :meth:`record` (persist a discovered
 mapping).  Both are best-effort: storage failures bump
 ``resilience.store_*`` counters and the search proceeds cold, so pointing
 ``--store`` at a read-only or corrupted path costs warmth, never
-correctness.  ``store.*`` metrics and ``store_hit`` / ``store_miss`` /
-``store_write`` trace events make every decision observable.
+correctness.  ``store_hit`` / ``store_miss`` / ``store_write`` trace
+events make every decision observable.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class WarmStartStore:
         heuristic=None,
         k=None,
         registry=None,
-        metrics=None,
         tracer=None,
     ):
         """A verified ``(expression, entry)`` for this pair, or ``None``."""
@@ -61,8 +60,6 @@ class WarmStartStore:
         )
         if served is not None:
             _, entry = served
-            if metrics is not None:
-                metrics.counter("store.memo_hits").inc()
             if tracer is not None and tracer.enabled:
                 tracer.emit(
                     STORE_HIT,
@@ -70,11 +67,8 @@ class WarmStartStore:
                     fingerprint=entry["fingerprint"],
                     ops=entry.get("ops"),
                 )
-        else:
-            if metrics is not None:
-                metrics.counter("store.memo_misses").inc()
-            if tracer is not None and tracer.enabled:
-                tracer.emit(STORE_MISS, kind="memo")
+        elif tracer is not None and tracer.enabled:
+            tracer.emit(STORE_MISS, kind="memo")
         return served
 
     def record(
@@ -88,7 +82,6 @@ class WarmStartStore:
         k=None,
         signature="",
         states_examined=None,
-        metrics=None,
         tracer=None,
     ) -> dict | None:
         """Persist one discovered mapping (best-effort)."""
@@ -106,8 +99,6 @@ class WarmStartStore:
         except OSError as exc:
             resilience_warning("store_io_error", f"{self.path}: {exc!r}")
             return None
-        if metrics is not None:
-            metrics.counter("store.memo_writes").inc()
         if tracer is not None and tracer.enabled:
             tracer.emit(
                 STORE_WRITE, kind="memo", fingerprint=entry["fingerprint"]

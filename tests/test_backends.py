@@ -24,7 +24,7 @@ from repro.errors import (
     UnknownBackendError,
 )
 from repro.fira import MappingExpression, RenameAttribute
-from repro.obs import MemorySink, MetricsRegistry, Tracer
+from repro.obs import MemorySink, Tracer
 from repro.workloads import flights_b
 from repro.workloads.flights import b_to_a_expression, flights_registry
 
@@ -156,15 +156,6 @@ class TestExecutorDispatch:
 
 
 class TestTelemetry:
-    def test_metrics_counters(self, simple_case):
-        db, expr = simple_case
-        metrics = MetricsRegistry()
-        execute_mapping(expr, db, backend="sqlite", metrics=metrics)
-        counters = metrics.counters()
-        assert counters["backend.executions"] == 1
-        assert counters["backend.sqlite.executions"] == 1
-        assert counters["backend.statements"] >= 1
-
     def test_trace_events(self, simple_case):
         db, expr = simple_case
         sink = MemorySink()

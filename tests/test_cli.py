@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
+import re
+
 import pytest
 
-from repro.cli import main
+import repro.cli
+from repro.cli import build_parser, main
 from repro.relational import load_database_dir, save_database
 from repro.workloads import flights_a, flights_b, flights_c
 
@@ -302,3 +306,27 @@ class TestOtherCommands:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_usage_docstring_lists_every_long_option():
+    """Each subcommand's block in the module docstring names all its flags."""
+    usage = repro.cli.__doc__.split("Exit codes:")[0]
+    blocks: dict[str, str] = {}
+    for chunk in re.split(r"(?m)^\s*(?=python -m repro )", usage)[1:]:
+        command = chunk.split()[3]
+        blocks[command] = blocks.get(command, "") + chunk
+    (commands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    missing = [
+        (name, option)
+        for name, subparser in commands.items()
+        for action in subparser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+        and option != "--help"
+        and not re.search(re.escape(option) + r"(?![\w-])", blocks[name])
+    ]
+    assert missing == []

@@ -96,16 +96,6 @@ class TestTelemetryHooks:
         series = run_matching_series("ida", "h1", sizes=(2,))
         assert all(p.trace_path == "" for p in series.points)
 
-    def test_metrics_accumulate_across_series(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        series = run_matching_series(
-            "ida", "h1", sizes=(2, 3), metrics=registry
-        )
-        total = sum(p.states for p in series.points)
-        assert registry.counter("search.states_examined").value == total
-
 
 class TestSemanticSeries:
     def test_h1_series(self):

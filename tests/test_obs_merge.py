@@ -11,7 +11,7 @@ from repro.obs import (
     load_trace,
     merge_report,
     merge_traces,
-    merged_metrics,
+    merged_counters,
     validate_events,
     write_merged,
 )
@@ -65,10 +65,10 @@ class TestMergeTimeline:
 
     def test_workers_merge_counters_equal_serial(self, sweep_traces):
         serial, workers = sweep_traces
-        serial_counters = merged_metrics(merge_traces(serial)).counters()
-        worker_counters = merged_metrics(merge_traces(workers)).counters()
+        serial_counters = merged_counters(merge_traces(serial))
+        worker_counters = merged_counters(merge_traces(workers))
         assert worker_counters == serial_counters
-        assert worker_counters["trace.states_examined"] > 0
+        assert worker_counters["states_examined"] > 0
 
     def test_merged_trace_round_trips_through_load_trace(
         self, sweep_traces, tmp_path

@@ -31,7 +31,6 @@ from repro.experiments.runner import (
     run_semantic_series,
 )
 from repro.obs import memory_tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel import normalize_series
 from repro.workloads import bamm_domain, inventory_domain, matching_pair
 
@@ -42,13 +41,13 @@ CUTOFF_SIZES = (1, 2, 3, 4, 5, 6)
 CUTOFF_BUDGET = 2_000
 
 
-def _matching_sweep(workers: int, metrics=None):
+def _matching_sweep(workers: int, trace_dir=None):
     return run_matching_series(
         "ida",
         "h0",
         CUTOFF_SIZES,
         budget=CUTOFF_BUDGET,
-        metrics=metrics,
+        trace_dir=trace_dir,
         workers=workers,
     )
 
@@ -200,15 +199,16 @@ def test_goldens_file_is_canonical(goldens, request):
     assert GOLDENS.read_text() == _render(goldens)
 
 
-def test_serial_cutoff_sweep_stops_at_first_cutoff():
-    """Published states equal the points' states: no size past the cut ran.
+def test_serial_cutoff_sweep_stops_at_first_cutoff(tmp_path):
+    """Only the points' searches left traces: no size past the cut ran.
 
     A sweep that measured the whole grid and truncated afterwards would
-    persist the same points but publish the cut-off size's search too.
+    persist the same points but leave the cut-off size's trace too.
     """
-    metrics = MetricsRegistry()
-    series = _matching_sweep(0, metrics=metrics)
+    series = _matching_sweep(0, trace_dir=tmp_path)
     assert [p.x for p in series.points] == [1, 2, 3, 4, 5]
     assert series.points[-1].status == "budget_exceeded"
-    published = metrics.counter("search.states_examined").value
-    assert published == sum(p.states for p in series.points)
+    assert sorted(tmp_path.iterdir()) == sorted(
+        Path(p.trace_path) for p in series.points
+    )
+    assert not list(tmp_path.glob("*_x6.jsonl"))

@@ -250,7 +250,6 @@ def test_stop_clock_is_idempotent():
 def test_limit_check_cadence_constant():
     # the cooperative polling cadence is part of the latency contract
     assert LIMIT_CHECK_EVERY == 16
-    assert SearchStats().check_every == LIMIT_CHECK_EVERY
 
 
 # ---------------------------------------------------------------------------

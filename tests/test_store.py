@@ -14,6 +14,7 @@ import threading
 
 from repro import Database, Relation, discover_mapping
 from repro.fira import parse_expression
+from repro.obs import MemorySink, Tracer
 from repro.relational.fingerprint import (
     instance_digest,
     pair_fingerprint,
@@ -305,6 +306,20 @@ def test_store_serves_verified_hit_bit_identically(tmp_path):
     assert (
         warm.expression.apply(source, builtin_registry()).contains(target)
     )
+
+
+def test_served_request_clock_covers_the_store_lookup(tmp_path):
+    source, target = _pair(3)
+    _discover(source, target, store=tmp_path / "store")
+    sink = MemorySink()
+    served = _discover(source, target, store=tmp_path / "store", tracer=Tracer(sink))
+    assert served.served_from_store
+    (lookup,) = [
+        e
+        for e in sink.events
+        if e["event"] == "span_end" and e["name"] == "store_lookup"
+    ]
+    assert served.stats.elapsed >= lookup["dur"]
 
 
 def test_store_info_and_gc(tmp_path):
