@@ -23,148 +23,56 @@ Quickstart::
     print(result.stats.states_examined)
 """
 
-from .backends import (
-    ExecutionResult,
-    Executor,
-    SqlBackend,
-    available_backends,
-    backend_names,
-    execute_mapping,
-    get_backend,
-)
-from .errors import (
-    BackendError,
-    BackendExecutionError,
-    BackendUnavailableError,
-    BackendUnsupportedError,
-    MappingNotFound,
-    SearchBudgetExceeded,
-    SearchCancelled,
-    SearchDeadlineExceeded,
-    SearchError,
-    SemanticError,
-    TransformError,
-    TupeloError,
-    UnknownBackendError,
-)
-from .fira import (
-    ApplyFunction,
-    CartesianProduct,
-    Demote,
-    Dereference,
-    DropAttribute,
-    MappingExpression,
-    Merge,
-    Operator,
-    Partition,
-    Promote,
-    RenameAttribute,
-    RenameRelation,
-    Select,
-    compile_expression,
-    expression_of,
-    parse_expression,
-    parse_operator,
-)
-from .fira.macros import pivot, unpivot
-from .fira.matching import extract_matching
-from .heuristics import HEURISTIC_NAMES, PAPER_SCALING_CONSTANTS, make_heuristic
-from .instances import align_rows, extract_critical_instances
-from .minisql import MiniSqlEngine, run_script
-from .relational import (
-    NULL,
-    Database,
-    Relation,
-    database_string,
-    tnf_decode,
-    tnf_encode,
-)
-from .search import (
-    ALGORITHM_NAMES,
-    CancelToken,
-    MappingProblem,
-    SearchConfig,
-    SearchResult,
-    SearchStats,
-    Tupelo,
-    discover_mapping,
-    simplify_expression,
-)
-from .semantics import (
-    Correspondence,
-    FunctionRegistry,
-    SemanticFunction,
-    builtin_registry,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BackendError",
-    "BackendExecutionError",
-    "BackendUnavailableError",
-    "BackendUnsupportedError",
-    "ExecutionResult",
-    "Executor",
-    "SqlBackend",
-    "UnknownBackendError",
-    "available_backends",
-    "backend_names",
-    "execute_mapping",
-    "get_backend",
-    "MappingNotFound",
-    "SearchBudgetExceeded",
-    "SearchCancelled",
-    "SearchDeadlineExceeded",
-    "SearchError",
-    "SemanticError",
-    "TransformError",
-    "TupeloError",
-    "ApplyFunction",
-    "CartesianProduct",
-    "Demote",
-    "Dereference",
-    "DropAttribute",
-    "MappingExpression",
-    "Merge",
-    "Operator",
-    "Partition",
-    "Promote",
-    "RenameAttribute",
-    "RenameRelation",
-    "Select",
-    "compile_expression",
-    "expression_of",
-    "parse_expression",
-    "parse_operator",
-    "extract_matching",
-    "pivot",
-    "unpivot",
-    "align_rows",
-    "extract_critical_instances",
-    "MiniSqlEngine",
-    "run_script",
-    "HEURISTIC_NAMES",
-    "PAPER_SCALING_CONSTANTS",
-    "make_heuristic",
-    "NULL",
-    "Database",
-    "Relation",
-    "database_string",
-    "tnf_decode",
-    "tnf_encode",
-    "ALGORITHM_NAMES",
-    "CancelToken",
-    "MappingProblem",
-    "SearchConfig",
-    "SearchResult",
-    "SearchStats",
-    "Tupelo",
-    "discover_mapping",
-    "simplify_expression",
-    "Correspondence",
-    "FunctionRegistry",
-    "SemanticFunction",
-    "builtin_registry",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".backends.base": ("SqlBackend",),
+        ".backends.executor": (
+            "ExecutionResult", "Executor", "available_backends",
+            "backend_names", "execute_mapping", "get_backend",
+        ),
+        ".errors": (
+            "BackendError", "BackendExecutionError", "BackendUnavailableError",
+            "BackendUnsupportedError", "UnknownBackendError",
+            "MappingNotFound", "SearchBudgetExceeded", "SearchCancelled",
+            "SearchDeadlineExceeded", "SearchError", "SemanticError",
+            "TransformError", "TupeloError",
+        ),
+        ".fira.base": ("Operator",),
+        ".fira.combine": ("CartesianProduct", "Merge"),
+        ".fira.dynamic": ("Demote", "Dereference", "Partition", "Promote"),
+        ".fira.expression": ("MappingExpression", "expression_of"),
+        ".fira.macros": ("pivot", "unpivot"),
+        ".fira.matching": ("extract_matching",),
+        ".fira.parser": ("parse_expression", "parse_operator"),
+        ".fira.renames": ("RenameAttribute", "RenameRelation"),
+        ".fira.semantic": ("ApplyFunction",),
+        ".fira.sqlcompile": ("compile_expression",),
+        ".fira.structure": ("DropAttribute", "Select"),
+        ".heuristics.registry": (
+            "HEURISTIC_NAMES", "PAPER_SCALING_CONSTANTS", "make_heuristic",
+        ),
+        ".instances": ("align_rows", "extract_critical_instances"),
+        ".minisql.engine": ("MiniSqlEngine", "run_script"),
+        ".relational.database": ("Database",),
+        ".relational.relation": ("Relation",),
+        ".relational.tnf": ("database_string", "tnf_decode", "tnf_encode"),
+        ".relational.types": ("NULL",),
+        ".search.cancel": ("CancelToken",),
+        ".search.config": ("SearchConfig",),
+        ".search.engine": ("ALGORITHM_NAMES", "Tupelo", "discover_mapping"),
+        ".search.problem": ("MappingProblem",),
+        ".search.result": ("SearchResult",),
+        ".search.simplify": ("simplify_expression",),
+        ".search.stats": ("SearchStats",),
+        ".semantics.correspondence": ("Correspondence",),
+        ".semantics.functions": (
+            "FunctionRegistry", "SemanticFunction", "builtin_registry",
+        ),
+    },
+)
+__all__.append("__version__")

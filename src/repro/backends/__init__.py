@@ -24,33 +24,19 @@ duckdb   DuckDB                            only when ``duckdb`` installed
 ``docs/execution.md`` for the semantics matrix and how to add a backend.
 """
 
-from .base import SqlBackend, StatementLimiter
-from .duckdb_backend import DuckDbBackend
-from .executor import (
-    AUTO,
-    AUTO_ORDER,
-    ExecutionResult,
-    Executor,
-    available_backends,
-    backend_names,
-    execute_mapping,
-    get_backend,
-)
-from .minisql_backend import MiniSqlBackend
-from .sqlite_backend import SqliteBackend
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AUTO",
-    "AUTO_ORDER",
-    "DuckDbBackend",
-    "ExecutionResult",
-    "Executor",
-    "MiniSqlBackend",
-    "SqlBackend",
-    "SqliteBackend",
-    "StatementLimiter",
-    "available_backends",
-    "backend_names",
-    "execute_mapping",
-    "get_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("SqlBackend", "StatementLimiter"),
+        ".duckdb_backend": ("DuckDbBackend",),
+        ".executor": (
+            "AUTO", "AUTO_ORDER", "ExecutionResult", "Executor",
+            "available_backends", "backend_names", "execute_mapping",
+            "get_backend",
+        ),
+        ".minisql_backend": ("MiniSqlBackend",),
+        ".sqlite_backend": ("SqliteBackend",),
+    },
+)

@@ -55,23 +55,15 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import TupeloError
-from .fira import compile_expression, extract_matching, parse_expression
 from .heuristics.registry import EXTENSION_HEURISTIC_NAMES, HEURISTIC_NAMES
-from .obs import (
-    EVENT_TYPES,
-    SCHEMA_VERSION,
-    SINK_NAMES,
-    JsonlSink,
-    Tracer,
-    load_trace,
-    run_profile,
-    validate_events,
-)
-from .relational import load_database_dir, save_database, tnf_encode
-from .search import ALGORITHM_NAMES, SearchConfig, discover_mapping
-from .semantics import builtin_registry, decode_correspondence
+from .search.engine import ALGORITHM_NAMES
+
+if TYPE_CHECKING:
+    from .fira.expression import MappingExpression
+    from .obs.sinks import JsonlSink
 
 #: process exit code for a deadline-cut search (distinct from "not found")
 EXIT_DEADLINE_EXCEEDED = 3
@@ -79,6 +71,8 @@ EXIT_DEADLINE_EXCEEDED = 3
 
 def _parse_correspondence_arg(text: str):
     """Accept both the TNF encoding and the bare 'Out<-fn(A,B)' form."""
+    from .semantics import decode_correspondence
+
     if not text.startswith("λ:"):
         text = "λ:" + text
     return decode_correspondence(text)
@@ -400,6 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _open_trace_sink(path: str) -> JsonlSink | int:
     """Open a JSONL sink, or print a clean error and return exit code 2."""
+    from .obs import JsonlSink
+
     try:
         return JsonlSink(path)
     except OSError as err:
@@ -414,6 +410,12 @@ def _load_pair(args: argparse.Namespace) -> tuple | int:
     printing the usage error.
     """
     if args.synthetic is not None:
+        if args.source or args.target:
+            print(
+                "error: --synthetic cannot be combined with --source/--target",
+                file=sys.stderr,
+            )
+            return 2
         if args.synthetic < 1:
             print("error: --synthetic needs a size >= 1", file=sys.stderr)
             return 2
@@ -422,6 +424,8 @@ def _load_pair(args: argparse.Namespace) -> tuple | int:
         pair = matching_pair(args.synthetic)
         return pair.source, pair.target, f"synthetic matching n={args.synthetic}"
     if args.source and args.target:
+        from .relational import load_database_dir
+
         source = load_database_dir(args.source)
         target = load_database_dir(args.target)
         return source, target, f"{args.source} -> {args.target}"
@@ -435,13 +439,19 @@ def _load_pair(args: argparse.Namespace) -> tuple | int:
 
 def _print_mapping(args: argparse.Namespace, expression, source) -> int:
     """The output tail of a found discovery."""
+    from .semantics import builtin_registry
+
     print()
     print(expression if not expression.is_identity else "(identity)")
     if args.show_matching:
+        from .fira import extract_matching
+
         print()
         print("# induced schema matching")
         print(extract_matching(expression))
     if args.show_sql:
+        from .fira import compile_expression
+
         print()
         print(compile_expression(expression, source, builtin_registry()))
     if args.execute:
@@ -480,8 +490,12 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
         if args.backend != "auto":
             get_backend(args.backend)
+    from .search import SearchConfig, discover_mapping
+
     tracer = None
     if args.trace:
+        from .obs import Tracer
+
         sink = _open_trace_sink(args.trace)
         if isinstance(sink, int):
             return sink
@@ -578,9 +592,26 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_expression(path: str) -> MappingExpression | int:
+    """Parse an expression file, or print a clean error and return exit code 2."""
+    from .fira import parse_expression
+
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        print(f"error: cannot read expression {path}: {err}", file=sys.stderr)
+        return 2
+    return parse_expression(text)
+
+
 def cmd_apply(args: argparse.Namespace) -> int:
     """Execute a stored mapping expression on a source instance."""
-    expression = parse_expression(Path(args.expression).read_text())
+    from .relational import load_database_dir, save_database
+    from .semantics import builtin_registry
+
+    expression = _read_expression(args.expression)
+    if isinstance(expression, int):
+        return expression
     source = load_database_dir(args.source)
     mapped = expression.apply(source, builtin_registry())
     if args.output:
@@ -595,8 +626,12 @@ def cmd_execute(args: argparse.Namespace) -> int:
     """Run a stored mapping expression through an SQL execution backend."""
     from .backends import execute_mapping
     from .errors import SearchDeadlineExceeded
+    from .relational import load_database_dir, save_database
+    from .semantics import builtin_registry
 
-    expression = parse_expression(Path(args.expression).read_text())
+    expression = _read_expression(args.expression)
+    if isinstance(expression, int):
+        return expression
     source = load_database_dir(args.source)
     try:
         result = execute_mapping(
@@ -633,6 +668,8 @@ def cmd_execute(args: argparse.Namespace) -> int:
 
 def cmd_tnf(args: argparse.Namespace) -> int:
     """Print the TNF encoding of an instance."""
+    from .relational import load_database_dir, tnf_encode
+
     source = load_database_dir(args.source)
     print(tnf_encode(source).to_text())
     return 0
@@ -672,7 +709,7 @@ def _trace_merge(args: argparse.Namespace) -> int:
 
 def _trace_collapse(args: argparse.Namespace) -> int:
     """Export a trace's span tree in collapsed-stack format."""
-    from .obs import build_span_tree, collapsed_stacks
+    from .obs import build_span_tree, collapsed_stacks, load_trace
 
     try:
         events = load_trace(args.collapse)
@@ -703,6 +740,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return _trace_merge(args)
     if args.collapse:
         return _trace_collapse(args)
+    from .obs import SCHEMA_VERSION, Tracer, load_trace, run_profile, validate_events
+
     if args.inspect:
         try:
             events = load_trace(args.inspect)
@@ -731,6 +770,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not args.output:
         print("error: trace needs --output FILE to record into", file=sys.stderr)
         return 2
+
+    from .search import SearchConfig, discover_mapping
 
     sink = _open_trace_sink(args.output)
     if isinstance(sink, int):
@@ -806,6 +847,8 @@ def cmd_store(args: argparse.Namespace) -> int:
 
 def cmd_info(_args: argparse.Namespace) -> int:
     """List available algorithms, heuristics, and telemetry capabilities."""
+    from .obs import EVENT_TYPES, SCHEMA_VERSION, SINK_NAMES
+
     print("algorithms: " + ", ".join(ALGORITHM_NAMES))
     print("heuristics: " + ", ".join(HEURISTIC_NAMES))
     print("extensions: " + ", ".join(EXTENSION_HEURISTIC_NAMES))

@@ -19,57 +19,33 @@ Paper notation            Class
 ========================  =========================================
 """
 
-from .base import Operator, RelationOperator
-from .combine import CartesianProduct, Merge, merge_group, merge_tuples, tuples_compatible
-from .dynamic import (
-    DEMOTE_ATT_ATTR,
-    DEMOTE_REL_ATTR,
-    Demote,
-    Dereference,
-    Partition,
-    Promote,
-)
-from .expression import MappingExpression, equivalent_on, expression_of
-from .macros import pivot, unpivot
-from .matching import AttributeMatch, RelationMatch, SchemaMatching, extract_matching
-from .parser import parse_expression, parse_operator
-from .renames import RenameAttribute, RenameRelation
-from .semantic import ApplyFunction
-from .sqlcompile import SqlScript, compile_expression, compile_operator, compile_script
-from .structure import DropAttribute, Select
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Operator",
-    "RelationOperator",
-    "CartesianProduct",
-    "Merge",
-    "merge_group",
-    "merge_tuples",
-    "tuples_compatible",
-    "DEMOTE_ATT_ATTR",
-    "DEMOTE_REL_ATTR",
-    "Demote",
-    "Dereference",
-    "Partition",
-    "Promote",
-    "MappingExpression",
-    "equivalent_on",
-    "expression_of",
-    "AttributeMatch",
-    "RelationMatch",
-    "SchemaMatching",
-    "extract_matching",
-    "pivot",
-    "unpivot",
-    "parse_expression",
-    "parse_operator",
-    "RenameAttribute",
-    "RenameRelation",
-    "ApplyFunction",
-    "SqlScript",
-    "compile_expression",
-    "compile_operator",
-    "compile_script",
-    "DropAttribute",
-    "Select",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("Operator", "RelationOperator"),
+        ".combine": (
+            "CartesianProduct", "Merge", "merge_group", "merge_tuples",
+            "tuples_compatible",
+        ),
+        ".dynamic": (
+            "DEMOTE_ATT_ATTR", "DEMOTE_REL_ATTR", "Demote", "Dereference",
+            "Partition", "Promote",
+        ),
+        ".expression": ("MappingExpression", "equivalent_on", "expression_of"),
+        ".macros": ("pivot", "unpivot"),
+        ".matching": (
+            "AttributeMatch", "RelationMatch", "SchemaMatching",
+            "extract_matching",
+        ),
+        ".parser": ("parse_expression", "parse_operator"),
+        ".renames": ("RenameAttribute", "RenameRelation"),
+        ".semantic": ("ApplyFunction",),
+        ".sqlcompile": (
+            "SqlScript", "compile_expression", "compile_operator",
+            "compile_script",
+        ),
+        ".structure": ("DropAttribute", "Select"),
+    },
+)

@@ -1,56 +1,26 @@
 """Search heuristics (§3 of the paper): h0–h3, Levenshtein, term-vector."""
 
-from .base import Heuristic, ScaledHeuristic, round_half_up
-from .hybrid import HybridHeuristic
-from .registry import (
-    EXTENSION_HEURISTIC_NAMES,
-    HEURISTIC_CLASSES,
-    HEURISTIC_NAMES,
-    PAPER_SCALING_CONSTANTS,
-    default_k,
-    heuristic_factory,
-    make_heuristic,
-)
-from .setbased import (
-    BlindHeuristic,
-    CrossLevelHeuristic,
-    MaxSetHeuristic,
-    MissingTokensHeuristic,
-)
-from .stringview import LevenshteinHeuristic, levenshtein
-from .vector import (
-    CosineHeuristic,
-    EuclideanHeuristic,
-    NormalizedEuclideanHeuristic,
-    cosine_similarity,
-    euclidean_distance,
-    term_vector,
-    vector_norm,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Heuristic",
-    "ScaledHeuristic",
-    "round_half_up",
-    "HybridHeuristic",
-    "EXTENSION_HEURISTIC_NAMES",
-    "HEURISTIC_CLASSES",
-    "HEURISTIC_NAMES",
-    "PAPER_SCALING_CONSTANTS",
-    "default_k",
-    "heuristic_factory",
-    "make_heuristic",
-    "BlindHeuristic",
-    "CrossLevelHeuristic",
-    "MaxSetHeuristic",
-    "MissingTokensHeuristic",
-    "LevenshteinHeuristic",
-    "levenshtein",
-    "CosineHeuristic",
-    "EuclideanHeuristic",
-    "NormalizedEuclideanHeuristic",
-    "cosine_similarity",
-    "euclidean_distance",
-    "term_vector",
-    "vector_norm",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("Heuristic", "ScaledHeuristic", "round_half_up"),
+        ".hybrid": ("HybridHeuristic",),
+        ".registry": (
+            "EXTENSION_HEURISTIC_NAMES", "HEURISTIC_CLASSES",
+            "HEURISTIC_NAMES", "PAPER_SCALING_CONSTANTS", "default_k",
+            "heuristic_factory", "make_heuristic",
+        ),
+        ".setbased": (
+            "BlindHeuristic", "CrossLevelHeuristic", "MaxSetHeuristic",
+            "MissingTokensHeuristic",
+        ),
+        ".stringview": ("LevenshteinHeuristic", "levenshtein"),
+        ".vector": (
+            "CosineHeuristic", "EuclideanHeuristic",
+            "NormalizedEuclideanHeuristic", "cosine_similarity",
+            "euclidean_distance", "term_vector", "vector_norm",
+        ),
+    },
+)

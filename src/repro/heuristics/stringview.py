@@ -12,65 +12,48 @@ from ..relational.database import Database
 from ..relational.tnf import database_string
 from .base import ScaledHeuristic, round_half_up
 
-try:  # numpy accelerates the DP rows; the pure-Python path remains correct
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a soft dependency
-    _np = None
-
-#: below this size the pure-Python DP beats numpy's per-call overhead
-_NUMPY_THRESHOLD = 64
-
-
-def _levenshtein_python(left: str, right: str) -> int:
-    """Two-row dynamic program: O(|left|·|right|) time, O(|right|) memory."""
-    previous = list(range(len(right) + 1))
-    for i, lchar in enumerate(left, start=1):
-        current = [i]
-        for j, rchar in enumerate(right, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (lchar != rchar)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
-        previous = current
-    return previous[-1]
-
-
-def _levenshtein_numpy(left: str, right: str) -> int:
-    """Row-vectorised DP.
-
-    Substitution/deletion are elementwise; the insertion chain
-    ``cur[j] <= cur[j-1] + 1`` is closed with the classic trick
-    ``cur = min.accumulate(cur - j) + j``.
-    """
-    right_codes = _np.frombuffer(right.encode("utf-32-le"), dtype=_np.uint32)
-    n = len(right)
-    offsets = _np.arange(n + 1, dtype=_np.int64)
-    previous = offsets.copy()
-    current = _np.empty(n + 1, dtype=_np.int64)
-    for i, lchar in enumerate(left, start=1):
-        current[0] = i
-        substitute = previous[:-1] + (right_codes != ord(lchar))
-        delete = previous[1:] + 1
-        current[1:] = _np.minimum(substitute, delete)
-        current -= offsets
-        _np.minimum.accumulate(current, out=current)
-        current += offsets
-        previous, current = current, previous
-    return int(previous[-1])
-
 
 def levenshtein(left: str, right: str) -> int:
-    """Classic single-character insert/delete/substitute edit distance."""
+    """Classic single-character insert/delete/substitute edit distance.
+
+    Myers' bit-parallel algorithm (J. ACM 46(3), 1999) in Hyyrö's
+    edit-distance form (2003): one column of the DP table is held as the
+    bit vectors of its vertical +1/-1 deltas, one bit per character of the
+    shorter string, and a text character advances the column with a
+    constant number of integer operations.  Python ints grow as needed, so
+    strings of any length take this one path.
+    """
     if left == right:
         return 0
-    # Keep the inner dimension (right) the shorter one.
+    # Keep the bit-vector dimension (right) the shorter one.
     if len(right) > len(left):
         left, right = right, left
     if not right:
         return len(left)
-    if _np is not None and len(right) >= _NUMPY_THRESHOLD:
-        return _levenshtein_numpy(left, right)
-    return _levenshtein_python(left, right)
+    match: dict[str, int] = {}
+    bit = 1
+    for char in right:
+        match[char] = match.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    plus, minus = mask, 0  # vertical deltas: all +1 in the first column
+    distance = len(right)
+    for char in left:
+        eq = match.get(char, 0)
+        vertical = eq | minus
+        horizontal = (((eq & plus) + plus) ^ plus) | eq
+        hplus = minus | ~(horizontal | plus)
+        hminus = plus & horizontal
+        if hplus & last:
+            distance += 1
+        elif hminus & last:
+            distance -= 1
+        # The top row is 0, 1, 2, ...: its horizontal delta is always +1.
+        hplus = (hplus << 1) | 1
+        plus = ((hminus << 1) | ~(vertical | hplus)) & mask
+        minus = hplus & vertical
+    return distance
 
 
 class LevenshteinHeuristic(ScaledHeuristic):

@@ -7,16 +7,13 @@ be verified end-to-end — ``run_script(compile_expression(e, db), db)``
 must contain ``e.apply(db)``.
 """
 
-from .engine import MiniSqlEngine, SqlExecutionError, run_script
-from .lexer import SqlSyntaxError, tokenize
-from .parser import parse_script, parse_select
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MiniSqlEngine",
-    "SqlExecutionError",
-    "run_script",
-    "SqlSyntaxError",
-    "tokenize",
-    "parse_script",
-    "parse_select",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".engine": ("MiniSqlEngine", "SqlExecutionError", "run_script"),
+        ".lexer": ("SqlSyntaxError", "tokenize"),
+        ".parser": ("parse_script", "parse_select"),
+    },
+)

@@ -18,123 +18,41 @@ Quick use::
     print(run_profile(sink.events))
 """
 
-from .events import (
-    BUDGET_EXCEEDED,
-    CACHE_HIT,
-    CACHE_MISS,
-    CACHE_NAMES,
-    CANCELLED,
-    DEADLINE_EXCEEDED,
-    ENVELOPE_FIELDS,
-    EVENT_FIELDS,
-    EVENT_TYPES,
-    EXPAND,
-    GENERATE,
-    GOAL_TEST,
-    ITERATION_START,
-    PRUNE,
-    SCHEMA_VERSION,
-    SEARCH_END,
-    SEARCH_START,
-    SOLUTION,
-    TRACE_HEADER,
-    validate_event,
-    validate_events,
-)
-from .events import PROGRESS, SPAN_END, SPAN_START
-from .merge import (
-    MergedTrace,
-    TraceSource,
-    discover_trace_files,
-    load_trace_lenient,
-    merge_report,
-    merge_traces,
-    merged_counters,
-    write_merged,
-)
-from .progress import (
-    CallbackProgress,
-    ConsoleProgress,
-    ProgressSink,
-    ProgressUpdate,
-)
-from .report import replay_counters, run_profile
-from .spans import (
-    SpanNode,
-    build_span_tree,
-    collapsed_stacks,
-    render_span_tree,
-)
-from .sinks import (
-    SINK_NAMES,
-    JsonlSink,
-    LoggingSink,
-    MemorySink,
-    NullSink,
-    Sink,
-)
-from .tracer import (
-    NULL_TRACER,
-    SpanHandle,
-    Tracer,
-    load_trace,
-    memory_tracer,
-    record_jsonl,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PROGRESS",
-    "SPAN_END",
-    "SPAN_START",
-    "MergedTrace",
-    "TraceSource",
-    "discover_trace_files",
-    "load_trace_lenient",
-    "merge_report",
-    "merge_traces",
-    "merged_counters",
-    "write_merged",
-    "CallbackProgress",
-    "ConsoleProgress",
-    "ProgressSink",
-    "ProgressUpdate",
-    "SpanHandle",
-    "SpanNode",
-    "build_span_tree",
-    "collapsed_stacks",
-    "render_span_tree",
-    "BUDGET_EXCEEDED",
-    "CACHE_HIT",
-    "CACHE_MISS",
-    "CACHE_NAMES",
-    "CANCELLED",
-    "DEADLINE_EXCEEDED",
-    "ENVELOPE_FIELDS",
-    "EVENT_FIELDS",
-    "EVENT_TYPES",
-    "EXPAND",
-    "GENERATE",
-    "GOAL_TEST",
-    "ITERATION_START",
-    "PRUNE",
-    "SCHEMA_VERSION",
-    "SEARCH_END",
-    "SEARCH_START",
-    "SOLUTION",
-    "TRACE_HEADER",
-    "validate_event",
-    "validate_events",
-    "replay_counters",
-    "run_profile",
-    "SINK_NAMES",
-    "JsonlSink",
-    "LoggingSink",
-    "MemorySink",
-    "NullSink",
-    "Sink",
-    "NULL_TRACER",
-    "Tracer",
-    "load_trace",
-    "memory_tracer",
-    "record_jsonl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".events": (
+            "PROGRESS", "SPAN_END", "SPAN_START", "BUDGET_EXCEEDED",
+            "CACHE_HIT", "CACHE_MISS", "CACHE_NAMES", "CANCELLED",
+            "DEADLINE_EXCEEDED", "ENVELOPE_FIELDS", "EVENT_FIELDS",
+            "EVENT_TYPES", "EXPAND", "GENERATE", "GOAL_TEST",
+            "ITERATION_START", "PRUNE", "SCHEMA_VERSION", "SEARCH_END",
+            "SEARCH_START", "SOLUTION", "TRACE_HEADER", "validate_event",
+            "validate_events",
+        ),
+        ".merge": (
+            "MergedTrace", "TraceSource", "discover_trace_files",
+            "load_trace_lenient", "merge_report", "merge_traces",
+            "merged_counters", "write_merged",
+        ),
+        ".progress": (
+            "CallbackProgress", "ConsoleProgress", "ProgressSink",
+            "ProgressUpdate",
+        ),
+        ".report": ("replay_counters", "run_profile"),
+        ".sinks": (
+            "SINK_NAMES", "JsonlSink", "LoggingSink", "MemorySink", "NullSink",
+            "Sink",
+        ),
+        ".spans": (
+            "SpanNode", "build_span_tree", "collapsed_stacks",
+            "render_span_tree",
+        ),
+        ".tracer": (
+            "SpanHandle", "NULL_TRACER", "Tracer", "load_trace",
+            "memory_tracer", "record_jsonl",
+        ),
+    },
+)

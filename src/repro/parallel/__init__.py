@@ -8,40 +8,22 @@ unavailable, and the deterministic parts of its results are identical to
 a serial run (see ``docs/performance.md``).
 """
 
-from .fanout import (
-    PointSpec,
-    normalize_point,
-    normalize_series,
-    run_experiment_points,
-)
-from .pool import (
-    available_start_methods,
-    cpu_count,
-    default_workers,
-    preferred_start_method,
-    strided_chunks,
-    supports_start_method,
-    worker_trace_path,
-)
-from .providers import (
-    provider_names,
-    register_provider,
-    resolve_registry,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PointSpec",
-    "normalize_point",
-    "normalize_series",
-    "run_experiment_points",
-    "available_start_methods",
-    "cpu_count",
-    "default_workers",
-    "preferred_start_method",
-    "strided_chunks",
-    "supports_start_method",
-    "worker_trace_path",
-    "provider_names",
-    "register_provider",
-    "resolve_registry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".fanout": (
+            "PointSpec", "normalize_point", "normalize_series",
+            "run_experiment_points",
+        ),
+        ".pool": (
+            "available_start_methods", "cpu_count", "default_workers",
+            "preferred_start_method", "strided_chunks",
+            "supports_start_method", "worker_trace_path",
+        ),
+        ".providers": (
+            "provider_names", "register_provider", "resolve_registry",
+        ),
+    },
+)

@@ -13,109 +13,38 @@ This package provides the data model everything else is built on:
   (:mod:`repro.relational.sql`).
 """
 
-from .database import Database
-from .fingerprint import (
-    instance_digest,
-    pair_fingerprint,
-    pair_shape_fingerprint,
-    relation_digest,
-    relation_shape_digest,
-    shape_digest,
-)
-from .intern import (
-    NULL_TOKEN,
-    intern_row,
-    intern_value,
-    pool_size,
-    probe_value,
-    token_text,
-    token_text_id,
-    token_value,
-)
-from .relation import Relation, Row, TokenRow
-from .tnf import (
-    TNF_ATTRIBUTES,
-    database_string,
-    iter_tnf_cells,
-    tnf_cells,
-    tnf_decode,
-    tnf_encode,
-    tnf_projections,
-    tnf_triples,
-)
-from .types import NULL, NullType, Value, check_value, is_null, value_to_text
-from .csvio import (
-    database_from_mapping,
-    load_database,
-    load_database_dir,
-    load_relation,
-    parse_value,
-    relation_from_csv,
-    relation_to_csv,
-    save_database,
-    save_relation,
-)
-from .dialect import (
-    CANONICAL_DIALECT,
-    DIALECTS,
-    DuckDbDialect,
-    MiniSqlDialect,
-    SqlDialect,
-    SqliteDialect,
-    get_dialect,
-)
-from .sql import database_to_sql, relation_to_sql, tnf_construction_sql
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Database",
-    "Relation",
-    "instance_digest",
-    "pair_fingerprint",
-    "pair_shape_fingerprint",
-    "relation_digest",
-    "relation_shape_digest",
-    "shape_digest",
-    "Row",
-    "TokenRow",
-    "NULL_TOKEN",
-    "intern_row",
-    "intern_value",
-    "pool_size",
-    "probe_value",
-    "token_text",
-    "token_text_id",
-    "token_value",
-    "NULL",
-    "NullType",
-    "Value",
-    "check_value",
-    "is_null",
-    "value_to_text",
-    "TNF_ATTRIBUTES",
-    "database_string",
-    "iter_tnf_cells",
-    "tnf_cells",
-    "tnf_decode",
-    "tnf_encode",
-    "tnf_projections",
-    "tnf_triples",
-    "database_from_mapping",
-    "load_database",
-    "load_database_dir",
-    "load_relation",
-    "parse_value",
-    "relation_from_csv",
-    "relation_to_csv",
-    "save_database",
-    "save_relation",
-    "database_to_sql",
-    "relation_to_sql",
-    "tnf_construction_sql",
-    "CANONICAL_DIALECT",
-    "DIALECTS",
-    "DuckDbDialect",
-    "MiniSqlDialect",
-    "SqlDialect",
-    "SqliteDialect",
-    "get_dialect",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".csvio": (
+            "database_from_mapping", "load_database", "load_database_dir",
+            "load_relation", "parse_value", "relation_from_csv",
+            "relation_to_csv", "save_database", "save_relation",
+        ),
+        ".database": ("Database",),
+        ".dialect": (
+            "CANONICAL_DIALECT", "DIALECTS", "DuckDbDialect", "MiniSqlDialect",
+            "SqlDialect", "SqliteDialect", "get_dialect",
+        ),
+        ".fingerprint": (
+            "instance_digest", "pair_fingerprint", "pair_shape_fingerprint",
+            "relation_digest", "relation_shape_digest", "shape_digest",
+        ),
+        ".intern": (
+            "NULL_TOKEN", "intern_row", "intern_value", "pool_size",
+            "probe_value", "token_text", "token_text_id", "token_value",
+        ),
+        ".relation": ("Relation", "Row", "TokenRow"),
+        ".sql": ("database_to_sql", "relation_to_sql", "tnf_construction_sql"),
+        ".tnf": (
+            "TNF_ATTRIBUTES", "database_string", "iter_tnf_cells", "tnf_cells",
+            "tnf_decode", "tnf_encode", "tnf_projections", "tnf_triples",
+        ),
+        ".types": (
+            "NULL", "NullType", "Value", "check_value", "is_null",
+            "value_to_text",
+        ),
+    },
+)

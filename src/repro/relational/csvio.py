@@ -97,9 +97,19 @@ def load_database(paths: Iterable[str | Path]) -> Database:
 
 
 def load_database_dir(directory: str | Path, pattern: str = "*.csv") -> Database:
-    """Load every CSV file in *directory* as one database."""
+    """Load every CSV file in *directory* as one database.
+
+    Raises :class:`~repro.errors.SchemaError` when *directory* is not a
+    directory or no file in it matches *pattern*, rather than returning an
+    empty database.
+    """
     directory = Path(directory)
-    return load_database(sorted(directory.glob(pattern)))
+    if not directory.is_dir():
+        raise SchemaError(f"{directory} is not a directory")
+    paths = sorted(directory.glob(pattern))
+    if not paths:
+        raise SchemaError(f"{directory} holds no file matching {pattern!r}")
+    return load_database(paths)
 
 
 def save_database(db: Database, directory: str | Path) -> list[Path]:

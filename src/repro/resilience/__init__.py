@@ -16,72 +16,23 @@ Two halves:
 See ``docs/robustness.md`` for the degradation contract.
 """
 
-from .faults import (
-    CRASH_EXIT_CODE,
-    FAULTS_ENV,
-    KIND_CRASH,
-    KIND_HANG,
-    KIND_IO_ERROR,
-    KIND_NAMES,
-    KIND_PICKLE_ERROR,
-    KIND_SLOW,
-    SCOPE_ANY,
-    SCOPE_NAMES,
-    SCOPE_PARENT,
-    SCOPE_WORKER,
-    FaultSpec,
-    InjectedFault,
-    InjectedIOError,
-    InjectedPicklingError,
-    activate,
-    deactivate,
-    enter_worker,
-    fault_plan,
-    in_worker,
-    inject,
-)
-from .runtime import (
-    RESILIENCE,
-    absorb_resilience,
-    backoff_delay,
-    reset_resilience,
-    resilience_counters,
-    resilience_delta,
-    resilience_events,
-    resilience_warning,
-    retry_call,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CRASH_EXIT_CODE",
-    "FAULTS_ENV",
-    "KIND_CRASH",
-    "KIND_HANG",
-    "KIND_IO_ERROR",
-    "KIND_NAMES",
-    "KIND_PICKLE_ERROR",
-    "KIND_SLOW",
-    "SCOPE_ANY",
-    "SCOPE_NAMES",
-    "SCOPE_PARENT",
-    "SCOPE_WORKER",
-    "FaultSpec",
-    "InjectedFault",
-    "InjectedIOError",
-    "InjectedPicklingError",
-    "RESILIENCE",
-    "absorb_resilience",
-    "activate",
-    "backoff_delay",
-    "deactivate",
-    "enter_worker",
-    "fault_plan",
-    "in_worker",
-    "inject",
-    "reset_resilience",
-    "resilience_counters",
-    "resilience_delta",
-    "resilience_events",
-    "resilience_warning",
-    "retry_call",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".faults": (
+            "CRASH_EXIT_CODE", "FAULTS_ENV", "KIND_CRASH", "KIND_HANG",
+            "KIND_IO_ERROR", "KIND_NAMES", "KIND_PICKLE_ERROR", "KIND_SLOW",
+            "SCOPE_ANY", "SCOPE_NAMES", "SCOPE_PARENT", "SCOPE_WORKER",
+            "FaultSpec", "InjectedFault", "InjectedIOError",
+            "InjectedPicklingError", "activate", "deactivate", "enter_worker",
+            "fault_plan", "in_worker", "inject",
+        ),
+        ".runtime": (
+            "RESILIENCE", "absorb_resilience", "backoff_delay",
+            "reset_resilience", "resilience_counters", "resilience_delta",
+            "resilience_events", "resilience_warning", "retry_call",
+        ),
+    },
+)

@@ -1,49 +1,31 @@
 """Data mapping as search: problem definition, IDA*/RBFS, facade (§2.3)."""
 
-from .beam import DEFAULT_BEAM_WIDTH, beam_search, make_beam
-from .best_first import a_star, greedy
-from .cancel import CancelToken
-from .config import OPERATOR_FAMILIES, SearchConfig
-from .engine import ALGORITHM_NAMES, ALGORITHMS, Tupelo, discover_mapping
-from .ida import ida_star
-from .problem import MappingProblem
-from .rbfs import rbfs
-from .simplify import simplify_expression
-from .result import (
-    STATUS_BUDGET_EXCEEDED,
-    STATUS_CANCELLED,
-    STATUS_DEADLINE_EXCEEDED,
-    STATUS_FOUND,
-    STATUS_NAMES,
-    STATUS_NOT_FOUND,
-    SearchResult,
-)
-from .stats import LIMIT_CHECK_EVERY, SearchStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "a_star",
-    "DEFAULT_BEAM_WIDTH",
-    "beam_search",
-    "make_beam",
-    "greedy",
-    "CancelToken",
-    "OPERATOR_FAMILIES",
-    "SearchConfig",
-    "ALGORITHM_NAMES",
-    "ALGORITHMS",
-    "Tupelo",
-    "discover_mapping",
-    "ida_star",
-    "LIMIT_CHECK_EVERY",
-    "MappingProblem",
-    "rbfs",
-    "simplify_expression",
-    "STATUS_BUDGET_EXCEEDED",
-    "STATUS_CANCELLED",
-    "STATUS_DEADLINE_EXCEEDED",
-    "STATUS_FOUND",
-    "STATUS_NAMES",
-    "STATUS_NOT_FOUND",
-    "SearchResult",
-    "SearchStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".beam": ("DEFAULT_BEAM_WIDTH", "beam_search", "make_beam"),
+        ".best_first": ("a_star", "greedy"),
+        ".cancel": ("CancelToken",),
+        ".config": ("OPERATOR_FAMILIES", "SearchConfig"),
+        ".engine": (
+            "ALGORITHM_NAMES", "ALGORITHMS", "Tupelo", "discover_mapping",
+        ),
+        ".ida": ("ida_star",),
+        ".problem": ("MappingProblem",),
+        ".rbfs": ("rbfs",),
+        ".result": (
+            "STATUS_BUDGET_EXCEEDED", "STATUS_CANCELLED",
+            "STATUS_DEADLINE_EXCEEDED", "STATUS_FOUND", "STATUS_NAMES",
+            "STATUS_NOT_FOUND", "SearchResult",
+        ),
+        ".simplify": ("simplify_expression",),
+        ".stats": ("LIMIT_CHECK_EVERY", "SearchStats"),
+    },
+)
+
+# The function shares its submodule's name.  Bound lazily, the name would be
+# overwritten by the submodule on that module's first import, so
+# ``from repro.search import rbfs`` could return the module.
+from .rbfs import rbfs  # noqa: E402

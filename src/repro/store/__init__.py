@@ -17,15 +17,15 @@ the cold path.
 See ``docs/caching.md`` for the format, semantics, and counters.
 """
 
-from .memo import DEFAULT_MAX_ENTRIES, STORE_VERSION, MappingMemo, config_signature
-from .store import WarmStartStore, open_store, resolve_store
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_ENTRIES",
-    "MappingMemo",
-    "STORE_VERSION",
-    "WarmStartStore",
-    "config_signature",
-    "open_store",
-    "resolve_store",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".memo": (
+            "DEFAULT_MAX_ENTRIES", "MappingMemo", "STORE_VERSION",
+            "config_signature",
+        ),
+        ".store": ("WarmStartStore", "open_store", "resolve_store"),
+    },
+)

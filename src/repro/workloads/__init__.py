@@ -1,71 +1,30 @@
 """Workload generators for the paper's evaluation (§5) and Fig. 1 scenario."""
 
-from .bamm import (
-    DOMAIN_NAMES,
-    DOMAIN_SIZES,
-    BammDomain,
-    BammTask,
-    Concept,
-    bamm_corpus,
-    bamm_domain,
-    domain_concepts,
-    fixed_source,
-)
-from .flights import (
-    b_to_a_expression,
-    b_to_c_expression,
-    flights_a,
-    flights_b,
-    flights_c,
-    flights_registry,
-    total_cost_correspondence,
-)
-from .semantic_domains import (
-    PAPER_FUNCTION_COUNTS,
-    SemanticDomain,
-    SemanticTask,
-    inventory_domain,
-    real_estate_domain,
-    semantic_domains,
-)
-from .synthetic import (
-    PAPER_SIZES,
-    MatchingPair,
-    matching_pair,
-    matching_pairs,
-    shared_value,
-    source_attribute,
-    target_attribute,
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bamm": (
+            "DOMAIN_NAMES", "DOMAIN_SIZES", "BammDomain", "BammTask",
+            "Concept", "bamm_corpus", "bamm_domain", "domain_concepts",
+            "fixed_source",
+        ),
+        ".flights": (
+            "b_to_a_expression", "b_to_c_expression", "flights_a", "flights_b",
+            "flights_c", "flights_registry", "total_cost_correspondence",
+        ),
+        ".semantic_domains": (
+            "PAPER_FUNCTION_COUNTS", "SemanticDomain", "SemanticTask",
+            "inventory_domain", "real_estate_domain", "semantic_domains",
+        ),
+        ".synthetic": (
+            "PAPER_SIZES", "MatchingPair", "matching_pair", "matching_pairs",
+            "shared_value", "source_attribute", "target_attribute",
+        ),
+    },
 )
 
-__all__ = [
-    "DOMAIN_NAMES",
-    "DOMAIN_SIZES",
-    "BammDomain",
-    "BammTask",
-    "Concept",
-    "bamm_corpus",
-    "bamm_domain",
-    "domain_concepts",
-    "fixed_source",
-    "b_to_a_expression",
-    "b_to_c_expression",
-    "flights_a",
-    "flights_b",
-    "flights_c",
-    "flights_registry",
-    "total_cost_correspondence",
-    "PAPER_FUNCTION_COUNTS",
-    "SemanticDomain",
-    "SemanticTask",
-    "inventory_domain",
-    "real_estate_domain",
-    "semantic_domains",
-    "PAPER_SIZES",
-    "MatchingPair",
-    "matching_pair",
-    "matching_pairs",
-    "shared_value",
-    "source_attribute",
-    "target_attribute",
-]
+# The function shares its submodule's name.  Bound lazily, the name would be
+# overwritten by the submodule on that module's first import.
+from .semantic_domains import semantic_domains  # noqa: E402

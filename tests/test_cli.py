@@ -268,6 +268,53 @@ class TestTrace:
         assert "size >= 1" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    """Bad inputs exit 2 with one ``error:`` line, never a traceback."""
+
+    def test_discover_missing_directory_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent")
+        code = main(["discover", "--source", missing, "--target", missing])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {missing} is not a directory" in captured.err
+        assert "status:" not in captured.out
+
+    def test_tnf_directory_without_csv_exits_2(self, tmp_path, capsys):
+        code = main(["tnf", "--source", str(tmp_path)])
+        assert code == 2
+        assert "no file matching '*.csv'" in capsys.readouterr().err
+
+    def test_synthetic_with_source_exits_2(self, dirs, capsys):
+        source, target, _tmp = dirs
+        code = main(
+            [
+                "discover",
+                "--synthetic",
+                "3",
+                "--source",
+                str(source),
+                "--target",
+                str(target),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--synthetic cannot be combined" in captured.err
+        assert "status:" not in captured.out
+
+    @pytest.mark.parametrize("command", ["apply", "execute"])
+    def test_missing_expression_file_exits_2(self, dirs, capsys, command):
+        source, _target, tmp = dirs
+        missing = str(tmp / "absent.txt")
+        code = main(
+            [command, "--expression", missing, "--source", str(source)]
+        )
+        assert code == 2
+        assert f"error: cannot read expression {missing}:" in (
+            capsys.readouterr().err
+        )
+
+
 class TestOtherCommands:
     def test_apply_prints_by_default(self, dirs, capsys, tmp_path):
         source, _target, tmp = dirs

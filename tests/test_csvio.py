@@ -98,6 +98,16 @@ class TestFiles:
         paths = save_database(db_c, tmp_path)
         assert sorted(p.name for p in paths) == ["AirEast.csv", "JetWest.csv"]
 
+    def test_load_missing_directory_raises(self, tmp_path):
+        missing = tmp_path / "absent"
+        with pytest.raises(SchemaError, match="absent is not a directory"):
+            load_database_dir(missing)
+
+    def test_load_directory_without_csv_raises(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("A\n1\n")
+        with pytest.raises(SchemaError, match=r"no file matching '\*\.csv'"):
+            load_database_dir(tmp_path)
+
 
 class TestDatabaseFromMapping:
     def test_builds_relations(self):

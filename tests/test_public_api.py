@@ -2,7 +2,60 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+import textwrap
+from importlib import import_module
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
 import repro
+from repro.relational import save_database
+from repro.workloads import matching_pair
+
+#: the directory holding the ``repro`` package under test
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+PACKAGES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+]
+
+#: what a CSV discovery never runs: execution backends, the SQL compiler
+#: and interpreter, fan-out, the store, the experiment harness, workload
+#: generators and trace merging
+NOT_ON_DISCOVER_PATH = (
+    "numpy",
+    "sqlite3",
+    "repro.backends",
+    "repro.minisql",
+    "repro.parallel",
+    "repro.store",
+    "repro.experiments",
+    "repro.workloads",
+    "repro.fira.sqlcompile",
+    "repro.obs.merge",
+)
+
+
+def _fresh_interpreter(script: str):
+    """Run *script* in a new interpreter; return its last stdout line as JSON."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestPublicSurface:
@@ -67,3 +120,90 @@ class TestPublicSurface:
             repro.Select,
         ]
         assert all(issubclass(op, repro.Operator) for op in operators)
+
+
+class TestStartUp:
+    """Importing the package and running a command load only what they use.
+
+    Asserted on module sets, not timings, so load on the host cannot flake
+    them.
+    """
+
+    def test_import_loads_only_the_package_and_lazy_helper(self):
+        added = _fresh_interpreter(
+            """
+            import json, sys
+            before = set(sys.modules)
+            import repro
+            print(json.dumps(sorted(set(sys.modules) - before)))
+            """
+        )
+        # importlib is the helper's one import; interpreters started
+        # without -S have it loaded already
+        assert set(added) - {"importlib"} == {"repro", "repro._lazy"}
+
+    def test_csv_discovery_skips_unused_layers(self, tmp_path):
+        pair = matching_pair(3)
+        save_database(pair.source, tmp_path / "source")
+        save_database(pair.target, tmp_path / "target")
+        argv = [
+            "discover",
+            "--source",
+            str(tmp_path / "source"),
+            "--target",
+            str(tmp_path / "target"),
+        ]
+        code, loaded = _fresh_interpreter(
+            f"""
+            import json, runpy, sys
+            sys.argv = ["repro"] + {argv!r}
+            try:
+                runpy.run_module("repro", run_name="__main__")
+            except SystemExit as done:
+                code = done.code
+            print(json.dumps([code, sorted(sys.modules)]))
+            """
+        )
+        assert code == 0
+        assert "repro.search.engine" in loaded
+        heavy = [
+            name
+            for name in loaded
+            for prefix in NOT_ON_DISCOVER_PATH
+            if name == prefix or name.startswith(prefix + ".")
+        ]
+        assert heavy == []
+
+    def test_no_export_resolves_to_a_submodule(self):
+        """An export sharing its submodule's name (``repro.search.rbfs``)
+        stays bound to the exported object once every submodule is loaded."""
+        modules = _fresh_interpreter(
+            """
+            import importlib, json, pkgutil, sys, types, repro
+            names = ["repro"] + [
+                info.name
+                for info in pkgutil.walk_packages(repro.__path__, "repro.")
+                if not info.name.endswith("__main__")
+            ]
+            for name in names:
+                importlib.import_module(name)
+            print(json.dumps([
+                f"{name}.{export}"
+                for name in names
+                for export in getattr(sys.modules[name], "__all__", ())
+                if isinstance(getattr(sys.modules[name], export), types.ModuleType)
+            ]))
+            """
+        )
+        assert modules == []
+
+    @pytest.mark.parametrize("name", PACKAGES)
+    def test_dir_lists_exports_and_unknown_names_raise(self, name):
+        package = import_module(name)
+        listed = dir(package)
+        assert len(set(package.__all__)) == len(package.__all__)
+        for export in package.__all__:
+            assert export in listed
+            assert not isinstance(getattr(package, export), ModuleType)
+        with pytest.raises(AttributeError, match="no_such_export"):
+            getattr(package, "no_such_export")
