@@ -53,6 +53,7 @@ still reported).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -76,6 +77,30 @@ def _parse_correspondence_arg(text: str):
     if not text.startswith("λ:"):
         text = "λ:" + text
     return decode_correspondence(text)
+
+
+def _number(convert, valid, expected: str):
+    """An argparse ``type=``: parse with *convert*, accept finite values
+    passing *valid*; anything else is a usage error (exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and valid(value)):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+#: --budget and --sizes
+_count = _number(int, lambda value: value >= 1, "an integer >= 1")
+#: --deadline
+_seconds = _number(float, lambda value: value > 0, "a number of seconds > 0")
+#: --k: the scaled heuristics map a similarity in [0, 1] onto [0, k]
+_scale = _number(float, lambda value: value >= 1, "a scaling constant >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="h1",
         choices=sorted(HEURISTIC_NAMES + EXTENSION_HEURISTIC_NAMES),
     )
-    discover.add_argument("--k", type=float, default=None, help="scaling constant")
+    discover.add_argument("--k", type=_scale, default=None, help="scaling constant")
     discover.add_argument(
-        "--budget", type=int, default=1_000_000, help="max states examined"
+        "--budget", type=_count, default=1_000_000, help="max states examined"
     )
     discover.add_argument(
         "--deadline",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="wall-clock deadline; a cut run reports partial stats and "
@@ -177,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "--sizes",
-        type=int,
+        type=_count,
         nargs="+",
         required=True,
         metavar="N",
@@ -195,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="h1",
         choices=sorted(HEURISTIC_NAMES + EXTENSION_HEURISTIC_NAMES),
     )
-    experiments.add_argument("--k", type=float, default=None, help="scaling constant")
+    experiments.add_argument("--k", type=_scale, default=None, help="scaling constant")
     experiments.add_argument(
-        "--budget", type=int, default=1_000_000, help="max states per point"
+        "--budget", type=_count, default=1_000_000, help="max states per point"
     )
     experiments.add_argument(
         "--deadline",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="per-point wall-clock deadline; cut points land with status "
@@ -262,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     execute.add_argument(
         "--deadline",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="wall-clock deadline for script execution; a cut run exits "
@@ -302,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="h0",
         choices=sorted(HEURISTIC_NAMES + EXTENSION_HEURISTIC_NAMES),
     )
-    trace.add_argument("--k", type=float, default=None, help="scaling constant")
+    trace.add_argument("--k", type=_scale, default=None, help="scaling constant")
     trace.add_argument(
-        "--budget", type=int, default=1_000_000, help="max states examined"
+        "--budget", type=_count, default=1_000_000, help="max states examined"
     )
     trace.add_argument(
         "--output", default=None, metavar="FILE", help="JSONL trace destination"
@@ -352,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(HEURISTIC_NAMES + EXTENSION_HEURISTIC_NAMES),
     )
     profile.add_argument(
-        "--budget", type=int, default=1_000_000, help="max states examined"
+        "--budget", type=_count, default=1_000_000, help="max states examined"
     )
     profile.add_argument(
         "--top", type=int, default=20, help="profile rows to print (default 20)"

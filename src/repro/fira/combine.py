@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from ..errors import OperatorApplicationError
 from ..relational.database import Database
-from ..relational.relation import Relation, Row
+from ..relational.intern import NULL_TOKEN
+from ..relational.relation import Relation, Row, TokenRow
 from ..relational.types import is_null, value_sort_key
 from .base import Operator, RelationOperator
 
@@ -50,6 +51,49 @@ def merge_group(rows: list[Row]) -> list[Row]:
     if len(merged) < len(rows):
         return merge_group(merged)
     return merged
+
+
+def _has_compatible_pair(rows: list[TokenRow]) -> bool:
+    null = NULL_TOKEN
+    for i, left in enumerate(rows):
+        for right in rows[i + 1 :]:
+            if all(a == b or a == null or b == null for a, b in zip(left, right)):
+                return True
+    return False
+
+
+def mergeable_positions(rel: Relation) -> frozenset[int]:
+    """Attribute positions where :class:`Merge` changes *rel* (memoised).
+
+    µA changes a relation exactly when two of its rows share a non-NULL
+    A-value and are NULL-compatible: :func:`merge_group` then coalesces at
+    least one pair, and its fixpoint leaves no two compatible rows, so the
+    row set shrinks.  Otherwise every group comes back as it went in.  The
+    test runs over token rows: the intern pool is equality-faithful, so
+    token equality is value equality.  Two distinct rows without NULLs
+    differ where both are non-NULL, so a NULL-free relation has no
+    mergeable position.
+    """
+
+    def compute() -> frozenset[int]:
+        if not rel.has_nulls:
+            return frozenset()
+        rows = rel.token_rows
+        found = []
+        for pos in range(rel.arity):
+            groups: dict[int, list[TokenRow]] = {}
+            for row in rows:
+                if row[pos] != NULL_TOKEN:
+                    groups.setdefault(row[pos], []).append(row)
+            if any(
+                _has_compatible_pair(group)
+                for group in groups.values()
+                if len(group) > 1
+            ):
+                found.append(pos)
+        return frozenset(found)
+
+    return rel.cached_view("mergeable_positions", compute)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from ..fira.base import Operator
-from ..fira.combine import CartesianProduct, Merge
+from ..fira.combine import CartesianProduct, Merge, mergeable_positions
 from ..fira.dynamic import (
     DEMOTE_ATT_ATTR,
     DEMOTE_REL_ATTR,
@@ -165,6 +165,7 @@ class MappingProblem:
             rel.name: rel.attribute_set for rel in target
         }
         self._target_value_text_ids = target.value_text_ids()
+        self._target_att_ids = _interned_name_set(self._target_atts)
         self._target_rel_ids = frozenset(
             intern_value(name) for name in self._target_rels
         )
@@ -177,23 +178,17 @@ class MappingProblem:
         ] = OrderedDict()
         self._goal_cache: OrderedDict[Database, bool] = OrderedDict()
         self._interned: OrderedDict[Database, Database] = OrderedDict()
-        # Per-relation proposal table: promote/dereference/merge moves and
-        # partition/demote candidate token sets depend only on the relation
-        # *value* (plus this problem's fixed target views), never on the
-        # rest of the state — and operators pass untouched relations through
-        # by reference, so consecutive states share almost all relations.
-        # Memoising per relation value turns the per-expansion proposal cost
-        # from O(state cells) into O(changed cells).
+        # Per-relation proposal table, keyed by what each rule reads: one
+        # schema bundle per (name, attributes, has_nulls), and per-value
+        # promote/dereference and partition views.  None of them depends
+        # on the rest of the state, and operators pass untouched relations
+        # through by reference, so consecutive states share almost all
+        # entries.
         self._relation_move_cache: OrderedDict[tuple, object] = OrderedDict()
-        # Fixed per problem: which non-symmetry families the config allows
-        # (the static bundle shape — see _static_moves).
-        self._partition_allowed = self.config.allows("partition")
-        self._demote_allowed = self.config.allows("demote")
-        self._static_families = tuple(
-            family
-            for family in ("promote", "partition", "merge", "deref", "demote")
-            if self.config.allows(family)
-        )
+        allows = self.config.allows
+        self._data_allowed = allows("promote") or allows("deref")
+        self._partition_allowed = allows("partition")
+        self._demote_allowed = allows("demote")
 
     def __getstate__(self) -> dict:
         """Pickle the problem without its memo tables.
@@ -235,10 +230,10 @@ class MappingProblem:
     def _relation_view(self, key: tuple, rel: Relation, build) -> object:
         """Memoise a per-relation proposal view (LRU, capacity-bound).
 
-        *key* is chosen by the caller: data-dependent views key on the
-        relation *value*, schema-only views (rename groups, drops, merges,
-        demote candidates) key on ``(name, attributes, ...)`` so they are
-        shared across states whose relations differ only in data.
+        *key* is chosen by the caller: the schema bundle keys on
+        ``(name, attributes, has_nulls)``, so it is shared across states
+        whose relations differ only in data; the data-dependent views key
+        on ``("moves", rel)`` and ``("partition", rel)``.
         """
         cache = self._relation_move_cache
         value = cache.get(key)
@@ -386,10 +381,11 @@ class MappingProblem:
         """The part of *last_op* the proposal rules actually consult.
 
         Successor sets depend on the producing operator only through the
-        symmetry-breaking comparisons in ``_propose_attribute_renames``,
-        ``_propose_relation_renames``, and ``_propose_drops`` — all other
-        operator classes (and ``break_symmetry=False``) make the successor
-        set independent of ``last_op``, so they share one canonical key.
+        symmetry floors of attribute renames and drops (read in
+        ``_propose``) and of relation renames (``_propose_relation_renames``)
+        — all other operator classes (and ``break_symmetry=False``) make
+        the successor set independent of ``last_op``, so they share one
+        canonical key.
         """
         if not self.config.break_symmetry or last_op is None:
             return None
@@ -425,49 +421,112 @@ class MappingProblem:
     def _propose(self, state: Database, last_op: Operator | None) -> list[Operator]:
         """All applicable moves from *state* (order-free; callers sort).
 
-        Symmetry-broken families (attribute renames, drops) and relation
-        renames consult *last_op*; everything else is served from one
-        per-relation "static bundle" probe — see :meth:`_static_moves`.
+        Each rule is looked up by what it reads.  One schema bundle per
+        relation (:meth:`_schema_bundle`) holds the attribute-rename
+        groups, drop entries, merge candidates and demote candidates; the
+        rename and drop symmetry floors are the only part of *last_op* they
+        consult.  Promote, dereference and partition read column contents:
+        under ``prune_targets`` their per-value views are probed only when
+        some value text of the relation names what the rule needs.  A merge
+        is proposed only where it changes the relation.
         """
         config = self.config
         prune = config.prune_targets
         moves: list[Operator] = []
         missing_rels = self._target_rels.difference(state.relation_name_view())
 
-        if config.allows("rename_att"):
-            moves.extend(self._propose_attribute_renames(state, last_op))
         if config.allows("rename_rel") and (missing_rels or not prune):
             moves.extend(self._propose_relation_renames(state, missing_rels, last_op))
-        if config.allows("apply"):
+        if config.allows("apply") and self.correspondences:
             moves.extend(self._propose_lambdas(state, last_op))
-        if config.allows("drop"):
-            moves.extend(self._propose_drops(state, last_op))
 
-        if self._static_families:
-            demote_missing: frozenset = frozenset()
-            if self._demote_allowed and prune:
-                demote_missing = self._target_value_text_ids - state.value_text_ids()
-            view = self._relation_view
-            data_build = self._data_moves
-            schema_build = self._schema_moves
-            for rel in state:
+        # the symmetry floors come from a last attribute rename or drop
+        renamed = dropped = None
+        if config.break_symmetry:
+            if isinstance(last_op, RenameAttribute):
+                renamed = last_op
+            elif isinstance(last_op, DropAttribute):
+                dropped = last_op
+        demote_missing: frozenset | None = None  # built on first use
+        data_allowed = self._data_allowed
+        target_att_ids = self._target_att_ids
+        view = self._relation_view
+        schema_build = self._schema_bundle
+        data_build = self._data_moves
+        for rel in state:
+            name = rel.name
+            renames, drops, merges, demote = view(
+                (name, rel.attributes, rel.has_nulls), rel, schema_build
+            )
+            if renames:
+                if renamed is None or renamed.relation != name:
+                    for _old, group in renames:
+                        moves.extend(group)
+                else:
+                    for old, group in renames:
+                        if old > renamed.old:  # canonical order within a run
+                            moves.extend(group)
+            if drops:
+                if dropped is None or dropped.relation != name:
+                    moves.extend(op for _attr, op in drops)
+                else:
+                    floor = dropped.attribute
+                    moves.extend(op for attr, op in drops if attr > floor)
+            if merges:
+                mergeable = mergeable_positions(rel)
+                if mergeable:
+                    moves.extend(op for pos, op in merges if pos in mergeable)
+            if demote is None:
+                moves.append(Demote(name))
+            elif demote:
+                if demote_missing is None:
+                    demote_missing = (
+                        self._target_value_text_ids - state.value_text_ids()
+                    )
+                if not demote_missing.isdisjoint(demote):
+                    moves.append(Demote(name))
+            # under pruning, promote needs a value naming a target
+            # attribute and dereference one naming an attribute of rel
+            if data_allowed and not (
+                prune
+                and target_att_ids.isdisjoint(texts := rel.value_text_ids())
+                and rel.attribute_ids().isdisjoint(texts)
+            ):
                 promote, deref = view(("moves", rel), rel, data_build)
-                merge, demote = view(
-                    ("schema", rel.name, rel.attributes, rel.has_nulls),
-                    rel,
-                    schema_build,
-                )
                 moves.extend(promote)
-                moves.extend(merge)
                 moves.extend(deref)
-                if demote is None or not demote_missing.isdisjoint(demote):
-                    moves.append(Demote(rel.name))
 
         if self._partition_allowed and (missing_rels or not prune):
             moves.extend(self._propose_partitions(state, missing_rels))
-        if config.allows("product"):
+        if config.allows("product") and len(state) > 1:
             moves.extend(self._propose_products(state))
         return moves
+
+    def _schema_bundle(
+        self, rel: Relation
+    ) -> tuple[tuple, tuple, tuple, frozenset | None]:
+        """``(rename groups, drop entries, merge candidates, demote candidates)``.
+
+        None of the four reads column contents: each depends on the
+        relation name, its attributes and the has-nulls bit, so one bundle
+        serves every state whose relation differs only in data.  Families
+        the config disallows contribute empty entries.  Demote candidates:
+        ``None`` = always fires (unpruned), empty = never.
+        """
+        config = self.config
+        renames = (
+            self._attribute_rename_groups(rel) if config.allows("rename_att") else ()
+        )
+        drops = self._drop_entries(rel) if config.allows("drop") else ()
+        merges = self._merge_candidates(rel) if config.allows("merge") else ()
+        demote: frozenset | None
+        if not self._demote_allowed:
+            demote = frozenset()
+        elif config.prune_targets:
+            demote = self._demote_candidates(rel)
+        else:
+            demote = None
+        return (renames, drops, merges, demote)
 
     def _data_moves(self, rel: Relation) -> tuple[tuple, tuple]:
         """Promote and dereference moves: the data-dependent bundle.
@@ -484,25 +543,6 @@ class MappingProblem:
         deref = self._deref_moves(rel) if config.allows("deref") else ()
         return (promote, deref)
 
-    def _schema_moves(self, rel: Relation) -> tuple[tuple, frozenset | None]:
-        """Merge moves and demote candidates: the schema-only bundle.
-
-        Neither family inspects column contents — merges depend on the
-        attribute names plus the has-nulls bit, demote candidates on the
-        schema names — so the probe keys on ``(name, attributes,
-        has_nulls)`` and is shared across states whose relations differ
-        only in data.  Demote candidates: ``None`` = always fires
-        (non-prune), empty = never (disallowed).
-        """
-        config = self.config
-        merge = self._merge_moves(rel) if config.allows("merge") else ()
-        demote: frozenset | None
-        if self._demote_allowed:
-            demote = self._demote_candidates(rel) if config.prune_targets else None
-        else:
-            demote = frozenset()
-        return (merge, demote)
-
     def _propose_partitions(
         self, state: Database, missing_rels: frozenset[str]
     ) -> list[Operator]:
@@ -518,6 +558,8 @@ class MappingProblem:
         view = self._relation_view
         build = self._partition_candidates
         for rel in state:
+            if missing.isdisjoint(rel.value_text_ids()):
+                continue  # no value names a missing target relation
             for attr, cand in view(("partition", rel), rel, build):
                 if not missing.isdisjoint(cand):
                     moves.append(Partition(rel.name, attr))
@@ -531,38 +573,6 @@ class MappingProblem:
         """
         wanted = self._target_attrs_by_rel.get(rel.name, self._target_atts)
         return frozenset(wanted) - rel.attribute_set
-
-    def _propose_attribute_renames(
-        self, state: Database, last_op: Operator | None
-    ) -> list[Operator]:
-        # The symmetry break ("canonical order within a run of renames")
-        # depends on the last operator only through a floor attribute, so
-        # the cache holds moves grouped by renamed-from attribute and the
-        # floor filter runs over the (short) group list per state.
-        follows_rename = self.config.break_symmetry and isinstance(
-            last_op, RenameAttribute
-        )
-        view = self._relation_view
-        build = self._attribute_rename_groups
-        moves: list[Operator] = []
-        for rel in state:
-            floor = (
-                last_op.old
-                if follows_rename and last_op.relation == rel.name
-                else None
-            )
-            # schema key: rename groups never look at column contents
-            groups = view(("rename_att", rel.name, rel.attributes), rel, build)
-            if not groups:
-                continue
-            if floor is None:
-                for _old, group in groups:
-                    moves.extend(group)
-            else:
-                for old, group in groups:
-                    if old > floor:  # canonical order within a run of renames
-                        moves.extend(group)
-        return moves
 
     def _attribute_rename_groups(
         self, rel: Relation
@@ -669,41 +679,19 @@ class MappingProblem:
             if (cand := col & target)
         )
 
-    def _merge_moves(self, rel: Relation) -> tuple[Operator, ...]:
-        prune = self.config.prune_targets
-        if prune and not rel.has_nulls:
+    def _merge_candidates(self, rel: Relation) -> tuple[tuple[int, Operator], ...]:
+        """``(position, Merge)`` pairs; ``_propose`` keeps the positions in
+        :func:`~repro.fira.combine.mergeable_positions`.  A relation
+        without NULLs has none, so its candidates are empty."""
+        if not rel.has_nulls:
             return ()
+        prune = self.config.prune_targets
         target_atts = self._target_atts
         return tuple(
-            Merge(rel.name, attr)
-            for attr in rel.attributes
+            (pos, Merge(rel.name, attr))
+            for pos, attr in enumerate(rel.attributes)
             if not prune or attr in target_atts
         )
-
-    def _propose_drops(
-        self, state: Database, last_op: Operator | None
-    ) -> list[Operator]:
-        follows_drop = self.config.break_symmetry and isinstance(
-            last_op, DropAttribute
-        )
-        view = self._relation_view
-        build = self._drop_entries
-        moves: list[Operator] = []
-        for rel in state:
-            floor = (
-                last_op.attribute
-                if follows_drop and last_op.relation == rel.name
-                else None
-            )
-            # schema key: droppability depends on names plus the nulls bit
-            entries = view(("drop", rel.name, rel.attributes, rel.has_nulls), rel, build)
-            if not entries:
-                continue
-            if floor is None:
-                moves.extend(op for _attr, op in entries)
-            else:
-                moves.extend(op for attr, op in entries if attr > floor)
-        return moves
 
     def _drop_entries(
         self, rel: Relation

@@ -302,6 +302,39 @@ class TestInputErrors:
         assert "--synthetic cannot be combined" in captured.err
         assert "status:" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discover", "--synthetic", "2", "--budget", "0"],
+            ["discover", "--synthetic", "2", "--deadline", "0"],
+            ["discover", "--synthetic", "2", "--deadline", "-1"],
+            ["discover", "--synthetic", "2", "--heuristic", "levenshtein",
+             "--k", "0.5"],
+            ["discover", "--synthetic", "2", "--heuristic", "cosine", "--k", "0"],
+            ["discover", "--synthetic", "2", "--heuristic", "h1", "--k", "0"],
+            ["trace", "--synthetic", "2", "--output", "{out}", "--budget", "0"],
+            ["trace", "--synthetic", "2", "--output", "{out}", "--k", "0"],
+            ["profile", "--synthetic", "2", "--budget", "0"],
+            ["experiments", "--sizes", "0"],
+            ["experiments", "--sizes", "2", "--budget", "0"],
+            ["experiments", "--sizes", "2", "--deadline", "0"],
+            ["experiments", "--sizes", "2", "--deadline", "-1"],
+            ["experiments", "--sizes", "2", "--heuristic", "cosine", "--k", "0"],
+            ["execute", "--expression", "{out}", "--source", "{out}",
+             "--deadline", "0"],
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, argv, tmp_path, capsys):
+        """Checked at parse time: usage plus an error line, exit 2."""
+        out = str(tmp_path / "out.jsonl")
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.replace("{out}", out) for arg in argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "expected" in err
+        assert not (tmp_path / "out.jsonl").exists()
+
     @pytest.mark.parametrize("command", ["apply", "execute"])
     def test_missing_expression_file_exits_2(self, dirs, capsys, command):
         source, _target, tmp = dirs

@@ -90,7 +90,9 @@ class TestExecute:
         for name in ("duckdb", "minisql", "sqlite"):
             assert name in err
 
-    def test_zero_deadline_exits_3(self, prepared, capsys):
+    def test_expired_deadline_exits_3(self, prepared, capsys):
+        # --deadline must be > 0 (0 is a usage error, exit 2); a 1 ns
+        # deadline has always passed by the first statement check
         source, expr_file, _tmp = prepared
         code = main(
             [
@@ -100,7 +102,7 @@ class TestExecute:
                 "--source",
                 str(source),
                 "--deadline",
-                "0",
+                "1e-9",
             ]
         )
         err = capsys.readouterr().err

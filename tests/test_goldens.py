@@ -20,7 +20,10 @@ Cases:
   algorithm/heuristic pairs of the ledger benchmark;
 * Fig. 7/8 BAMM, every Books interface under RBFS/h|E|;
 * Fig. 9 Inventory and Real Estate with 2 and 4 functions under IDA*/h1
-  and RBFS/h1.
+  and RBFS/h1;
+* the three non-default §2.3 pruning configurations (symmetry breaking
+  off, target pruning off, both off) on small synthetic and Flights
+  tasks, since successor proposal has a separate path for each.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import discover_mapping
+from repro import SearchConfig, discover_mapping
 from repro.heuristics import HEURISTIC_NAMES
 from repro.workloads import (
     bamm_domain,
@@ -58,9 +61,23 @@ def _synthetic_cases() -> dict:
                     lambda n=n: matching_pair(n),
                     algorithm,
                     heuristic,
+                    None,
                 )
-    cases["fig5/n=6/ida/h0"] = (lambda: matching_pair(6), "ida", "h0")
+    cases["fig5/n=6/ida/h0"] = (lambda: matching_pair(6), "ida", "h0", None)
     return cases
+
+
+def _flights_b_to_a():
+    return SimpleNamespace(source=flights_b(), target=flights_a())
+
+
+def _flights_b_to_c():
+    return SimpleNamespace(
+        source=flights_b(),
+        target=flights_c(),
+        correspondences=(total_cost_correspondence(),),
+        registry=flights_registry(),
+    )
 
 
 def _flights_cases() -> dict:
@@ -72,9 +89,10 @@ def _flights_cases() -> dict:
         ("ida", "euclid_norm"),
     ):
         cases[f"fig1/b->a/{algorithm}/{heuristic}"] = (
-            lambda: SimpleNamespace(source=flights_b(), target=flights_a()),
+            _flights_b_to_a,
             algorithm,
             heuristic,
+            None,
         )
     for algorithm, heuristic in (
         ("rbfs", "h1"),
@@ -83,14 +101,10 @@ def _flights_cases() -> dict:
         ("rbfs", "cosine"),
     ):
         cases[f"fig1/b->c/{algorithm}/{heuristic}"] = (
-            lambda: SimpleNamespace(
-                source=flights_b(),
-                target=flights_c(),
-                correspondences=(total_cost_correspondence(),),
-                registry=flights_registry(),
-            ),
+            _flights_b_to_c,
             algorithm,
             heuristic,
+            None,
         )
     return cases
 
@@ -106,6 +120,7 @@ def _bamm_cases() -> dict:
             lambda i=i: _books().tasks[i],
             "rbfs",
             "euclid_norm",
+            None,
         )
         for i, task in enumerate(_books().tasks)
     }
@@ -123,7 +138,59 @@ def _semantic_cases() -> dict:
                     lambda domain=domain, n=n: domain().task(n),
                     algorithm,
                     "h1",
+                    None,
                 )
+    return cases
+
+
+#: the non-default pruning configurations, by case-id prefix
+PRUNING_CONFIGS = {
+    "nosym": SearchConfig(break_symmetry=False),
+    "noprune": SearchConfig(prune_targets=False),
+    "naive": SearchConfig(prune_targets=False, break_symmetry=False),
+}
+
+
+def _pruning_cases() -> dict:
+    """Small tasks under each non-default configuration.
+
+    Unpruned search explodes quickly (Flights B->A under RBFS passes
+    200k states), so the unpruned configurations get the smallest tasks.
+    """
+    cases = {}
+    for label, config in PRUNING_CONFIGS.items():
+        if label == "nosym":
+            synthetic = [(n, "ida", "h0") for n in (2, 3, 4)]
+            synthetic += [(n, "rbfs", "h1") for n in (2, 3, 4)]
+            flights = [
+                (name, build, algorithm, heuristic)
+                for name, build in (
+                    ("b->a", _flights_b_to_a),
+                    ("b->c", _flights_b_to_c),
+                )
+                for algorithm, heuristic in (
+                    ("rbfs", "euclid_norm"),
+                    ("ida", "cosine"),
+                )
+            ]
+        else:
+            synthetic = [(2, "ida", "h0")]
+            synthetic += [(n, "rbfs", "h1") for n in (2, 3, 4)]
+            flights = [("b->c", _flights_b_to_c, "rbfs", "euclid_norm")]
+        for n, algorithm, heuristic in synthetic:
+            cases[f"{label}/fig5/n={n}/{algorithm}/{heuristic}"] = (
+                lambda n=n: matching_pair(n),
+                algorithm,
+                heuristic,
+                config,
+            )
+        for name, build, algorithm, heuristic in flights:
+            cases[f"{label}/fig1/{name}/{algorithm}/{heuristic}"] = (
+                build,
+                algorithm,
+                heuristic,
+                config,
+            )
     return cases
 
 
@@ -132,12 +199,13 @@ CASES = {
     **_flights_cases(),
     **_bamm_cases(),
     **_semantic_cases(),
+    **_pruning_cases(),
 }
 
 
 def run_case(case_id: str) -> dict:
     """Run one golden case; returns its JSON-ready record."""
-    build, algorithm, heuristic = CASES[case_id]
+    build, algorithm, heuristic, config = CASES[case_id]
     task = build()
     result = discover_mapping(
         task.source,
@@ -146,6 +214,7 @@ def run_case(case_id: str) -> dict:
         heuristic=heuristic,
         correspondences=getattr(task, "correspondences", ()),
         registry=getattr(task, "registry", None),
+        config=config,
     )
     return {
         "status": result.status,

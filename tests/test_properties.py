@@ -13,6 +13,7 @@ from repro.fira import (
     parse_operator,
     tuples_compatible,
 )
+from repro.fira.combine import mergeable_positions
 from repro.heuristics import (
     HEURISTIC_NAMES,
     levenshtein,
@@ -174,6 +175,24 @@ class TestMergeProperties:
         merged = merge_group(rows)
         for row in rows:
             assert any(tuples_compatible(row, out) for out in merged)
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda arity: st.lists(
+                # few distinct values and mostly NULL: keys repeat, NULL
+                # keys occur, and NULL-compatible pairs are common
+                st.tuples(*[st.sampled_from((NULL, NULL, NULL, "x", "y", 1))] * arity),
+                min_size=1,
+                max_size=7,
+            ).map(lambda rows: Relation("R", [f"A{i}" for i in range(arity)], rows))
+        )
+    )
+    @settings(max_examples=300)
+    def test_mergeable_positions_are_exactly_the_effective_merges(self, rel):
+        db = Database.single(rel)
+        mergeable = mergeable_positions(rel)
+        for pos, attr in enumerate(rel.attributes):
+            assert (Merge(rel.name, attr).apply(db) != db) == (pos in mergeable)
 
 
 # -- string view ------------------------------------------------------------------
