@@ -208,7 +208,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help=f"fail if nullsink overhead exceeds {MAX_NULLSINK_OVERHEAD:.0%}",
+        # argparse %-formats help text, so the rendered percent sign is doubled
+        help=f"fail if nullsink overhead exceeds {MAX_NULLSINK_OVERHEAD * 100:.0f}%%",
     )
     args = parser.parse_args(argv)
     sizes = QUICK_SIZES if args.quick else HEADLINE_SIZES

@@ -60,7 +60,6 @@ from typing import TYPE_CHECKING
 
 from .errors import TupeloError
 from .heuristics.registry import EXTENSION_HEURISTIC_NAMES, HEURISTIC_NAMES
-from .search.engine import ALGORITHM_NAMES
 
 if TYPE_CHECKING:
     from .fira.expression import MappingExpression
@@ -68,6 +67,10 @@ if TYPE_CHECKING:
 
 #: process exit code for a deadline-cut search (distinct from "not found")
 EXIT_DEADLINE_EXCEEDED = 3
+
+#: :data:`repro.search.engine.ALGORITHM_NAMES`, spelled out so that building
+#: the parser does not load the search engine (a test keeps the two equal)
+ALGORITHM_NAMES: tuple[str, ...] = ("ida", "rbfs", "astar", "greedy", "beam")
 
 
 def _parse_correspondence_arg(text: str):
@@ -911,7 +914,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
     from .store import DEFAULT_MAX_ENTRIES
 
     print(
-        "caches: transposition + goal + heuristic LRU "
+        "caches: one search node per state (successors, goal, estimate), LRU "
         f"(capacity {SearchConfig().cache_capacity or 'unbounded'}; "
         "per-cache hit/miss/eviction counters in experiment reports)"
     )

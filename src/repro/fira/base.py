@@ -19,6 +19,7 @@ Operators compare and hash by value so that search can deduplicate moves.
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ..errors import OperatorApplicationError
@@ -27,12 +28,36 @@ from ..relational.database import Database
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..semantics.functions import FunctionRegistry
 
+#: the order in which search explores operator families (cheap fixes first)
+FAMILY_ORDER: dict[str, int] = {
+    "rename_att": 0,
+    "rename_rel": 1,
+    "apply": 2,
+    "promote": 3,
+    "partition": 4,
+    "merge": 5,
+    "drop": 6,
+    "deref": 7,
+    "demote": 8,
+    "product": 9,
+}
+
 
 class Operator(abc.ABC):
     """Base class for all operators of the language L."""
 
     #: short machine name used by the textual syntax (e.g. ``"promote"``)
     keyword: str = ""
+
+    @cached_property
+    def sort_key(self) -> tuple[int, str]:
+        """``(family order, textual form)``: the order search proposes moves in.
+
+        Rendered once per operator object; operators are immutable, and
+        search reuses one object per move across expansions.  Search breaks
+        f-ties on the textual form, ``sort_key[1]``.
+        """
+        return (FAMILY_ORDER.get(self.keyword, 99), str(self))
 
     @abc.abstractmethod
     def apply(self, db: Database, registry: "FunctionRegistry | None" = None) -> Database:
@@ -77,11 +102,12 @@ class RelationOperator(Operator):
 
     def _target(self, db: Database):
         """Fetch the target relation, raising a precise application error."""
-        if not db.has_relation(self.relation):
+        rel = db._lookup(self.relation)
+        if rel is None:
             raise OperatorApplicationError(
                 f"{self.keyword}: no relation {self.relation!r} in {db!r}"
             )
-        return db.relation(self.relation)
+        return rel
 
     def is_applicable(self, db: Database) -> bool:
         return db.has_relation(self.relation)

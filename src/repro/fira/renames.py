@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import OperatorApplicationError
+from ..errors import OperatorApplicationError, SchemaError
 from ..relational.database import Database
 from .base import Operator, RelationOperator
 
@@ -41,7 +41,14 @@ class RenameAttribute(RelationOperator):
             raise OperatorApplicationError(
                 f"rename_att: {self.relation!r} already has attribute {self.new!r}"
             )
-        return db.with_relation(rel.rename_attribute(self.old, self.new))
+        if not isinstance(self.new, str) or not self.new:
+            raise SchemaError(
+                f"attribute names must be non-empty strings, got {self.new!r} "
+                f"in {self.relation!r}"
+            )
+        # validated once here: derive the child without re-checking
+        renamed = rel._renamed_attribute(rel.attribute_position(self.old), self.new)
+        return db._replacing(renamed)
 
     def is_applicable(self, db: Database) -> bool:
         if not db.has_relation(self.relation) or self.old == self.new:

@@ -30,7 +30,7 @@ class Database:
         relations: the member relations; duplicate names are rejected.
     """
 
-    __slots__ = ("_relations", "_by_name", "_hash", "_views")
+    __slots__ = ("_relations", "_hash", "_views")
 
     def __init__(self, relations: Iterable[Relation] = ()) -> None:
         by_name: dict[str, Relation] = {}
@@ -43,9 +43,6 @@ class Database:
         self._relations: tuple[Relation, ...] = tuple(
             by_name[name] for name in sorted(by_name)
         )
-        self._by_name: dict[str, Relation] = {
-            rel.name: rel for rel in self._relations
-        }
         self._hash = hash(self._relations)
         self._views: dict[object, object] = {}
 
@@ -100,26 +97,30 @@ class Database:
     @property
     def relation_names(self) -> tuple[str, ...]:
         """Relation names in sorted order."""
-        return tuple(rel.name for rel in self._relations)
+        return tuple([rel._name for rel in self._relations])
+
+    def _lookup(self, name: str) -> Relation | None:
+        """The member called *name*, or None.
+
+        A scan of the name-sorted members: search states hold a handful of
+        relations, and one name index per state would cost more to build
+        than the scans it saves.
+        """
+        for rel in self._relations:
+            if rel._name == name:
+                return rel
+        return None
 
     def relation(self, name: str) -> Relation:
         """The relation called *name* (raises :class:`UnknownRelationError`)."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise UnknownRelationError(name, self.relation_names) from None
+        rel = self._lookup(name)
+        if rel is None:
+            raise UnknownRelationError(name, self.relation_names)
+        return rel
 
     def has_relation(self, name: str) -> bool:
         """Whether a relation called *name* exists."""
-        return name in self._by_name
-
-    def relation_name_view(self):
-        """Live keys view of relation names (cheap membership/iteration).
-
-        Unlike :attr:`relation_names` this allocates nothing; the proposal
-        hot loop diffs target names against it once per expansion.
-        """
-        return self._by_name.keys()
+        return self._lookup(name) is not None
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self._relations)
@@ -179,37 +180,39 @@ class Database:
 
     @property
     def has_nulls(self) -> bool:
-        """Whether any relation contains a NULL value (memoised)."""
-        return self.cached_view(
-            "has_nulls", lambda: any(rel.has_nulls for rel in self._relations)
-        )
+        """Whether any relation contains a NULL value."""
+        return any(rel.has_nulls for rel in self._relations)
 
     # -- derivations ---------------------------------------------------------------
 
     @classmethod
-    def _from_sorted(
-        cls,
-        relations: tuple[Relation, ...],
-        by_name: dict[str, Relation] | None = None,
-    ) -> "Database":
+    def _from_sorted(cls, relations: tuple[Relation, ...]) -> "Database":
         """Construct from an already-validated, name-sorted relation tuple.
 
         Successor generation builds one database per child state; this
         skips the public constructor's re-validation, re-sort, and
         duplicate check, which the caller's invariants make redundant.
-        Callers deriving from an existing database pass *by_name* (a dict
-        copy patched in C speed) to skip the name-index rebuild too.
         """
         db = cls.__new__(cls)
         db._relations = relations
-        db._by_name = (
-            by_name
-            if by_name is not None
-            else {rel.name: rel for rel in relations}
-        )
         db._hash = hash(relations)
         db._views = {}
         return db
+
+    def _replacing(self, relation: Relation) -> "Database":
+        """A copy with the same-named member replaced by *relation*.
+
+        Unchecked: the caller has just fetched the member it replaces (an
+        operator deriving its child state).  :meth:`with_relation` is the
+        checked form.
+        """
+        old = self._relations
+        if len(old) == 1:  # the dominant case in single-relation search
+            return Database._from_sorted((relation,))
+        name = relation._name
+        return Database._from_sorted(
+            tuple(relation if rel._name == name else rel for rel in old)
+        )
 
     def with_relation(self, relation: Relation, replace: bool = True) -> "Database":
         """A copy with *relation* added (replacing any same-named member).
@@ -222,27 +225,17 @@ class Database:
                 f"expected Relation, got {type(relation).__name__}"
             )
         name = relation.name
-        if name in self._by_name:
+        if self._lookup(name) is not None:
             if not replace:
                 raise NameCollisionError(
                     f"relation {name!r} already exists in database"
                 )
-            old = self._relations
-            if len(old) == 1:  # the dominant case in single-relation search
-                relations: tuple[Relation, ...] = (relation,)
-            else:
-                relations = tuple(
-                    relation if rel._name == name else rel for rel in old
-                )
-        else:
-            names = [rel._name for rel in self._relations]
-            idx = bisect_right(names, name)
-            relations = (
-                self._relations[:idx] + (relation,) + self._relations[idx:]
-            )
-        by_name = dict(self._by_name)
-        by_name[name] = relation
-        return Database._from_sorted(relations, by_name)
+            return self._replacing(relation)
+        names = [rel._name for rel in self._relations]
+        idx = bisect_right(names, name)
+        return Database._from_sorted(
+            self._relations[:idx] + (relation,) + self._relations[idx:]
+        )
 
     def with_relations(self, relations: Iterable[Relation]) -> "Database":
         """A copy with each of *relations* added/replaced in order."""
@@ -280,7 +273,7 @@ class Database:
         identical superset" of *other* in the sense of the paper's §2.3.
         """
         for target_rel in other:
-            ours = self._by_name.get(target_rel.name)
+            ours = self._lookup(target_rel._name)
             if ours is None or not ours.contains(target_rel):
                 return False
         return True

@@ -96,7 +96,15 @@ class Relation:
     to :data:`~repro.relational.types.NULL`.
     """
 
-    __slots__ = ("_name", "_attributes", "_token_rows", "_index", "_hash", "_views")
+    __slots__ = (
+        "_name",
+        "_attributes",
+        "_token_rows",
+        "_index",
+        "_hash",
+        "_views",
+        "_value_text_ids",
+    )
 
     def __init__(
         self,
@@ -138,6 +146,10 @@ class Relation:
         self._index = {attr: i for i, attr in enumerate(canonical_attrs)}
         self._hash = hash((self._name, self._attributes, self._token_rows))
         self._views: dict[object, object] = {}
+        # The one frozenset view every search state carries, held outside
+        # _views: a state whose view dict then holds only atoms (has_nulls)
+        # keeps that dict untracked by the cyclic garbage collector.
+        self._value_text_ids: frozenset[int] | None = None
 
     @classmethod
     def _from_token_rows(
@@ -167,6 +179,7 @@ class Relation:
         )
         self._hash = hash((name, attributes, token_rows))
         self._views = {}
+        self._value_text_ids = None
         return self
 
     def __getstate__(self) -> dict:
@@ -340,9 +353,9 @@ class Relation:
         """Per-column text-id sets, aligned with :attr:`attributes` (memoised).
 
         One tuple view instead of one cache entry per column: probes are an
-        index away, and schema-preserving derivations (renames, projections)
-        transplant the whole view with a single permutation — the member
-        frozensets are shared, never copied.
+        index away, and relation renames and projections transplant the
+        whole view with a single permutation — the member frozensets are
+        shared, never copied.
         """
         views = self._views
         hit = views.get("column_text_id_sets")
@@ -393,13 +406,19 @@ class Relation:
         return self.cached_view(("value_tokens", include_null), compute)
 
     def value_text_ids(self) -> frozenset[int]:
-        """Token ids of the text forms of all non-NULL values (memoised)."""
+        """Token ids of the text forms of all non-NULL values (memoised).
 
-        def compute() -> frozenset[int]:
-            text_ids = TEXT_IDS
-            return frozenset(text_ids[t] for t in self.value_tokens())
-
-        return self.cached_view("value_text_ids", compute)
+        Probed once per relation per expansion by the proposal rules, hence
+        the inlined cache probe.
+        """
+        hit = self._value_text_ids
+        if hit is not None:
+            return hit
+        text_ids = TEXT_IDS
+        value = self._value_text_ids = frozenset(
+            text_ids[t] for t in self.value_tokens()
+        )
+        return value
 
     def attribute_ids(self) -> frozenset[int]:
         """Token ids of this relation's attribute names (memoised)."""
@@ -410,28 +429,17 @@ class Relation:
         value = views["attribute_ids"] = _interned_name_set(self._attributes)
         return value
 
-    def schema_name_ids(self) -> frozenset[int]:
-        """Token ids of the relation name plus attribute names (memoised).
-
-        The demote-proposal rule intersects this with the still-missing
-        target value texts.
-        """
-        views = self._views
-        hit = views.get("schema_name_ids")
-        if hit is not None:
-            return hit
-        value = views["schema_name_ids"] = self.attribute_ids() | {
-            intern_value(self._name)
-        }
-        return value
-
     @property
     def has_nulls(self) -> bool:
-        """Whether any tuple contains a NULL (memoised)."""
-
-        return self.cached_view(
-            "has_nulls", lambda: any(NULL_TOKEN in trow for trow in self._token_rows)
+        """Whether any tuple contains a NULL (memoised; probed per expansion)."""
+        views = self._views
+        hit = views.get("has_nulls")
+        if hit is not None:
+            return hit
+        value = views["has_nulls"] = any(
+            NULL_TOKEN in trow for trow in self._token_rows
         )
+        return value
 
     def sorted_rows(self) -> list[Row]:
         """Rows in a deterministic total order (for display and TNF ids).
@@ -495,6 +503,8 @@ class Relation:
         (value text ids, has-nulls) transfer too; those are
         permutation-invariant but not projection-safe.
         """
+        if not columns_only:
+            child._value_text_ids = self._value_text_ids
         src = self._views
         if not src:
             return
@@ -509,12 +519,9 @@ class Relation:
             )
         if columns_only:
             return
-        miss = _TRANSPLANT_MISS
-        get = src.get
-        for key in ("value_text_ids", "has_nulls"):
-            hit = get(key, miss)
-            if hit is not miss:
-                dst[key] = hit
+        hit = src.get("has_nulls")
+        if hit is not None:
+            dst["has_nulls"] = hit
 
     def renamed(self, new_name: str) -> "Relation":
         """A copy of this relation under a new name."""
@@ -555,40 +562,31 @@ class Relation:
                 f"attribute names must be non-empty strings, got {new!r} "
                 f"in {self._name!r}"
             )
+        return self._renamed_attribute(pos, new)
+
+    def _renamed_attribute(self, pos: int, new: str) -> "Relation":
+        """:meth:`rename_attribute` of column *pos*, after validation.
+
+        The rename operator validates its arguments once and derives its
+        child through here.  Token rows are shared when column positions do
+        not change, and permuted for the child alone otherwise.  Only the
+        whole-relation cell aggregates the proposal rules probe (value text
+        ids, has-nulls) carry over; per-column views rebuild on first use,
+        since most renamed children are never asked for them.
+        """
         canonical_attrs, perm, index = _rename_schema(self._attributes, pos, new)
-        if perm is None:
-            token_rows = self._token_rows  # column positions unchanged
-        else:
-            # The permutation depends only on where *new* sorts among the
-            # remaining attributes, so renames of one column to several
-            # (similarly sorting) names share one permuted row set.
-            views = self._views
-            token_rows = views.get(("permuted_rows", perm))
-            if token_rows is None:
-                token_rows = views[("permuted_rows", perm)] = frozenset(
-                    map(itemgetter(*perm), self._token_rows)
-                )
+        token_rows = (
+            self._token_rows
+            if perm is None
+            else frozenset(map(itemgetter(*perm), self._token_rows))
+        )
         child = Relation._from_token_rows(
             self._name, canonical_attrs, token_rows, index
         )
-        # transplant inlined from _seed_column_views: renames sit on the
-        # hottest operator path.  Child column i carries parent column
-        # perm[i] (the same permutation applied to the token rows;
-        # identity when shared).
-        src = self._views
-        if src:
-            dst = child._views
-            cols = src.get("column_text_id_sets")
-            if cols is not None:
-                dst["column_text_id_sets"] = (
-                    cols if perm is None else tuple(map(cols.__getitem__, perm))
-                )
-            hit = src.get("value_text_ids")
-            if hit is not None:
-                dst["value_text_ids"] = hit
-            hit = src.get("has_nulls", _TRANSPLANT_MISS)
-            if hit is not _TRANSPLANT_MISS:
-                dst["has_nulls"] = hit
+        child._value_text_ids = self._value_text_ids
+        hit = self._views.get("has_nulls")
+        if hit is not None:
+            child._views["has_nulls"] = hit
         return child
 
     def project(self, attrs: Sequence[str]) -> "Relation":
@@ -684,8 +682,10 @@ class Relation:
         *other* appears in our projection onto those attributes.  Names are
         not compared here (the database-level check compares names).
         """
-        if not other.attribute_set <= self.attribute_set:
-            return False
+        index = self._index
+        for attr in other._attributes:
+            if attr not in index:
+                return False
 
         def compute() -> frozenset[TokenRow]:
             positions = [self._index[a] for a in other.attributes]

@@ -13,7 +13,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ALGORITHM_NAMES", "ALGORITHMS", "Tupelo", "discover_mapping",
         ),
         ".ida": ("ida_star",),
-        ".problem": ("MappingProblem",),
+        ".problem": ("MappingProblem", "SearchNode"),
         ".rbfs": ("rbfs",),
         ".result": (
             "STATUS_BUDGET_EXCEEDED", "STATUS_CANCELLED",

@@ -16,7 +16,7 @@ from ..fira.base import Operator
 from ..heuristics.base import Heuristic
 from ..obs.events import PRUNE
 from ..relational.database import Database
-from .problem import MappingProblem
+from .problem import MappingProblem, SearchNode
 from .stats import SearchStats
 
 #: default beam width (states kept per layer)
@@ -29,33 +29,35 @@ def make_beam(width: int = DEFAULT_BEAM_WIDTH):
     def beam(
         problem: MappingProblem, heuristic: Heuristic, stats: SearchStats
     ) -> list[Operator]:
-        root = problem.initial_state()
-        layer: list[tuple[Database, Operator | None, list[Operator]]] = [
+        root = problem.start(heuristic)
+        layer: list[tuple[SearchNode, Operator | None, list[Operator]]] = [
             (root, None, [])
         ]
-        seen: set[Database] = {root}
+        seen: set[Database] = {root.state}
         depth = 0
         max_depth = problem.config.max_depth
         tracer = stats.tracer
         while layer:
             stats.frontier_size = len(layer)  # progress-heartbeat payload only
             stats.iteration(depth=depth, width=len(layer))
-            for state, _last, path in layer:
-                stats.examine(len(path), state)
-                if problem.is_goal(state, stats):
+            for node, _last, path in layer:
+                stats.examine(len(path), node.state)
+                if problem.is_goal(node, stats):
                     return path
             if max_depth is not None and depth >= max_depth:
                 break
-            candidates: list[tuple[int, str, Database, Operator, list[Operator]]] = []
-            for state, last, path in layer:
-                for op, child in problem.successors(state, last, stats):
-                    if child in seen:
+            candidates: list[
+                tuple[int, str, SearchNode, Operator, list[Operator]]
+            ] = []
+            for node, last, path in layer:
+                for op, child in problem.successors(node, last, stats):
+                    if child.state in seen:
                         if tracer.enabled:
                             tracer.emit(PRUNE, reason="seen", depth=depth + 1)
                         continue
-                    seen.add(child)
-                    f = len(path) + 1 + heuristic(child)
-                    candidates.append((f, str(op), child, op, path))
+                    seen.add(child.state)
+                    f = len(path) + 1 + problem.estimate(child, stats)
+                    candidates.append((f, op.sort_key[1], child, op, path))
             candidates.sort(key=lambda c: (c[0], c[1]))
             if candidates:
                 stats.current_f = float(candidates[0][0])

@@ -18,7 +18,7 @@ from ..fira.base import Operator
 from ..heuristics.base import Heuristic
 from ..obs.events import PRUNE
 from ..relational.database import Database
-from .problem import MappingProblem
+from .problem import MappingProblem, SearchNode
 from .stats import SearchStats
 
 
@@ -32,18 +32,20 @@ def _best_first(
 
     ``weight_g=1`` is A*; ``weight_g=0`` is greedy best-first.
     """
-    root = problem.initial_state()
+    root = problem.start(heuristic)
+    estimate = problem.estimate
     counter = itertools.count()  # FIFO tie-break for determinism
-    frontier: list[tuple[float, int, Database]] = []
-    heapq.heappush(frontier, (float(heuristic(root)), next(counter), root))
-    best_g: dict[Database, int] = {root: 0}
-    parent: dict[Database, tuple[Database, Operator] | None] = {root: None}
+    frontier: list[tuple[float, int, SearchNode]] = []
+    heapq.heappush(frontier, (float(estimate(root, stats)), next(counter), root))
+    best_g: dict[Database, int] = {root.state: 0}
+    parent: dict[Database, tuple[Database, Operator] | None] = {root.state: None}
     closed: set[Database] = set()
     max_depth = problem.config.max_depth
     tracer = stats.tracer
 
     while frontier:
-        _f, _tick, state = heapq.heappop(frontier)
+        _f, _tick, node = heapq.heappop(frontier)
+        state = node.state
         if state in closed:
             if tracer.enabled:
                 tracer.emit(PRUNE, reason="closed")
@@ -53,24 +55,25 @@ def _best_first(
         stats.current_f = _f  # progress-heartbeat payload only
         stats.frontier_size = len(frontier)
         stats.examine(g, state)
-        if problem.is_goal(state, stats):
+        if problem.is_goal(node, stats):
             return _reconstruct(parent, state)
         if max_depth is not None and g >= max_depth:
             continue
         came_from = parent[state]
         last_op = came_from[1] if came_from is not None else None
-        for op, child in problem.successors(state, last_op, stats):
+        for op, child in problem.successors(node, last_op, stats):
+            child_state = child.state
             child_g = g + 1
-            known = best_g.get(child)
+            known = best_g.get(child_state)
             if known is not None and known <= child_g:
                 if tracer.enabled:
                     tracer.emit(PRUNE, reason="dominated", depth=child_g)
                 continue
-            best_g[child] = child_g
-            parent[child] = (state, op)
-            if child in closed:
-                closed.remove(child)  # re-open: a cheaper path appeared
-            f = weight_g * child_g + heuristic(child)
+            best_g[child_state] = child_g
+            parent[child_state] = (state, op)
+            if child_state in closed:
+                closed.remove(child_state)  # re-open: a cheaper path appeared
+            f = weight_g * child_g + estimate(child, stats)
             heapq.heappush(frontier, (float(f), next(counter), child))
     raise MappingNotFound("best-first search exhausted the search space")
 

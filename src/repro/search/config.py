@@ -45,12 +45,14 @@ class SearchConfig:
         prune_targets: restrict operator proposals to ones that can supply a
             missing target token (the remaining §2.3 enhancement rules).
         max_depth: optional hard depth cap (None = unbounded).
-        cache_capacity: bound (entries, LRU eviction) on each memo table —
-            the transposition table, the goal-verdict table, and the
-            heuristic estimate cache.  ``None`` means unbounded, trading the
-            algorithms' linear-memory guarantee for maximum reuse.  The
-            tables are semantically transparent: a bounded search visits
-            exactly the same states in the same order.
+        cache_capacity: bound (entries, LRU eviction) on the memo tables —
+            the node table (one node per state, holding its successor
+            entries, goal verdict and heuristic estimate; evicting a node
+            drops its memo) and the per-relation proposal table.  ``None``
+            means unbounded, trading the algorithms' linear-memory
+            guarantee for maximum reuse.  The tables are semantically
+            transparent: a bounded search visits exactly the same states in
+            the same order.
         deadline_seconds: optional wall-clock deadline for the run.  The
             kernel checks ``perf_counter`` cooperatively (every few
             examinations plus once per successor expansion — see

@@ -177,8 +177,6 @@ def discover_mapping(
                     cancel=cancel,
                 )
                 h = make_heuristic(heuristic, target, k=k, algorithm=algorithm)
-                h.cache_capacity = config.cache_capacity
-                h.bind_stats(stats)
         if run_tracer.enabled:
             run_tracer.emit(
                 SEARCH_START,

@@ -17,7 +17,7 @@ from ..fira.base import Operator
 from ..heuristics.base import Heuristic
 from ..obs.events import PRUNE
 from ..relational.database import Database
-from .problem import MappingProblem
+from .problem import MappingProblem, SearchNode
 from .stats import SearchStats
 
 _FOUND = object()
@@ -32,48 +32,57 @@ def ida_star(
         MappingNotFound: if the (pruned) space contains no goal.
         SearchBudgetExceeded: if ``stats.budget`` is exhausted.
     """
-    root = problem.initial_state()
+    root = problem.start(heuristic)
     path_ops: list[Operator] = []
-    on_path: set[Database] = {root}
+    on_path: set[Database] = {root.state}
     max_depth = problem.config.max_depth
     tracer = stats.tracer
+    estimate = problem.estimate
+    is_goal = problem.is_goal
+    successors = problem.successors
 
-    def probe(state: Database, last_op: Operator | None, g: int, bound: float):
+    def probe(node: SearchNode, last_op: Operator | None, g: int, bound: float):
         """DFS bounded by f <= bound; returns _FOUND or the next bound."""
         stats.frontier_size = len(on_path)  # progress-heartbeat payload only
-        stats.examine(g, state)
-        f = g + heuristic(state)
+        stats.examine(g, node.state)
+        f = g + estimate(node, stats)
         if f > bound:
             return f
-        if problem.is_goal(state, stats):
+        if is_goal(node, stats):
             return _FOUND
         if max_depth is not None and g >= max_depth:
             return math.inf
         minimum: float = math.inf
-        for op, child in problem.successors(state, last_op, stats):
-            if child in on_path:
+        for op, child in successors(node, last_op, stats):
+            state = child.state
+            if state in on_path:
                 if tracer.enabled:
                     tracer.emit(PRUNE, reason="on_path", depth=g + 1)
                 continue
             path_ops.append(op)
-            on_path.add(child)
+            on_path.add(state)
             outcome = probe(child, op, g + 1, bound)
             if outcome is _FOUND:
                 return _FOUND
             path_ops.pop()
-            on_path.remove(child)
+            on_path.remove(state)
             if outcome < minimum:
                 minimum = outcome
         return minimum
 
-    bound: float = heuristic(root)
-    while True:
-        stats.iteration(bound=bound)
-        outcome = probe(root, None, 0, bound)
-        if outcome is _FOUND:
-            return list(path_ops)
-        if math.isinf(outcome):
-            raise MappingNotFound(
-                f"IDA* exhausted the search space (final bound {bound})"
-            )
-        bound = outcome
+    try:
+        bound: float = estimate(root, stats)
+        while True:
+            stats.iteration(bound=bound)
+            outcome = probe(root, None, 0, bound)
+            if outcome is _FOUND:
+                return list(path_ops)
+            if math.isinf(outcome):
+                raise MappingNotFound(
+                    f"IDA* exhausted the search space (final bound {bound})"
+                )
+            bound = outcome
+    finally:
+        # probe refers to itself through its closure cell; breaking that
+        # cycle lets reference counting free the node table on return
+        probe = None  # noqa: F841

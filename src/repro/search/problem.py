@@ -20,25 +20,28 @@ Successor generation implements the paper's "simple enhancements to search":
 Both behaviours are controlled by :class:`~repro.search.config.SearchConfig`
 so the ablation benches can measure their impact.
 
-**Transposition table.**  IDA* and RBFS accept "redundant explorations" as
-the price of linear memory (§2.3): the same state is re-expanded on every
+**One node per state.**  IDA* and RBFS accept "redundant explorations" as
+the price of linear memory (§2.3): the same state is re-examined on every
 deepening iteration / backtrack.  Because states are immutable and hashable,
-re-deriving its successor list (and goal verdict) each time is pure waste —
-:class:`MappingProblem` therefore memoises ``successors(state, last_op)``
-results and ``is_goal(state)`` verdicts.  The successor key includes the
+re-deriving anything about a state each time is pure waste, so
+:class:`MappingProblem` interns every state it meets in one node table.  A
+:class:`SearchNode` holds the state, its heuristic estimate, its goal
+verdict and its successor entries, so a repeat visit reads them off the
+node without a table lookup.  Successor entries are keyed by the
 *canonical symmetry key* of ``last_op`` (the part of the producing operator
-the symmetry-breaking rules actually consult), so cached results are exact.
-``SearchConfig.cache_capacity`` bounds the tables (LRU eviction); hit /
-miss / eviction counts and per-phase timings land in
-:class:`~repro.search.stats.SearchStats`.
+the symmetry-breaking rules actually consult), so memoised results are
+exact.  ``SearchConfig.cache_capacity`` bounds the table (LRU eviction,
+which drops the evicted node's memo); hit / miss / eviction counts and
+per-phase timings land in :class:`~repro.search.stats.SearchStats`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
+from operator import attrgetter
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..fira.base import Operator
 from ..fira.combine import CartesianProduct, Merge, mergeable_positions
@@ -58,6 +61,7 @@ from ..errors import (
     OperatorApplicationError,
     SchemaError,
     SearchCancelled,
+    SearchError,
 )
 from ..obs.events import CACHE_HIT, CACHE_MISS, GENERATE, GOAL_TEST
 from ..relational.database import Database
@@ -69,26 +73,43 @@ from .cancel import CancelToken
 from .config import SearchConfig
 from .stats import SearchStats
 
-#: deterministic exploration order of operator families (cheap fixes first)
-_FAMILY_ORDER: dict[str, int] = {
-    "rename_att": 0,
-    "rename_rel": 1,
-    "apply": 2,
-    "promote": 3,
-    "partition": 4,
-    "merge": 5,
-    "drop": 6,
-    "deref": 7,
-    "demote": 8,
-    "product": 9,
-}
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..heuristics.base import Heuristic
 
 _RESERVED_ATTRS = (DEMOTE_REL_ATTR, DEMOTE_ATT_ATTR)
 
-# Distinguishes "no cached verdict" from a cached False in the goal table
-# (goal verdicts are overwhelmingly False, so a None-probe would pay a
-# second lookup on virtually every hit).
-_GOAL_MISS = object()
+#: demote candidates of a relation whose schema names no target value
+_NO_CANDIDATES: frozenset[int] = frozenset()
+
+#: deterministic successor order: family order, then textual form
+_SORT_KEY = attrgetter("sort_key")
+
+#: the symmetry key of a node that holds no successor entries yet
+_NO_KEY = object()
+
+Entries = tuple[tuple[Operator, "SearchNode"], ...]
+
+
+class SearchNode:
+    """One interned search state and what the search memoises about it.
+
+    ``h`` is the bound heuristic's estimate and ``goal`` the goal verdict,
+    ``None`` until first asked.  ``entries`` are the successor entries for
+    the symmetry key ``key``; the entries for any further key of the same
+    state live in the ``more`` dict, created only when needed.  Algorithms
+    hold nodes and compare states by ``node.state``: a bounded table can
+    hold two nodes for one state.
+    """
+
+    __slots__ = ("state", "h", "goal", "key", "entries", "more")
+
+    def __init__(self, state: Database) -> None:
+        self.state = state
+        self.h: int | None = None
+        self.goal: bool | None = None
+        self.key: object = _NO_KEY
+        self.entries: Entries | None = None
+        self.more: dict[object, Entries] | None = None
 
 
 # Flyweight constructors for the operators proposed in per-attribute loops.
@@ -100,6 +121,15 @@ _GOAL_MISS = object()
 @lru_cache(maxsize=None)
 def _rename_attribute_op(relation: str, old: str, new: str) -> RenameAttribute:
     return RenameAttribute(relation, old, new)
+
+
+@lru_cache(maxsize=None)
+def _rename_group(
+    relation: str, old: str, news: tuple[str, ...]
+) -> tuple[str, tuple[RenameAttribute, ...]]:
+    """``(old, renames of old to each of news)``, shared by every schema
+    bundle that proposes the same group."""
+    return (old, tuple([_rename_attribute_op(relation, old, new) for new in news]))
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +150,17 @@ def _dereference_op(relation: str, pointer: str, new: str) -> Dereference:
 @lru_cache(maxsize=None)
 def _promote_op(relation: str, name_attr: str, value_attr: str) -> Promote:
     return Promote(relation, name_attr, value_attr)
+
+
+@lru_cache(maxsize=None)
+def _symmetry_key_of(*parts: str) -> tuple[str, ...]:
+    """One shared key object per ``(kind, relation, name)``.
+
+    Nodes match a query's key to their stored one by identity, so no key
+    tuple is built per expansion.  The key space is the problem's schema
+    vocabulary.
+    """
+    return parts
 
 
 class MappingProblem:
@@ -170,14 +211,12 @@ class MappingProblem:
             intern_value(name) for name in self._target_rels
         )
 
-        # Transposition table (successor lists), goal-verdict table, and the
-        # state intern table (canonical object per state value, so re-derived
-        # equal states share one set of memoised views).
-        self._successor_cache: OrderedDict[
-            tuple[Database, object], list[tuple[Operator, Database]]
-        ] = OrderedDict()
-        self._goal_cache: OrderedDict[Database, bool] = OrderedDict()
-        self._interned: OrderedDict[Database, Database] = OrderedDict()
+        # The node table: one node per state value (first-seen wins), each
+        # holding that state's estimate, goal verdict and successor entries.
+        self._nodes: OrderedDict[Database, SearchNode] = OrderedDict()
+        self._capacity = self.config.cache_capacity
+        #: the heuristic whose estimates the nodes memoise (see start())
+        self._heuristic: Heuristic | None = None
         # Per-relation proposal table, keyed by what each rule reads: one
         # schema bundle per (name, attributes, has_nulls), and per-value
         # promote/dereference and partition views.  None of them depends
@@ -186,26 +225,33 @@ class MappingProblem:
         # entries.
         self._relation_move_cache: OrderedDict[tuple, object] = OrderedDict()
         allows = self.config.allows
-        self._data_allowed = allows("promote") or allows("deref")
+        self._rename_att_allowed = allows("rename_att")
+        self._rename_rel_allowed = allows("rename_rel")
+        self._apply_allowed = allows("apply") and bool(self.correspondences)
+        self._promote_allowed = allows("promote")
+        self._deref_allowed = allows("deref")
+        self._data_allowed = self._promote_allowed or self._deref_allowed
         self._partition_allowed = allows("partition")
+        self._merge_allowed = allows("merge")
+        self._drop_allowed = allows("drop")
         self._demote_allowed = allows("demote")
+        self._product_allowed = allows("product")
 
     def __getstate__(self) -> dict:
         """Pickle the problem without its memo tables.
 
-        The transposition, goal-verdict, and intern tables can hold every
-        state the search touched — megabytes of memoised views that would
-        all ship on a process boundary.  They are pure caches and rebuild
-        lazily, so a pickled problem carries only its definition.  (The
-        registry must itself be picklable; the parallel layer sidesteps
-        that by shipping registry *provider names* instead — see
+        The node table can hold every state the search touched — megabytes
+        of memoised views that would all ship on a process boundary.  It is
+        a pure cache and rebuilds lazily, so a pickled problem carries only
+        its definition (and no bound heuristic).  (The registry must itself
+        be picklable; the parallel layer sidesteps that by shipping
+        registry *provider names* instead — see
         :mod:`repro.parallel.providers`.)
         """
         state = dict(self.__dict__)
-        state["_successor_cache"] = OrderedDict()
-        state["_goal_cache"] = OrderedDict()
-        state["_interned"] = OrderedDict()
+        state["_nodes"] = OrderedDict()
         state["_relation_move_cache"] = OrderedDict()
+        state["_heuristic"] = None
         # A cancel token is an in-process flag; cancellation never crosses
         # a pickle boundary.
         state["cancel_token"] = None
@@ -220,12 +266,84 @@ class MappingProblem:
         """The initial search state (the source critical instance)."""
         return self.source
 
+    def start(self, heuristic: "Heuristic") -> SearchNode:
+        """Bind *heuristic* to the node table and return the root node.
+
+        Nodes memoise the estimates of one heuristic, so every search on
+        this problem must run with the same heuristic object until
+        :meth:`clear_caches`; a different one raises
+        :class:`~repro.errors.SearchError`.
+        """
+        bound = self._heuristic
+        if bound is None:
+            self._heuristic = heuristic
+        elif bound is not heuristic:
+            raise SearchError(
+                f"this problem's nodes memoise the estimates of {bound!r}; "
+                f"clear_caches() before searching it with {heuristic!r}"
+            )
+        return self.node(self.source)
+
     def clear_caches(self) -> None:
-        """Drop the transposition, goal-verdict, intern, and proposal tables."""
-        self._successor_cache.clear()
-        self._goal_cache.clear()
-        self._interned.clear()
+        """Drop the node table (every node's memo) and the proposal table."""
+        for node in self._nodes.values():
+            self._drop(node, None)
+        self._nodes.clear()
         self._relation_move_cache.clear()
+        self._heuristic = None
+
+    def node(
+        self, state: Database, stats: SearchStats | None = None
+    ) -> SearchNode:
+        """The interned node of *state* (first-seen equal value wins).
+
+        Search re-derives equal databases along many paths; one node per
+        value means every memo (estimate, goal verdict, successor entries,
+        and the database's own views) is computed once per *value* instead
+        of once per derivation.  Semantically free: databases are immutable
+        and compare by value.
+        """
+        nodes = self._nodes
+        node = nodes.get(state)
+        if node is None:
+            node = nodes[state] = SearchNode(state)
+            if self._capacity is not None and len(nodes) > self._capacity:
+                self._drop(nodes.popitem(last=False)[1], stats)
+        elif self._capacity is not None:  # LRU order only matters when bounded
+            nodes.move_to_end(state)
+        return node
+
+    def _touch(self, node: SearchNode, stats: SearchStats | None) -> None:
+        """Bounded tables only: make *node* its state's most recent entry.
+
+        Called before a memo is read or filled.  A node that was evicted
+        (its memo dropped) is re-admitted, replacing any newer node of the
+        same state.  So a node with a filled memo is always in the table,
+        and the table bounds every memo.
+        """
+        nodes = self._nodes
+        state = node.state
+        current = nodes.get(state)
+        if current is not node:
+            if current is not None:
+                self._drop(current, stats)
+            nodes[state] = node
+        nodes.move_to_end(state)
+        if len(nodes) > self._capacity:
+            self._drop(nodes.popitem(last=False)[1], stats)
+
+    @staticmethod
+    def _drop(node: SearchNode, stats: SearchStats | None) -> None:
+        """Clear an evicted node's memo, counting the entries that were filled."""
+        if stats is not None:
+            if node.h is not None:
+                stats.heuristic_cache_evictions += 1
+            if node.goal is not None:
+                stats.goal_cache_evictions += 1
+            filled = (node.entries is not None) + len(node.more or ())
+            stats.successor_cache_evictions += filled
+        node.h = node.goal = node.entries = node.more = None
+        node.key = _NO_KEY
 
     def _relation_view(self, key: tuple, rel: Relation, build) -> object:
         """Memoise a per-relation proposal view (LRU, capacity-bound).
@@ -237,7 +355,7 @@ class MappingProblem:
         """
         cache = self._relation_move_cache
         value = cache.get(key)
-        capacity = self.config.cache_capacity
+        capacity = self._capacity
         if value is not None:
             if capacity is not None:  # LRU order only matters when bounded
                 cache.move_to_end(key)
@@ -247,81 +365,76 @@ class MappingProblem:
             cache.popitem(last=False)
         return value
 
-    def _intern(self, state: Database) -> Database:
-        """The canonical object for *state* (first-seen equal value wins).
+    def estimate(self, node: SearchNode, stats: SearchStats | None = None) -> int:
+        """The bound heuristic's estimate for *node* (memoised on the node).
 
-        Search re-derives equal databases along many paths; returning one
-        canonical object per value means every memoised view (column text
-        ids, TNF triples, ...) is computed once per *value* instead of once per
-        derivation.  Semantically free: databases are immutable and compare
-        by value.
+        Hits and misses are counted on *stats* when given; only computed
+        estimates are timed (a hit is a slot read).
         """
-        interned = self._interned.get(state)
-        capacity = self.config.cache_capacity
-        if interned is not None:
-            if capacity is not None:  # LRU order only matters when bounded
-                self._interned.move_to_end(state)
-            return interned
-        self._interned[state] = state
-        if capacity is not None and len(self._interned) > capacity:
-            self._interned.popitem(last=False)
-        return state
-
-    def is_goal(
-        self, state: Database, stats: SearchStats | None = None
-    ) -> bool:
-        """Goal test: *state* contains the target critical instance.
-
-        Verdicts are memoised; time spent and hit/miss counts are recorded
-        on *stats* when given.
-        """
-        start = perf_counter()
-        tracer = stats.tracer if stats is not None else None
-        try:
-            cache = self._goal_cache
-            verdict = cache.get(state, _GOAL_MISS)
-            if verdict is not _GOAL_MISS:
-                if self.config.cache_capacity is not None:
-                    cache.move_to_end(state)
-                if stats is not None:
-                    stats.goal_cache_hits += 1
-                if tracer is not None and tracer.enabled:
-                    tracer.emit(CACHE_HIT, cache="goal")
-                    tracer.emit(GOAL_TEST, verdict=verdict, cached=True)
-                return verdict
-            verdict = state.contains(self.target)
-            cache[state] = verdict
+        if self._capacity is not None:
+            self._touch(node, stats)
+        h = node.h
+        if h is not None:
             if stats is not None:
+                stats.heuristic_cache_hits += 1
+                if stats.tracer.enabled:
+                    stats.tracer.emit(CACHE_HIT, cache="heuristic")
+            return h
+        heuristic = self._heuristic
+        if heuristic is None:
+            raise SearchError("no heuristic bound: call start(heuristic) first")
+        begin = perf_counter()
+        h = node.h = heuristic(node.state)
+        if stats is not None:
+            stats.heuristic_cache_misses += 1
+            stats.time_in_heuristic += perf_counter() - begin
+            if stats.tracer.enabled:
+                stats.tracer.emit(CACHE_MISS, cache="heuristic", value=h)
+        return h
+
+    def is_goal(self, node: SearchNode, stats: SearchStats | None = None) -> bool:
+        """Goal test: *node*'s state contains the target critical instance.
+
+        Verdicts are memoised on the node; time spent (hits included) and
+        hit/miss counts are recorded on *stats* when given.
+        """
+        begin = perf_counter()
+        if self._capacity is not None:
+            self._touch(node, stats)
+        verdict = node.goal
+        cached = verdict is not None
+        if not cached:
+            verdict = node.goal = node.state.contains(self.target)
+        if stats is not None:
+            if cached:
+                stats.goal_cache_hits += 1
+            else:
                 stats.goal_cache_misses += 1
-            if tracer is not None and tracer.enabled:
-                tracer.emit(CACHE_MISS, cache="goal")
-                tracer.emit(GOAL_TEST, verdict=verdict, cached=False)
-            capacity = self.config.cache_capacity
-            if capacity is not None and len(cache) > capacity:
-                cache.popitem(last=False)
-                if stats is not None:
-                    stats.goal_cache_evictions += 1
-            return verdict
-        finally:
-            if stats is not None:
-                stats.time_in_goal_tests += perf_counter() - start
+            tracer = stats.tracer
+            if tracer.enabled:
+                tracer.emit(CACHE_HIT if cached else CACHE_MISS, cache="goal")
+                tracer.emit(GOAL_TEST, verdict=verdict, cached=cached)
+            stats.time_in_goal_tests += perf_counter() - begin
+        return verdict
 
     def successors(
         self,
-        state: Database,
+        node: SearchNode,
         last_op: Operator | None = None,
         stats: SearchStats | None = None,
-    ) -> list[tuple[Operator, Database]]:
-        """Applicable, pruned, deduplicated moves from *state*.
+    ) -> Entries:
+        """Applicable, pruned, deduplicated moves from *node*'s state.
 
-        *last_op* is the operator that produced *state* (None at the root);
-        it drives the symmetry-breaking canonicalisation of commuting runs.
-        Results are deterministic: sorted by family order then textual form.
+        Returns ``(operator, child node)`` entries.  *last_op* is the
+        operator that produced the state (None at the root); it drives the
+        symmetry-breaking canonicalisation of commuting runs.  Results are
+        deterministic: sorted by family order then textual form.
 
-        Results are served from the transposition table keyed by
-        ``(state, symmetry key of last_op)``; a hit skips proposal and
-        operator application entirely.  ``stats.states_generated`` counts
-        successors *delivered*, so a hit counts like a fresh generation.
+        The entries are memoised on the node under the symmetry key of
+        *last_op*, and a hit returns the memoised tuple itself: it skips
+        proposal and operator application entirely.
+        ``stats.states_generated`` counts successors *delivered*, so a hit
+        counts like a fresh generation.
 
         Limit checks: each call polls the problem's cancel token and, via
         *stats*, the wall-clock deadline — one check per expansion keeps
@@ -333,39 +446,46 @@ class MappingProblem:
             )
         if stats is not None:
             stats.check_limits()
-        start = perf_counter()
+        begin = perf_counter()
         tracer = stats.tracer if stats is not None else None
         try:
-            key = (state, self._symmetry_key(last_op))
-            cache = self._successor_cache
-            hit = cache.get(key)
-            if hit is not None:
-                if self.config.cache_capacity is not None:
-                    cache.move_to_end(key)
+            key = self._symmetry_key(last_op)
+            if node.key is key:
+                entries = node.entries
+            else:
+                more = node.more
+                entries = more.get(key) if more is not None else None
+            if entries is not None:
+                if self._capacity is not None:
+                    self._touch(node, stats)
                 if stats is not None:
                     stats.successor_cache_hits += 1
-                    stats.generated(len(hit))
+                    stats.generated(len(entries))
                 if tracer is not None and tracer.enabled:
                     tracer.emit(CACHE_HIT, cache="successor")
-                    self._emit_generate(tracer, hit, cached=True)
-                return list(hit)
-            out = self._compute_successors(state, last_op)
-            cache[key] = out
+                    self._emit_generate(tracer, entries, cached=True)
+                return entries
+            entries = self._compute_successors(node.state, last_op, stats)
+            if self._capacity is not None:
+                # interning the children may have evicted the node itself
+                self._touch(node, stats)
+            if node.entries is None:
+                node.key = key
+                node.entries = entries
+            else:
+                if node.more is None:
+                    node.more = {}
+                node.more[key] = entries
             if stats is not None:
                 stats.successor_cache_misses += 1
-                stats.generated(len(out))
+                stats.generated(len(entries))
             if tracer is not None and tracer.enabled:
                 tracer.emit(CACHE_MISS, cache="successor")
-                self._emit_generate(tracer, out, cached=False)
-            capacity = self.config.cache_capacity
-            if capacity is not None and len(cache) > capacity:
-                cache.popitem(last=False)
-                if stats is not None:
-                    stats.successor_cache_evictions += 1
-            return list(out)
+                self._emit_generate(tracer, entries, cached=False)
+            return entries
         finally:
             if stats is not None:
-                stats.time_in_successors += perf_counter() - start
+                stats.time_in_successors += perf_counter() - begin
 
     @staticmethod
     def _emit_generate(
@@ -385,36 +505,41 @@ class MappingProblem:
         ``_propose``) and of relation renames (``_propose_relation_renames``)
         — all other operator classes (and ``break_symmetry=False``) make
         the successor set independent of ``last_op``, so they share one
-        canonical key.
+        canonical key.  Keys are shared objects (:func:`_symmetry_key_of`).
         """
-        if not self.config.break_symmetry or last_op is None:
+        if last_op is None or not self.config.break_symmetry:
             return None
         if isinstance(last_op, RenameAttribute):
-            return ("rename_att", last_op.relation, last_op.old)
+            return _symmetry_key_of("rename_att", last_op.relation, last_op.old)
         if isinstance(last_op, RenameRelation):
-            return ("rename_rel", last_op.old)
+            return _symmetry_key_of("rename_rel", last_op.old)
         if isinstance(last_op, DropAttribute):
-            return ("drop", last_op.relation, last_op.attribute)
+            return _symmetry_key_of("drop", last_op.relation, last_op.attribute)
         return None
 
     def _compute_successors(
-        self, state: Database, last_op: Operator | None
-    ) -> list[tuple[Operator, Database]]:
+        self,
+        state: Database,
+        last_op: Operator | None,
+        stats: SearchStats | None,
+    ) -> Entries:
         """Uncached successor generation (propose, apply, deduplicate)."""
         moves = self._propose(state, last_op)
-        moves.sort(key=lambda op: (_FAMILY_ORDER.get(op.keyword, 99), str(op)))
-        out: list[tuple[Operator, Database]] = []
+        moves.sort(key=_SORT_KEY)
+        out: list[tuple[Operator, SearchNode]] = []
         seen: set[Database] = {state}
+        registry = self.registry
+        node = self.node
         for op in moves:
             try:
-                child = op.apply(state, self.registry)
+                child = op.apply(state, registry)
             except (OperatorApplicationError, SchemaError, NameCollisionError):
                 continue
             if child in seen:
                 continue  # no-op or duplicate of an earlier move
             seen.add(child)
-            out.append((op, self._intern(child)))
-        return out
+            out.append((op, node(child, stats)))
+        return tuple(out)
 
     # -- proposal rules -----------------------------------------------------------
 
@@ -433,11 +558,11 @@ class MappingProblem:
         config = self.config
         prune = config.prune_targets
         moves: list[Operator] = []
-        missing_rels = self._target_rels.difference(state.relation_name_view())
+        missing_rels = self._target_rels.difference(state.relation_names)
 
-        if config.allows("rename_rel") and (missing_rels or not prune):
+        if self._rename_rel_allowed and (missing_rels or not prune):
             moves.extend(self._propose_relation_renames(state, missing_rels, last_op))
-        if config.allows("apply") and self.correspondences:
+        if self._apply_allowed:
             moves.extend(self._propose_lambdas(state, last_op))
 
         # the symmetry floors come from a last attribute rename or drop
@@ -455,7 +580,7 @@ class MappingProblem:
         data_build = self._data_moves
         for rel in state:
             name = rel.name
-            renames, drops, merges, demote = view(
+            renames, drops, merges, demote, attribute_ids = view(
                 (name, rel.attributes, rel.has_nulls), rel, schema_build
             )
             if renames:
@@ -490,7 +615,7 @@ class MappingProblem:
             if data_allowed and not (
                 prune
                 and target_att_ids.isdisjoint(texts := rel.value_text_ids())
-                and rel.attribute_ids().isdisjoint(texts)
+                and attribute_ids.isdisjoint(texts)
             ):
                 promote, deref = view(("moves", rel), rel, data_build)
                 moves.extend(promote)
@@ -498,35 +623,33 @@ class MappingProblem:
 
         if self._partition_allowed and (missing_rels or not prune):
             moves.extend(self._propose_partitions(state, missing_rels))
-        if config.allows("product") and len(state) > 1:
+        if self._product_allowed and len(state) > 1:
             moves.extend(self._propose_products(state))
         return moves
 
     def _schema_bundle(
         self, rel: Relation
-    ) -> tuple[tuple, tuple, tuple, frozenset | None]:
-        """``(rename groups, drop entries, merge candidates, demote candidates)``.
+    ) -> tuple[tuple, tuple, tuple, frozenset | None, frozenset[int]]:
+        """``(rename groups, drop entries, merge candidates, demote
+        candidates, attribute-name ids)``.
 
-        None of the four reads column contents: each depends on the
+        None of the five reads column contents: each depends on the
         relation name, its attributes and the has-nulls bit, so one bundle
         serves every state whose relation differs only in data.  Families
         the config disallows contribute empty entries.  Demote candidates:
         ``None`` = always fires (unpruned), empty = never.
         """
-        config = self.config
-        renames = (
-            self._attribute_rename_groups(rel) if config.allows("rename_att") else ()
-        )
-        drops = self._drop_entries(rel) if config.allows("drop") else ()
-        merges = self._merge_candidates(rel) if config.allows("merge") else ()
+        renames = self._attribute_rename_groups(rel) if self._rename_att_allowed else ()
+        drops = self._drop_entries(rel) if self._drop_allowed else ()
+        merges = self._merge_candidates(rel) if self._merge_allowed else ()
         demote: frozenset | None
         if not self._demote_allowed:
-            demote = frozenset()
-        elif config.prune_targets:
+            demote = _NO_CANDIDATES
+        elif self.config.prune_targets:
             demote = self._demote_candidates(rel)
         else:
             demote = None
-        return (renames, drops, merges, demote)
+        return (renames, drops, merges, demote, _interned_name_set(rel.attributes))
 
     def _data_moves(self, rel: Relation) -> tuple[tuple, tuple]:
         """Promote and dereference moves: the data-dependent bundle.
@@ -538,9 +661,8 @@ class MappingProblem:
         rule never touched.)  Families the config disallows contribute
         empty entries, so the bundle shape is fixed per problem.
         """
-        config = self.config
-        promote = self._promote_moves(rel) if config.allows("promote") else ()
-        deref = self._deref_moves(rel) if config.allows("deref") else ()
+        promote = self._promote_moves(rel) if self._promote_allowed else ()
+        deref = self._deref_moves(rel) if self._deref_allowed else ()
         return (promote, deref)
 
     def _propose_partitions(
@@ -572,7 +694,7 @@ class MappingProblem:
         attributes; otherwise aim for the union of target attributes.
         """
         wanted = self._target_attrs_by_rel.get(rel.name, self._target_atts)
-        return frozenset(wanted) - rel.attribute_set
+        return wanted.difference(rel.attributes)
 
     def _attribute_rename_groups(
         self, rel: Relation
@@ -581,19 +703,18 @@ class MappingProblem:
         if prune:
             wanted = self._missing_atts_for(rel)
         else:
-            wanted = self._target_atts - rel.attribute_set
+            wanted = self._target_atts.difference(rel.attributes)
         if not wanted:
             return ()
         ordered = _sorted_names(wanted)
         target_atts = self._target_atts
         name = rel.name
-        make = _rename_attribute_op
-        groups: list[tuple[str, tuple[Operator, ...]]] = []
-        for old in rel.attributes:
-            if prune and old in target_atts:
-                continue  # never rename away a name the target uses
-            groups.append((old, tuple([make(name, old, new) for new in ordered])))
-        return tuple(groups)
+        return tuple(
+            _rename_group(name, old, ordered)
+            for old in rel.attributes
+            # never rename away a name the target uses
+            if not (prune and old in target_atts)
+        )
 
     def _propose_relation_renames(
         self,
@@ -714,7 +835,7 @@ class MappingProblem:
     def _deref_moves(self, rel: Relation) -> tuple[Operator, ...]:
         prune = self.config.prune_targets
         wanted = self._missing_atts_for(rel) if prune else (
-            self._target_atts - rel.attribute_set
+            self._target_atts.difference(rel.attributes)
         )
         if not wanted:
             return ()
@@ -736,8 +857,10 @@ class MappingProblem:
         # state-dependent part of the demote test (missing values are a
         # subset of target values, so intersecting these candidates with
         # the missing set matches the original schema-names & missing
-        # test).
-        return rel.schema_name_ids() & self._target_value_text_ids
+        # test).  The bundle memoises the result, so the relation keeps no
+        # schema-name view of its own.
+        names = _interned_name_set(rel.attributes) | {intern_value(rel.name)}
+        return names & self._target_value_text_ids or _NO_CANDIDATES
 
     def _propose_products(self, state: Database) -> Iterable[Operator]:
         relations = list(state)

@@ -16,7 +16,7 @@ from ..fira.base import Operator
 from ..heuristics.base import Heuristic
 from ..obs.events import PRUNE
 from ..relational.database import Database
-from .problem import MappingProblem
+from .problem import MappingProblem, SearchNode
 from .stats import SearchStats
 
 
@@ -33,37 +33,41 @@ def rbfs(
         MappingNotFound: if the (pruned) space contains no goal.
         SearchBudgetExceeded: if ``stats.budget`` is exhausted.
     """
-    root = problem.initial_state()
+    root = problem.start(heuristic)
     path_ops: list[Operator] = []
-    on_path: set[Database] = {root}
+    on_path: set[Database] = {root.state}
     max_depth = problem.config.max_depth
     tracer = stats.tracer
+    estimate = problem.estimate
+    is_goal = problem.is_goal
+    successors = problem.successors
 
     def visit(
-        state: Database,
+        node: SearchNode,
         last_op: Operator | None,
         g: int,
         f_stored: float,
         f_limit: float,
     ) -> float:
-        """Explore *state* within *f_limit*; return its backed-up f-value.
+        """Explore *node* within *f_limit*; return its backed-up f-value.
 
         Raises _Found when a goal is reached (path_ops then holds the path).
         """
         stats.frontier_size = len(on_path)  # progress-heartbeat payload only
-        stats.examine(g, state)
-        if problem.is_goal(state, stats):
+        stats.examine(g, node.state)
+        if is_goal(node, stats):
             raise _Found
         if max_depth is not None and g >= max_depth:
             return math.inf
-        entries: list[list] = []  # [f, op, child] — mutable f for back-up
-        for op, child in problem.successors(state, last_op, stats):
-            if child in on_path:
+        # [f, tie-break text, op, child] — mutable f for back-up
+        entries: list[list] = []
+        for op, child in successors(node, last_op, stats):
+            if child.state in on_path:
                 if tracer.enabled:
                     tracer.emit(PRUNE, reason="on_path", depth=g + 1)
                 continue
-            f_child = max(g + 1 + heuristic(child), f_stored)
-            entries.append([f_child, str(op), op, child])
+            f_child = max(g + 1 + estimate(child, stats), f_stored)
+            entries.append([f_child, op.sort_key[1], op, child])
         if not entries:
             return math.inf
         while True:
@@ -81,17 +85,22 @@ def rbfs(
                 depth=g + 1,
             )
             op, child = best[2], best[3]
+            state = child.state
             path_ops.append(op)
-            on_path.add(child)
+            on_path.add(state)
             # On _Found the exception propagates and the path is preserved;
             # on a normal return the child is unwound from the path.
             best[0] = visit(child, op, g + 1, best[0], child_limit)
             path_ops.pop()
-            on_path.remove(child)
+            on_path.remove(state)
 
     try:
-        root_f = float(heuristic(root))
+        root_f = float(estimate(root, stats))
         visit(root, None, 0, root_f, math.inf)
     except _Found:
         return list(path_ops)
+    finally:
+        # visit refers to itself through its closure cell; breaking that
+        # cycle lets reference counting free the node table on return
+        visit = None  # noqa: F841
     raise MappingNotFound("RBFS exhausted the search space")

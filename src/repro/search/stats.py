@@ -5,11 +5,11 @@ examined** during search; :class:`SearchStats` tracks that counter plus the
 secondary quantities (states generated, iterations/backtracks, peak depth,
 wall-clock time) used by the ablation benches.
 
-The memoisation layer (transposition table, goal-verdict table, heuristic
-estimate cache — see :mod:`repro.search.problem` and
-:mod:`repro.heuristics.base`) reports through here as well: hit / miss /
-eviction counters per cache, and per-phase wall-clock (successor generation,
-heuristic evaluation, goal tests) so benches can attribute time saved.
+The memoisation layer (the node table of :mod:`repro.search.problem`: each
+state's successor entries, goal verdict and heuristic estimate) reports
+through here as well: hit / miss / eviction counters per memo, and
+per-phase wall-clock (successor generation, heuristic evaluation, goal
+tests) so benches can attribute time saved.
 
 ``SearchStats`` is the one store of a run's counters.  :meth:`as_dict`
 is the snapshot the engine publishes in the ``search_end`` event, and
@@ -68,28 +68,30 @@ class SearchStats:
         states_examined: nodes visited (goal-tested) — the paper's metric.
             IDA* re-examines states across deepening iterations and RBFS
             across backtracks; such re-visits count again, as in the paper.
-        states_generated: successor databases delivered to the algorithm
-            (cache hits count again, so the counter is identical with the
-            transposition table on or off).
+        states_generated: successor states delivered to the algorithm
+            (memo hits count again, so the counter is identical however
+            the node table is bounded).
         iterations: IDA* deepening iterations / RBFS recursive re-expansions.
         max_depth: deepest ``g`` reached.
-        successor_cache_hits: transposition-table hits (successor lists
-            served without re-applying operators).
-        successor_cache_misses: transposition-table misses (lists computed).
-        successor_cache_evictions: transposition-table LRU evictions.
-        goal_cache_hits: goal-verdict cache hits.
-        goal_cache_misses: goal-verdict cache misses.
-        goal_cache_evictions: goal-verdict cache LRU evictions.
-        heuristic_cache_hits: heuristic estimate-cache hits.
-        heuristic_cache_misses: heuristic estimate-cache misses (estimates
-            actually computed).
-        heuristic_cache_evictions: heuristic estimate-cache LRU evictions.
+        successor_cache_hits: successor entries served from a node
+            without re-applying operators (transposition-table hits).
+        successor_cache_misses: successor entries computed.
+        successor_cache_evictions: filled successor entries dropped with
+            an evicted node.
+        goal_cache_hits: goal verdicts served from a node.
+        goal_cache_misses: goal verdicts computed.
+        goal_cache_evictions: filled goal verdicts dropped with an evicted
+            node.
+        heuristic_cache_hits: heuristic estimates served from a node.
+        heuristic_cache_misses: heuristic estimates actually computed.
+        heuristic_cache_evictions: filled estimates dropped with an
+            evicted node.
         time_in_successors: wall-clock seconds spent in successor generation
-            (cache lookups included).
+            (memo hits included).
         time_in_heuristic: wall-clock seconds spent computing heuristic
-            estimates (cache hits are effectively free and not timed).
-        time_in_goal_tests: wall-clock seconds spent in goal containment
-            tests (cache lookups included).
+            estimates (a hit is a slot read and is not timed).
+        time_in_goal_tests: wall-clock seconds spent in goal tests (memo
+            hits included).
         trace: when True, :meth:`examine` records each examined state in
             :attr:`examined_states` — the equivalence suite uses this to
             assert cached and uncached searches examine identical state

@@ -4,10 +4,10 @@ Every algorithm x heuristic combination must return the identical result —
 same status, same operator sequence, same states examined *in the same
 order* — whether the memo tables are unbounded (the default) or starved
 to one entry each (``cache_capacity=1``), so that nearly every probe
-misses and every insert evicts: the transposition, goal-verdict, state
-intern and proposal tables plus the heuristic estimate memo.  This is the
-contract that lets the tables exist at all: they may only change how fast
-the search runs, never what it does.  The goldens pin IDA* and RBFS
+misses and every insert evicts: the node table (each state's successor
+entries, goal verdict and heuristic estimate) and the proposal table.
+This is the contract that lets the tables exist at all: they may only
+change how fast the search runs, never what it does.  The goldens pin IDA* and RBFS
 against recorded runs; this sweep also covers A*, greedy and beam.
 """
 
@@ -36,8 +36,6 @@ def run_search(algorithm: str, heuristic: str, size: int, cache_on: bool):
     problem = MappingProblem(pair.source, pair.target, config=config)
     h = make_heuristic(heuristic, pair.target, algorithm=algorithm)
     stats = SearchStats(budget=BUDGET, trace=True)
-    h.cache_capacity = config.cache_capacity
-    h.bind_stats(stats)
     try:
         ops = ALGORITHMS[algorithm](problem, h, stats)
         status = "found"

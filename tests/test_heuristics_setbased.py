@@ -98,31 +98,32 @@ class TestH3:
 
 
 class TestCaching:
-    def test_estimates_memoised(self, db_a, db_b):
-        from repro.search import SearchStats
+    """Estimates are memoised on the search problem's nodes."""
 
-        h = MissingTokensHeuristic(db_a)
+    def test_estimates_memoised(self, db_a, db_b):
+        from repro.search import MappingProblem, SearchStats
+
+        problem = MappingProblem(db_b, db_a)
         stats = SearchStats()
-        h.bind_stats(stats)
-        first = h(db_b)
-        second = h(db_b)
-        assert first == second
+        node = problem.start(MissingTokensHeuristic(db_a))
+        first = problem.estimate(node, stats)
+        second = problem.estimate(node, stats)
+        assert first == second == MissingTokensHeuristic(db_a)(db_b)
         assert stats.heuristic_cache_misses == 1  # one computed
-        assert stats.heuristic_cache_hits == 1  # one served from cache
+        assert stats.heuristic_cache_hits == 1  # one served from the node
 
     def test_cache_capacity_bound(self, db_a, db_b, db_c):
-        from repro.search import SearchStats
+        from repro.search import MappingProblem, SearchConfig, SearchStats
 
-        h = MissingTokensHeuristic(db_a)
-        h.cache_capacity = 1
+        problem = MappingProblem(db_b, db_a, config=SearchConfig(cache_capacity=1))
         stats = SearchStats()
-        h.bind_stats(stats)
-        h(db_b)
-        h(db_c)  # evicts db_b under capacity 1
-        h(db_b)  # recomputed, not a hit
+        node_b = problem.start(MissingTokensHeuristic(db_a))
+        problem.estimate(node_b, stats)
+        problem.estimate(problem.node(db_c, stats), stats)  # evicts db_b
+        problem.estimate(node_b, stats)  # recomputed, not a hit
         assert stats.heuristic_cache_evictions >= 1
         assert stats.heuristic_cache_hits == 0
-        assert len(h._cache) <= 1
+        assert len(problem._nodes) <= 1
 
     def test_negative_estimate_rejected(self, db_a):
         class Broken(MissingTokensHeuristic):

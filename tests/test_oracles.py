@@ -228,28 +228,28 @@ class TestTnfViewOracle:
 def bfs_depth(problem: MappingProblem) -> int | None:
     """Length of a shortest operator path from the source to a goal.
 
-    Breadth-first over ``problem.successors(state, last_op)``, deduplicated
+    Breadth-first over ``problem.successors(node, last_op)``, deduplicated
     on ``(state, last_op)`` because successor generation depends on both
     (symmetry breaking reads the operator that produced the state).
     """
-    root = (problem.initial_state(), None)
-    if problem.is_goal(root[0]):
+    root = problem.node(problem.initial_state())
+    if problem.is_goal(root):
         return 0
-    seen = {root}
-    frontier = [root]
+    seen = {(root.state, None)}
+    frontier = [(root, None)]
     depth = 0
     while frontier:
         depth += 1
         next_frontier = []
-        for state, last_op in frontier:
-            for op, child in problem.successors(state, last_op):
-                node = (child, op)
-                if node in seen:
+        for node, last_op in frontier:
+            for op, child in problem.successors(node, last_op):
+                key = (child.state, op)
+                if key in seen:
                     continue
                 if problem.is_goal(child):
                     return depth
-                seen.add(node)
-                next_frontier.append(node)
+                seen.add(key)
+                next_frontier.append((child, op))
         frontier = next_frontier
     return None
 

@@ -17,6 +17,7 @@ from repro.experiments.runner import (
     run_matching_series,
     run_semantic_series,
 )
+from repro.heuristics import make_heuristic
 from repro.obs import (
     discover_trace_files,
     load_trace,
@@ -96,13 +97,13 @@ class TestPickleSafety:
             pair.source, pair.target, registry=FunctionRegistry()
         )
         # warm the memo tables, then check they do not cross the pickle line
-        start = problem.initial_state()
-        problem.successors(start)
-        problem.is_goal(start)
+        root = problem.start(make_heuristic("h1", pair.target))
+        problem.successors(root)
+        problem.is_goal(root)
         clone = pickle.loads(pickle.dumps(problem))
-        assert clone._successor_cache == {}
-        assert clone._goal_cache == {}
-        assert clone._interned == {}
+        assert clone._nodes == {}
+        assert clone._relation_move_cache == {}
+        assert clone._heuristic is None
         assert clone.source == problem.source
         assert clone.target == problem.target
 

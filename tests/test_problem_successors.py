@@ -22,7 +22,7 @@ from repro.workloads import matching_pair, total_cost_correspondence
 
 
 def ops_of(problem, state, last_op=None, kind=None):
-    moves = [op for op, _child in problem.successors(state, last_op)]
+    moves = [op for op, _child in problem.successors(problem.node(state), last_op)]
     if kind is not None:
         moves = [op for op in moves if isinstance(op, kind)]
     return moves
@@ -31,13 +31,13 @@ def ops_of(problem, state, last_op=None, kind=None):
 class TestGoal:
     def test_goal_is_containment(self, db_a, db_b):
         problem = MappingProblem(db_b, db_a)
-        assert not problem.is_goal(db_b)
-        assert problem.is_goal(db_a)
+        assert not problem.is_goal(problem.node(db_b))
+        assert problem.is_goal(problem.node(db_a))
 
     def test_goal_tolerates_superset(self, db_a):
         wider = db_a.with_relation(Relation("Extra", ("Z",), [(1,)]))
         problem = MappingProblem(db_a, db_a)
-        assert problem.is_goal(wider)
+        assert problem.is_goal(problem.node(wider))
 
     def test_initial_state(self, db_a, db_b):
         assert MappingProblem(db_b, db_a).initial_state() == db_b
@@ -201,17 +201,19 @@ class TestLambdaProposals:
 class TestSuccessorHygiene:
     def test_no_duplicate_children(self, db_a, db_b):
         problem = MappingProblem(db_b, db_a)
-        children = [child for _op, child in problem.successors(db_b)]
+        children = [child.state for _op, child in problem.successors(problem.node(db_b))]
         assert len(children) == len(set(children))
 
     def test_no_noop_children(self, db_a, db_b):
         problem = MappingProblem(db_b, db_a)
-        assert all(child != db_b for _op, child in problem.successors(db_b))
+        root = problem.node(db_b)
+        assert all(child.state != db_b for _op, child in problem.successors(root))
 
     def test_deterministic_order(self, db_a, db_b):
         problem = MappingProblem(db_b, db_a)
-        first = [str(op) for op, _ in problem.successors(db_b)]
-        second = [str(op) for op, _ in problem.successors(db_b)]
+        first = [str(op) for op, _ in problem.successors(problem.node(db_b))]
+        problem.clear_caches()  # the second list is derived afresh
+        second = [str(op) for op, _ in problem.successors(problem.node(db_b))]
         assert first == second
 
     def test_disabled_families_not_proposed(self, db_b, db_c):
@@ -224,5 +226,5 @@ class TestSuccessorHygiene:
 
         problem = MappingProblem(db_b, db_a)
         stats = SearchStats()
-        children = problem.successors(db_b, stats=stats)
+        children = problem.successors(problem.node(db_b), stats=stats)
         assert stats.states_generated == len(children)

@@ -174,6 +174,30 @@ class TestStartUp:
         ]
         assert heavy == []
 
+    def test_parser_algorithm_names_match_the_engine(self):
+        from repro.cli import ALGORITHM_NAMES as parser_names
+        from repro.search.engine import ALGORITHM_NAMES as engine_names
+
+        assert parser_names == engine_names
+
+    def test_tnf_skips_the_search_engine(self, tmp_path):
+        save_database(matching_pair(2).source, tmp_path / "source")
+        argv = ["tnf", "--source", str(tmp_path / "source")]
+        code, loaded = _fresh_interpreter(
+            f"""
+            import json, runpy, sys
+            sys.argv = ["repro"] + {argv!r}
+            try:
+                runpy.run_module("repro", run_name="__main__")
+            except SystemExit as done:
+                code = done.code
+            print(json.dumps([code, sorted(sys.modules)]))
+            """
+        )
+        assert code == 0
+        assert "repro.search.engine" not in loaded
+        assert "repro.search.problem" not in loaded
+
     def test_no_export_resolves_to_a_submodule(self):
         """An export sharing its submodule's name (``repro.search.rbfs``)
         stays bound to the exported object once every submodule is loaded."""

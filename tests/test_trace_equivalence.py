@@ -38,8 +38,6 @@ def run_search(algorithm: str, heuristic: str, size: int, tracer=None):
     stats = SearchStats(budget=BUDGET, trace=True)
     if tracer is not None:
         stats.tracer = tracer
-    h.cache_capacity = config.cache_capacity
-    h.bind_stats(stats)
     try:
         ops = ALGORITHMS[algorithm](problem, h, stats)
         status = "found"

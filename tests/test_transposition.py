@@ -1,4 +1,8 @@
-"""Unit tests for the MappingProblem transposition table and state interning."""
+"""Unit tests for the MappingProblem node table.
+
+One node per interned state holds its successor entries (the
+transposition table), its goal verdict and its heuristic estimate.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,9 @@ import dataclasses
 
 import pytest
 
+from repro.errors import SearchError
 from repro.fira import RenameAttribute
+from repro.heuristics import make_heuristic
 from repro.relational import Database
 from repro.search import MappingProblem, SearchConfig, SearchStats
 from repro.workloads import matching_pair
@@ -19,50 +25,68 @@ def make_problem(**config_kwargs) -> MappingProblem:
     )
 
 
+def root_of(problem: MappingProblem):
+    return problem.node(problem.initial_state())
+
+
 class TestSuccessorCache:
     def test_second_call_is_a_hit(self):
         problem = make_problem()
         stats = SearchStats()
-        state = problem.initial_state()
-        first = problem.successors(state, None, stats)
-        second = problem.successors(state, None, stats)
+        root = root_of(problem)
+        first = problem.successors(root, None, stats)
+        second = problem.successors(root, None, stats)
         assert stats.successor_cache_misses == 1
         assert stats.successor_cache_hits == 1
-        assert first == second
-        assert first is not second  # callers get their own list
+        assert first is second  # the memoised tuple itself, never a copy
+        assert isinstance(first, tuple)
 
     def test_generated_counts_match_on_hits(self):
         """states_generated counts successors *delivered*, hit or miss."""
         problem = make_problem()
         stats = SearchStats()
-        state = problem.initial_state()
-        out = problem.successors(state, None, stats)
-        problem.successors(state, None, stats)
+        root = root_of(problem)
+        out = problem.successors(root, None, stats)
+        problem.successors(root, None, stats)
         assert stats.states_generated == 2 * len(out)
 
     def test_symmetry_key_canonicalises_last_op(self):
         """Operators sharing the symmetry-relevant parts share one entry."""
         problem = make_problem()
         stats = SearchStats()
-        state = problem.initial_state()
-        ops = [op for op, _ in problem.successors(state, None, stats)]
+        root = root_of(problem)
+        ops = [op for op, _ in problem.successors(root, None, stats)]
         renames = [op for op in ops if isinstance(op, RenameAttribute)]
         assert renames, "matching workload must propose attribute renames"
         base = renames[0]
         twin = dataclasses.replace(base, new=base.new + "_other")
         k_base = problem._symmetry_key(base)
         assert k_base == ("rename_att", base.relation, base.old)
-        assert problem._symmetry_key(twin) == k_base
+        # one shared key object: nodes match keys by identity
+        assert problem._symmetry_key(twin) is k_base
         # same key => the second query under the twin operator is a hit
-        problem.successors(state, base, stats)
+        problem.successors(root, base, stats)
         hits_before = stats.successor_cache_hits
-        problem.successors(state, twin, stats)
+        problem.successors(root, twin, stats)
         assert stats.successor_cache_hits == hits_before + 1
+
+    def test_second_key_kept_beside_the_first(self):
+        """A state reached under two symmetry keys memoises both."""
+        problem = make_problem()
+        stats = SearchStats()
+        root = root_of(problem)
+        ops = [op for op, _ in problem.successors(root, None, stats)]
+        rename = next(op for op in ops if isinstance(op, RenameAttribute))
+        under_rename = problem.successors(root, rename, stats)
+        assert root.key is None and root.more is not None
+        assert problem.successors(root, None, stats) is root.entries
+        assert problem.successors(root, rename, stats) is under_rename
+        assert stats.successor_cache_misses == 2
+        assert stats.successor_cache_hits == 2
 
     def test_no_symmetry_breaking_collapses_keys(self):
         problem = make_problem(break_symmetry=False)
-        state = problem.initial_state()
-        ops = [op for op, _ in problem.successors(state, None)]
+        ops = [op for op, _ in problem.successors(root_of(problem), None)]
         renames = [op for op in ops if isinstance(op, RenameAttribute)]
         assert problem._symmetry_key(renames[0]) is None
         assert problem._symmetry_key(None) is None
@@ -70,72 +94,108 @@ class TestSuccessorCache:
     def test_capacity_bound_evicts_lru(self):
         problem = make_problem(cache_capacity=1)
         stats = SearchStats()
-        state = problem.initial_state()
-        succ = problem.successors(state, None, stats)
-        child = succ[0][1]
-        problem.successors(child, succ[0][0], stats)  # evicts the root entry
+        root = root_of(problem)
+        succ = problem.successors(root, None, stats)
+        # interning the children evicted the root; its entries were kept by
+        # re-admitting it, so the one table entry is the root again
+        assert list(problem._nodes.values()) == [root]
+        op, child = succ[0]
+        problem.successors(child, op, stats)  # evicts the root and its entries
+        assert root.entries is None
         assert stats.successor_cache_evictions == 1
-        problem.successors(state, None, stats)  # recomputed, not a hit
+        problem.successors(root, None, stats)  # recomputed, not a hit
         assert stats.successor_cache_hits == 0
         assert stats.successor_cache_misses == 3
-        assert len(problem._successor_cache) <= 1
+        assert len(problem._nodes) <= 1
 
     def test_clear_caches(self):
         problem = make_problem()
-        state = problem.initial_state()
-        problem.successors(state, None)
-        problem.is_goal(state)
-        assert problem._successor_cache and problem._goal_cache
+        problem.start(make_heuristic("h1", problem.target))
+        root = root_of(problem)
+        problem.successors(root, None)
+        problem.is_goal(root)
+        problem.estimate(root)
+        assert problem._nodes and root.entries is not None
         problem.clear_caches()
-        assert not problem._successor_cache
-        assert not problem._goal_cache
-        assert not problem._interned
+        assert not problem._nodes
+        assert not problem._relation_move_cache
+        # a node still held outside the table keeps no memo
+        assert root.entries is None and root.goal is None and root.h is None
 
 
 class TestGoalCache:
     def test_false_verdicts_are_cached_hits(self):
         problem = make_problem()
         stats = SearchStats()
-        state = problem.initial_state()
-        assert problem.is_goal(state, stats) is False
-        assert problem.is_goal(state, stats) is False
+        root = root_of(problem)
+        assert problem.is_goal(root, stats) is False
+        assert problem.is_goal(root, stats) is False
+        assert root.goal is False
         assert stats.goal_cache_misses == 1
         assert stats.goal_cache_hits == 1
 
     def test_true_verdicts_are_cached_hits(self):
         problem = make_problem()
         stats = SearchStats()
-        assert problem.is_goal(problem.target, stats) is True
-        assert problem.is_goal(problem.target, stats) is True
+        goal = problem.node(problem.target)
+        assert problem.is_goal(goal, stats) is True
+        assert problem.is_goal(goal, stats) is True
         assert stats.goal_cache_misses == 1
         assert stats.goal_cache_hits == 1
 
     def test_timing_recorded(self):
         problem = make_problem()
         stats = SearchStats()
-        problem.is_goal(problem.initial_state(), stats)
-        problem.successors(problem.initial_state(), None, stats)
+        problem.is_goal(root_of(problem), stats)
+        problem.successors(root_of(problem), None, stats)
         assert stats.time_in_goal_tests > 0
         assert stats.time_in_successors > 0
+
+
+class TestEstimates:
+    def test_estimates_memoised_on_the_node(self):
+        problem = make_problem()
+        stats = SearchStats()
+        root = problem.start(make_heuristic("h1", problem.target))
+        first = problem.estimate(root, stats)
+        assert problem.estimate(root, stats) == first == root.h
+        assert stats.heuristic_cache_misses == 1
+        assert stats.heuristic_cache_hits == 1
+        assert stats.time_in_heuristic > 0
+
+    def test_second_heuristic_raises(self):
+        """A problem's nodes memoise one heuristic's estimates."""
+        problem = make_problem()
+        h1 = make_heuristic("h1", problem.target)
+        assert problem.start(h1) is problem.start(h1)  # same one is fine
+        with pytest.raises(SearchError):
+            problem.start(make_heuristic("h0", problem.target))
+        problem.clear_caches()  # drops every estimate: a new one may bind
+        problem.start(make_heuristic("h0", problem.target))
+
+    def test_estimate_needs_a_bound_heuristic(self):
+        problem = make_problem()
+        with pytest.raises(SearchError):
+            problem.estimate(root_of(problem))
 
 
 class TestInterning:
     def test_equal_states_share_one_object(self):
         problem = make_problem()
         data = {"R": [{"X": 1, "Y": 2}]}
-        first = problem._intern(Database.from_dict(data))
-        again = problem._intern(Database.from_dict(data))
+        first = problem.node(Database.from_dict(data))
+        again = problem.node(Database.from_dict(data))
         assert again is first
 
     def test_successor_children_are_interned(self):
-        """Re-derived equal children come back as the *same object*."""
+        """Re-derived equal children come back as the *same node*."""
         problem = make_problem()
-        state = problem.initial_state()
-        first = problem.successors(state, None)
+        root = root_of(problem)
+        first = problem.successors(root, None)
         renames = [op for op, _ in first if isinstance(op, RenameAttribute)]
         # a different symmetry key forces a fresh computation of the same
-        # children; interning must map them back to the first-run objects
-        second = problem.successors(state, renames[0])
+        # children; interning must map them back to the first-run nodes
+        second = problem.successors(root, renames[0])
         by_op = {str(op): child for op, child in first}
         recomputed = [
             (op, child) for op, child in second if str(op) in by_op
@@ -146,12 +206,23 @@ class TestInterning:
 
     def test_intern_respects_capacity(self):
         problem = make_problem(cache_capacity=1)
-        a = problem._intern(Database.from_dict({"R": [{"X": 1}]}))
-        problem._intern(Database.from_dict({"S": [{"Y": 2}]}))
+        a = problem.node(Database.from_dict({"R": [{"X": 1}]}))
+        problem.node(Database.from_dict({"S": [{"Y": 2}]}))
         fresh_a = Database.from_dict({"R": [{"X": 1}]})
-        assert problem._intern(fresh_a) is fresh_a  # a was evicted
-        assert len(problem._interned) <= 1
-        assert a == fresh_a
+        assert problem.node(fresh_a).state is fresh_a  # a was evicted
+        assert len(problem._nodes) <= 1
+        assert a.state == fresh_a
+
+    def test_evictions_count_filled_memos_only(self):
+        problem = make_problem(cache_capacity=1)
+        stats = SearchStats()
+        root = problem.start(make_heuristic("h1", problem.target))
+        problem.is_goal(root, stats)
+        problem.node(problem.target, stats)  # evicts the root: one verdict
+        assert stats.goal_cache_evictions == 1
+        assert stats.heuristic_cache_evictions == 0
+        assert stats.successor_cache_evictions == 0
+        assert root.goal is None
 
 
 class TestConfig:
