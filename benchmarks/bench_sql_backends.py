@@ -12,6 +12,11 @@ measured, one thing is asserted twice:
   is sqlite ≥ 5x over minisql at the largest size.  duckdb joins the
   sweep automatically when installed.
 
+Beside the execute phase, each backend reports what a caller waits for:
+min-of-rounds compile seconds, and the wall time of one first
+``execute_mapping`` call on a freshly built instance, whose memoised views
+(the sorted rows the loader reads) do not exist yet.
+
 Results land in ``BENCH_sql_backends.json`` at the repo root and flow
 through ``tools/bench_history.py`` when ``REPRO_BENCH_HISTORY`` is set.
 
@@ -133,6 +138,15 @@ def _timed_execute(name: str, expression, source, rounds: int) -> dict:
     }
 
 
+def _first_call(name: str, expression, carriers: int, routes: int) -> float:
+    """Wall seconds of one call on an instance with no view memoised."""
+    source = prices_instance(carriers, routes)
+    gc.collect()
+    start = time.perf_counter()
+    execute_mapping(expression, source, backend=name)
+    return time.perf_counter() - start
+
+
 def measure_backends(
     sizes: Sequence[tuple[int, int]], rounds: int = 2
 ) -> list[dict]:
@@ -162,6 +176,9 @@ def measure_backends(
             row["backends"][name] = {
                 "execute_secs": cell["execute_secs"],
                 "compile_secs": cell["compile_secs"],
+                "first_call_secs": _first_call(
+                    name, expression, carriers, routes
+                ),
                 "statements": cell["statements"],
             }
         base = row["backends"][BASELINE]["execute_secs"]
@@ -190,9 +207,8 @@ def measure_headline(rounds: int = 2) -> tuple[list[dict], dict]:
             mine["execute_secs"] = min(
                 mine["execute_secs"], cell["execute_secs"]
             )
-            mine["compile_secs"] = min(
-                mine["compile_secs"], cell["compile_secs"]
-            )
+            for key in ("compile_secs", "first_call_secs"):
+                mine[key] = min(mine[key], cell[key])
         base = head["backends"][BASELINE]["execute_secs"]
         for cell in head["backends"].values():
             cell["vs_minisql"] = (
@@ -226,12 +242,11 @@ def measure_headline(rounds: int = 2) -> tuple[list[dict], dict]:
         "headline": {
             "rows": head["rows"],
             "sqlite_vs_minisql": speedup,
-            "minisql_execute_secs": head["backends"][BASELINE][
-                "execute_secs"
-            ],
-            "sqlite_execute_secs": head["backends"][HEADLINE_BACKEND][
-                "execute_secs"
-            ],
+            **{
+                f"{name}_{key}": head["backends"][name][key]
+                for name in (BASELINE, HEADLINE_BACKEND)
+                for key in ("execute_secs", "compile_secs", "first_call_secs")
+            },
         },
         "targets": {"sqlite_vs_minisql": TARGET_SQLITE_VS_MINISQL},
         "bit_identical": True,
@@ -245,7 +260,9 @@ def backends_table(rows: Sequence[dict]) -> str:
     names = backend_names_in_sweep()
     headers = ["rows", "algebra (s)"]
     for name in names:
-        headers.extend([f"{name} (s)", "vs mini"])
+        headers.extend(
+            [f"{name} (s)", "vs mini", "compile (s)", "first call (s)"]
+        )
     body = []
     for r in rows:
         cells = [str(r["rows"]), f"{r['algebra_secs']:.3f}"]
@@ -253,6 +270,8 @@ def backends_table(rows: Sequence[dict]) -> str:
             cell = r["backends"][name]
             cells.append(f"{cell['execute_secs']:.3f}")
             cells.append(f"{cell['vs_minisql']:.1f}x")
+            cells.append(f"{cell['compile_secs']:.3f}")
+            cells.append(f"{cell['first_call_secs']:.3f}")
         body.append(cells)
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in body))
@@ -262,7 +281,10 @@ def backends_table(rows: Sequence[dict]) -> str:
     def fmt(cells):
         return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
 
-    lines = ["FlightsB → FlightsA restructuring, execute phase per backend"]
+    lines = [
+        "FlightsB → FlightsA restructuring per backend: execute phase, "
+        "compile, and a first call on a fresh instance"
+    ]
     lines.append(fmt(headers))
     lines.append(fmt(["-" * w for w in widths]))
     lines.extend(fmt(row) for row in body)
@@ -346,7 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(
             f"headline {head['rows']} rows: "
             f"{head['sqlite_vs_minisql']:.1f}x sqlite vs minisql "
-            f"(target {TARGET_SQLITE_VS_MINISQL:.0f}x)"
+            f"(target {TARGET_SQLITE_VS_MINISQL:.0f}x); sqlite compile "
+            f"{head['sqlite_compile_secs']:.3f}s, first call "
+            f"{head['sqlite_first_call_secs']:.3f}s"
         )
         if not args.no_json:
             path = write_bench_json(

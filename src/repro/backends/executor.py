@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from ..errors import UnknownBackendError
+from ..errors import SearchDeadlineExceeded, UnknownBackendError
 from ..fira.expression import MappingExpression
 from ..fira.sqlcompile import SqlScript
 from ..obs.events import BACKEND_COMPILE, BACKEND_EXECUTE
@@ -137,10 +137,18 @@ class Executor:
         deadline: float | None = None,
         cancel: "CancelToken | None" = None,
     ) -> ExecutionResult:
-        """Compile and run *expression* over *source*; see module docs."""
-        backend = self.resolve(expression, source)
-        backend.require_available()
-        backend.require_supported(expression, source)
+        """Compile and run *expression* over *source*; see module docs.
+
+        *deadline* counts from this call: compile spends it first, and the
+        engine runs its statements under what is left.
+        """
+        started = perf_counter()
+        if self.backend == AUTO:
+            backend = self.resolve(expression, source)  # checked while choosing
+        else:
+            backend = get_backend(self.backend)
+            backend.require_available()
+            backend.require_supported(expression, source)
 
         t0 = perf_counter()
         script = backend.compile(expression, source, registry)
@@ -152,10 +160,26 @@ class Executor:
                 statements=script.statement_count,
             )
 
+        remaining = None
+        if deadline is not None:
+            elapsed = perf_counter() - started
+            if elapsed > deadline:
+                raise SearchDeadlineExceeded(deadline, elapsed, 0)
+            remaining = deadline - elapsed
+
         t1 = perf_counter()
-        database = backend.execute(
-            script, source, registry=registry, deadline=deadline, cancel=cancel
-        )
+        try:
+            database = backend.execute(
+                script,
+                source,
+                registry=registry,
+                deadline=remaining,
+                cancel=cancel,
+            )
+        except SearchDeadlineExceeded as exc:
+            raise SearchDeadlineExceeded(
+                deadline, perf_counter() - started, exc.states_examined
+            ) from None
         execute_seconds = perf_counter() - t1
         if self.tracer is not None:
             self.tracer.emit(

@@ -19,9 +19,14 @@ Faithfulness notes (see docs/execution.md for the full matrix):
   *declines* sources containing booleans (:meth:`SqliteBackend
   .why_unsupported`), and the auto-dispatching executor falls back to the
   reference engine.
+* **Reserved names** — SQLite refuses table names starting with
+  ``sqlite_`` in any ASCII case, so the backend declines sources, renames
+  and products that would need one.
 * **UDFs** — λ applications run through :meth:`sqlite3.Connection
   .create_function` wrappers around the project's semantic functions, with
-  NULL↔None conversion at the boundary.
+  NULL↔None conversion at the boundary.  SQLite reports a function that
+  raised only as "user-defined function raised exception", so the backend
+  re-raises the function's own exception.
 """
 
 from __future__ import annotations
@@ -31,9 +36,12 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..errors import BackendExecutionError
+from ..fira.combine import CartesianProduct
+from ..fira.renames import RenameRelation
 from ..fira.structure import Select
 from ..relational.database import Database
 from ..relational.dialect import SqliteDialect
+from ..relational.intern import POOL, VALUES
 from ..relational.relation import Relation
 from ..relational.sql import create_table_sql
 from ..relational.types import NULL, Value, is_null
@@ -53,15 +61,15 @@ def _to_engine(value: Value) -> object:
 
 
 def _from_engine(cell: object) -> Value:
-    """sqlite3 cell -> library value (None becomes NULL)."""
+    """sqlite3 UDF argument -> library value (None becomes NULL)."""
     if cell is None:
         return NULL
     if isinstance(cell, (int, float, str)):
         return cell
     raise BackendExecutionError(
         "sqlite",
-        "<read-back>",
-        TypeError(f"sqlite returned unsupported cell type {type(cell).__name__}"),
+        "<udf argument>",
+        TypeError(f"sqlite passed unsupported cell type {type(cell).__name__}"),
     )
 
 
@@ -78,13 +86,28 @@ def _chunked(rows: Iterable[Sequence], size: int) -> Iterator[list]:
         yield chunk
 
 
-def _database_has_bool(db: Database) -> bool:
-    return any(
-        isinstance(cell, bool)
-        for rel in db
-        for row in rel.rows
-        for cell in row
+def _bool_tokens() -> frozenset[int]:
+    """The tokens whose canonical value is a bool: at most two.
+
+    None when ``1`` or ``0`` was interned first, since the pool conflates
+    equal values; a decoded row would then hold the int too.
+    """
+    tokens = (POOL.get(True), POOL.get(False))
+    return frozenset(
+        t for t in tokens if t is not None and isinstance(VALUES[t], bool)
     )
+
+
+def _database_has_bool(db: Database) -> bool:
+    flags = _bool_tokens()
+    return bool(flags) and any(
+        not all(map(flags.isdisjoint, rel.token_rows)) for rel in db
+    )
+
+
+def _reserved(name: str) -> bool:
+    """Whether SQLite reserves *name* for its own tables."""
+    return name.lower().startswith("sqlite_")
 
 
 class SqliteBackend(SqlBackend):
@@ -98,16 +121,29 @@ class SqliteBackend(SqlBackend):
         expression: "MappingExpression",
         source: Database | None = None,
     ) -> str | None:
-        if source is not None and _database_has_bool(source):
-            return (
-                "source contains boolean values and SQLite has no BOOLEAN "
-                "storage class (True would round-trip as 1)"
-            )
+        names: list[str] = []
+        if source is not None:
+            if _database_has_bool(source):
+                return (
+                    "source contains boolean values and SQLite has no BOOLEAN "
+                    "storage class (True would round-trip as 1)"
+                )
+            names.extend(source.relation_names)
         for op in expression:
             if isinstance(op, Select) and isinstance(op.value, bool):
                 return (
                     f"select on boolean literal {op.value!r} cannot be "
                     "rendered for SQLite"
+                )
+            if isinstance(op, RenameRelation):
+                names.append(op.new)
+            elif isinstance(op, CartesianProduct):
+                names.append(op.result_name)
+        for name in names:
+            if _reserved(name):
+                return (
+                    f"relation name {name!r} starts with 'sqlite_', which "
+                    "SQLite reserves for internal use"
                 )
         return None
 
@@ -122,44 +158,63 @@ class SqliteBackend(SqlBackend):
         """
         d = self.dialect
         for rel in source:
-            conn.execute(create_table_sql(rel, d, typed=False))
-            placeholders = ", ".join("?" for _ in rel.attributes)
-            cols = ", ".join(d.quote_identifier(a) for a in rel.attributes)
-            sql = (
-                f"INSERT INTO {d.quote_identifier(rel.name)} "
-                f"({cols}) VALUES ({placeholders})"
-            )
-            rows: Iterable[Sequence] = rel.sorted_rows_view()
-            if rel.has_nulls:
-                rows = (
-                    tuple(_to_engine(v) for v in row) for row in rows
+            statement = create_table_sql(rel, d, typed=False)
+            try:
+                conn.execute(statement)
+                placeholders = ", ".join("?" for _ in rel.attributes)
+                cols = ", ".join(d.quote_identifier(a) for a in rel.attributes)
+                statement = (
+                    f"INSERT INTO {d.quote_identifier(rel.name)} "
+                    f"({cols}) VALUES ({placeholders})"
                 )
-            for chunk in _chunked(rows, LOAD_CHUNK_ROWS):
-                conn.executemany(sql, chunk)
+                rows: Iterable[Sequence] = rel.sorted_rows_view()
+                if rel.has_nulls:
+                    rows = (
+                        tuple(_to_engine(v) for v in row) for row in rows
+                    )
+                for chunk in _chunked(rows, LOAD_CHUNK_ROWS):
+                    conn.executemany(statement, chunk)
+            except (sqlite3.Error, OverflowError) as exc:
+                raise BackendExecutionError(self.name, statement, exc) from exc
 
     def _register_functions(
         self,
         conn: sqlite3.Connection,
         registry: "FunctionRegistry | None",
+        faults: list[Exception],
     ) -> None:
+        """Register every semantic function as a UDF on *conn*.
+
+        A function that raises is recorded in *faults* before SQLite turns
+        its exception into a generic statement error.
+        """
         reg = registry if registry is not None else builtin_registry()
         for fn in reg:
             def wrapper(*args: object, _fn=fn) -> object:
-                return _to_engine(
-                    _fn.apply(*[_from_engine(a) for a in args])
-                )
+                try:
+                    return _to_engine(
+                        _fn.apply(*[_from_engine(a) for a in args])
+                    )
+                except Exception as exc:
+                    faults.append(exc)
+                    raise
 
             conn.create_function(
                 fn.name, fn.arity, wrapper, deterministic=True
             )
 
     def _read_back(self, conn: sqlite3.Connection) -> Database:
-        """Turn the connection's catalogue back into a Database value."""
+        """Turn the connection's catalogue back into a Database value.
+
+        Each cursor goes straight to the :class:`Relation` constructor:
+        sqlite3 returns int, float, str, None (NULL) and bytes, and a BLOB
+        fails the constructor's value check.
+        """
         tables = [
             row[0]
             for row in conn.execute(
                 "SELECT name FROM sqlite_master WHERE type = 'table' "
-                "AND name NOT LIKE 'sqlite_%'"
+                "AND name NOT LIKE 'sqlite\\_%' ESCAPE '\\'"
             )
         ]
         relations = []
@@ -168,10 +223,12 @@ class SqliteBackend(SqlBackend):
                 f"SELECT * FROM {self.dialect.quote_identifier(table)}"
             )
             attributes = [desc[0] for desc in cursor.description]
-            rows = [
-                tuple(_from_engine(cell) for cell in row) for row in cursor
-            ]
-            relations.append(Relation(table, attributes, rows))
+            try:
+                relations.append(Relation(table, attributes, cursor))
+            except TypeError as exc:
+                raise BackendExecutionError(
+                    self.name, f"<read-back of {table!r}>", exc
+                ) from exc
         return Database(relations)
 
     def execute(
@@ -183,15 +240,18 @@ class SqliteBackend(SqlBackend):
         cancel: "CancelToken | None" = None,
     ) -> Database:
         limiter = StatementLimiter(deadline, cancel)
+        faults: list[Exception] = []
         conn = sqlite3.connect(":memory:")
         try:
-            self._register_functions(conn, registry)
+            self._register_functions(conn, registry, faults)
             self._load(conn, source)
             for statement in script.statements:
                 limiter.check()
                 try:
                     conn.execute(statement)
                 except sqlite3.Error as exc:
+                    if faults:  # a λ raised: surface its own exception
+                        raise faults[0] from None
                     raise BackendExecutionError(
                         self.name, statement, exc
                     ) from exc

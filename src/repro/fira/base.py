@@ -105,7 +105,8 @@ class RelationOperator(Operator):
         rel = db._lookup(self.relation)
         if rel is None:
             raise OperatorApplicationError(
-                f"{self.keyword}: no relation {self.relation!r} in {db!r}"
+                f"{self.keyword}: no relation {self.relation!r} among "
+                f"{list(db.relation_names)}"
             )
         return rel
 

@@ -163,7 +163,8 @@ class CartesianProduct(Operator):
         for name in (self.left, self.right):
             if not db.has_relation(name):
                 raise OperatorApplicationError(
-                    f"product: no relation {name!r} in {db!r}"
+                    f"product: no relation {name!r} among "
+                    f"{list(db.relation_names)}"
                 )
         if self.left == self.right:
             raise OperatorApplicationError(

@@ -78,7 +78,8 @@ class RenameRelation(Operator):
     def apply(self, db: Database, registry=None) -> Database:
         if not db.has_relation(self.old):
             raise OperatorApplicationError(
-                f"rename_rel: no relation {self.old!r} in {db!r}"
+                f"rename_rel: no relation {self.old!r} among "
+                f"{list(db.relation_names)}"
             )
         if self.old == self.new:
             raise OperatorApplicationError(

@@ -4,14 +4,17 @@ TUPELO's output is an executable mapping expression; this module renders one
 as a portable SQL script so it can be replayed inside an RDBMS, as the paper
 envisions for TNF-based interoperation (§2.2).
 
-The dynamic operators (promote, partition, dereference) create columns and
-tables whose *names come from data*, so the emitted SQL is necessarily
-instance-directed: the compiler executes the pipeline on the provided source
-instance step by step and materialises the dynamic names it observes.  The
-script is annotated so a reader can see which statements are
-instance-directed.  ``merge`` compiles to a GROUP-BY/MAX coalescing query,
-the standard SQL rendering of the Wyss–Robertson merge when each group holds
-at most one non-NULL value per column (which promote guarantees).
+Promote and partition create columns and tables whose *names come from
+data*, so the emitted SQL is necessarily instance-directed: the compiler
+executes the pipeline on the provided source instance up to and including
+the last of those operators and materialises the dynamic names it observes.
+Every other operator's SQL reads at most the relation's attribute list, so
+the rest of the pipeline replays on a rows-free copy of the schema, which
+still runs each operator's checks.  The script is annotated so a reader can
+see which statements are instance-directed.  ``merge`` compiles to a
+GROUP-BY/MAX coalescing query, the standard SQL rendering of the
+Wyss–Robertson merge when each group holds at most one non-NULL value per
+column (as after Example 2's promote and drops).
 
 Emission is split from rendering: this module decides the *statement
 sequence* while a :class:`~repro.relational.dialect.SqlDialect` decides how
@@ -34,7 +37,9 @@ from typing import TYPE_CHECKING
 from ..errors import OperatorApplicationError
 from ..relational.database import Database
 from ..relational.dialect import CANONICAL_DIALECT, SqlDialect
-from ..relational.types import is_null, value_to_text
+from ..relational.intern import TEXTS, VALUES
+from ..relational.relation import Relation
+from ..relational.types import Value, is_null
 from .base import Operator
 from .combine import CartesianProduct, Merge
 from .dynamic import DEMOTE_ATT_ATTR, DEMOTE_REL_ATTR, Demote, Dereference, Partition, Promote
@@ -91,13 +96,19 @@ def _recreate(
     ]
 
 
+#: operators whose SQL names come from cell values; every other operator's
+#: SQL reads at most the relation's attribute list
+DATA_READING_OPERATORS: tuple[type[Operator], ...] = (Promote, Partition)
+
+
 def compile_operator(
     op: Operator, db: Database, dialect: SqlDialect | None = None
 ) -> list[str]:
     """SQL statements implementing *op* on a database in the state *db*.
 
-    *db* is the database **before** the operator runs; dynamic operators
-    inspect it to materialise data-dependent names.  Comment lines
+    *db* is the database **before** the operator runs; the
+    :data:`DATA_READING_OPERATORS` read its rows to materialise
+    data-dependent names, the rest only its schema.  Comment lines
     (``-- ...``) may be interleaved; filter with :func:`is_sql_comment`
     when executing.
     """
@@ -166,23 +177,38 @@ def _compile_drop(op: DropAttribute, db: Database, d: SqlDialect) -> list[str]:
     ]
 
 
+def _values_by_name(rel: Relation, attr: str) -> dict[str, list[Value]]:
+    """Column *attr*'s distinct values grouped by the name each induces.
+
+    The algebra names a promoted column or a partition by a value's text, so
+    ``"1"`` and ``1`` induce one name; NULL induces the empty name.  Names
+    and values come in the column's sorted-row order.
+    """
+    pos = rel.attribute_position(attr)
+    groups: dict[str, list[Value]] = {}
+    seen: set[int] = set()
+    for trow in rel.sorted_token_rows():
+        token = trow[pos]
+        if token not in seen:
+            seen.add(token)
+            groups.setdefault(TEXTS[token], []).append(VALUES[token])
+    return groups
+
+
+def _equals_any(column: str, values: list[Value], d: SqlDialect) -> str:
+    """SQL matching *column* against any of *values*."""
+    tests = [f"{column} = {d.quote_literal(value)}" for value in values]
+    return tests[0] if len(tests) == 1 else f"({' OR '.join(tests)})"
+
+
 def _compile_promote(op: Promote, db: Database, d: SqlDialect) -> list[str]:
     rel = db.relation(op.relation)
-    name_pos = rel.attribute_position(op.name_attr)
-    new_names: list[str] = []
-    seen: set[str] = set()
-    for row in rel.sorted_rows():
-        value = row[name_pos]
-        if is_null(value):
-            continue
-        name = value_to_text(value)
-        if name and name not in seen:
-            seen.add(name)
-            new_names.append(name)
+    key = d.quote_identifier(op.name_attr)
     cases = ", ".join(
-        f"CASE WHEN {d.quote_identifier(op.name_attr)} = {d.quote_literal(name)} "
+        f"CASE WHEN {_equals_any(key, values, d)} "
         f"THEN {d.quote_identifier(op.value_attr)} END AS {d.quote_identifier(name)}"
-        for name in new_names
+        for name, values in _values_by_name(rel, op.name_attr).items()
+        if name  # NULL and the empty string name no column
     )
     select_list = f"*, {cases}" if cases else "*"
     body = (
@@ -231,15 +257,7 @@ def _compile_dereference(op: Dereference, db: Database, d: SqlDialect) -> list[s
 
 
 def _compile_partition(op: Partition, db: Database, d: SqlDialect) -> list[str]:
-    rel = db.relation(op.relation)
-    pos = rel.attribute_position(op.attribute)
-    names: list = []
-    seen = set()
-    for row in rel.sorted_rows():
-        value = row[pos]
-        if value not in seen:
-            seen.add(value)
-            names.append(value)
+    groups = _values_by_name(db.relation(op.relation), op.attribute)
     statements = [
         f"-- partition: table names below come from the data of "
         f"{op.attribute!r} (instance-directed)"
@@ -247,18 +265,18 @@ def _compile_partition(op: Partition, db: Database, d: SqlDialect) -> list[str]:
     # The algebra drops the input before naming the outputs, so a partition
     # may reuse the input's name; SQL must move the input aside first.
     input_table = op.relation
-    if any(value_to_text(value) == op.relation for value in names):
+    if op.relation in groups:
         input_table = op.relation + "__tupelo_tmp"
         statements.append(
             f"ALTER TABLE {d.quote_identifier(op.relation)} "
             f"RENAME TO {d.quote_identifier(input_table)};"
         )
-    for value in names:
-        table = value_to_text(value)
+    key = d.quote_identifier(op.attribute)
+    for table, values in groups.items():
         statements.append(
             f"CREATE TABLE {d.quote_identifier(table)} AS "
             f"SELECT {d.select_modifier()}* FROM {d.quote_identifier(input_table)} "
-            f"WHERE {d.quote_identifier(op.attribute)} = {d.quote_literal(value)};"
+            f"WHERE {_equals_any(key, values, d)};"
         )
     statements.append(f"DROP TABLE {d.quote_identifier(input_table)};")
     return statements
@@ -271,14 +289,14 @@ def _compile_merge(op: Merge, db: Database, d: SqlDialect) -> list[str]:
     rel = db.relation(op.relation)
     key = d.quote_identifier(op.attribute)
     others = [a for a in rel.attributes if a != op.attribute]
-    aggregates = ", ".join(
+    aggregates = [
         f"MAX({d.quote_identifier(a)}) AS {d.quote_identifier(a)}" for a in others
-    )
+    ]
     passthrough_cols = ", ".join(
         [key, *(d.quote_identifier(a) for a in others)]
     )
     grouped = (
-        f"SELECT {key}, {aggregates} "
+        f"SELECT {', '.join([key, *aggregates])} "
         f"FROM {d.quote_identifier(op.relation)} "
         f"WHERE {key} IS NOT NULL "
         f"GROUP BY {key}"
@@ -334,6 +352,14 @@ def _compile_apply(op: ApplyFunction, d: SqlDialect) -> list[str]:
     ]
 
 
+def _rows_free(db: Database) -> Database:
+    """*db*'s relation names and attributes, without a single row."""
+    empty: frozenset = frozenset()
+    return Database(
+        Relation._from_token_rows(rel.name, rel.attributes, empty) for rel in db
+    )
+
+
 def compile_script(
     expression: MappingExpression,
     source: Database,
@@ -342,19 +368,33 @@ def compile_script(
 ) -> SqlScript:
     """Compile a whole pipeline to a :class:`SqlScript`, step by step.
 
-    The pipeline is executed on *source* along the way so that dynamic
-    operators can materialise the names they create.
+    The pipeline is executed on *source* up to and including its last
+    :data:`DATA_READING_OPERATORS` step, so those steps can materialise
+    the names they create, and on a rows-free copy of the schema after it.
+    Every step's checks run either way, so schema faults (a missing
+    relation or attribute, a name collision, an unknown function, a wrong
+    arity) raise here; a value fault in a later λ surfaces in the engine.
     """
     d = dialect or CANONICAL_DIALECT
     lines: list[str] = ["-- TUPELO mapping expression compiled to SQL"]
     statements: list[str] = []
-    db = source
+    last_data_step = max(
+        (
+            i
+            for i, op in enumerate(expression, start=1)
+            if isinstance(op, DATA_READING_OPERATORS)
+        ),
+        default=0,
+    )
+    db = source if last_data_step else _rows_free(source)
     for i, op in enumerate(expression, start=1):
         lines.append(f"-- step {i}: {op}")
         emitted = compile_operator(op, db, d)
         lines.extend(emitted)
         statements.extend(s for s in emitted if not is_sql_comment(s))
         db = op.apply(db, registry)
+        if i == last_data_step:
+            db = _rows_free(db)
         lines.append("")
     text = "\n".join(lines).rstrip() + "\n"
     return SqlScript(dialect=d.name, statements=tuple(statements), text=text)

@@ -32,10 +32,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "instance_digest", "pair_fingerprint", "pair_shape_fingerprint",
             "relation_digest", "relation_shape_digest", "shape_digest",
         ),
-        ".intern": (
-            "NULL_TOKEN", "intern_row", "intern_value", "pool_size",
-            "probe_value", "token_text", "token_text_id", "token_value",
-        ),
+        ".intern": ("NULL_TOKEN", "intern_value", "token_text"),
         ".relation": ("Relation", "Row", "TokenRow"),
         ".sql": ("database_to_sql", "relation_to_sql", "tnf_construction_sql"),
         ".tnf": (

@@ -20,21 +20,21 @@ re-intern lazily on the receiving side.
 
 The parallel lists (:data:`VALUES`, :data:`TEXTS`, :data:`TEXT_IDS`,
 :data:`SORT_KEYS`) are append-only and never rebound, so hot loops may
-import them directly and index at C speed.  ``TEXT_IDS[tok]`` is itself a
-token id — the token of the *text rendering* of ``tok``'s value (texts are
-strings, and strings are values) — which lets text-level set comparisons
-(e.g. "does this column mention a missing target attribute name?") run as
-integer set intersections.
+import them directly and index at C speed; likewise :data:`POOL`, whose
+``get`` looks a value's token up without interning it.  ``TEXT_IDS[tok]``
+is itself a token id — the token of the *text rendering* of ``tok``'s
+value (texts are strings, and strings are values) — which lets text-level
+set comparisons (e.g. "does this column mention a missing target attribute
+name?") run as integer set intersections.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from .types import NULL, Value, check_value, is_null, value_sort_key, value_to_text
 
-#: value -> token id (keyed by raw value under Python ``==``)
-_pool: dict = {}
+#: value -> token id (keyed by raw value under Python ``==``); read-only
+#: outside this module, where a ``POOL.get`` probe interns a known value
+POOL: dict = {}
 
 #: token id -> canonical (first-seen) value
 VALUES: list = []
@@ -55,7 +55,7 @@ def _add(value: Value) -> int:
     text = value_to_text(value)
     TEXTS.append(text)
     SORT_KEYS.append(value_sort_key(value))
-    _pool[value] = token
+    POOL[value] = token
     # after the pool entry, so interning a str (whose text is itself)
     # terminates immediately instead of recursing
     TEXT_IDS.append(intern_value(text))
@@ -70,7 +70,7 @@ def intern_value(value: object) -> int:
     :func:`~repro.relational.types.check_value` does.
     """
     try:
-        token = _pool.get(value)
+        token = POOL.get(value)
     except TypeError:
         check_value(value)  # raises the canonical invalid-value TypeError
         raise
@@ -78,47 +78,15 @@ def intern_value(value: object) -> int:
         return token
     checked = check_value(value)
     if checked is not value:  # None -> NULL coercion may already be pooled
-        token = _pool.get(checked)
+        token = POOL.get(checked)
         if token is not None:
             return token
     return _add(checked)
 
 
-def probe_value(value: object) -> Optional[int]:
-    """The token id for *value* if it was ever interned, else None.
-
-    Lookup-only: membership tests use this so that probing a relation for a
-    never-seen value does not grow the pool.
-    """
-    try:
-        return _pool.get(value)
-    except TypeError:
-        return None
-
-
-def intern_row(row: Iterable[object]) -> tuple:
-    """Intern every value of *row*, returning the token-id tuple."""
-    return tuple(intern_value(v) for v in row)
-
-
-def token_value(token: int) -> Value:
-    """The canonical value of *token*."""
-    return VALUES[token]
-
-
 def token_text(token: int) -> str:
     """The text rendering of *token*'s value."""
     return TEXTS[token]
-
-
-def token_text_id(token: int) -> int:
-    """The token id of *token*'s text rendering."""
-    return TEXT_IDS[token]
-
-
-def pool_size() -> int:
-    """Number of distinct values interned so far (diagnostics)."""
-    return len(VALUES)
 
 
 #: the token id of the NULL sentinel — interned first, so always 0

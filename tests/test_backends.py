@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import CancelToken, Database, Relation
@@ -10,6 +12,7 @@ from repro.backends import (
     DuckDbBackend,
     Executor,
     MiniSqlBackend,
+    SqlBackend,
     SqliteBackend,
     available_backends,
     backend_names,
@@ -23,7 +26,14 @@ from repro.errors import (
     SearchDeadlineExceeded,
     UnknownBackendError,
 )
-from repro.fira import MappingExpression, RenameAttribute
+from repro.fira import (
+    CartesianProduct,
+    MappingExpression,
+    Promote,
+    RenameAttribute,
+    RenameRelation,
+)
+from repro.fira.sqlcompile import SqlScript
 from repro.obs import MemorySink, Tracer
 from repro.workloads import flights_b
 from repro.workloads.flights import b_to_a_expression, flights_registry
@@ -144,6 +154,20 @@ class TestExecutorDispatch:
             result = execute_mapping(expr, db, backend="sqlite")
             assert result.database == expr.apply(db)
 
+    @pytest.mark.parametrize("backend", ["auto", "sqlite"])
+    def test_capability_checked_once_per_call(self, simple_case, monkeypatch, backend):
+        db, expr = simple_case
+        calls = []
+        original = SqliteBackend.why_unsupported
+
+        def counting(self, expression, source=None):
+            calls.append(expression)
+            return original(self, expression, source)
+
+        monkeypatch.setattr(SqliteBackend, "why_unsupported", counting)
+        result = execute_mapping(expr, db, backend=backend)
+        assert len(calls) == (1 if result.backend == "sqlite" else 0)
+
     def test_result_carries_script_and_timings(self, simple_case):
         db, expr = simple_case
         result = execute_mapping(expr, db, backend="sqlite")
@@ -203,6 +227,21 @@ class TestDeadlineAndCancel:
             )
         assert err.value.deadline == 0.0
 
+    @pytest.mark.parametrize("backend", ["minisql", "sqlite"])
+    def test_deadline_counts_compile_time(self, simple_case, monkeypatch, backend):
+        db, expr = simple_case
+        compile_ = SqlBackend.compile
+
+        def slow_compile(self, *args, **kwargs):
+            time.sleep(0.2)
+            return compile_(self, *args, **kwargs)
+
+        monkeypatch.setattr(SqlBackend, "compile", slow_compile)
+        with pytest.raises(SearchDeadlineExceeded) as err:
+            execute_mapping(expr, db, backend=backend, deadline=0.1)
+        assert err.value.deadline == 0.1
+        assert err.value.elapsed >= 0.2
+
     def test_generous_deadline_completes(self):
         src = flights_b()
         result = execute_mapping(
@@ -231,5 +270,77 @@ class TestExecutionErrors:
             SqliteBackend().execute(script, db)
         assert "NoSuchTable" in str(err.value)
 
+    def test_load_failure_raises_backend_execution_error(self):
+        db = Database.single(Relation("R", ("A",), [(2**63,)]))
+        expr = MappingExpression([RenameAttribute("R", "A", "B")])
+        with pytest.raises(BackendExecutionError) as err:
+            execute_mapping(expr, db, backend="sqlite")
+        assert err.value.statement.startswith("INSERT")
+
+    def test_blob_read_back_raises_backend_execution_error(self, simple_case):
+        db, _ = simple_case
+        script = SqlScript(
+            dialect="sqlite",
+            statements=("CREATE TABLE \"B\" AS SELECT X'00' AS \"b\";",),
+            text="",
+        )
+        with pytest.raises(BackendExecutionError) as err:
+            SqliteBackend().execute(script, db)
+        assert "bytes" in str(err.value)
+
     def test_repr_mentions_availability(self):
         assert "available" in repr(MiniSqlBackend())
+
+
+class TestSqliteNames:
+    """SQLite reserves names starting with ``sqlite_`` and folds case."""
+
+    def test_lookalike_source_name_survives_read_back(self):
+        db = Database.single(Relation("sqliteData", ("A",), [("x",)]))
+        expr = MappingExpression([RenameAttribute("sqliteData", "A", "B")])
+        result = execute_mapping(expr, db, backend="sqlite")
+        assert result.database == expr.apply(db)
+
+    def test_rename_to_lookalike_name(self):
+        db = Database.single(Relation("Other", ("A",), [("x",)]))
+        expr = MappingExpression([RenameRelation("Other", "SQLiteCopy")])
+        result = execute_mapping(expr, db, backend="sqlite")
+        assert result.database == expr.apply(db)
+
+    @pytest.mark.parametrize("name", ["sqlite_stat", "SQLite_data"])
+    def test_reserved_source_name_is_declined(self, name):
+        db = Database.single(Relation(name, ("A",), [("x",)]))
+        expr = MappingExpression([RenameAttribute(name, "A", "B")])
+        assert "reserves" in SqliteBackend().why_unsupported(expr, db)
+        with pytest.raises(BackendUnsupportedError):
+            execute_mapping(expr, db, backend="sqlite")
+        result = execute_mapping(expr, db, backend="auto")
+        if DUCKDB_MISSING:
+            assert result.backend == "minisql"
+        assert result.database == expr.apply(db)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            RenameRelation("R", "sqlite_copy"),
+            CartesianProduct("R", "S", "Sqlite_product"),
+        ],
+    )
+    def test_reserved_target_name_is_declined(self, op):
+        db = Database(
+            [Relation("R", ("A",), [("x",)]), Relation("S", ("B",), [("y",)])]
+        )
+        expr = MappingExpression([op])
+        assert "reserves" in SqliteBackend().why_unsupported(expr, db)
+        result = execute_mapping(expr, db, backend="auto")
+        assert result.database == expr.apply(db)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="SQLite folds identifier case: promoted columns 'a' and 'A' clash",
+    )
+    def test_names_differing_only_in_case(self):
+        db = Database.single(Relation("R", ("k", "v"), [("a", "x"), ("A", "y")]))
+        expr = MappingExpression([Promote("R", "k", "v")])
+        result = execute_mapping(expr, db, backend="sqlite")
+        assert result.database == expr.apply(db)
