@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from ..errors import SearchDeadlineExceeded, UnknownBackendError
+from ..errors import (
+    BackendUnsupportedError,
+    SearchDeadlineExceeded,
+    UnknownBackendError,
+)
 from ..fira.expression import MappingExpression
 from ..fira.sqlcompile import SqlScript
 from ..obs.events import BACKEND_COMPILE, BACKEND_EXECUTE
@@ -118,7 +122,11 @@ class Executor:
         expression: MappingExpression,
         source: Database | None = None,
     ) -> SqlBackend:
-        """The concrete backend that would run this mapping."""
+        """The concrete backend the capability check picks for this mapping.
+
+        Under ``auto``, an engine that then declines at compile (a name
+        that only the compile replay meets) hands the mapping to minisql.
+        """
         if self.backend != AUTO:
             return get_backend(self.backend)
         for name in AUTO_ORDER:
@@ -151,7 +159,13 @@ class Executor:
             backend.require_supported(expression, source)
 
         t0 = perf_counter()
-        script = backend.compile(expression, source, registry)
+        try:
+            script = backend.compile(expression, source, registry)
+        except BackendUnsupportedError:
+            if self.backend != AUTO:
+                raise
+            backend = _BACKENDS["minisql"]  # the reference declines nothing
+            script = backend.compile(expression, source, registry)
         compile_seconds = perf_counter() - t0
         if self.tracer is not None:
             self.tracer.emit(

@@ -19,9 +19,13 @@ Faithfulness notes (see docs/execution.md for the full matrix):
   *declines* sources containing booleans (:meth:`SqliteBackend
   .why_unsupported`), and the auto-dispatching executor falls back to the
   reference engine.
-* **Reserved names** — SQLite refuses table names starting with
-  ``sqlite_`` in any ASCII case, so the backend declines sources, renames
-  and products that would need one.
+* **Reserved and case-folded names** — SQLite refuses table names
+  starting with ``sqlite_`` in any ASCII case, so the backend declines
+  sources, renames and products that would need one.  It also folds
+  identifier case; names that come from data are known only once compile
+  has replayed the steps that make them, so the sqlite dialect declines
+  there any step that puts two names differing only in case side by side
+  or makes a ``sqlite_`` table, and ``auto`` hands over to minisql.
 * **UDFs** — λ applications run through :meth:`sqlite3.Connection
   .create_function` wrappers around the project's semantic functions, with
   NULL↔None conversion at the boundary.  SQLite reports a function that
@@ -40,7 +44,7 @@ from ..fira.combine import CartesianProduct
 from ..fira.renames import RenameRelation
 from ..fira.structure import Select
 from ..relational.database import Database
-from ..relational.dialect import SqliteDialect
+from ..relational.dialect import SqliteDialect, sqlite_reserved_table
 from ..relational.intern import POOL, VALUES
 from ..relational.relation import Relation
 from ..relational.sql import create_table_sql
@@ -105,11 +109,6 @@ def _database_has_bool(db: Database) -> bool:
     )
 
 
-def _reserved(name: str) -> bool:
-    """Whether SQLite reserves *name* for its own tables."""
-    return name.lower().startswith("sqlite_")
-
-
 class SqliteBackend(SqlBackend):
     """Stdlib :mod:`sqlite3` backend (in-memory database per execution)."""
 
@@ -139,13 +138,7 @@ class SqliteBackend(SqlBackend):
                 names.append(op.new)
             elif isinstance(op, CartesianProduct):
                 names.append(op.result_name)
-        for name in names:
-            if _reserved(name):
-                return (
-                    f"relation name {name!r} starts with 'sqlite_', which "
-                    "SQLite reserves for internal use"
-                )
-        return None
+        return sqlite_reserved_table(names)
 
     def _load(self, conn: sqlite3.Connection, source: Database) -> None:
         """Create untyped tables and stream rows in via chunked inserts.

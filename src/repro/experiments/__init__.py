@@ -7,7 +7,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".calibration": (
             "DEFAULT_K_GRID", "SCALED_HEURISTICS", "CalibrationTask",
-            "calibrate", "calibrate_all", "calibration_tasks", "total_states",
+            "calibrate", "calibration_tasks", "total_states",
         ),
         ".kernel_profile": (
             "PROFILE_SORTS", "KernelProfile", "ProfileRow", "profile_point",
@@ -19,13 +19,11 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".quality": ("MatchQuality", "evaluate_matching"),
         ".report": (
             "ascii_table", "averages_table", "cache_summary_table",
-            "format_states", "log_bucket", "series_table", "stats_table",
-            "trace_index_table",
+            "format_states", "log_bucket", "series_table", "trace_index_table",
         ),
         ".runner": (
             "ExperimentPoint", "ExperimentSeries", "average_states",
-            "run_bamm_averages", "run_bamm_domain", "run_matching_series",
-            "run_semantic_series",
+            "run_bamm_domain", "run_matching_series", "run_semantic_series",
         ),
     },
 )

@@ -101,19 +101,3 @@ def calibrate(
     best = min(sorted(costs), key=lambda k: costs[k])
     return best, costs
 
-
-def calibrate_all(
-    algorithms: Sequence[str] = ("ida", "rbfs"),
-    heuristics: Sequence[str] = SCALED_HEURISTICS,
-    grid: Sequence[float] = DEFAULT_K_GRID,
-    budget: int = 20_000,
-) -> dict[str, dict[str, float]]:
-    """Best k per (algorithm, heuristic) — our version of the §5 table."""
-    tasks = calibration_tasks()
-    return {
-        algorithm: {
-            heuristic: calibrate(algorithm, heuristic, grid, tasks, budget)[0]
-            for heuristic in heuristics
-        }
-        for algorithm in algorithms
-    }

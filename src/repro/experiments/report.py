@@ -131,33 +131,6 @@ def cache_summary_table(series_list: Sequence[ExperimentSeries]) -> str:
     return ascii_table(headers, rows)
 
 
-def stats_table(stats_by_label: Mapping[str, Mapping[str, float | int]]) -> str:
-    """Tabulate full ``SearchStats.as_dict()`` renderings side by side.
-
-    *stats_by_label* maps a column label (e.g. ``"cache on"``) to a stats
-    dict; rows are the union of stat keys in first-seen order.
-    """
-    keys: list[str] = []
-    for stats in stats_by_label.values():
-        for key in stats:
-            if key not in keys:
-                keys.append(key)
-    headers = ["stat"] + list(stats_by_label)
-    rows = []
-    for key in keys:
-        row: list[object] = [key]
-        for stats in stats_by_label.values():
-            value = stats.get(key)
-            if value is None:
-                row.append("-")
-            elif isinstance(value, float):
-                row.append(f"{value:.4f}")
-            else:
-                row.append(value)
-        rows.append(row)
-    return ascii_table(headers, rows)
-
-
 def trace_index_table(series_list: Sequence[ExperimentSeries]) -> str:
     """Tabulate the JSONL traces persisted for a series collection.
 

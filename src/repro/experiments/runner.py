@@ -42,7 +42,7 @@ from ..parallel.fanout import PointSpec, run_experiment_points, run_spec
 from ..parallel.providers import has_provider
 from ..search.config import SearchConfig
 from ..search.result import STATUS_FOUND, SearchResult
-from ..workloads.bamm import BammDomain, bamm_corpus
+from ..workloads.bamm import BammDomain
 from ..workloads.semantic_domains import (
     PAPER_FUNCTION_COUNTS,
     SemanticDomain,
@@ -280,24 +280,6 @@ def average_states(series: ExperimentSeries) -> float:
     """Mean states examined across a series (budget-capped points included)."""
     states = series.states()
     return sum(states) / len(states) if states else 0.0
-
-
-def run_bamm_averages(
-    algorithm: str,
-    heuristic: str,
-    budget: int = 100_000,
-    k: float | None = None,
-    limit: int | None = None,
-    seed: int = 2006,
-) -> dict[str, float]:
-    """Per-domain average states for one algorithm/heuristic (Fig. 7 bars)."""
-    corpus = bamm_corpus(seed)
-    return {
-        name: average_states(
-            run_bamm_domain(algorithm, heuristic, domain, budget, k, limit)
-        )
-        for name, domain in corpus.items()
-    }
 
 
 def run_semantic_series(

@@ -16,6 +16,12 @@ GROUP-BY/MAX coalescing query, the standard SQL rendering of the
 Wyss–Robertson merge when each group holds at most one non-NULL value per
 column (as after Example 2's promote and drops).
 
+Consecutive steps that rewrite one relation row by row (λ applications,
+promotes, dereferences, drops on dialects that re-create a table to drop a
+column, and the attribute renames between them) compile as one run: a
+single ``CREATE TABLE … AS SELECT`` over a column-expression list, so the
+table is copied once per run instead of once per step (:class:`RowWiseRun`).
+
 Emission is split from rendering: this module decides the *statement
 sequence* while a :class:`~repro.relational.dialect.SqlDialect` decides how
 identifiers, literals, casts, and duplicate handling are spelled for a
@@ -34,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import OperatorApplicationError
+from ..errors import BackendUnsupportedError, OperatorApplicationError
 from ..relational.database import Database
 from ..relational.dialect import CANONICAL_DIALECT, SqlDialect
 from ..relational.intern import TEXTS, VALUES
@@ -101,6 +107,16 @@ def _recreate(
 DATA_READING_OPERATORS: tuple[type[Operator], ...] = (Promote, Partition)
 
 
+def is_row_wise(op: Operator, dialect: SqlDialect) -> bool:
+    """Whether *op* rewrites its relation row by row under *dialect*.
+
+    A drop does so only on dialects that re-create a table to drop a column.
+    """
+    return isinstance(op, (RenameAttribute, ApplyFunction, Promote, Dereference)) or (
+        isinstance(op, DropAttribute) and not dialect.drop_column_in_place()
+    )
+
+
 def compile_operator(
     op: Operator, db: Database, dialect: SqlDialect | None = None
 ) -> list[str]:
@@ -113,18 +129,20 @@ def compile_operator(
     when executing.
     """
     d = dialect or CANONICAL_DIALECT
-    if isinstance(op, RenameAttribute):
-        return [
-            f"ALTER TABLE {d.quote_identifier(op.relation)} "
-            f"RENAME COLUMN {d.quote_identifier(op.old)} TO {d.quote_identifier(op.new)};"
-        ]
+    if is_row_wise(op, d):
+        run = RowWiseRun(op.relation, db, d)
+        run.add(op, db, [])
+        return run.lines()
     if isinstance(op, RenameRelation):
         return [
             f"ALTER TABLE {d.quote_identifier(op.old)} "
             f"RENAME TO {d.quote_identifier(op.new)};"
         ]
     if isinstance(op, DropAttribute):
-        return _compile_drop(op, db, d)
+        return [
+            f"ALTER TABLE {d.quote_identifier(op.relation)} "
+            f"DROP COLUMN {d.quote_identifier(op.attribute)};"
+        ]
     if isinstance(op, Select):
         return [
             f"DELETE FROM {d.quote_identifier(op.relation)} "
@@ -134,47 +152,164 @@ def compile_operator(
             else f"DELETE FROM {d.quote_identifier(op.relation)} "
             f"WHERE {d.quote_identifier(op.attribute)} IS NOT NULL;"
         ]
-    if isinstance(op, Promote):
-        return _compile_promote(op, db, d)
     if isinstance(op, Demote):
         return _compile_demote(op, db, d)
-    if isinstance(op, Dereference):
-        return _compile_dereference(op, db, d)
     if isinstance(op, Partition):
         return _compile_partition(op, db, d)
     if isinstance(op, Merge):
         return _compile_merge(op, db, d)
     if isinstance(op, CartesianProduct):
         return _compile_product(op, db, d)
-    if isinstance(op, ApplyFunction):
-        return _compile_apply(op, d)
     raise OperatorApplicationError(f"no SQL compilation for operator {op!r}")
 
 
-def _compile_drop(op: DropAttribute, db: Database, d: SqlDialect) -> list[str]:
-    if d.drop_column_in_place():
-        return [
-            f"ALTER TABLE {d.quote_identifier(op.relation)} "
-            f"DROP COLUMN {d.quote_identifier(op.attribute)};"
-        ]
-    # Bag-semantics engines: an in-place drop can expose duplicate rows the
-    # algebra would collapse, so re-create with SELECT DISTINCT instead.
-    rel = db.relation(op.relation)
-    remaining = [a for a in rel.attributes if a != op.attribute]
-    if not remaining:
-        raise OperatorApplicationError(
-            f"drop: cannot drop the last attribute of {op.relation!r}"
+class RowWiseRun:
+    """Consecutive row-wise steps on one relation, compiled as one table copy.
+
+    The run's SELECT reads the table as its first step found it in
+    ``start``, the database before that step.  ``aliases`` maps the current name of
+    each renamed column of that table to the column it reads, ``dropped``
+    holds the columns the run dropped, and ``computed`` the SQL of the
+    columns the run's steps added; while no column is renamed or dropped,
+    ``*`` lists the table's columns.  No later step of the run reads or
+    drops a computed column (:meth:`takes`), so each expression is
+    evaluated exactly once.  A run of renames alone keeps their ``ALTER
+    TABLE`` statements, which copy no rows.
+    """
+
+    def __init__(self, relation: str, start: Database, dialect: SqlDialect) -> None:
+        self.relation = relation
+        self.start = start
+        self.dialect = dialect
+        #: per step: its comment lines, and a rename's own statement
+        self.steps: list[tuple[list[str], str | None]] = []
+        self.aliases: dict[str, str] = {}
+        self.dropped: set[str] = set()
+        self.computed: dict[str, str] = {}
+
+    def takes(self, op: Operator) -> bool:
+        """Whether row-wise *op* continues this run (see :func:`is_row_wise`)."""
+        if op.relation != self.relation:
+            return False
+        if isinstance(op, RenameAttribute):
+            return True  # a rename only re-aliases a column
+        if isinstance(op, ApplyFunction):
+            return self.computed.keys().isdisjoint(op.inputs)
+        if isinstance(op, Promote):
+            return self.computed.keys().isdisjoint((op.name_attr, op.value_attr))
+        if isinstance(op, Dereference):  # its CASE reads every column
+            return not self.computed
+        return op.attribute not in self.computed  # a drop
+
+    def add(self, op: Operator, db: Database, notes: list[str]) -> None:
+        """Add row-wise *op*, to run on a database in the state *db*.
+
+        *notes* opens the step's text; the step's comments follow.  Raises
+        what compiling *op* on its own raises.
+        """
+        d = self.dialect
+        alter = None
+        if isinstance(op, RenameAttribute):
+            alter = (
+                f"ALTER TABLE {d.quote_identifier(op.relation)} RENAME COLUMN "
+                f"{d.quote_identifier(op.old)} TO {d.quote_identifier(op.new)};"
+            )
+            if op.old in self.computed:
+                self.computed = {
+                    (op.new if name == op.old else name): sql
+                    for name, sql in self.computed.items()
+                }
+            else:
+                source = self.aliases.pop(op.old, op.old)
+                if source != op.new:
+                    self.aliases[op.new] = source
+        elif isinstance(op, ApplyFunction):
+            notes.append(
+                f"-- apply: {op.function!r} must be available as a UDF / stored procedure"
+            )
+            call = d.function_call(op.function, [self._read(a) for a in op.inputs])
+            self._compute(op.output, call)
+        elif isinstance(op, Promote):
+            notes.append(
+                f"-- promote: column names below come from the data of "
+                f"{op.name_attr!r} (instance-directed)"
+            )
+            rel = db.relation(op.relation)
+            key = self._read(op.name_attr)
+            for name, values in _values_by_name(rel, op.name_attr).items():
+                if name:  # NULL and the empty string name no column
+                    self._compute(
+                        name,
+                        f"CASE WHEN {_equals_any(key, values, d)} "
+                        f"THEN {self._read(op.value_attr)} END",
+                    )
+        elif isinstance(op, Dereference):
+            # The pointer cell is read as the *name* of an attribute (its
+            # canonical text), but the dereferenced cell keeps its raw typed
+            # value — the algebra copies t[t[A]] verbatim, so casting it
+            # would break the cross-backend equivalence oracle on
+            # non-string columns.
+            rel = db.relation(op.relation)
+            pointer = d.cast_to_text(self._read(op.pointer_attr))
+            whens = " ".join(
+                f"WHEN {pointer} = {d.quote_literal(attr)} THEN {self._read(attr)}"
+                for attr in rel.attributes
+            )
+            self._compute(op.new_attr, f"CASE {whens} END")
+        else:
+            # Bag-semantics engines: an in-place drop can expose duplicate
+            # rows the algebra would collapse, so re-create with SELECT
+            # DISTINCT instead.
+            if db.relation(op.relation).attributes == (op.attribute,):
+                raise OperatorApplicationError(
+                    f"drop: cannot drop the last attribute of {op.relation!r}"
+                )
+            notes.append(
+                "-- drop: re-created with DISTINCT to preserve set semantics "
+                "on a bag-semantics engine"
+            )
+            self.dropped.add(self.aliases.pop(op.attribute, op.attribute))
+        self.steps.append((notes, alter))
+
+    def _read(self, attr: str) -> str:
+        """SQL reading attribute *attr* from the table the run found."""
+        return self.dialect.quote_identifier(self.aliases.get(attr, attr))
+
+    def _compute(self, name: str, expression: str) -> None:
+        self.dialect.quote_identifier(name)  # an unquotable name fails here
+        self.computed[name] = expression
+
+    def lines(self) -> list[str]:
+        """The run's annotated text; its statements are the lines that are
+        not comments (:func:`is_sql_comment`)."""
+        if all(alter is not None for _, alter in self.steps):  # renames alone
+            text = [
+                line
+                for notes, alter in self.steps
+                for line in (*notes, alter, "")
+            ]
+            return text[:-1]
+        q = self.dialect.quote_identifier
+        columns = ["*"]
+        if self.aliases or self.dropped:
+            names = {source: name for name, source in self.aliases.items()}
+            columns = [
+                q(a) if names.get(a, a) == a else f"{q(a)} AS {q(names[a])}"
+                for a in self.start.relation(self.relation).attributes
+                if a not in self.dropped
+            ]
+        columns += [f"{sql} AS {q(name)}" for name, sql in self.computed.items()]
+        body = (
+            f"SELECT {self.dialect.select_modifier()}{', '.join(columns)} "
+            f"FROM {q(self.relation)}"
         )
-    cols = ", ".join(d.quote_identifier(a) for a in remaining)
-    body = (
-        f"SELECT {d.select_modifier()}{cols} "
-        f"FROM {d.quote_identifier(op.relation)}"
-    )
-    return [
-        "-- drop: re-created with DISTINCT to preserve set semantics on a "
-        "bag-semantics engine",
-        *_recreate(op.relation, body, d),
-    ]
+        text = [line for notes, _ in self.steps for line in notes]
+        if len(self.steps) > 1:
+            text.append(
+                f"-- one copy of {self.relation!r} runs the "
+                f"{len(self.steps)} steps above"
+            )
+        return [*text, *_recreate(self.relation, body, self.dialect)]
 
 
 def _values_by_name(rel: Relation, attr: str) -> dict[str, list[Value]]:
@@ -201,27 +336,6 @@ def _equals_any(column: str, values: list[Value], d: SqlDialect) -> str:
     return tests[0] if len(tests) == 1 else f"({' OR '.join(tests)})"
 
 
-def _compile_promote(op: Promote, db: Database, d: SqlDialect) -> list[str]:
-    rel = db.relation(op.relation)
-    key = d.quote_identifier(op.name_attr)
-    cases = ", ".join(
-        f"CASE WHEN {_equals_any(key, values, d)} "
-        f"THEN {d.quote_identifier(op.value_attr)} END AS {d.quote_identifier(name)}"
-        for name, values in _values_by_name(rel, op.name_attr).items()
-        if name  # NULL and the empty string name no column
-    )
-    select_list = f"*, {cases}" if cases else "*"
-    body = (
-        f"SELECT {d.select_modifier()}{select_list} "
-        f"FROM {d.quote_identifier(op.relation)}"
-    )
-    return [
-        f"-- promote: column names below come from the data of "
-        f"{op.name_attr!r} (instance-directed)",
-        *_recreate(op.relation, body, d),
-    ]
-
-
 def _compile_demote(op: Demote, db: Database, d: SqlDialect) -> list[str]:
     rel = db.relation(op.relation)
     meta = d.values_table(
@@ -232,26 +346,6 @@ def _compile_demote(op: Demote, db: Database, d: SqlDialect) -> list[str]:
     body = (
         f"SELECT {d.select_modifier()}{d.quote_identifier(op.relation)}.*, __meta.* "
         f"FROM {d.quote_identifier(op.relation)} CROSS JOIN {meta}"
-    )
-    return _recreate(op.relation, body, d)
-
-
-def _compile_dereference(op: Dereference, db: Database, d: SqlDialect) -> list[str]:
-    # The pointer cell is read as the *name* of an attribute (its canonical
-    # text), but the dereferenced cell keeps its raw typed value — the
-    # algebra copies t[t[A]] verbatim, so casting it would break the
-    # cross-backend equivalence oracle on non-string columns.
-    rel = db.relation(op.relation)
-    pointer = d.cast_to_text(d.quote_identifier(op.pointer_attr))
-    whens = " ".join(
-        f"WHEN {pointer} = {d.quote_literal(attr)} "
-        f"THEN {d.quote_identifier(attr)}"
-        for attr in rel.attributes
-    )
-    body = (
-        f"SELECT {d.select_modifier()}*, CASE {whens} END "
-        f"AS {d.quote_identifier(op.new_attr)} "
-        f"FROM {d.quote_identifier(op.relation)}"
     )
     return _recreate(op.relation, body, d)
 
@@ -308,8 +402,8 @@ def _compile_merge(op: Merge, db: Database, d: SqlDialect) -> list[str]:
     )
     body = f"{grouped} UNION ALL {passthrough}"
     return [
-        "-- merge: GROUP BY/MAX coalescing assumes one non-NULL value per "
-        "column per group (guaranteed after promote); NULL-keyed rows pass "
+        "-- merge: GROUP BY/MAX coalescing is exact only when each key group "
+        "holds at most one non-NULL value per column; NULL-keyed rows pass "
         "through unmerged",
         *_recreate(op.relation, body, d),
     ]
@@ -337,21 +431,6 @@ def _compile_product(op: CartesianProduct, db: Database, d: SqlDialect) -> list[
     return [f"CREATE TABLE {d.quote_identifier(op.result_name)} AS {body};"]
 
 
-def _compile_apply(op: ApplyFunction, d: SqlDialect) -> list[str]:
-    call = d.function_call(
-        op.function, [d.quote_identifier(a) for a in op.inputs]
-    )
-    body = (
-        f"SELECT {d.select_modifier()}*, {call} "
-        f"AS {d.quote_identifier(op.output)} "
-        f"FROM {d.quote_identifier(op.relation)}"
-    )
-    return [
-        f"-- apply: {op.function!r} must be available as a UDF / stored procedure",
-        *_recreate(op.relation, body, d),
-    ]
-
-
 def _rows_free(db: Database) -> Database:
     """*db*'s relation names and attributes, without a single row."""
     empty: frozenset = frozenset()
@@ -374,10 +453,16 @@ def compile_script(
     Every step's checks run either way, so schema faults (a missing
     relation or attribute, a name collision, an unknown function, a wrong
     arity) raise here; a value fault in a later λ surfaces in the engine.
+    Each maximal run of row-wise steps on one relation compiles as one
+    :class:`RowWiseRun`.  A dialect whose engine cannot hold the names a
+    step puts side by side declines the pipeline here
+    (:meth:`~repro.relational.dialect.SqlDialect.why_unrepresentable`).
+
+    Raises:
+        BackendUnsupportedError: when the dialect declines a name.
     """
     d = dialect or CANONICAL_DIALECT
     lines: list[str] = ["-- TUPELO mapping expression compiled to SQL"]
-    statements: list[str] = []
     last_data_step = max(
         (
             i
@@ -386,18 +471,40 @@ def compile_script(
         ),
         default=0,
     )
+    check_names(d, source, source)
     db = source if last_data_step else _rows_free(source)
+    run: RowWiseRun | None = None
     for i, op in enumerate(expression, start=1):
-        lines.append(f"-- step {i}: {op}")
-        emitted = compile_operator(op, db, d)
-        lines.extend(emitted)
-        statements.extend(s for s in emitted if not is_sql_comment(s))
-        db = op.apply(db, registry)
+        notes = [f"-- step {i}: {op}"]
+        row_wise = is_row_wise(op, d)
+        if run is not None and not (row_wise and run.takes(op)):
+            lines += [*run.lines(), ""]
+            run = None
+        if row_wise:
+            run = run or RowWiseRun(op.relation, db, d)
+            run.add(op, db, notes)
+        else:
+            lines += [*notes, *compile_operator(op, db, d), ""]
+        before, db = db, op.apply(db, registry)
+        check_names(d, before, db)
         if i == last_data_step:
             db = _rows_free(db)
-        lines.append("")
+    if run is not None:
+        lines += run.lines()
     text = "\n".join(lines).rstrip() + "\n"
-    return SqlScript(dialect=d.name, statements=tuple(statements), text=text)
+    statements = tuple(line for line in lines if not is_sql_comment(line))
+    return SqlScript(dialect=d.name, statements=statements, text=text)
+
+
+def check_names(dialect: SqlDialect, before: Database, after: Database) -> None:
+    """Decline a step whose names *dialect*'s engine cannot hold side by side.
+
+    Raises:
+        BackendUnsupportedError: naming the dialect and the reason.
+    """
+    reason = dialect.why_unrepresentable(before, after)
+    if reason is not None:
+        raise BackendUnsupportedError(dialect.name, reason)
 
 
 def compile_expression(

@@ -16,7 +16,9 @@ be dropped in place.  Three dialects ship with the library:
   column drops as DISTINCT re-creations; its ``CAST`` is wrapped in a
   ``typeof`` guard so integral REALs render as canonical integers.  SQLite
   has no BOOLEAN storage class, so boolean literals are rejected (the
-  sqlite backend declines bool-carrying instances up front).
+  sqlite backend declines bool-carrying instances up front).  It folds
+  identifier case and reserves ``sqlite_`` table names, so the dialect
+  declines a step whose names it cannot hold side by side.
 * :class:`DuckDbDialect` — DuckDB, strictly typed; booleans are native and
   the ``typeof`` guard handles DOUBLE and BOOLEAN canonical text.
 
@@ -30,9 +32,14 @@ fail (or worse, silently change meaning) downstream.
 from __future__ import annotations
 
 import math
+import string
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from ..errors import SqlRenderingError
 from .types import Value, is_null
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .database import Database
 
 
 def render_identifier(name: str) -> str:
@@ -143,6 +150,19 @@ class SqlDialect:
         """
         return self.set_semantics
 
+    def why_unrepresentable(
+        self, before: "Database", after: "Database"
+    ) -> str | None:
+        """Why the engine cannot hold the names one step puts side by side.
+
+        *before* and *after* are the database before and after the step
+        (the source twice, for the source itself): a step's output tables
+        coexist with its input's for a moment, as when a partition creates
+        its tables before it drops the one it splits.  None when the engine
+        holds every name apart, as the canonical engine does.
+        """
+        return None
+
     def row_number_expr(self) -> str:
         """The row-numbering expression used by TNF construction."""
         return "ROW_NUMBER() OVER ()"
@@ -188,18 +208,71 @@ class MiniSqlDialect(SqlDialect):
     supports_boolean = True
 
 
+#: SQLite folds the case of ASCII letters in identifiers, and only those
+_ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def sqlite_reserved_table(names: Iterable[str]) -> str | None:
+    """Why SQLite refuses one of table *names* (its own prefix), or None."""
+    for name in names:
+        if name.translate(_ASCII_FOLD).startswith("sqlite_"):
+            return (
+                f"relation name {name!r} starts with 'sqlite_', which SQLite "
+                "reserves for internal use"
+            )
+    return None
+
+
+def _case_clash(names: Collection[str]) -> tuple[str, str] | None:
+    """Two of *names* (all distinct) that differ only in ASCII case, if any."""
+    # names apart in lower case are apart in ASCII case too
+    if len(set(map(str.lower, names))) == len(names):
+        return None
+    seen: dict[str, str] = {}
+    for name in names:
+        other = seen.setdefault(name.translate(_ASCII_FOLD), name)
+        if other != name:
+            return other, name
+    return None
+
+
 class SqliteDialect(SqlDialect):
     """SQLite (stdlib ``sqlite3``): bag semantics, no BOOLEAN storage class.
 
     ``CAST(2.0 AS TEXT)`` is ``'2.0'`` in SQLite but the canonical text is
     ``'2'``; the ``typeof``-guarded CASE below converts integral REALs
     through INTEGER first so dereference over float columns stays
-    bit-identical with the in-memory algebra.
+    bit-identical with the in-memory algebra.  SQLite folds the case of
+    identifiers, so two names differing only in case are one table or one
+    column to it (a promote over ``A`` and ``a`` returns a column ``a:1``),
+    and it refuses tables named ``sqlite_…``; such steps are declined.
     """
 
     name = "sqlite"
     set_semantics = False
     supports_boolean = False
+
+    def why_unrepresentable(
+        self, before: "Database", after: "Database"
+    ) -> str | None:
+        groups: list[Collection[str]] = []
+        if before is after or after.relation_names != before.relation_names:
+            tables = {*before.relation_names, *after.relation_names}
+            reserved = sqlite_reserved_table(tables)
+            if reserved is not None:
+                return reserved
+            groups.append(tables)
+        # a relation the step left as it was brings no new column name
+        unchanged = set() if before is after else set(map(id, before))
+        groups += [rel.attributes for rel in after if id(rel) not in unchanged]
+        for names in groups:
+            clash = _case_clash(names)
+            if clash is not None:
+                return (
+                    f"names {clash[0]!r} and {clash[1]!r} differ only in "
+                    "case, which SQLite folds"
+                )
+        return None
 
     def values_table(
         self,

@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.fira import (
     CartesianProduct,
     MappingExpression,
+    Partition,
     Promote,
     RenameAttribute,
     RenameRelation,
@@ -335,12 +336,36 @@ class TestSqliteNames:
         result = execute_mapping(expr, db, backend="auto")
         assert result.database == expr.apply(db)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="SQLite folds identifier case: promoted columns 'a' and 'A' clash",
-    )
     def test_names_differing_only_in_case(self):
+        """SQLite folds case: promoted columns 'a' and 'A' would be one
+        column to it, so it declines at compile and auto falls back."""
         db = Database.single(Relation("R", ("k", "v"), [("a", "x"), ("A", "y")]))
         expr = MappingExpression([Promote("R", "k", "v")])
+        assert SqliteBackend().why_unsupported(expr, db) is None
+        with pytest.raises(BackendUnsupportedError) as err:
+            execute_mapping(expr, db, backend="sqlite")
+        assert "differ only in case" in str(err.value)
+        result = execute_mapping(expr, db, backend="auto")
+        if DUCKDB_MISSING:
+            assert result.backend == "minisql"
+        assert result.database == expr.apply(db)
+
+    def test_partition_into_reserved_name_is_declined(self):
+        db = Database.single(
+            Relation("R", ("k", "v"), [("sqlite_data", "x"), ("plain", "y")])
+        )
+        expr = MappingExpression([Partition("R", "k")])
+        with pytest.raises(BackendUnsupportedError) as err:
+            execute_mapping(expr, db, backend="sqlite")
+        assert "reserves" in str(err.value)
+        result = execute_mapping(expr, db, backend="auto")
+        if DUCKDB_MISSING:
+            assert result.backend == "minisql"
+        assert result.database == expr.apply(db)
+
+    def test_rename_to_own_name_in_other_case(self):
+        """SQLite renames a column to another case of its name in place."""
+        db = Database.single(Relation("R", ("k",), [("x",)]))
+        expr = MappingExpression([RenameAttribute("R", "k", "K")])
         result = execute_mapping(expr, db, backend="sqlite")
         assert result.database == expr.apply(db)

@@ -1,25 +1,29 @@
 """Generated differential check of SQL compilation and execution.
 
 Hypothesis draws small instances (NULL-heavy and empty relations,
-duplicate rows, ``"1"`` next to ``1``) and pipelines of one to four
-operators: promote and partition, whose SQL names come from cell values,
-at random positions among renames, drops, merges and at most one λ.  Each
-pipeline is checked twice:
+duplicate rows, ``"1"`` next to ``1``, ``"A"`` next to ``"a"``, values
+naming an attribute) and pipelines of one to five operators: promote and
+partition, whose SQL names come from cell values, at random positions
+among renames, drops, merges, dereferences and up to three λs with
+distinct outputs, which may read an earlier λ's output.  Consecutive
+row-wise steps on one relation compile as one table copy, so the draws
+hold fused runs and the points where a run must break.  Each pipeline is
+checked twice:
 
 * :func:`compile_script` must equal a reference that replays *every* step
-  on the data, statements and text, under every dialect; a pipeline the
-  reference cannot compile must fail with the same error.  The compiler
-  itself replays on the data only up to the last promote or partition.
+  on the data and fuses the same runs, statements and text, under every
+  dialect; a pipeline the reference cannot compile must fail with the same
+  error.  The compiler itself replays on the data only up to the last
+  promote or partition.
 * a pipeline the algebra can apply must give the algebra's result on
   minisql and, where the backend supports the instance, on sqlite.
 
-Two known limits of the engines are kept out of the engine check, and
-counted as hypothesis events.  SQLite folds identifier case, so a
-pipeline with a step that puts two names differing only in case side by
-side skips the sqlite leg (``tests/test_backends.py::TestSqliteNames`` pins the fault).
-Merge compiles to GROUP BY/MAX, which equals the algebra's merge only when
-each key group holds at most one non-NULL value per other column; a
-pipeline with any other merge is compiled but not executed
+SQLite folds identifier case, so wherever a step puts two names differing
+only in case side by side, sqlite must decline the pipeline at compile
+(``BackendUnsupportedError``) and the sqlite leg is skipped; the event is
+counted.  Merge compiles to GROUP BY/MAX, which equals the algebra's merge
+only when each key group holds at most one non-NULL value per other
+column; a pipeline with any other merge is compiled but not executed
 (:func:`test_merge_of_incompatible_rows` pins the fault on both engines).
 """
 
@@ -30,9 +34,10 @@ from hypothesis import HealthCheck, event, given, note, settings, strategies as 
 
 from repro import Database, Relation
 from repro.backends import SqliteBackend, execute_mapping
-from repro.errors import SignatureError
+from repro.errors import BackendUnsupportedError, SignatureError
 from repro.fira import (
     ApplyFunction,
+    Dereference,
     DropAttribute,
     MappingExpression,
     Merge,
@@ -42,9 +47,12 @@ from repro.fira import (
     RenameRelation,
 )
 from repro.fira.sqlcompile import (
+    RowWiseRun,
     SqlScript,
+    check_names,
     compile_operator,
     compile_script,
+    is_row_wise,
     is_sql_comment,
 )
 from repro.relational import NULL
@@ -56,35 +64,53 @@ REGISTRY = builtin_registry()
 #: every dialect the compiler renders, the canonical one included
 ALL_DIALECTS = (CANONICAL_DIALECT, *DIALECTS.values())
 
-#: cell values: strings, ints and a float, with "1" next to 1 and "A" next to "a"
-CELLS = ("a", "A", "b", "c", "1", 1, 2, 2.5, NULL)
+#: cell values: strings, ints and a float, with "1" next to 1, "A" next to
+#: "a", and "w" naming an attribute for dereference to follow
+CELLS = ("a", "A", "b", "c", "w", "1", 1, 2, 2.5, NULL)
 
 RELATION_NAMES = ("R", "S")
 ATTRIBUTES = ("k", "v", "w")
 NEW_RELATION_NAMES = ("T", "U", "R")
 NEW_ATTRIBUTES = ("x", "y", "k")
 
-#: operator kinds drawn per step; promote and partition twice as often
+#: the outputs of a pipeline's first, second and third λ
+LAMBDA_OUTPUTS = ("u", "t", "s")
+
+#: operator kinds drawn per step, weighted towards the row-wise ones that
+#: compile as one run: λ three times as often, promote, partition,
+#: attribute renames, drops and dereferences twice
 KINDS = (
-    "promote", "promote", "partition", "partition",
-    "rename_att", "rename_rel", "drop", "merge", "apply",
+    "apply", "apply", "apply", "promote", "promote", "partition", "partition",
+    "rename_att", "rename_att", "drop", "drop", "deref", "deref",
+    "rename_rel", "merge",
 )
+NO_LAMBDA_KINDS = tuple(kind for kind in KINDS if kind != "apply")
 
 
 def reference_compile(expression, source, registry, dialect) -> SqlScript:
     """The compiler with every step replayed on the data."""
     lines = ["-- TUPELO mapping expression compiled to SQL"]
-    statements: list[str] = []
+    check_names(dialect, source, source)
     db = source
+    run = None
     for i, op in enumerate(expression, start=1):
-        lines.append(f"-- step {i}: {op}")
-        emitted = compile_operator(op, db, dialect)
-        lines.extend(emitted)
-        statements.extend(s for s in emitted if not is_sql_comment(s))
-        db = op.apply(db, registry)
-        lines.append("")
+        notes = [f"-- step {i}: {op}"]
+        row_wise = is_row_wise(op, dialect)
+        if run is not None and not (row_wise and run.takes(op)):
+            lines += [*run.lines(), ""]
+            run = None
+        if row_wise:
+            run = run or RowWiseRun(op.relation, db, dialect)
+            run.add(op, db, notes)
+        else:
+            lines += [*notes, *compile_operator(op, db, dialect), ""]
+        before, db = db, op.apply(db, registry)
+        check_names(dialect, before, db)
+    if run is not None:
+        lines += run.lines()
     text = "\n".join(lines).rstrip() + "\n"
-    return SqlScript(dialect=dialect.name, statements=tuple(statements), text=text)
+    statements = tuple(line for line in lines if not is_sql_comment(line))
+    return SqlScript(dialect=dialect.name, statements=statements, text=text)
 
 
 def folds_to_a_clash(before: Database, after: Database) -> bool:
@@ -130,8 +156,11 @@ def relations(draw, name: str) -> Relation:
     return Relation(name, attrs, rows + rows[:1])
 
 
-def candidates(db: Database, kind: str):
-    """Every operator of *kind* over *db*'s schema, applicable or not."""
+def candidates(db: Database, kind: str, lambdas: int):
+    """Every operator of *kind* over *db*'s schema, applicable or not.
+
+    A λ, after *lambdas* earlier ones, writes ``LAMBDA_OUTPUTS[lambdas]``.
+    """
     for rel in db:
         name, attrs = rel.name, rel.attributes
         if kind == "promote":
@@ -148,10 +177,15 @@ def candidates(db: Database, kind: str):
             yield from (DropAttribute(name, a) for a in attrs)
         elif kind == "merge":
             yield from (Merge(name, a) for a in attrs)
+        elif kind == "deref":
+            yield from (Dereference(name, a, "d") for a in attrs)
         else:
-            yield from (ApplyFunction(name, "upper", (a,), "u") for a in attrs)
+            output = LAMBDA_OUTPUTS[lambdas]
+            yield from (ApplyFunction(name, "upper", (a,), output) for a in attrs)
             yield from (
-                ApplyFunction(name, "concat", (a, b), "u") for a in attrs for b in attrs
+                ApplyFunction(name, "concat", (a, b), output)
+                for a in attrs
+                for b in attrs
             )
 
 
@@ -160,25 +194,34 @@ def cases(draw):
     """A source and a pipeline; a step that fails to apply ends it.
 
     Nine steps in ten pick among the operators applicable to the state
-    reached, so most pipelines run to the end.
+    reached, so most pipelines run to the end, and two in three stay on
+    the relation the step before acted on, so row-wise steps form runs.
     """
     names = draw(st.permutations(RELATION_NAMES))[: draw(st.integers(1, 2))]
     source = Database(draw(relations(name)) for name in names)
     ops = []
     db = source
-    kinds = KINDS
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        pools = {kind: list(candidates(db, kind)) for kind in dict.fromkeys(kinds)}
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        lambdas = sum(isinstance(op, ApplyFunction) for op in ops)
+        kinds = KINDS if lambdas < len(LAMBDA_OUTPUTS) else NO_LAMBDA_KINDS
+        pools = {
+            kind: list(candidates(db, kind, lambdas)) for kind in dict.fromkeys(kinds)
+        }
         if draw(st.integers(0, 9)):
             pools = {
                 kind: applicable
                 for kind, pool in pools.items()
                 if (applicable := [op for op in pool if op.is_applicable(db)])
             }
+        if ops and draw(st.integers(0, 2)):  # stay on the last step's relation
+            last = getattr(ops[-1], "relation", None)
+            pools = {
+                kind: same
+                for kind, pool in pools.items()
+                if (same := [op for op in pool if getattr(op, "relation", None) == last])
+            } or pools
         kind = draw(st.sampled_from([kind for kind in kinds if kind in pools]))
         op = draw(st.sampled_from(pools[kind]))
-        if isinstance(op, ApplyFunction):
-            kinds = KINDS[:-1]  # at most one λ
         ops.append(op)
         try:
             db = op.apply(db, REGISTRY)
@@ -205,25 +248,34 @@ def test_compile_and_engines_match_the_algebra(case):
             assert str(raised.value) == str(exc)
         else:
             assert compile_script(expression, source, REGISTRY, dialect) == expected
+            if dialect.name == "sqlite":
+                fused = expected.text.count("-- one copy of")
+                event(f"sqlite runs fusing steps: {fused}")
 
     db = source
-    exact, clash = True, folds_to_a_clash(source, source)
-    try:
-        for op in expression:
+    exact, clash, applies = True, folds_to_a_clash(source, source), True
+    for op in expression:
+        try:
             if isinstance(op, Merge):
                 exact = exact and merge_is_exact(db, op)
             before, db = db, op.apply(db, REGISTRY)
-            clash = clash or folds_to_a_clash(before, db)
-    except Exception:  # noqa: BLE001 - the algebra cannot apply it
+        except Exception:  # noqa: BLE001 - the algebra cannot apply it
+            applies = False
+            break
+        clash = clash or folds_to_a_clash(before, db)
+    if clash:
+        # compile meets the clash before any later fault, so sqlite declines
+        event("names differing only in case")
+        with pytest.raises(BackendUnsupportedError):
+            execute_mapping(expression, source, backend="sqlite", registry=REGISTRY)
+    if not applies:
         event("algebra fails")
         return
     if not exact:
         event("merge outside GROUP BY/MAX")
         return
     backends = ["minisql"]
-    if clash:
-        event("names differing only in case")
-    elif SqliteBackend().supports(expression, source):
+    if not clash and SqliteBackend().supports(expression, source):
         backends.append("sqlite")
     event(f"engines: {backends}")
     for backend in backends:
@@ -257,6 +309,21 @@ def test_lambda_value_fault_raises_the_functions_error(weights, backend):
     with pytest.raises(SignatureError) as engine:
         execute_mapping(expression, weights, backend=backend, registry=REGISTRY)
     assert str(engine.value) == str(algebra.value)
+
+
+@pytest.mark.parametrize("backend", ["minisql", "sqlite"])
+def test_lambda_whose_output_a_later_step_drops_still_runs(weights, backend):
+    """A drop of a computed column ends the run, so no λ is left out."""
+    expression = MappingExpression(
+        [
+            ApplyFunction("W", "lb_to_kg", ("lb",), "kg"),
+            DropAttribute("W", "kg"),
+        ]
+    )
+    with pytest.raises(SignatureError):
+        expression.apply(weights, REGISTRY)
+    with pytest.raises(SignatureError):
+        execute_mapping(expression, weights, backend=backend, registry=REGISTRY)
 
 
 @pytest.mark.xfail(
