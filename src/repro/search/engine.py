@@ -8,6 +8,7 @@ expression in L together with search statistics.
 
 from __future__ import annotations
 
+import gc
 from contextlib import nullcontext
 from typing import Callable, Sequence
 
@@ -117,8 +118,45 @@ def discover_mapping(
         A run bounded by ``config.deadline_seconds`` that runs out of time
         returns status ``deadline_exceeded`` with intact
         :class:`~repro.search.stats.SearchStats` (states examined, max
-        frontier depth, cache counters, phase timers).
+        frontier depth, cache counters, phase timers).  Such a run holds
+        off the cyclic garbage collector until it returns
+        (``docs/robustness.md``).
     """
+    config = config if config is not None else SearchConfig()
+    # A collector pass cannot be cut short by a deadline poll, and late in
+    # a long-lived process one full pass outlasts a deadline's slack.  A
+    # search builds no reference cycles, so a bounded run holds the
+    # collector off; _discover's frame, and with it the search graph, is
+    # freed by reference counting before the collector resumes.
+    pause = config.deadline_seconds is not None and gc.isenabled()
+    if pause:
+        gc.disable()
+    try:
+        return _discover(
+            source, target, algorithm, heuristic, k, correspondences,
+            registry, config, simplify, tracer, cancel, progress, store,
+        )
+    finally:
+        if pause:
+            gc.enable()
+
+
+def _discover(
+    source: Database,
+    target: Database,
+    algorithm: str,
+    heuristic: str,
+    k: float | None,
+    correspondences: Sequence[Correspondence],
+    registry: FunctionRegistry | None,
+    config: SearchConfig,
+    simplify: bool,
+    tracer: Tracer | None,
+    cancel: CancelToken | None,
+    progress: "ProgressSink | Callable | None",
+    store,
+) -> SearchResult:
+    """:func:`discover_mapping` with its defaults resolved."""
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHMS:
         raise UnknownAlgorithmError(algorithm, ALGORITHM_NAMES)
@@ -128,7 +166,6 @@ def discover_mapping(
         progress_sink = progress
     else:
         progress_sink = CallbackProgress(progress)
-    config = config if config is not None else SearchConfig()
     # Built first so the run clock (and the deadline) covers the store
     # lookup too; building it emits nothing.
     stats = SearchStats(

@@ -11,6 +11,7 @@ happened.  No test leaves child processes behind.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing as mp
 import os
@@ -174,6 +175,34 @@ def test_deadline_emits_trace_event():
     types = [event["event"] for event in sink.events]
     assert "deadline_exceeded" in types
     assert types[-1] == "search_end"
+
+
+@pytest.mark.parametrize(
+    "collector_on,deadline,paused",
+    [(True, 60.0, True), (True, None, False), (False, 60.0, True)],
+)
+def test_deadline_run_holds_off_the_collector(collector_on, deadline, paused):
+    """A bounded run disables the collector until it returns; none else does."""
+    pair = matching_pair(3)
+    seen: list[bool] = []
+    was_enabled = gc.isenabled()
+    if not collector_on:
+        gc.disable()
+    try:
+        result = discover_mapping(
+            pair.source,
+            pair.target,
+            algorithm="ida",
+            heuristic="h0",
+            config=SearchConfig(deadline_seconds=deadline),
+            progress=lambda _update: seen.append(gc.isenabled()),
+        )
+        assert gc.isenabled() == collector_on
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert result.status == "found"
+    assert seen and set(seen) == {not paused}
 
 
 # ---------------------------------------------------------------------------
