@@ -19,6 +19,10 @@ Faithfulness notes (see docs/execution.md for the full matrix):
   *declines* sources containing booleans (:meth:`SqliteBackend
   .why_unsupported`), and the auto-dispatching executor falls back to the
   reference engine.
+* **64-bit integers** — SQLite's INTEGER holds signed 64-bit values, so
+  the backend declines a source holding a wider int.  The intern pool
+  records such values as it meets them, so the check costs nothing while
+  there are none.
 * **Reserved and case-folded names** — SQLite refuses table names
   starting with ``sqlite_`` in any ASCII case, so the backend declines
   sources, renames and products that would need one.  It also folds
@@ -45,7 +49,7 @@ from ..fira.renames import RenameRelation
 from ..fira.structure import Select
 from ..relational.database import Database
 from ..relational.dialect import SqliteDialect, sqlite_reserved_table
-from ..relational.intern import POOL, VALUES
+from ..relational.intern import POOL, VALUES, WIDE_INT_TOKENS
 from ..relational.relation import Relation
 from ..relational.sql import create_table_sql
 from ..relational.types import NULL, Value, is_null
@@ -102,10 +106,10 @@ def _bool_tokens() -> frozenset[int]:
     )
 
 
-def _database_has_bool(db: Database) -> bool:
-    flags = _bool_tokens()
-    return bool(flags) and any(
-        not all(map(flags.isdisjoint, rel.token_rows)) for rel in db
+def _holds_any(db: Database, tokens: "set[int] | frozenset[int]") -> bool:
+    """Whether a row of *db* holds one of *tokens* (free when there are none)."""
+    return bool(tokens) and any(
+        not all(map(tokens.isdisjoint, rel.token_rows)) for rel in db
     )
 
 
@@ -122,10 +126,15 @@ class SqliteBackend(SqlBackend):
     ) -> str | None:
         names: list[str] = []
         if source is not None:
-            if _database_has_bool(source):
+            if _holds_any(source, _bool_tokens()):
                 return (
                     "source contains boolean values and SQLite has no BOOLEAN "
                     "storage class (True would round-trip as 1)"
+                )
+            if _holds_any(source, WIDE_INT_TOKENS):
+                return (
+                    "source contains an int outside the signed 64-bit range "
+                    "of SQLite's INTEGER"
                 )
             names.extend(source.relation_names)
         for op in expression:

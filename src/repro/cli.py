@@ -35,10 +35,6 @@ Commands::
 
     python -m repro trace --collapse FILE [--output FILE]
 
-    python -m repro profile [--synthetic N] [--algorithm ida]
-        [--heuristic h0] [--budget N] [--top N] [--sort cumulative]
-        [--cold]
-
     python -m repro store info --path DIR
 
     python -m repro store gc --path DIR [--max-entries N]
@@ -358,43 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="export an existing trace's span tree as collapsed stacks "
         "(pipe to flamegraph.pl or import into speedscope)",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="cProfile a synthetic discovery and print the top time sinks",
-    )
-    profile.add_argument(
-        "--synthetic",
-        type=int,
-        default=5,
-        metavar="N",
-        help="synthetic schema size to profile (Fig. 5 x-axis; default 5)",
-    )
-    profile.add_argument(
-        "--algorithm", default="ida", choices=sorted(ALGORITHM_NAMES)
-    )
-    profile.add_argument(
-        "--heuristic",
-        default="h0",
-        choices=sorted(HEURISTIC_NAMES + EXTENSION_HEURISTIC_NAMES),
-    )
-    profile.add_argument(
-        "--budget", type=_count, default=1_000_000, help="max states examined"
-    )
-    profile.add_argument(
-        "--top", type=int, default=20, help="profile rows to print (default 20)"
-    )
-    profile.add_argument(
-        "--sort",
-        default="cumulative",
-        choices=["cumulative", "tottime"],
-        help="profile ordering (default cumulative)",
-    )
-    profile.add_argument(
-        "--cold",
-        action="store_true",
-        help="skip the unprofiled warm-up run (includes one-time costs)",
     )
 
     store = sub.add_parser(
@@ -823,26 +782,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0 if result.found else 1
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """cProfile one synthetic discovery and print the distilled sinks."""
-    if args.synthetic < 1:
-        print("error: --synthetic needs a size >= 1", file=sys.stderr)
-        return 2
-    from .experiments import profile_point
-
-    profile = profile_point(
-        n=args.synthetic,
-        algorithm=args.algorithm,
-        heuristic=args.heuristic,
-        budget=args.budget,
-        top=args.top,
-        sort=args.sort,
-        warm=not args.cold,
-    )
-    print(profile.table())
-    return 0
-
-
 def cmd_store(args: argparse.Namespace) -> int:
     """Inspect (``info``) or compact (``gc``) a warm-start store directory."""
     from .store import open_store
@@ -932,7 +871,6 @@ _COMMANDS = {
     "execute": cmd_execute,
     "tnf": cmd_tnf,
     "trace": cmd_trace,
-    "profile": cmd_profile,
     "store": cmd_store,
     "info": cmd_info,
 }

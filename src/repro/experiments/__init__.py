@@ -9,9 +9,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "DEFAULT_K_GRID", "SCALED_HEURISTICS", "CalibrationTask",
             "calibrate", "calibration_tasks", "total_states",
         ),
-        ".kernel_profile": (
-            "PROFILE_SORTS", "KernelProfile", "ProfileRow", "profile_point",
-        ),
         ".persist": (
             "load_series", "save_series", "series_from_dict", "series_to_dict",
         ),

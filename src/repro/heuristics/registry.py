@@ -20,33 +20,27 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .._lazy import lazy_registry
 from ..errors import UnknownHeuristicError
 from ..relational.database import Database
 from .base import Heuristic, ScaledHeuristic
-from .setbased import (
-    BlindHeuristic,
-    CrossLevelHeuristic,
-    MaxSetHeuristic,
-    MissingTokensHeuristic,
-)
-from .hybrid import HybridHeuristic
-from .stringview import LevenshteinHeuristic
-from .vector import CosineHeuristic, EuclideanHeuristic, NormalizedEuclideanHeuristic
 
-HEURISTIC_CLASSES: dict[str, type[Heuristic]] = {
-    cls.name: cls
-    for cls in (
-        BlindHeuristic,
-        MissingTokensHeuristic,
-        CrossLevelHeuristic,
-        MaxSetHeuristic,
-        LevenshteinHeuristic,
-        EuclideanHeuristic,
-        NormalizedEuclideanHeuristic,
-        CosineHeuristic,
-        HybridHeuristic,
-    )
+#: where each heuristic class is defined, keyed by its ``name``;
+#: ``HEURISTIC_CLASSES`` maps each name to its class
+_HEURISTIC_SITES: dict[str, tuple[str, str]] = {
+    "h0": (".setbased", "BlindHeuristic"),
+    "h1": (".setbased", "MissingTokensHeuristic"),
+    "h2": (".setbased", "CrossLevelHeuristic"),
+    "h3": (".setbased", "MaxSetHeuristic"),
+    "levenshtein": (".stringview", "LevenshteinHeuristic"),
+    "euclid": (".vector", "EuclideanHeuristic"),
+    "euclid_norm": (".vector", "NormalizedEuclideanHeuristic"),
+    "cosine": (".vector", "CosineHeuristic"),
+    "hybrid": (".hybrid", "HybridHeuristic"),
 }
+_heuristic_class, __getattr__ = lazy_registry(
+    __name__, "HEURISTIC_CLASSES", _HEURISTIC_SITES
+)
 
 #: all registered heuristic names in the paper's presentation order
 HEURISTIC_NAMES: tuple[str, ...] = (
@@ -96,10 +90,9 @@ def make_heuristic(
     Raises:
         UnknownHeuristicError: for unregistered names.
     """
-    try:
-        cls = HEURISTIC_CLASSES[name]
-    except KeyError:
-        raise UnknownHeuristicError(name, HEURISTIC_NAMES) from None
+    if name not in _HEURISTIC_SITES:
+        raise UnknownHeuristicError(name, HEURISTIC_NAMES)
+    cls = _heuristic_class(name)
     if issubclass(cls, ScaledHeuristic):
         if k is None:
             k = default_k(name, algorithm)

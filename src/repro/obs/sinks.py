@@ -6,19 +6,22 @@ tracer checks it once per *potential* event, so a disabled sink
 (:class:`NullSink`, the default) costs exactly one attribute load and one
 branch per instrumentation site — the invariant
 ``tests/test_trace_equivalence.py`` locks down.
+
+A writer's dependencies (the JSON serializer and fault site, or
+:mod:`logging`) load when its first sink is built.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, TYPE_CHECKING, Mapping
 
 from ..errors import TraceWriteError
-from ..resilience.faults import inject
-from ..serialize import json_dumps_compact
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import logging
 
 #: stdlib logger the LoggingSink bridges to
 TRACE_LOGGER_NAME = "repro.obs.trace"
@@ -92,6 +95,10 @@ class JsonlSink(Sink):
     """
 
     def __init__(self, path: str | Path) -> None:
+        # Bound as module globals: write() reads each with one global load.
+        global inject, json_dumps_compact
+        from ..resilience.faults import inject
+        from ..serialize import json_dumps_compact
         from .events import SCHEMA_VERSION, TRACE_HEADER
 
         self.path = Path(path)
@@ -140,12 +147,15 @@ class LoggingSink(Sink):
     """
 
     def __init__(
-        self, logger: logging.Logger | None = None, level: int = logging.INFO
+        self, logger: logging.Logger | None = None, level: int | None = None
     ) -> None:
+        import logging
+
         self.logger = logger if logger is not None else logging.getLogger(
             TRACE_LOGGER_NAME
         )
-        self.level = level
+        #: ``logging.INFO`` unless given
+        self.level = logging.INFO if level is None else level
 
     def write(self, record: Mapping) -> None:
         payload = " ".join(

@@ -26,8 +26,6 @@ from pathlib import Path
 from time import perf_counter
 
 from ..errors import TraceFormatError, TraceWriteError
-from ..serialize import json_loads
-from ..resilience.runtime import resilience_warning
 from .events import SCHEMA_VERSION, SPAN_END, SPAN_START, TRACE_HEADER, validate_events
 from .sinks import JsonlSink, MemorySink, NullSink, Sink
 
@@ -184,6 +182,8 @@ class Tracer:
 
     def _degrade(self, exc: BaseException) -> None:
         """Swap the broken sink for a NullSink and keep the run alive."""
+        from ..resilience.runtime import resilience_warning
+
         self.degraded_reason = f"{type(exc).__name__}: {exc}"
         resilience_warning("trace_write_errors", self.degraded_reason)
         try:
@@ -236,6 +236,8 @@ def load_trace(path: str | Path, validate: bool = True) -> list[dict]:
         TraceFormatError: missing/foreign header, version mismatch,
             malformed JSON line, or (when validating) a bad record.
     """
+    from ..serialize import json_loads
+
     path = Path(path)
     records: list[dict] = []
     with path.open("r", encoding="utf-8") as fh:

@@ -48,9 +48,15 @@ TEXT_IDS: list = []
 #: token id -> deterministic sort key (``value_sort_key``)
 SORT_KEYS: list = []
 
+#: tokens whose canonical value is an int outside the signed 64-bit range
+#: (SQLite's INTEGER); empty unless such an int was ever interned
+WIDE_INT_TOKENS: set[int] = set()
+
 
 def _add(value: Value) -> int:
     token = len(VALUES)
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        WIDE_INT_TOKENS.add(token)
     VALUES.append(value)
     text = value_to_text(value)
     TEXTS.append(text)

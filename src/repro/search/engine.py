@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import gc
 from contextlib import nullcontext
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
+from .._lazy import lazy_registry
 from ..errors import (
     MappingNotFound,
     SearchBudgetExceeded,
@@ -24,16 +25,10 @@ from ..fira.expression import MappingExpression
 from ..heuristics.base import Heuristic
 from ..heuristics.registry import make_heuristic
 from ..obs.events import SEARCH_END, SEARCH_START, SOLUTION
-from ..obs.progress import CallbackProgress, ProgressSink
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..relational.database import Database
-from ..semantics.correspondence import Correspondence
 from ..semantics.functions import FunctionRegistry
-from .beam import beam_search
-from .best_first import a_star, greedy
-from .cancel import CancelToken
 from .config import SearchConfig
-from .ida import ida_star
 from .problem import MappingProblem
 from .result import (
     STATUS_BUDGET_EXCEEDED,
@@ -43,22 +38,30 @@ from .result import (
     STATUS_NOT_FOUND,
     SearchResult,
 )
-from .rbfs import rbfs
 from .simplify import simplify_expression
 from .stats import SearchStats
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.progress import ProgressSink
+    from ..semantics.correspondence import Correspondence
+    from .cancel import CancelToken
+
 SearchAlgorithm = Callable[[MappingProblem, Heuristic, SearchStats], "list[Operator]"]
 
-#: algorithm registry; "ida" and "rbfs" are the paper's, the rest ablations
-ALGORITHMS: dict[str, SearchAlgorithm] = {
-    "ida": ida_star,
-    "rbfs": rbfs,
-    "astar": a_star,
-    "greedy": greedy,
-    "beam": beam_search,
+#: where each algorithm is defined; "ida" and "rbfs" are the paper's, the
+#: rest ablations.  ``ALGORITHMS`` maps each name to its function.
+_ALGORITHM_SITES: dict[str, tuple[str, str]] = {
+    "ida": (".ida", "ida_star"),
+    "rbfs": (".rbfs", "rbfs"),
+    "astar": (".best_first", "a_star"),
+    "greedy": (".best_first", "greedy"),
+    "beam": (".beam", "beam_search"),
 }
+_algorithm_function, __getattr__ = lazy_registry(
+    __name__, "ALGORITHMS", _ALGORITHM_SITES
+)
 
-ALGORITHM_NAMES: tuple[str, ...] = tuple(ALGORITHMS)
+ALGORITHM_NAMES: tuple[str, ...] = tuple(_ALGORITHM_SITES)
 
 
 def discover_mapping(
@@ -158,14 +161,15 @@ def _discover(
 ) -> SearchResult:
     """:func:`discover_mapping` with its defaults resolved."""
     algorithm = algorithm.lower()
-    if algorithm not in ALGORITHMS:
+    if algorithm not in _ALGORITHM_SITES:
         raise UnknownAlgorithmError(algorithm, ALGORITHM_NAMES)
     run_tracer = tracer if tracer is not None else NULL_TRACER
-    progress_sink: ProgressSink | None
-    if progress is None or isinstance(progress, ProgressSink):
-        progress_sink = progress
-    else:
-        progress_sink = CallbackProgress(progress)
+    progress_sink: ProgressSink | None = progress
+    if progress is not None:
+        from ..obs.progress import CallbackProgress, ProgressSink
+
+        if not isinstance(progress, ProgressSink):
+            progress_sink = CallbackProgress(progress)
     # Built first so the run clock (and the deadline) covers the store
     # lookup too; building it emits nothing.
     stats = SearchStats(
@@ -287,11 +291,12 @@ def _search(
     run_tracer: Tracer,
 ) -> tuple[str, "list[Operator] | None"]:
     """Run the search algorithm; its status and the operators it found."""
+    search = _algorithm_function(algorithm)
     search_span = run_tracer.span("search")
     try:
         with search_span:
             try:
-                return STATUS_FOUND, ALGORITHMS[algorithm](problem, h, stats)
+                return STATUS_FOUND, search(problem, h, stats)
             finally:
                 stats.end_loop_span()
                 search_span.annotate(
@@ -334,7 +339,7 @@ class Tupelo:
         store=None,
     ) -> None:
         algorithm = algorithm.lower()
-        if algorithm not in ALGORITHMS:
+        if algorithm not in _ALGORITHM_SITES:
             raise UnknownAlgorithmError(algorithm, ALGORITHM_NAMES)
         self.algorithm = algorithm
         self.heuristic = heuristic

@@ -54,7 +54,6 @@ from ..fira.dynamic import (
     Promote,
 )
 from ..fira.renames import RenameAttribute, RenameRelation
-from ..fira.semantic import ApplyFunction
 from ..fira.structure import DropAttribute
 from ..errors import (
     NameCollisionError,
@@ -67,14 +66,14 @@ from ..obs.events import CACHE_HIT, CACHE_MISS, GENERATE, GOAL_TEST
 from ..relational.database import Database
 from ..relational.intern import intern_value
 from ..relational.relation import Relation, _interned_name_set
-from ..semantics.correspondence import Correspondence
 from ..semantics.functions import FunctionRegistry, builtin_registry
-from .cancel import CancelToken
 from .config import SearchConfig
 from .stats import SearchStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..heuristics.base import Heuristic
+    from ..semantics.correspondence import Correspondence
+    from .cancel import CancelToken
 
 _RESERVED_ATTRS = (DEMOTE_REL_ATTR, DEMOTE_ATT_ATTR)
 
@@ -228,6 +227,11 @@ class MappingProblem:
         self._rename_att_allowed = allows("rename_att")
         self._rename_rel_allowed = allows("rename_rel")
         self._apply_allowed = allows("apply") and bool(self.correspondences)
+        if self._apply_allowed:
+            # λ support loads only for a problem that can propose a λ.
+            from ..fira.semantic import ApplyFunction
+
+            self._apply_function = ApplyFunction
         self._promote_allowed = allows("promote")
         self._deref_allowed = allows("deref")
         self._data_allowed = self._promote_allowed or self._deref_allowed
@@ -752,7 +756,7 @@ class MappingProblem:
                 # paper treats them "just like any of the other operators"
                 # (§4) and its Fig. 9 blind-search curves show the orderings
                 # being explored.
-                yield ApplyFunction.from_correspondence(rel.name, corr)
+                yield self._apply_function.from_correspondence(rel.name, corr)
 
     def _promote_moves(self, rel: Relation) -> tuple[Operator, ...]:
         # The per-column "can this supply a missing token" tests are the

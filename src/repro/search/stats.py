@@ -43,12 +43,12 @@ from ..obs.events import (
     ITERATION_START,
     PROGRESS,
 )
-from ..obs.progress import ProgressSink, ProgressUpdate
 from ..obs.tracer import NULL_TRACER, SpanHandle, Tracer
-from .cancel import CancelToken
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.progress import ProgressSink, ProgressUpdate
     from ..relational.database import Database
+    from .cancel import CancelToken
 
 #: examinations between wall-clock deadline / cancel-token polls and
 #: progress heartbeats — large enough that an unbounded run pays only a
@@ -107,9 +107,10 @@ class SearchStats:
         cancel_token: optional :class:`~repro.search.cancel.CancelToken`;
             when set (possibly from another process), :meth:`check_limits`
             raises :class:`~repro.errors.SearchCancelled`.
-        progress: optional :class:`~repro.obs.progress.ProgressSink`; when
-            set (or when the tracer is enabled), :meth:`check_limits` also
-            emits a heartbeat every :data:`LIMIT_CHECK_EVERY` examinations —
+        progress: optional :class:`~repro.obs.progress.ProgressSink`, given
+            at construction (which loads the progress layer); when set (or
+            when the tracer is enabled), :meth:`check_limits` also emits a
+            heartbeat every :data:`LIMIT_CHECK_EVERY` examinations —
             piggybacked on the existing limit polls, so progress streaming
             adds zero new polling.
         current_f: best f-value currently under expansion (cheap unguarded
@@ -148,7 +149,16 @@ class SearchStats:
     current_f: float | None = None
     frontier_size: int = 0
     _progress_marker: int = field(default=0, init=False, repr=False)
+    _progress_update: "type[ProgressUpdate] | None" = field(
+        default=None, init=False, repr=False
+    )
     _loop_span: "SpanHandle | None" = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.progress is not None:
+            from ..obs.progress import ProgressUpdate
+
+            self._progress_update = ProgressUpdate
 
     def examine(self, depth: int = 0, state: "Database | None" = None) -> None:
         """Record one state examination; raise if the budget is exhausted."""
@@ -235,7 +245,7 @@ class SearchStats:
             )
         if self.progress is not None:
             self.progress.update(
-                ProgressUpdate(
+                self._progress_update(
                     examined=self.states_examined,
                     generated=self.states_generated,
                     depth=self.max_depth,

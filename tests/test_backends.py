@@ -41,6 +41,10 @@ from repro.workloads.flights import b_to_a_expression, flights_registry
 
 DUCKDB_MISSING = not DuckDbBackend().is_available()
 
+#: ints outside SQLite's signed 64-bit INTEGER that no float equals, so the
+#: intern pool keeps them as ints whatever this process interned before
+WIDE_INTS = [2**63 + 1, -(2**64) - 1]
+
 
 @pytest.fixture
 def simple_case():
@@ -114,6 +118,20 @@ class TestSupports:
         db, expr = simple_case
         assert SqliteBackend().supports(expr, db)
 
+    @pytest.mark.parametrize("value", WIDE_INTS)
+    def test_sqlite_declines_wide_int_sources(self, value):
+        db = Database.single(Relation("R", ("A",), [(value,), (1,)]))
+        expr = MappingExpression([RenameAttribute("R", "A", "B")])
+        assert "64-bit" in SqliteBackend().why_unsupported(expr, db)
+        with pytest.raises(BackendUnsupportedError):
+            execute_mapping(expr, db, backend="sqlite")
+
+    def test_sqlite_runs_the_64_bit_extremes(self):
+        db = Database.single(Relation("R", ("A",), [(2**63 - 1,), (-(2**63),)]))
+        expr = MappingExpression([RenameAttribute("R", "A", "B")])
+        result = execute_mapping(expr, db, backend="sqlite")
+        assert result.database == expr.apply(db)
+
     @pytest.mark.skipif(not DUCKDB_MISSING, reason="duckdb present")
     def test_duckdb_unsupported_when_missing(self, simple_case):
         db, expr = simple_case
@@ -138,6 +156,15 @@ class TestExecutorDispatch:
         result = execute_mapping(expr, db, backend="auto")
         if DUCKDB_MISSING and _canonical_bools(db):
             # sqlite declined the boolean source; auto fell back
+            assert result.backend == "minisql"
+        assert result.database == expr.apply(db)
+
+    @pytest.mark.parametrize("value", WIDE_INTS)
+    def test_auto_falls_back_on_wide_ints(self, value):
+        db = Database.single(Relation("R", ("A",), [(value,), (1,)]))
+        expr = MappingExpression([RenameAttribute("R", "A", "B")])
+        result = execute_mapping(expr, db, backend="auto")
+        if DUCKDB_MISSING:
             assert result.backend == "minisql"
         assert result.database == expr.apply(db)
 
@@ -272,10 +299,11 @@ class TestExecutionErrors:
         assert "NoSuchTable" in str(err.value)
 
     def test_load_failure_raises_backend_execution_error(self):
+        # Past the capability check, which declines this source.
         db = Database.single(Relation("R", ("A",), [(2**63,)]))
-        expr = MappingExpression([RenameAttribute("R", "A", "B")])
+        script = SqlScript(dialect="sqlite", statements=(), text="")
         with pytest.raises(BackendExecutionError) as err:
-            execute_mapping(expr, db, backend="sqlite")
+            SqliteBackend().execute(script, db)
         assert err.value.statement.startswith("INSERT")
 
     def test_blob_read_back_raises_backend_execution_error(self, simple_case):

@@ -314,7 +314,6 @@ class TestInputErrors:
             ["discover", "--synthetic", "2", "--heuristic", "h1", "--k", "0"],
             ["trace", "--synthetic", "2", "--output", "{out}", "--budget", "0"],
             ["trace", "--synthetic", "2", "--output", "{out}", "--k", "0"],
-            ["profile", "--synthetic", "2", "--budget", "0"],
             ["experiments", "--sizes", "0"],
             ["experiments", "--sizes", "2", "--budget", "0"],
             ["experiments", "--sizes", "2", "--deadline", "0"],

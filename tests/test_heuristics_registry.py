@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import UnknownHeuristicError
 from repro.heuristics import (
+    EXTENSION_HEURISTIC_NAMES,
+    HEURISTIC_CLASSES,
     HEURISTIC_NAMES,
     PAPER_SCALING_CONSTANTS,
     default_k,
@@ -33,6 +35,13 @@ class TestRegistry:
         h = make_heuristic(name, db_a)
         assert h.name == name
         assert h(db_a) == 0
+
+    def test_classes_cover_every_name_under_its_own_name(self):
+        assert set(HEURISTIC_CLASSES) == set(
+            HEURISTIC_NAMES + EXTENSION_HEURISTIC_NAMES
+        )
+        for name, cls in HEURISTIC_CLASSES.items():
+            assert cls.name == name
 
     def test_unknown_name(self, db_a):
         with pytest.raises(UnknownHeuristicError) as err:

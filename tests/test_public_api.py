@@ -15,6 +15,7 @@ from types import ModuleType
 import pytest
 
 import repro
+from repro import Database
 from repro.relational import save_database
 from repro.workloads import matching_pair
 
@@ -42,6 +43,51 @@ NOT_ON_DISCOVER_PATH = (
     "repro.fira.sqlcompile",
     "repro.obs.merge",
 )
+
+#: what a default CSV discovery (rbfs/h1, no trace, progress or
+#: correspondence) does not run either: the JSONL writer's serializer and
+#: fault site, the progress layer, the algorithms and heuristics it did not
+#: name, and λ support
+NOT_ON_DEFAULT_DISCOVER_PATH = (
+    "orjson",
+    "repro.serialize",
+    "repro.resilience",
+    "repro.obs.progress",
+    "repro.search.ida",
+    "repro.search.beam",
+    "repro.search.best_first",
+    "repro.heuristics.hybrid",
+    "repro.heuristics.stringview",
+    "repro.heuristics.vector",
+    "repro.fira.semantic",
+    "repro.semantics.correspondence",
+)
+
+#: option -> (its discover arguments, the prefixes of the one layer it may
+#: load, and the modules it must load)
+LAYER_OPTIONS = {
+    "trace": (
+        ["--trace", "{trace}"],
+        ("orjson", "repro.serialize", "repro.resilience"),
+        ("repro.serialize", "repro.resilience.faults"),
+    ),
+    "progress": (["--progress"], ("repro.obs.progress",), ("repro.obs.progress",)),
+    "correspondence": (
+        ["--correspondence", "C<-add(A,B)"],
+        ("repro.fira.semantic", "repro.semantics.correspondence"),
+        ("repro.fira.semantic", "repro.semantics.correspondence"),
+    ),
+    "beam": (["--algorithm", "beam"], ("repro.search.beam",), ("repro.search.beam",)),
+    "cosine": (
+        ["--heuristic", "cosine"],
+        ("repro.heuristics.vector",),
+        ("repro.heuristics.vector",),
+    ),
+}
+
+
+def _under(name: str, prefixes) -> bool:
+    return any(name == prefix or name.startswith(prefix + ".") for prefix in prefixes)
 
 
 def _fresh_interpreter(script: str):
@@ -105,6 +151,19 @@ class TestPublicSurface:
         assert set(repro.ALGORITHM_NAMES) >= {"ida", "rbfs"}
         assert len(repro.HEURISTIC_NAMES) == 8
 
+    def test_algorithm_registry_resolves(self):
+        from repro.search import a_star, beam_search, greedy, ida_star, rbfs
+        from repro.search.engine import ALGORITHM_NAMES, ALGORITHMS
+
+        assert ALGORITHMS == {
+            "ida": ida_star,
+            "rbfs": rbfs,
+            "astar": a_star,
+            "greedy": greedy,
+            "beam": beam_search,
+        }
+        assert tuple(ALGORITHMS) == ALGORITHM_NAMES
+
     def test_operator_classes_exported(self):
         operators = [
             repro.RenameAttribute,
@@ -143,36 +202,31 @@ class TestStartUp:
         assert set(added) - {"importlib"} == {"repro", "repro._lazy"}
 
     def test_csv_discovery_skips_unused_layers(self, tmp_path):
-        pair = matching_pair(3)
-        save_database(pair.source, tmp_path / "source")
-        save_database(pair.target, tmp_path / "target")
-        argv = [
-            "discover",
-            "--source",
-            str(tmp_path / "source"),
-            "--target",
-            str(tmp_path / "target"),
-        ]
-        code, loaded = _fresh_interpreter(
-            f"""
-            import json, runpy, sys
-            sys.argv = ["repro"] + {argv!r}
-            try:
-                runpy.run_module("repro", run_name="__main__")
-            except SystemExit as done:
-                code = done.code
-            print(json.dumps([code, sorted(sys.modules)]))
-            """
-        )
+        code, loaded = _run_cli(["discover", *_rename_pair(tmp_path)])
         assert code == 0
         assert "repro.search.engine" in loaded
-        heavy = [
+        unused = NOT_ON_DISCOVER_PATH + NOT_ON_DEFAULT_DISCOVER_PATH
+        assert [name for name in loaded if _under(name, unused)] == []
+
+    @pytest.mark.parametrize("option", sorted(LAYER_OPTIONS))
+    def test_each_option_loads_its_layer(self, tmp_path, option):
+        extra, layer, required = LAYER_OPTIONS[option]
+        trace = tmp_path / "trace.jsonl"
+        argv = [arg.replace("{trace}", str(trace)) for arg in extra]
+        pair = _lambda_pair if option == "correspondence" else _rename_pair
+        code, loaded = _run_cli(["discover", *pair(tmp_path), *argv])
+        assert code == 0
+        assert set(required) <= set(loaded)
+        unused = NOT_ON_DISCOVER_PATH + NOT_ON_DEFAULT_DISCOVER_PATH
+        assert [
             name
             for name in loaded
-            for prefix in NOT_ON_DISCOVER_PATH
-            if name == prefix or name.startswith(prefix + ".")
-        ]
-        assert heavy == []
+            if _under(name, unused) and not _under(name, layer)
+        ] == []
+        if option == "trace":
+            from repro.obs import load_trace
+
+            assert load_trace(trace)[-1]["event"] == "search_end"
 
     def test_parser_algorithm_names_match_the_engine(self):
         from repro.cli import ALGORITHM_NAMES as parser_names
@@ -182,18 +236,7 @@ class TestStartUp:
 
     def test_tnf_skips_the_search_engine(self, tmp_path):
         save_database(matching_pair(2).source, tmp_path / "source")
-        argv = ["tnf", "--source", str(tmp_path / "source")]
-        code, loaded = _fresh_interpreter(
-            f"""
-            import json, runpy, sys
-            sys.argv = ["repro"] + {argv!r}
-            try:
-                runpy.run_module("repro", run_name="__main__")
-            except SystemExit as done:
-                code = done.code
-            print(json.dumps([code, sorted(sys.modules)]))
-            """
-        )
+        code, loaded = _run_cli(["tnf", "--source", str(tmp_path / "source")])
         assert code == 0
         assert "repro.search.engine" not in loaded
         assert "repro.search.problem" not in loaded
@@ -231,3 +274,40 @@ class TestStartUp:
             assert not isinstance(getattr(package, export), ModuleType)
         with pytest.raises(AttributeError, match="no_such_export"):
             getattr(package, "no_such_export")
+
+
+def _saved_pair(tmp_path: Path, source, target) -> list[str]:
+    """Save a pair as CSV directories; the discover arguments naming them."""
+    save_database(source, tmp_path / "source")
+    save_database(target, tmp_path / "target")
+    return ["--source", str(tmp_path / "source"), "--target", str(tmp_path / "target")]
+
+
+def _rename_pair(tmp_path: Path) -> list[str]:
+    """The Fig. 5 matching pair of size 3: three attribute renames."""
+    pair = matching_pair(3)
+    return _saved_pair(tmp_path, pair.source, pair.target)
+
+
+def _lambda_pair(tmp_path: Path) -> list[str]:
+    """A pair whose mapping is one λ, C = add(A, B)."""
+    rows = [{"A": 1, "B": 2}, {"A": 3, "B": 4}]
+    target = [{**row, "C": row["A"] + row["B"]} for row in rows]
+    return _saved_pair(
+        tmp_path, Database.from_dict({"R": rows}), Database.from_dict({"R": target})
+    )
+
+
+def _run_cli(argv: list[str]):
+    """Run ``repro`` *argv* in a fresh interpreter; its exit code and modules."""
+    return _fresh_interpreter(
+        f"""
+        import json, runpy, sys
+        sys.argv = ["repro"] + {argv!r}
+        try:
+            runpy.run_module("repro", run_name="__main__")
+        except SystemExit as done:
+            code = done.code
+        print(json.dumps([code, sorted(sys.modules)]))
+        """
+    )
