@@ -2,15 +2,14 @@
 
 Scales the paper's Fig. 1 FlightsB schema to a ≥100k-row ``Prices``
 instance and pushes the Example 2 restructuring pipeline (↑, π̄, π̄, µ,
-ρatt, ρrel) through every available execution backend.  Two things are
+ρatt, ρrel) through every execution backend.  Two things are
 measured, one thing is asserted twice:
 
 * **bit-identity** — every backend's result must equal replaying the
   mapping through the in-memory algebra (``==`` on ``Database``), at
   every size.  The speedup claim is meaningless if an engine cheats.
 * **speedup** — min-of-rounds execute-phase wall clock; the headline bar
-  is sqlite ≥ 5x over minisql at the largest size.  duckdb joins the
-  sweep automatically when installed.
+  is sqlite ≥ 5x over minisql at the largest size.
 
 Beside the execute phase, each backend reports what a caller waits for:
 min-of-rounds compile seconds, and the wall time of one first
@@ -38,7 +37,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.backends import available_backends, execute_mapping, get_backend
+from repro.backends import backend_names, execute_mapping
 from repro.fira import (
     DropAttribute,
     MappingExpression,
@@ -101,8 +100,8 @@ def restructuring_expression() -> MappingExpression:
 
 
 def backend_names_in_sweep() -> tuple[str, ...]:
-    """Every available backend, minisql (the baseline) first."""
-    names = sorted(b.name for b in available_backends())
+    """Every backend, minisql (the baseline) first."""
+    names = list(backend_names())
     names.remove(BASELINE)
     return (BASELINE, *names)
 
@@ -346,13 +345,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.rounds is not None and args.rounds < 1:
         parser.error(f"--rounds must be >= 1, got {args.rounds}")
     rounds = args.rounds if args.rounds else (1 if args.quick else 2)
-
-    from repro.backends import backend_names
-
-    for name in backend_names():
-        reason = get_backend(name).availability()
-        if reason is not None:  # pragma: no cover - env-dependent
-            print(f"note: skipping {name}: {reason}")
 
     if args.quick:
         rows = measure_backends(QUICK_SIZES, rounds=rounds)

@@ -32,12 +32,11 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         ".backends.base": ("SqlBackend",),
         ".backends.executor": (
-            "ExecutionResult", "Executor", "available_backends",
-            "backend_names", "execute_mapping", "get_backend",
+            "ExecutionResult", "backend_names", "execute_mapping", "get_backend",
         ),
         ".errors": (
-            "BackendError", "BackendExecutionError", "BackendUnavailableError",
-            "BackendUnsupportedError", "UnknownBackendError",
+            "BackendError", "BackendExecutionError", "BackendUnsupportedError",
+            "UnknownBackendError",
             "MappingNotFound", "SearchBudgetExceeded", "SearchCancelled",
             "SearchDeadlineExceeded", "SearchError", "SemanticError",
             "TransformError", "TupeloError",

@@ -9,18 +9,17 @@ output is bit-comparable with the in-memory FIRA algebra and with every
 other engine.  Cross-backend equivalence is the compiler's correctness
 oracle (``tests/test_backend_equivalence.py``).
 
-Shipped backends:
+Shipped backends, both always available:
 
-======== ================================= ==============================
-name     engine                            availability
-======== ================================= ==============================
-minisql  in-process reference interpreter  always (zero dependencies)
-sqlite   stdlib :mod:`sqlite3`             always
-duckdb   DuckDB                            only when ``duckdb`` installed
-======== ================================= ==============================
+======== =================================
+name     engine
+======== =================================
+minisql  in-process reference interpreter
+sqlite   stdlib :mod:`sqlite3`
+======== =================================
 
-:func:`execute_mapping` / :class:`Executor` dispatch between them
-(``backend="auto"`` prefers the fastest faithful engine available); see
+:func:`execute_mapping` dispatches between them (``backend="auto"`` takes
+sqlite when sqlite can run the mapping faithfully, minisql otherwise); see
 ``docs/execution.md`` for the semantics matrix and how to add a backend.
 """
 
@@ -30,10 +29,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".base": ("SqlBackend", "StatementLimiter"),
-        ".duckdb_backend": ("DuckDbBackend",),
         ".executor": (
-            "AUTO", "AUTO_ORDER", "ExecutionResult", "Executor",
-            "available_backends", "backend_names", "execute_mapping",
+            "AUTO", "ExecutionResult", "backend_names", "execute_mapping",
             "get_backend",
         ),
         ".minisql_backend": ("MiniSqlBackend",),

@@ -25,12 +25,7 @@ from abc import ABC, abstractmethod
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from ..errors import (
-    BackendUnavailableError,
-    BackendUnsupportedError,
-    SearchCancelled,
-    SearchDeadlineExceeded,
-)
+from ..errors import SearchCancelled, SearchDeadlineExceeded
 from ..fira.expression import MappingExpression
 from ..fira.sqlcompile import SqlScript, compile_script
 from ..relational.database import Database
@@ -83,10 +78,9 @@ class SqlBackend(ABC):
     """One pluggable SQL execution engine for discovered mappings.
 
     Subclasses set :attr:`name` and :attr:`dialect` and implement
-    :meth:`execute`; :meth:`compile` and :meth:`supports` have sensible
+    :meth:`execute`; :meth:`compile` and :meth:`why_unsupported` have
     shared defaults (compile via :func:`~repro.fira.sqlcompile
-    .compile_script` in the backend's dialect; support everything the
-    dialect can render).
+    .compile_script` in the backend's dialect; decline nothing).
     """
 
     #: registry key, also the CLI ``--backend`` spelling
@@ -94,63 +88,20 @@ class SqlBackend(ABC):
     #: rendering rules for this engine
     dialect: SqlDialect
 
-    # -- availability ---------------------------------------------------------
-
-    def availability(self) -> str | None:
-        """None when the engine can run here, else a human-readable reason.
-
-        Backends over optional modules (duckdb) override this; stdlib and
-        in-process backends are always available.
-        """
-        return None
-
-    def is_available(self) -> bool:
-        """Whether the engine is importable/usable in this environment."""
-        return self.availability() is None
-
-    def require_available(self) -> None:
-        """Raise :class:`~repro.errors.BackendUnavailableError` if absent."""
-        reason = self.availability()
-        if reason is not None:
-            raise BackendUnavailableError(self.name, reason)
-
-    # -- capability -----------------------------------------------------------
-
     def why_unsupported(
         self,
         expression: MappingExpression,
         source: Database | None = None,
     ) -> str | None:
         """None when this backend can faithfully execute the mapping,
-        else the reason it cannot (used verbatim in errors and logs)."""
-        return None
-
-    def supports(
-        self,
-        expression: MappingExpression,
-        source: Database | None = None,
-    ) -> bool:
-        """Whether this backend can faithfully execute *expression*.
+        else the reason it cannot (used verbatim in errors and logs).
 
         "Faithfully" means the executed result is bit-identical with the
         in-memory algebra — backends decline instances their engine cannot
         round-trip (e.g. SQLite and booleans) rather than silently
         diverging.
         """
-        return self.why_unsupported(expression, source) is None
-
-    def require_supported(
-        self,
-        expression: MappingExpression,
-        source: Database | None = None,
-    ) -> None:
-        """Raise :class:`~repro.errors.BackendUnsupportedError` with the
-        reason when :meth:`supports` is False."""
-        reason = self.why_unsupported(expression, source)
-        if reason is not None:
-            raise BackendUnsupportedError(self.name, reason)
-
-    # -- compile / execute ----------------------------------------------------
+        return None
 
     def compile(
         self,
@@ -177,23 +128,3 @@ class SqlBackend(ABC):
         through the in-memory algebra.  Polls *cancel* and *deadline*
         between statements (see :class:`StatementLimiter`).
         """
-
-    def run(
-        self,
-        expression: MappingExpression,
-        source: Database,
-        registry: "FunctionRegistry | None" = None,
-        deadline: float | None = None,
-        cancel: "CancelToken | None" = None,
-    ) -> Database:
-        """Convenience: availability + support checks, compile, execute."""
-        self.require_available()
-        self.require_supported(expression, source)
-        script = self.compile(expression, source, registry)
-        return self.execute(
-            script, source, registry=registry, deadline=deadline, cancel=cancel
-        )
-
-    def __repr__(self) -> str:
-        state = "available" if self.is_available() else "unavailable"
-        return f"<{type(self).__name__} {self.name} ({state})>"

@@ -1,9 +1,9 @@
-"""The dialect-dispatching front door for executing discovered mappings.
+"""The front door for executing discovered mappings.
 
 :func:`execute_mapping` is the one-call API: give it a mapping expression
-and a source instance, and it picks an engine (``backend="auto"`` prefers
-the fastest *faithful* engine available — duckdb, then sqlite, then the
-reference interpreter), compiles the pipeline into that engine's dialect,
+and a source instance, and it picks an engine (``backend="auto"`` takes
+sqlite when sqlite can run the mapping faithfully, and the reference
+interpreter otherwise), compiles the pipeline into that engine's dialect,
 executes it, and hands back the resulting
 :class:`~repro.relational.database.Database` together with the compiled
 script and timings.  Telemetry rides along as ``backend_compile`` /
@@ -27,7 +27,6 @@ from ..fira.sqlcompile import SqlScript
 from ..obs.events import BACKEND_COMPILE, BACKEND_EXECUTE
 from ..relational.database import Database
 from .base import SqlBackend
-from .duckdb_backend import DuckDbBackend
 from .minisql_backend import MiniSqlBackend
 from .sqlite_backend import SqliteBackend
 
@@ -36,24 +35,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..search.cancel import CancelToken
     from ..semantics.functions import FunctionRegistry
 
-#: auto-dispatch preference: fastest faithful engine first, reference last
-AUTO_ORDER: tuple[str, ...] = ("duckdb", "sqlite", "minisql")
-
 #: the dispatch pseudo-backend name
 AUTO = "auto"
 
-
-def _registry() -> dict[str, SqlBackend]:
-    return {
-        b.name: b for b in (MiniSqlBackend(), SqliteBackend(), DuckDbBackend())
-    }
-
-
-_BACKENDS = _registry()
+_BACKENDS: dict[str, SqlBackend] = {
+    b.name: b for b in (MiniSqlBackend(), SqliteBackend())
+}
 
 
 def backend_names() -> tuple[str, ...]:
-    """All registered backend names (regardless of availability), sorted."""
+    """All registered backend names, sorted."""
     return tuple(sorted(_BACKENDS))
 
 
@@ -68,13 +59,6 @@ def get_backend(name: str) -> SqlBackend:
         return _BACKENDS[name]
     except KeyError:
         raise UnknownBackendError(name, backend_names()) from None
-
-
-def available_backends() -> tuple[SqlBackend, ...]:
-    """The backends that can actually run in this environment."""
-    return tuple(
-        b for b in _BACKENDS.values() if b.is_available()
-    )
 
 
 @dataclass(frozen=True)
@@ -95,123 +79,6 @@ class ExecutionResult:
     execute_seconds: float
 
 
-class Executor:
-    """Dialect-dispatching mapping executor with telemetry.
-
-    Args:
-        backend: a backend name, or ``"auto"`` to pick the first engine in
-            :data:`AUTO_ORDER` that is available **and** supports the
-            mapping/instance at hand (falling back to the reference engine,
-            which supports everything).
-        tracer: optional tracer receiving ``backend_compile`` /
-            ``backend_execute`` events.
-    """
-
-    def __init__(
-        self,
-        backend: str = AUTO,
-        tracer: "Tracer | None" = None,
-    ) -> None:
-        if backend != AUTO:
-            get_backend(backend)  # validate eagerly: raises UnknownBackendError
-        self.backend = backend
-        self.tracer = tracer
-
-    def resolve(
-        self,
-        expression: MappingExpression,
-        source: Database | None = None,
-    ) -> SqlBackend:
-        """The concrete backend the capability check picks for this mapping.
-
-        Under ``auto``, an engine that then declines at compile (a name
-        that only the compile replay meets) hands the mapping to minisql.
-        """
-        if self.backend != AUTO:
-            return get_backend(self.backend)
-        for name in AUTO_ORDER:
-            candidate = _BACKENDS[name]
-            if candidate.is_available() and candidate.supports(
-                expression, source
-            ):
-                return candidate
-        return _BACKENDS["minisql"]
-
-    def execute(
-        self,
-        expression: MappingExpression,
-        source: Database,
-        registry: "FunctionRegistry | None" = None,
-        deadline: float | None = None,
-        cancel: "CancelToken | None" = None,
-    ) -> ExecutionResult:
-        """Compile and run *expression* over *source*; see module docs.
-
-        *deadline* counts from this call: compile spends it first, and the
-        engine runs its statements under what is left.
-        """
-        started = perf_counter()
-        if self.backend == AUTO:
-            backend = self.resolve(expression, source)  # checked while choosing
-        else:
-            backend = get_backend(self.backend)
-            backend.require_available()
-            backend.require_supported(expression, source)
-
-        t0 = perf_counter()
-        try:
-            script = backend.compile(expression, source, registry)
-        except BackendUnsupportedError:
-            if self.backend != AUTO:
-                raise
-            backend = _BACKENDS["minisql"]  # the reference declines nothing
-            script = backend.compile(expression, source, registry)
-        compile_seconds = perf_counter() - t0
-        if self.tracer is not None:
-            self.tracer.emit(
-                BACKEND_COMPILE,
-                backend=backend.name,
-                statements=script.statement_count,
-            )
-
-        remaining = None
-        if deadline is not None:
-            elapsed = perf_counter() - started
-            if elapsed > deadline:
-                raise SearchDeadlineExceeded(deadline, elapsed, 0)
-            remaining = deadline - elapsed
-
-        t1 = perf_counter()
-        try:
-            database = backend.execute(
-                script,
-                source,
-                registry=registry,
-                deadline=remaining,
-                cancel=cancel,
-            )
-        except SearchDeadlineExceeded as exc:
-            raise SearchDeadlineExceeded(
-                deadline, perf_counter() - started, exc.states_examined
-            ) from None
-        execute_seconds = perf_counter() - t1
-        if self.tracer is not None:
-            self.tracer.emit(
-                BACKEND_EXECUTE,
-                backend=backend.name,
-                statements=script.statement_count,
-                dur=execute_seconds,
-            )
-
-        return ExecutionResult(
-            backend=backend.name,
-            script=script,
-            database=database,
-            compile_seconds=compile_seconds,
-            execute_seconds=execute_seconds,
-        )
-
-
 def execute_mapping(
     expression: MappingExpression,
     source: Database,
@@ -221,12 +88,79 @@ def execute_mapping(
     cancel: "CancelToken | None" = None,
     tracer: "Tracer | None" = None,
 ) -> ExecutionResult:
-    """One-call mapping execution (see :class:`Executor`)."""
-    executor = Executor(backend=backend, tracer=tracer)
-    return executor.execute(
-        expression,
-        source,
-        registry=registry,
-        deadline=deadline,
-        cancel=cancel,
+    """Compile and run *expression* over *source*; see module docs.
+
+    *backend* is a backend name, or ``"auto"``: sqlite when its
+    :meth:`~repro.backends.base.SqlBackend.why_unsupported` returns None,
+    minisql otherwise.  Under ``auto``, a sqlite decline at compile (a
+    name that only the compile replay meets) also hands the mapping to
+    minisql.  *tracer* receives ``backend_compile`` / ``backend_execute``
+    events.  *deadline* counts from this call: the capability check and
+    compile spend it first, and the engine runs its statements under what
+    is left.
+
+    Raises:
+        UnknownBackendError: *backend* names no registered backend.
+        BackendUnsupportedError: an explicit *backend* declines the
+            mapping, with the reason.
+    """
+    started = perf_counter()
+    engine = get_backend("sqlite" if backend == AUTO else backend)
+    reason = engine.why_unsupported(expression, source)
+    if reason is not None:
+        if backend != AUTO:
+            raise BackendUnsupportedError(engine.name, reason)
+        engine = _BACKENDS["minisql"]  # the reference declines nothing
+
+    t0 = perf_counter()
+    try:
+        script = engine.compile(expression, source, registry)
+    except BackendUnsupportedError:
+        if backend != AUTO:
+            raise
+        engine = _BACKENDS["minisql"]
+        script = engine.compile(expression, source, registry)
+    compile_seconds = perf_counter() - t0
+    if tracer is not None:
+        tracer.emit(
+            BACKEND_COMPILE,
+            backend=engine.name,
+            statements=script.statement_count,
+        )
+
+    remaining = None
+    if deadline is not None:
+        elapsed = perf_counter() - started
+        if elapsed > deadline:
+            raise SearchDeadlineExceeded(deadline, elapsed, 0)
+        remaining = deadline - elapsed
+
+    t1 = perf_counter()
+    try:
+        database = engine.execute(
+            script,
+            source,
+            registry=registry,
+            deadline=remaining,
+            cancel=cancel,
+        )
+    except SearchDeadlineExceeded as exc:
+        raise SearchDeadlineExceeded(
+            deadline, perf_counter() - started, exc.states_examined
+        ) from None
+    execute_seconds = perf_counter() - t1
+    if tracer is not None:
+        tracer.emit(
+            BACKEND_EXECUTE,
+            backend=engine.name,
+            statements=script.statement_count,
+            dur=execute_seconds,
+        )
+
+    return ExecutionResult(
+        backend=engine.name,
+        script=script,
+        database=database,
+        compile_seconds=compile_seconds,
+        execute_seconds=execute_seconds,
     )

@@ -17,8 +17,8 @@ Faithfulness notes (see docs/execution.md for the full matrix):
 * **No booleans** — SQLite has no BOOLEAN storage class: ``True`` round
   trips as ``1``.  Rather than silently rewriting values, the backend
   *declines* sources containing booleans (:meth:`SqliteBackend
-  .why_unsupported`), and the auto-dispatching executor falls back to the
-  reference engine.
+  .why_unsupported`), and ``auto`` dispatch falls back to the reference
+  engine.
 * **64-bit integers** — SQLite's INTEGER holds signed 64-bit values, so
   the backend declines a source holding a wider int.  The intern pool
   records such values as it meets them, so the check costs nothing while

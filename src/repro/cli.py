@@ -20,7 +20,7 @@ Commands::
     python -m repro apply --expression FILE --source DIR [--output DIR]
 
     python -m repro execute --expression FILE --source DIR
-        [--backend auto|minisql|sqlite|duckdb] [--deadline SECONDS]
+        [--backend auto|minisql|sqlite] [--deadline SECONDS]
         [--show-sql] [--output DIR]
 
     python -m repro tnf --source DIR
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -168,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="auto",
         metavar="NAME",
-        help="execution backend for --execute (auto picks the fastest "
-        "faithful engine available; see `repro info` for the list)",
+        help="execution backend for --execute (auto takes sqlite when it "
+        "runs the mapping faithfully, else minisql; see `repro info`)",
     )
     discover.add_argument(
         "--output", default=None, help="write the expression to this file"
@@ -281,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="auto",
         metavar="NAME",
-        help="backend name or 'auto' (fastest faithful engine available; "
-        "see `repro info` for the list)",
+        help="backend name or 'auto' (sqlite when it runs the mapping "
+        "faithfully, else minisql; see `repro info` for the list)",
     )
     execute.add_argument(
         "--deadline",
@@ -470,13 +471,12 @@ def cmd_discover(args: argparse.Namespace) -> int:
     correspondences = [
         _parse_correspondence_arg(text) for text in args.correspondence
     ]
-    if args.execute or args.backend != "auto":
+    if args.backend != "auto":
         # Validate the backend name up front so a typo fails before the
         # search spends its budget (UnknownBackendError -> exit 2).
         from .backends import get_backend
 
-        if args.backend != "auto":
-            get_backend(args.backend)
+        get_backend(args.backend)
     from .search import SearchConfig, discover_mapping
 
     tracer = None
@@ -826,14 +826,9 @@ def cmd_info(_args: argparse.Namespace) -> int:
     print(f"json backend: {FAST_JSON_BACKEND}")
     print("sinks: " + ", ".join(SINK_NAMES))
     print("events: " + ", ".join(EVENT_TYPES))
-    from .backends import backend_names, get_backend
+    from .backends import backend_names
 
-    backends = []
-    for name in backend_names():
-        backend = get_backend(name)
-        reason = backend.availability()
-        backends.append(name if reason is None else f"{name} (unavailable: {reason})")
-    print("backends: " + ", ".join(backends))
+    print("backends: " + ", ".join(backend_names()))
     from .parallel import (
         available_start_methods,
         cpu_count,
@@ -880,10 +875,19 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a reader that closed the pipe (`repro info | head`) then raises
+        # here, inside the try, rather than at the flush on exit
+        sys.stdout.flush()
+        return code
     except TupeloError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # what stdout still buffers would fail again at exit: send it nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

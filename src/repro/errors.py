@@ -177,20 +177,6 @@ class UnknownBackendError(BackendError):
         super().__init__(message)
 
 
-class BackendUnavailableError(BackendError):
-    """A backend's engine is not importable in this environment.
-
-    The DuckDB backend raises this when the ``duckdb`` module is missing;
-    callers going through the ``auto`` front door never see it (unavailable
-    backends are skipped), only explicit ``backend="duckdb"`` requests do.
-    """
-
-    def __init__(self, name: str, reason: str) -> None:
-        self.backend = name
-        self.reason = reason
-        super().__init__(f"backend {name!r} is unavailable: {reason}")
-
-
 class BackendUnsupportedError(BackendError):
     """A backend cannot faithfully execute this expression/instance pair.
 

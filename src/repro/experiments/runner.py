@@ -43,7 +43,7 @@ from ..parallel.providers import has_provider
 from ..search.config import SearchConfig
 from ..search.result import STATUS_FOUND, SearchResult
 from ..workloads.bamm import BammDomain
-from ..workloads.semantic_domains import (
+from ..workloads.semantic_tasks import (
     PAPER_FUNCTION_COUNTS,
     SemanticDomain,
 )

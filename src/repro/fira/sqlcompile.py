@@ -26,8 +26,8 @@ Emission is split from rendering: this module decides the *statement
 sequence* while a :class:`~repro.relational.dialect.SqlDialect` decides how
 identifiers, literals, casts, and duplicate handling are spelled for a
 concrete engine.  The default dialect reproduces the historical canonical
-output byte for byte; bag-semantics dialects (sqlite, duckdb) re-create
-tables with ``SELECT DISTINCT`` and compile column drops as DISTINCT
+output byte for byte; the bag-semantics sqlite dialect re-creates
+tables with ``SELECT DISTINCT`` and compiles column drops as DISTINCT
 re-creations so executed results stay bit-identical with the in-memory
 algebra.  :func:`compile_script` returns a :class:`SqlScript` whose
 statement list backends execute one at a time (polling deadline/cancel

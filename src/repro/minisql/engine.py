@@ -1,4 +1,4 @@
-"""Executor for the mini-SQL dialect.
+"""Interpreter for the mini-SQL dialect.
 
 :class:`MiniSqlEngine` holds a catalogue of relations and executes the
 scripts produced by :func:`repro.fira.sqlcompile.compile_expression`,

@@ -24,13 +24,13 @@ BUILTIN_PROVIDER = "builtin"
 
 
 def _inventory_registry() -> FunctionRegistry:
-    from ..workloads.semantic_domains import inventory_domain
+    from ..workloads.semantic_tasks import inventory_domain
 
     return inventory_domain().registry
 
 
 def _real_estate_registry() -> FunctionRegistry:
-    from ..workloads.semantic_domains import real_estate_domain
+    from ..workloads.semantic_tasks import real_estate_domain
 
     return real_estate_domain().registry
 

@@ -25,8 +25,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         ".database": ("Database",),
         ".dialect": (
-            "CANONICAL_DIALECT", "DIALECTS", "DuckDbDialect", "MiniSqlDialect",
-            "SqlDialect", "SqliteDialect", "get_dialect",
+            "CANONICAL_DIALECT", "MiniSqlDialect", "SqlDialect", "SqliteDialect",
         ),
         ".fingerprint": (
             "instance_digest", "pair_fingerprint", "pair_shape_fingerprint",

@@ -4,7 +4,7 @@ The FIRA → SQL compiler (:mod:`repro.fira.sqlcompile`) emits one logical
 statement sequence per pipeline; a :class:`SqlDialect` decides how that
 sequence is *rendered* for a concrete engine — identifier and literal
 quoting, ``CAST``-to-text, duplicate-row handling, and whether a column can
-be dropped in place.  Three dialects ship with the library:
+be dropped in place.  Two dialects ship with the library, one per backend:
 
 * :class:`MiniSqlDialect` — the canonical rendering understood by the
   zero-dependency :mod:`repro.minisql` reference engine.  Its engine has
@@ -19,10 +19,8 @@ be dropped in place.  Three dialects ship with the library:
   sqlite backend declines bool-carrying instances up front).  It folds
   identifier case and reserves ``sqlite_`` table names, so the dialect
   declines a step whose names it cannot hold side by side.
-* :class:`DuckDbDialect` — DuckDB, strictly typed; booleans are native and
-  the ``typeof`` guard handles DOUBLE and BOOLEAN canonical text.
 
-All dialects quote identifiers identically (double quotes, doubling
+Both dialects quote identifiers identically (double quotes, doubling
 embedded quotes) and reject identifiers/literals no engine can represent:
 empty identifiers, NUL bytes, and non-finite floats raise
 :class:`~repro.errors.SqlRenderingError` instead of emitting SQL that would
@@ -91,7 +89,7 @@ class SqlDialect:
     """Rendering rules for one SQL engine.
 
     Attributes:
-        name: registry key, also stamped on compiled scripts.
+        name: the engine's name, stamped on compiled scripts.
         set_semantics: True when the engine natively collapses duplicate
             rows (the paper's relational model).  Bag-semantics engines get
             ``SELECT DISTINCT`` re-creations and DISTINCT column drops so
@@ -310,40 +308,6 @@ class SqliteDialect(SqlDialect):
         )
 
 
-class DuckDbDialect(SqlDialect):
-    """DuckDB: bag semantics, strictly typed columns, native booleans."""
-
-    name = "duckdb"
-    set_semantics = False
-    supports_boolean = True
-
-    def cast_to_text(self, expr_sql: str) -> str:
-        return (
-            f"CASE WHEN typeof({expr_sql}) IN ('DOUBLE', 'FLOAT') "
-            f"AND {expr_sql} = floor({expr_sql}) "
-            f"THEN CAST(CAST({expr_sql} AS BIGINT) AS VARCHAR) "
-            f"WHEN typeof({expr_sql}) = 'BOOLEAN' THEN "
-            f"CASE WHEN {expr_sql} THEN 'true' ELSE 'false' END "
-            f"ELSE CAST({expr_sql} AS VARCHAR) END"
-        )
-
-
 #: the canonical dialect — what the compiler emits when none is given,
 #: identical to the historical single-flavor output
 CANONICAL_DIALECT = MiniSqlDialect()
-
-#: dialect registry by name (backends attach these to their scripts)
-DIALECTS: dict[str, SqlDialect] = {
-    d.name: d
-    for d in (MiniSqlDialect(), SqliteDialect(), DuckDbDialect())
-}
-
-
-def get_dialect(name: str) -> SqlDialect:
-    """Look up a dialect by name (raises :class:`SqlRenderingError`)."""
-    try:
-        return DIALECTS[name]
-    except KeyError:
-        raise SqlRenderingError(
-            f"unknown SQL dialect {name!r} (known: {', '.join(sorted(DIALECTS))})"
-        ) from None

@@ -14,7 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         ".ida": ("ida_star",),
         ".problem": ("MappingProblem", "SearchNode"),
-        ".rbfs": ("rbfs",),
+        ".recursive_best_first": ("rbfs",),
         ".result": (
             "STATUS_BUDGET_EXCEEDED", "STATUS_CANCELLED",
             "STATUS_DEADLINE_EXCEEDED", "STATUS_FOUND", "STATUS_NAMES",
@@ -24,8 +24,3 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".stats": ("LIMIT_CHECK_EVERY", "SearchStats"),
     },
 )
-
-# The function shares its submodule's name.  Bound lazily, the name would be
-# overwritten by the submodule on that module's first import, so
-# ``from repro.search import rbfs`` could return the module.
-from .rbfs import rbfs  # noqa: E402

@@ -52,7 +52,7 @@ SearchAlgorithm = Callable[[MappingProblem, Heuristic, SearchStats], "list[Opera
 #: rest ablations.  ``ALGORITHMS`` maps each name to its function.
 _ALGORITHM_SITES: dict[str, tuple[str, str]] = {
     "ida": (".ida", "ida_star"),
-    "rbfs": (".rbfs", "rbfs"),
+    "rbfs": (".recursive_best_first", "rbfs"),
     "astar": (".best_first", "a_star"),
     "greedy": (".best_first", "greedy"),
     "beam": (".beam", "beam_search"),

@@ -14,7 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "b_to_a_expression", "b_to_c_expression", "flights_a", "flights_b",
             "flights_c", "flights_registry", "total_cost_correspondence",
         ),
-        ".semantic_domains": (
+        ".semantic_tasks": (
             "PAPER_FUNCTION_COUNTS", "SemanticDomain", "SemanticTask",
             "inventory_domain", "real_estate_domain", "semantic_domains",
         ),
@@ -24,7 +24,3 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-# The function shares its submodule's name.  Bound lazily, the name would be
-# overwritten by the submodule on that module's first import.
-from .semantic_domains import semantic_domains  # noqa: E402

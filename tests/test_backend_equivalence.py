@@ -1,6 +1,6 @@
 """Cross-engine equivalence: the FIRA → SQL compiler's correctness oracle.
 
-Every available backend must produce a result **bit-identical** (``==`` on
+Every backend must produce a result **bit-identical** (``==`` on
 :class:`~repro.relational.database.Database`) with replaying the mapping
 through the in-memory algebra — on the paper's Fig. 1 flights pipelines,
 the synthetic matching workloads, BAMM-style rename tasks, and degenerate
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, Relation
-from repro.backends import DuckDbBackend, available_backends, execute_mapping
+from repro.backends import backend_names, execute_mapping
 from repro.fira import (
     ApplyFunction,
     CartesianProduct,
@@ -41,12 +41,11 @@ from repro.workloads.flights import (
     total_cost_correspondence,
 )
 
-#: every backend runnable in this environment (duckdb joins when installed)
-BACKENDS = tuple(b.name for b in available_backends())
+BACKENDS = backend_names()
 
 
 def assert_all_backends_match(expression, source, registry=None):
-    """The oracle: algebra == every available backend, bit for bit."""
+    """The oracle: algebra == every backend, bit for bit."""
     algebra = expression.apply(source, registry)
     for name in BACKENDS:
         result = execute_mapping(
@@ -277,24 +276,3 @@ class TestDegenerateInputs:
         assert_all_backends_match(
             MappingExpression([DropAttribute("D", "B")]), db
         )
-
-
-@pytest.mark.skipif(
-    not DuckDbBackend().is_available(), reason="duckdb not installed"
-)
-class TestDuckDbLeg:  # pragma: no cover - exercised where duckdb exists
-    """Runs automatically in environments (e.g. CI) with duckdb installed."""
-
-    def test_flights_b_to_a(self):
-        src = flights_b()
-        expr = b_to_a_expression()
-        result = execute_mapping(
-            expr, src, backend="duckdb", registry=flights_registry()
-        )
-        assert result.database == expr.apply(src, flights_registry())
-
-    def test_boolean_round_trip(self):
-        db = Database.single(Relation("R", ("A", "F"), [("x", True)]))
-        expr = MappingExpression([RenameAttribute("R", "A", "B")])
-        result = execute_mapping(expr, db, backend="duckdb")
-        assert result.database == expr.apply(db)

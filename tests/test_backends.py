@@ -1,4 +1,4 @@
-"""The backend registry, executor dispatch, and the deadline/cancel contract."""
+"""The backend registry, auto dispatch, and the deadline/cancel contract."""
 
 from __future__ import annotations
 
@@ -8,13 +8,9 @@ import pytest
 
 from repro import CancelToken, Database, Relation
 from repro.backends import (
-    AUTO_ORDER,
-    DuckDbBackend,
-    Executor,
     MiniSqlBackend,
     SqlBackend,
     SqliteBackend,
-    available_backends,
     backend_names,
     execute_mapping,
     get_backend,
@@ -39,8 +35,6 @@ from repro.obs import MemorySink, Tracer
 from repro.workloads import flights_b
 from repro.workloads.flights import b_to_a_expression, flights_registry
 
-DUCKDB_MISSING = not DuckDbBackend().is_available()
-
 #: ints outside SQLite's signed 64-bit INTEGER that no float equals, so the
 #: intern pool keeps them as ints whatever this process interned before
 WIDE_INTS = [2**63 + 1, -(2**64) - 1]
@@ -55,7 +49,7 @@ def simple_case():
 
 class TestRegistry:
     def test_backend_names(self):
-        assert backend_names() == ("duckdb", "minisql", "sqlite")
+        assert backend_names() == ("minisql", "sqlite")
 
     def test_get_backend(self):
         assert get_backend("minisql").name == "minisql"
@@ -68,17 +62,6 @@ class TestRegistry:
         assert "bogus" in message
         for name in backend_names():
             assert name in message
-
-    def test_minisql_and_sqlite_always_available(self):
-        names = {b.name for b in available_backends()}
-        assert {"minisql", "sqlite"} <= names
-
-    def test_duckdb_availability_reports_reason(self):
-        backend = DuckDbBackend()
-        if DUCKDB_MISSING:
-            assert "not installed" in backend.availability()
-        else:  # pragma: no cover - needs duckdb
-            assert backend.availability() is None
 
 
 def _canonical_bools(db, relation="R"):
@@ -99,24 +82,23 @@ def _canonical_bools(db, relation="R"):
 class TestSupports:
     def test_minisql_supports_everything(self, simple_case):
         db, expr = simple_case
-        assert MiniSqlBackend().supports(expr, db)
+        assert MiniSqlBackend().why_unsupported(expr, db) is None
 
     def test_sqlite_declines_boolean_sources(self):
         db = Database.single(Relation("R", ("A",), [(True,), (False,)]))
         expr = MappingExpression([RenameAttribute("R", "A", "B")])
         backend = SqliteBackend()
         if _canonical_bools(db):
-            assert not backend.supports(expr, db)
             assert "BOOLEAN" in backend.why_unsupported(expr, db)
             with pytest.raises(BackendUnsupportedError):
-                backend.require_supported(expr, db)
+                execute_mapping(expr, db, backend="sqlite")
         else:
             # True canonicalized to 1 process-wide; sqlite is then faithful
-            assert backend.supports(expr, db)
+            assert backend.why_unsupported(expr, db) is None
 
     def test_sqlite_supports_plain_sources(self, simple_case):
         db, expr = simple_case
-        assert SqliteBackend().supports(expr, db)
+        assert SqliteBackend().why_unsupported(expr, db) is None
 
     @pytest.mark.parametrize("value", WIDE_INTS)
     def test_sqlite_declines_wide_int_sources(self, value):
@@ -132,29 +114,19 @@ class TestSupports:
         result = execute_mapping(expr, db, backend="sqlite")
         assert result.database == expr.apply(db)
 
-    @pytest.mark.skipif(not DUCKDB_MISSING, reason="duckdb present")
-    def test_duckdb_unsupported_when_missing(self, simple_case):
-        db, expr = simple_case
-        assert not DuckDbBackend().supports(expr, db)
-
 
 class TestExecutorDispatch:
-    def test_auto_order_prefers_real_engines(self):
-        assert AUTO_ORDER == ("duckdb", "sqlite", "minisql")
-
     def test_auto_picks_sqlite_for_plain_sources(self, simple_case):
         db, expr = simple_case
-        resolved = Executor().resolve(expr, db)
-        if DUCKDB_MISSING:
-            assert resolved.name == "sqlite"
-        else:  # pragma: no cover - needs duckdb
-            assert resolved.name == "duckdb"
+        result = execute_mapping(expr, db, backend="auto")
+        assert result.backend == "sqlite"
+        assert result.database == expr.apply(db)
 
     def test_auto_stays_faithful_on_booleans(self):
         db = Database.single(Relation("R", ("A",), [(True,)]))
         expr = MappingExpression([RenameAttribute("R", "A", "B")])
         result = execute_mapping(expr, db, backend="auto")
-        if DUCKDB_MISSING and _canonical_bools(db):
+        if _canonical_bools(db):
             # sqlite declined the boolean source; auto fell back
             assert result.backend == "minisql"
         assert result.database == expr.apply(db)
@@ -164,13 +136,13 @@ class TestExecutorDispatch:
         db = Database.single(Relation("R", ("A",), [(value,), (1,)]))
         expr = MappingExpression([RenameAttribute("R", "A", "B")])
         result = execute_mapping(expr, db, backend="auto")
-        if DUCKDB_MISSING:
-            assert result.backend == "minisql"
+        assert result.backend == "minisql"
         assert result.database == expr.apply(db)
 
-    def test_unknown_backend_raises_eagerly(self):
+    def test_unknown_backend_raises_eagerly(self, simple_case):
+        db, expr = simple_case
         with pytest.raises(UnknownBackendError):
-            Executor(backend="bogus")
+            execute_mapping(expr, db, backend="bogus")
 
     def test_explicit_backend_unsupported_raises(self):
         db = Database.single(Relation("R", ("A",), [(True,)]))
@@ -317,9 +289,6 @@ class TestExecutionErrors:
             SqliteBackend().execute(script, db)
         assert "bytes" in str(err.value)
 
-    def test_repr_mentions_availability(self):
-        assert "available" in repr(MiniSqlBackend())
-
 
 class TestSqliteNames:
     """SQLite reserves names starting with ``sqlite_`` and folds case."""
@@ -344,8 +313,7 @@ class TestSqliteNames:
         with pytest.raises(BackendUnsupportedError):
             execute_mapping(expr, db, backend="sqlite")
         result = execute_mapping(expr, db, backend="auto")
-        if DUCKDB_MISSING:
-            assert result.backend == "minisql"
+        assert result.backend == "minisql"
         assert result.database == expr.apply(db)
 
     @pytest.mark.parametrize(
@@ -362,6 +330,7 @@ class TestSqliteNames:
         expr = MappingExpression([op])
         assert "reserves" in SqliteBackend().why_unsupported(expr, db)
         result = execute_mapping(expr, db, backend="auto")
+        assert result.backend == "minisql"
         assert result.database == expr.apply(db)
 
     def test_names_differing_only_in_case(self):
@@ -374,8 +343,7 @@ class TestSqliteNames:
             execute_mapping(expr, db, backend="sqlite")
         assert "differ only in case" in str(err.value)
         result = execute_mapping(expr, db, backend="auto")
-        if DUCKDB_MISSING:
-            assert result.backend == "minisql"
+        assert result.backend == "minisql"
         assert result.database == expr.apply(db)
 
     def test_partition_into_reserved_name_is_declined(self):
@@ -387,8 +355,7 @@ class TestSqliteNames:
             execute_mapping(expr, db, backend="sqlite")
         assert "reserves" in str(err.value)
         result = execute_mapping(expr, db, backend="auto")
-        if DUCKDB_MISSING:
-            assert result.backend == "minisql"
+        assert result.backend == "minisql"
         assert result.database == expr.apply(db)
 
     def test_rename_to_own_name_in_other_case(self):

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -375,6 +379,31 @@ class TestOtherCommands:
         assert "telemetry: structured tracing (schema v1)" in out
         assert "sinks: null, memory, jsonl, logging" in out
         assert "expand" in out and "search_end" in out
+
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_closed_pipe_exits_quietly(self, unbuffered):
+        """`repro info | head` whose reader is gone exits 1, without a traceback."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        src = str(Path(repro.cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "info"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
 
     def test_error_reported_cleanly(self, dirs, capsys, tmp_path):
         source, _target, tmp = dirs

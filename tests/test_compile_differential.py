@@ -56,13 +56,13 @@ from repro.fira.sqlcompile import (
     is_sql_comment,
 )
 from repro.relational import NULL
-from repro.relational.dialect import CANONICAL_DIALECT, DIALECTS
+from repro.relational.dialect import CANONICAL_DIALECT, SqliteDialect
 from repro.semantics import builtin_registry
 
 REGISTRY = builtin_registry()
 
 #: every dialect the compiler renders, the canonical one included
-ALL_DIALECTS = (CANONICAL_DIALECT, *DIALECTS.values())
+ALL_DIALECTS = (CANONICAL_DIALECT, SqliteDialect())
 
 #: cell values: strings, ints and a float, with "1" next to 1, "A" next to
 #: "a", and "w" naming an attribute for dereference to follow
@@ -275,7 +275,7 @@ def test_compile_and_engines_match_the_algebra(case):
         event("merge outside GROUP BY/MAX")
         return
     backends = ["minisql"]
-    if not clash and SqliteBackend().supports(expression, source):
+    if not clash and SqliteBackend().why_unsupported(expression, source) is None:
         backends.append("sqlite")
     event(f"engines: {backends}")
     for backend in backends:
@@ -295,7 +295,7 @@ def test_compile_leaves_value_faults_to_the_engine(weights):
     expression = MappingExpression(
         [ApplyFunction("W", "lb_to_kg", ("lb",), "kg")]
     )
-    script = compile_script(expression, weights, REGISTRY, DIALECTS["sqlite"])
+    script = compile_script(expression, weights, REGISTRY, SqliteDialect())
     assert script.statement_count == 3
 
 

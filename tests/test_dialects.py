@@ -8,16 +8,13 @@ from repro.errors import SqlRenderingError
 from repro.relational import NULL
 from repro.relational.dialect import (
     CANONICAL_DIALECT,
-    DIALECTS,
-    DuckDbDialect,
     MiniSqlDialect,
     SqlDialect,
     SqliteDialect,
-    get_dialect,
 )
 from repro.relational.sql import quote_identifier, quote_literal
 
-ALL_DIALECTS = sorted(DIALECTS.values(), key=lambda d: d.name)
+ALL_DIALECTS = [MiniSqlDialect(), SqliteDialect()]
 
 
 def _ids(dialects):
@@ -88,7 +85,7 @@ class TestLiteralQuoting:
 
     def test_booleans_per_engine(self):
         assert MiniSqlDialect().quote_literal(True) == "TRUE"
-        assert DuckDbDialect().quote_literal(False) == "FALSE"
+        assert MiniSqlDialect().quote_literal(False) == "FALSE"
         with pytest.raises(SqlRenderingError):
             SqliteDialect().quote_literal(True)
 
@@ -112,7 +109,6 @@ class TestDialectBehaviors:
     def test_set_vs_bag_semantics(self):
         assert MiniSqlDialect().select_modifier() == ""
         assert SqliteDialect().select_modifier() == "DISTINCT "
-        assert DuckDbDialect().select_modifier() == "DISTINCT "
 
     def test_drop_column_in_place(self):
         assert MiniSqlDialect().drop_column_in_place()
@@ -121,6 +117,9 @@ class TestDialectBehaviors:
     def test_sqlite_cast_guards_integral_reals(self):
         cast = SqliteDialect().cast_to_text('"x"')
         assert "typeof" in cast and "CAST" in cast
+
+    def test_canonical_is_minisql(self):
+        assert CANONICAL_DIALECT.name == "minisql"
 
     def test_canonical_cast_is_plain(self):
         assert CANONICAL_DIALECT.cast_to_text('"x"') == 'CAST("x" AS TEXT)'
@@ -141,16 +140,3 @@ class TestDialectBehaviors:
         call = SqliteDialect().function_call("add", ['"A"', '"B"'])
         assert call == '"add"("A", "B")'
         assert MiniSqlDialect().function_call("add", ['"A"']) == 'add("A")'
-
-
-class TestRegistry:
-    def test_get_dialect(self):
-        assert get_dialect("sqlite").name == "sqlite"
-        assert get_dialect("minisql") is DIALECTS["minisql"]
-
-    def test_unknown_dialect(self):
-        with pytest.raises(SqlRenderingError, match="unknown SQL dialect"):
-            get_dialect("oracle9i")
-
-    def test_canonical_is_minisql(self):
-        assert CANONICAL_DIALECT.name == "minisql"

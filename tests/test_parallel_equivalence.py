@@ -48,7 +48,7 @@ from repro.relational import Database, Relation
 from repro.search.problem import MappingProblem
 from repro.semantics import FunctionRegistry
 from repro.workloads.bamm import bamm_corpus
-from repro.workloads.semantic_domains import inventory_domain
+from repro.workloads.semantic_tasks import inventory_domain
 from repro.workloads.synthetic import matching_pair
 
 

@@ -228,6 +228,22 @@ class TestStartUp:
 
             assert load_trace(trace)[-1]["event"] == "search_end"
 
+    def test_named_algorithm_loads_no_other(self, tmp_path):
+        from repro.search.engine import ALGORITHMS
+
+        pair = _rename_pair(tmp_path)
+        code, loaded = _run_cli(["discover", *pair, "--algorithm", "ida", "--heuristic", "h0"])
+        assert code == 0
+        assert "repro.search.ida" in loaded
+        others = {fn.__module__ for name, fn in ALGORITHMS.items() if name != "ida"}
+        assert others.isdisjoint(loaded)
+
+    def test_synthetic_discovery_skips_semantics(self):
+        code, loaded = _run_cli(["discover", "--synthetic", "3"])
+        assert code == 0
+        assert "repro.workloads.synthetic" in loaded
+        assert "repro.semantics.correspondence" not in loaded
+
     def test_parser_algorithm_names_match_the_engine(self):
         from repro.cli import ALGORITHM_NAMES as parser_names
         from repro.search.engine import ALGORITHM_NAMES as engine_names
@@ -242,8 +258,9 @@ class TestStartUp:
         assert "repro.search.problem" not in loaded
 
     def test_no_export_resolves_to_a_submodule(self):
-        """An export sharing its submodule's name (``repro.search.rbfs``)
-        stays bound to the exported object once every submodule is loaded."""
+        """Every export stays bound to the exported object once every
+        submodule is loaded: importing a submodule sets the package attribute
+        of its own name, so no export may share its submodule's name."""
         modules = _fresh_interpreter(
             """
             import importlib, json, pkgutil, sys, types, repro

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.backends import execute_mapping
+from repro.backends import execute_mapping, get_backend
 from repro.fira import (
     ApplyFunction,
     CartesianProduct,
@@ -20,7 +20,6 @@ from repro.fira import (
     compile_operator,
     compile_script,
 )
-from repro.relational.dialect import DIALECTS
 from repro.semantics import builtin_registry
 from repro.workloads import b_to_a_expression, flights_b
 
@@ -114,7 +113,10 @@ class TestExpressionCompilation:
 
 def _statements(expression, db, dialect):
     return compile_script(
-        MappingExpression(expression), db, builtin_registry(), DIALECTS[dialect]
+        MappingExpression(expression),
+        db,
+        builtin_registry(),
+        get_backend(dialect).dialect,
     ).statements
 
 
