@@ -19,8 +19,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".stringview": ("LevenshteinHeuristic", "levenshtein"),
         ".vector": (
             "CosineHeuristic", "EuclideanHeuristic",
-            "NormalizedEuclideanHeuristic", "cosine_similarity",
-            "euclidean_distance", "term_vector", "vector_norm",
+            "NormalizedEuclideanHeuristic",
         ),
     },
 )

@@ -4,7 +4,7 @@ A search heuristic ``h(x)`` estimates the number of transformation steps
 from database *x* to the target critical instance *t* (§3).  Heuristics are
 *compiled against the target*: construction precomputes whatever view of
 ``t`` the estimate needs (TNF projections, the database string, the term
-vector), and evaluation sees only candidate states.
+vector's column counts), and evaluation sees only candidate states.
 
 A heuristic is a pure function of the state.  The search memoises its
 estimates on the search nodes (:meth:`repro.search.problem.MappingProblem.estimate`):

@@ -441,6 +441,45 @@ class Relation:
         value = views["attribute_ids"] = _interned_name_set(self._attributes)
         return value
 
+    def filled_attribute_ids(self) -> frozenset[int]:
+        """Token ids of the attribute names whose column holds a non-NULL
+        value (π_ATT of this relation's TNF).
+
+        Only a relation with NULLs scans its rows; it memoises the names.
+        """
+        if not self.has_nulls:
+            return _interned_name_set(self._attributes if self._token_rows else ())
+        names = self._views.get("filled_attributes")
+        if names is None:
+            token_rows = self._token_rows
+            names = self._views["filled_attributes"] = tuple(
+                attr
+                for pos, attr in enumerate(self._attributes)
+                if any(trow[pos] != NULL_TOKEN for trow in token_rows)
+            )
+        return _interned_name_set(names)
+
+    def column_text_counts(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-column ``(text id, count)`` pairs over the non-NULL cells,
+        aligned with :attr:`attributes` (memoised): this relation's share
+        of the §3 term vector.  Renames carry it; projections rebuild it,
+        since collapsing duplicate rows changes counts.
+        """
+        hit = self._views.get("column_text_counts")
+        if hit is not None:
+            return hit
+        text_ids = TEXT_IDS
+        columns: tuple[dict[int, int], ...] = tuple({} for _ in self._attributes)
+        for trow in self._token_rows:
+            for column, token in zip(columns, trow):
+                if token != NULL_TOKEN:
+                    text = text_ids[token]
+                    column[text] = column.get(text, 0) + 1
+        value = self._views["column_text_counts"] = tuple(
+            tuple(column.items()) for column in columns
+        )
+        return value
+
     @property
     def has_nulls(self) -> bool:
         """Whether any tuple contains a NULL (memoised; probed per expansion)."""
@@ -552,6 +591,8 @@ class Relation:
         for key in (
             "attribute_set",
             "attribute_ids",
+            "filled_attributes",
+            "column_text_counts",
             "sorted_token_rows",
             "sorted_rows",
             "value_rows",
@@ -581,10 +622,11 @@ class Relation:
 
         The rename operator validates its arguments once and derives its
         child through here.  Token rows are shared when column positions do
-        not change, and permuted for the child alone otherwise.  Only the
+        not change, and permuted for the child alone otherwise.  The
         whole-relation cell aggregates the proposal rules probe (value text
-        ids, has-nulls) carry over; per-column views rebuild on first use,
-        since most renamed children are never asked for them.
+        ids, has-nulls) carry over, as do the column text counts, permuted
+        like the rows; other per-column views rebuild on first use, since
+        most renamed children are never asked for them.
         """
         canonical_attrs, perm, index = _rename_schema(self._attributes, pos, new)
         token_rows = (
@@ -596,9 +638,15 @@ class Relation:
             self._name, canonical_attrs, token_rows, index
         )
         child._value_text_ids = self._value_text_ids
-        hit = self._views.get("has_nulls")
+        views = self._views
+        hit = views.get("has_nulls")
         if hit is not None:
             child._views["has_nulls"] = hit
+        counts = views.get("column_text_counts")
+        if counts is not None:
+            child._views["column_text_counts"] = (
+                counts if perm is None else itemgetter(*perm)(counts)
+            )
         return child
 
     def project(self, attrs: Sequence[str]) -> "Relation":

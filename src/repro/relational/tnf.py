@@ -5,7 +5,10 @@ single table of fixed schema ``(TID, REL, ATT, VALUE)``: one row per cell,
 where TID identifies the originating tuple, REL its relation name, ATT the
 attribute name, and VALUE the cell value.  TUPELO uses TNF as its internal
 representation: the paper's heuristics (§3) are all defined over TNF
-projections, the string view, and the term-vector view provided here.
+projections, the string view, and the (REL, ATT, VALUE) triples provided
+here.  The set and term-vector heuristics read the same quantities off
+per-relation token views (:mod:`repro.heuristics.setbased`,
+:mod:`repro.heuristics.vector`); only the string view is built from text.
 
 NULL cells are not emitted: a promoted/ragged tuple contributes only its
 non-NULL cells, matching the "piecemeal" population described in the paper's
@@ -117,8 +120,10 @@ def tnf_decode(tnf: Relation) -> Database:
 def tnf_triples(db: Database) -> tuple[tuple[str, str, str], ...]:
     """The (REL, ATT, VALUE) triples of *db*'s TNF, values as text.
 
-    This is the term-vector view of §3: each database is a bag of
-    (relation, attribute, value) token triples.  Memoised on *db*.
+    Each database is a bag of (relation, attribute, value) triples, one per
+    non-NULL cell, in no particular order: rows are walked unsorted, and
+    readers that need an order (:func:`database_string`) sort what they
+    build.  Memoised on *db*.
     """
 
     def compute() -> tuple[tuple[str, str, str], ...]:
@@ -127,7 +132,7 @@ def tnf_triples(db: Database) -> tuple[tuple[str, str, str], ...]:
         for rel in db:
             attributes = rel.attributes
             name = rel.name
-            for trow in rel.sorted_token_rows():
+            for trow in rel.token_rows:
                 for attr, token in zip(attributes, trow):
                     if token == NULL_TOKEN:
                         continue

@@ -76,6 +76,36 @@ class TestRelationViews:
         with pytest.raises(UnknownAttributeError):
             renamed.column_text_ids("A")
 
+    def test_column_text_counts_follow_renames_and_rebuild_after_drops(self):
+        """Renames carry the counts, permuted; a drop that collapses rows
+        counts afresh."""
+        rel = Relation("R", ("a", "b", "c"), [("x", "y", 1), ("x", "z", 1)])
+
+        def counts(derived: Relation) -> list[dict[int, int]]:
+            return [dict(column) for column in derived.column_text_counts()]
+
+        def cold(derived: Relation) -> list[dict[int, int]]:
+            return counts(Relation(derived.name, derived.attributes, derived.rows))
+
+        warm = rel.column_text_counts()
+        moved = rel.rename_attribute("a", "d")  # a's column moves last
+        assert moved.attributes == ("b", "c", "d")
+        assert counts(moved) == cold(moved)
+        assert moved.column_text_counts()[2] is warm[0]
+        assert rel.renamed("S").column_text_counts() is warm
+        collapsed = rel.drop_attribute("b")  # the two rows become one
+        assert collapsed.cardinality == 1
+        assert counts(collapsed) == cold(collapsed)
+
+    def test_filled_attribute_ids_skip_all_null_columns(self):
+        from repro.relational import NULL
+
+        rel = Relation("R", ("a", "b", "c"), [(1, NULL, NULL), (NULL, NULL, 2)])
+        assert texts(rel.filled_attribute_ids()) == frozenset({"a", "c"})
+        renamed = rel.rename_attribute("b", "d")
+        assert texts(renamed.filled_attribute_ids()) == frozenset({"a", "c"})
+        assert texts(Relation("E", ("a",)).filled_attribute_ids()) == frozenset()
+
 
 class TestDatabaseViews:
     def test_views_computed_once(self, db):

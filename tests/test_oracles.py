@@ -9,13 +9,18 @@ whatever the kernel does internally:
   definition: every target relation has a same-named relation whose
   attributes cover the target's attributes and whose projection onto them
   covers the target's rows (the containment notion of Calì & Torlone);
-* ``tnf_projections``, ``term_vector`` and ``database_string`` — the views
-  every heuristic of §3 reads — against a walk of ``sorted_rows()`` that
-  renders each non-NULL cell with ``value_to_text``.
+* the TNF views — ``tnf_projections``, ``database_string``, and the token
+  projections and column text counts the set and term-vector heuristics
+  read — against a walk of ``sorted_rows()`` that renders each non-NULL
+  cell with ``value_to_text``;
+* every estimate of h1, h2, h3, euclid, euclid_norm, cosine and hybrid
+  against its §3 definition over that walk's (REL, ATT, VALUE) triples.
 
 Instances mix NULLs, duplicate values, empty relations and numeric-looking
 text (``"1"`` beside ``1``), and are checked both fresh and after chains of
 renames and projections taken from relations whose views are already warm.
+The estimates are drawn over a small vocabulary shared by relation names,
+attribute names and values, so tokens meet across levels and databases.
 
 The search oracle is a breadth-first search over the same successor
 function: under the blind heuristic h0, IDA*, RBFS and A* must return raw
@@ -24,14 +29,16 @@ paths exactly as long as the shallowest goal BFS finds.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import discover_mapping
-from repro.errors import NameCollisionError, SchemaError
-from repro.heuristics.vector import term_vector
+from repro.errors import SchemaError
+from repro.heuristics import make_heuristic
+from repro.heuristics.setbased import token_projections
 from repro.relational import (
     NULL,
     Database,
@@ -41,6 +48,7 @@ from repro.relational import (
     tnf_projections,
     value_to_text,
 )
+from repro.relational.intern import token_text
 from repro.search.problem import MappingProblem
 from repro.workloads import flights_b, matching_pair
 from repro.workloads.flights import (
@@ -63,25 +71,32 @@ cells = st.one_of(
 )
 
 
+#: names that are relation names, attribute names and value texts alike
+WORDS = ("A", "B", "R", "x", "1")
+words = st.sampled_from(WORDS)
+
+#: cells over the shared words, few enough that rows often repeat a value
+#: (so a drop collapses rows); the int 1 renders as the word "1"
+word_cells = st.sampled_from([*WORDS, 0, 1, 2, NULL])
+
+
 @st.composite
-def relations(draw, name=None):
-    rel_name = name if name is not None else draw(identifiers)
+def relations(draw, name=None, names=identifiers, values=cells):
+    rel_name = name if name is not None else draw(names)
     arity = draw(st.integers(min_value=1, max_value=3))
-    attrs = draw(
-        st.lists(identifiers, min_size=arity, max_size=arity, unique=True)
-    )
+    attrs = draw(st.lists(names, min_size=arity, max_size=arity, unique=True))
     rows = draw(
-        st.lists(st.tuples(*([cells] * arity)), min_size=0, max_size=4)
+        st.lists(st.tuples(*([values] * arity)), min_size=0, max_size=4)
     )
     return Relation(rel_name, attrs, rows)
 
 
 @st.composite
-def databases(draw):
-    names = draw(
-        st.lists(identifiers, min_size=1, max_size=3, unique=True)
+def databases(draw, names=identifiers, values=cells):
+    rel_names = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    return Database(
+        [draw(relations(name=n, names=names, values=values)) for n in rel_names]
     )
-    return Database([draw(relations(name=n)) for n in names])
 
 
 def _warm(db: Database) -> None:
@@ -89,31 +104,55 @@ def _warm(db: Database) -> None:
     db.value_text_ids()
     for rel in db:
         rel.column_text_id_sets()
+        rel.column_text_counts()
+        rel.filled_attribute_ids()
         rel.has_nulls
         rel.sorted_rows_view()
 
 
 @st.composite
-def derived_databases(draw):
+def derived_databases(draw, names=identifiers, values=cells):
     """A database, possibly reached by renames/projections of a warm one."""
-    db = draw(databases())
+    return draw(derivations(draw(databases(names=names, values=values)), names))
+
+
+@st.composite
+def estimate_pairs(draw):
+    """A state and a target over the shared words.
+
+    Half the targets derive from the state's own starting database, so the
+    two share relation names, attributes and values, and a view carried to
+    the wrong column changes the inner product.
+    """
+    base = draw(databases(names=words, values=word_cells))
+    if draw(st.booleans()):
+        target = draw(derivations(base, words))
+    else:
+        target = draw(databases(names=words, values=word_cells))
+    return draw(derivations(base, words)), target
+
+
+@st.composite
+def derivations(draw, db, names=identifiers):
+    """*db* after up to four renames or drops, each of a warm database."""
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         _warm(db)
         rel = draw(st.sampled_from(db.relations))
         step = draw(st.sampled_from(["rename_rel", "rename_att", "drop"]))
         try:
             if step == "rename_rel":
-                db = db.rename_relation(rel.name, draw(identifiers))
+                new = draw(names.filter(lambda n: not db.has_relation(n)))
+                db = db.rename_relation(rel.name, new)
             elif step == "rename_att":
                 old = draw(st.sampled_from(rel.attributes))
-                renamed = rel.rename_attribute(old, draw(identifiers))
-                db = db.with_relation(renamed)
+                new = draw(names.filter(lambda n: not rel.has_attribute(n)))
+                db = db.with_relation(rel.rename_attribute(old, new))
             else:
                 db = db.with_relation(
                     rel.drop_attribute(draw(st.sampled_from(rel.attributes)))
                 )
-        except (NameCollisionError, SchemaError):
-            continue  # the drawn name is taken, or the last column
+        except SchemaError:
+            continue  # the last column
     return db
 
 
@@ -181,6 +220,65 @@ def naive_triples(db: Database) -> list[tuple[str, str, str]]:
     ]
 
 
+def naive_projections(db: Database) -> tuple[set, set, set]:
+    """π_REL, π_ATT and π_VALUE of the TNF, as string sets."""
+    triples = naive_triples(db)
+    return (
+        {rel for rel, _att, _val in triples},
+        {att for _rel, att, _val in triples},
+        {val for _rel, _att, val in triples},
+    )
+
+
+def paper_round(value: float) -> int:
+    """The paper's round(y), the integer closest to y (halves up; y >= 0)."""
+    return math.floor(value + 0.5)
+
+
+def naive_estimates(state: Database, target: Database, k: float) -> dict:
+    """Every set and term-vector estimate from its §3 definition.
+
+    The scaled forms take the cosine as ``x·t / (‖x‖·‖t‖)`` and the
+    distance between unit vectors as ``√(2 − 2·cos)``, in floating point;
+    the integers they start from are counted on the naive triples.
+    """
+    x, t = naive_projections(state), naive_projections(target)
+    h1 = sum(len(wanted - have) for wanted, have in zip(t, x))
+    h2 = sum(
+        len(t[i] & x[j]) for i in range(3) for j in range(3) if i != j
+    )
+    xv, tv = Counter(naive_triples(state)), Counter(naive_triples(target))
+    distance = math.sqrt(sum((xv[key] - tv[key]) ** 2 for key in xv.keys() | tv.keys()))
+    x_norm = math.sqrt(sum(c * c for c in xv.values()))
+    t_norm = math.sqrt(sum(c * c for c in tv.values()))
+    dot = sum(xv[key] * tv[key] for key in xv.keys() & tv.keys())
+    if not xv and not tv:  # both databases are empty of cells
+        euclid_norm = cosine = 0
+    elif not xv or not tv:
+        euclid_norm = cosine = paper_round(k)
+    else:
+        similarity = dot / (x_norm * t_norm)
+        euclid_norm = paper_round(k * math.sqrt(max(0.0, 2.0 - 2.0 * similarity)))
+        cosine = paper_round(k * (1.0 - similarity))
+    return {
+        "h1": h1,
+        "h2": h2,
+        "h3": max(h1, h2),
+        "euclid": paper_round(distance),
+        "euclid_norm": euclid_norm,
+        "cosine": cosine,
+        "hybrid": max(h1, cosine),
+    }
+
+
+def check_estimates(state: Database, target: Database, k: float) -> None:
+    """Every heuristic compiled for *target* scores *state* by definition."""
+    for name, value in naive_estimates(state, target, k).items():
+        scaled = name in ("euclid_norm", "cosine", "hybrid")
+        heuristic = make_heuristic(name, target, k=k if scaled else None)
+        assert heuristic(state) == value, name
+
+
 # -- oracles -------------------------------------------------------------------
 
 
@@ -209,10 +307,29 @@ class TestTnfViewOracle:
             frozenset(val for _rel, _att, val in triples),
         )
 
-    @given(db=derived_databases())
+    @given(db=derived_databases(names=words, values=word_cells))
+    @settings(max_examples=100, deadline=None)
+    def test_token_projections_match_naive_walk(self, db):
+        texts = tuple(
+            {token_text(token) for token in level}
+            for level in token_projections(db)
+        )
+        assert texts == naive_projections(db)
+
+    @given(
+        db=st.one_of(
+            derived_databases(), derived_databases(names=words, values=word_cells)
+        )
+    )
     @settings(max_examples=100, deadline=None)
     def test_term_vector_matches_naive_walk(self, db):
-        assert term_vector(db) == Counter(naive_triples(db))
+        """The column text counts, keyed by (relation, attribute, text)."""
+        vector = Counter()
+        for rel in db.relations:
+            for attr, column in zip(rel.attributes, rel.column_text_counts()):
+                for text, count in column:
+                    vector[rel.name, attr, token_text(text)] += count
+        assert vector == Counter(naive_triples(db))
 
     @given(db=derived_databases())
     @settings(max_examples=100, deadline=None)
@@ -220,6 +337,20 @@ class TestTnfViewOracle:
         assert database_string(db) == "".join(
             sorted(rel + att + val for rel, att, val in naive_triples(db))
         )
+
+
+class TestEstimateOracle:
+    """Each heuristic's estimate equals its §3 definition."""
+
+    @given(pair=estimate_pairs(), k=st.sampled_from([7.0, 24.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_estimates_match_definitions(self, pair, k):
+        check_estimates(*pair, k)
+
+    @given(state=derived_databases(), target=derived_databases())
+    @settings(max_examples=60, deadline=None)
+    def test_estimates_match_definitions_on_unrelated_pairs(self, state, target):
+        check_estimates(state, target, 20.0)
 
 
 # -- search optimality oracle ------------------------------------------------

@@ -110,3 +110,38 @@ def test_node_table_diet():
     states = len(problem._nodes)
     assert states > 1_000
     assert tracked / states <= 7, f"{tracked} containers for {states} states"
+
+
+#: tracked containers per state that Fig. 6 RBFS on n=12 kept when the
+#: heuristics still built each state's TNF as text
+INFORMED_DIET = {"h1": 11.10, "euclid_norm": 8.13, "cosine": 8.13}
+
+
+@pytest.mark.parametrize("heuristic", sorted(INFORMED_DIET))
+def test_informed_search_diet(heuristic):
+    """RBFS keeps no more tracked containers per state than text TNF did.
+
+    The views an estimate reads are the ones each relation already holds,
+    or, for the term-vector family, per-column count dicts of atoms that a
+    full collection leaves untracked.  Counted as in
+    :func:`test_node_table_diet`, on a second search.
+    """
+    pair = matching_pair(12)
+
+    def search() -> MappingProblem:
+        problem = MappingProblem(pair.source, pair.target)
+        bound = make_heuristic(heuristic, pair.target, algorithm="rbfs")
+        ALGORITHMS["rbfs"](problem, bound, SearchStats())
+        return problem
+
+    search()
+    gc.collect()
+    before = len(gc.get_objects())
+    problem = search()
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    states = len(problem._nodes)
+    assert states > 500
+    assert tracked / states <= INFORMED_DIET[heuristic], (
+        f"{tracked} containers for {states} states"
+    )
