@@ -844,13 +844,11 @@ def cmd_info(_args: argparse.Namespace) -> int:
         f"parallel: {cpu_count()} cpu(s), default workers {default_workers()}, "
         f"start methods: {methods} (* = preferred)"
     )
-    from .search.config import SearchConfig
     from .store import DEFAULT_MAX_ENTRIES
 
     print(
-        "caches: one search node per state (successors, goal, estimate), LRU "
-        f"(capacity {SearchConfig().cache_capacity or 'unbounded'}; "
-        "per-cache hit/miss/eviction counters in experiment reports)"
+        "caches: one search node per state for the search's life (successors, "
+        "goal, estimate); per-cache hit/miss counters in experiment reports"
     )
     print(
         f"store: mapping memo via --store DIR (default bound: "

@@ -26,7 +26,6 @@ def _point_to_dict(point: ExperimentPoint) -> dict:
         "expression_size": point.expression_size,
         "cache_hits": point.cache_hits,
         "cache_misses": point.cache_misses,
-        "cache_evictions": point.cache_evictions,
         "elapsed_seconds": point.elapsed_seconds,
         "trace_path": point.trace_path,
     }
@@ -34,12 +33,6 @@ def _point_to_dict(point: ExperimentPoint) -> dict:
     # unbounded sweeps stay byte-identical to the historical format
     if point.deadline_seconds:
         out["deadline_seconds"] = point.deadline_seconds
-    # same shape-preservation rule for the per-cache eviction split: only
-    # capacity-bounded sweeps (where a cache actually churned) carry it
-    if point.successor_cache_evictions:
-        out["successor_cache_evictions"] = point.successor_cache_evictions
-    if point.goal_cache_evictions:
-        out["goal_cache_evictions"] = point.goal_cache_evictions
     return out
 
 
@@ -52,7 +45,11 @@ def series_to_dict(series: ExperimentSeries) -> dict:
 
 
 def series_from_dict(data: Mapping) -> ExperimentSeries:
-    """Inverse of :func:`series_to_dict`."""
+    """Inverse of :func:`series_to_dict`.
+
+    Keys the point no longer has are ignored, so archives that still carry
+    the memo-eviction counters of a bounded node table load as they are.
+    """
     return ExperimentSeries(
         label=str(data["label"]),
         points=tuple(
@@ -63,11 +60,6 @@ def series_from_dict(data: Mapping) -> ExperimentSeries:
                 expression_size=int(point.get("expression_size", 0)),
                 cache_hits=int(point.get("cache_hits", 0)),
                 cache_misses=int(point.get("cache_misses", 0)),
-                cache_evictions=int(point.get("cache_evictions", 0)),
-                successor_cache_evictions=int(
-                    point.get("successor_cache_evictions", 0)
-                ),
-                goal_cache_evictions=int(point.get("goal_cache_evictions", 0)),
                 elapsed_seconds=float(point.get("elapsed_seconds", 0.0)),
                 trace_path=str(point.get("trace_path", "")),
                 deadline_seconds=float(point.get("deadline_seconds", 0.0)),

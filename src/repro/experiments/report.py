@@ -79,26 +79,17 @@ def averages_table(
 
 
 def cache_summary_table(series_list: Sequence[ExperimentSeries]) -> str:
-    """Tabulate memo-cache counters per series (hits/misses/evictions).
+    """Tabulate memo-cache counters per series (hits/misses).
 
     Sums the cache counters recorded on every point of each series and
     derives the hit rate and aggregate states/sec, so ablation benches can
     print cache effectiveness next to the paper's states-examined tables.
-
-    The eviction total is also split per cache (transposition / goal /
-    heuristic — the last derived as total minus the first two), so a
-    capacity-bounded sweep shows *which* table churned, not just that one
-    did.
     """
     headers = [
         "series",
         "states",
         "cache hits",
         "cache misses",
-        "evictions",
-        "evict succ",
-        "evict goal",
-        "evict heur",
         "hit rate",
         "states/sec",
     ]
@@ -107,27 +98,11 @@ def cache_summary_table(series_list: Sequence[ExperimentSeries]) -> str:
         states = sum(p.states for p in series.points)
         hits = sum(p.cache_hits for p in series.points)
         misses = sum(p.cache_misses for p in series.points)
-        evictions = sum(p.cache_evictions for p in series.points)
-        evict_succ = sum(p.successor_cache_evictions for p in series.points)
-        evict_goal = sum(p.goal_cache_evictions for p in series.points)
         seconds = sum(p.elapsed_seconds for p in series.points)
         lookups = hits + misses
         rate = f"{hits / lookups:.1%}" if lookups else "-"
         throughput = f"{states / seconds:.0f}" if seconds > 0 else "-"
-        rows.append(
-            [
-                series.label,
-                states,
-                hits,
-                misses,
-                evictions,
-                evict_succ,
-                evict_goal,
-                evictions - evict_succ - evict_goal,
-                rate,
-                throughput,
-            ]
-        )
+        rows.append([series.label, states, hits, misses, rate, throughput])
     return ascii_table(headers, rows)
 
 

@@ -61,10 +61,6 @@ class ExperimentPoint:
         expression_size: operators in the discovered expression (0 if none).
         cache_hits: memo-cache hits (transposition + goal + heuristic).
         cache_misses: memo-cache misses.
-        cache_evictions: memo-cache LRU evictions (all three caches).
-        successor_cache_evictions: transposition-table LRU evictions alone
-            (the first cache to churn when ``cache_capacity`` binds).
-        goal_cache_evictions: goal-verdict cache LRU evictions alone.
         elapsed_seconds: wall-clock time of the search run.
         trace_path: path of the JSONL trace persisted for this point
             (empty when the series ran without ``trace_dir``).
@@ -79,9 +75,6 @@ class ExperimentPoint:
     expression_size: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0
-    successor_cache_evictions: int = 0
-    goal_cache_evictions: int = 0
     elapsed_seconds: float = 0.0
     trace_path: str = ""
     deadline_seconds: float = 0.0
@@ -112,9 +105,6 @@ def _point(spec: PointSpec, result: SearchResult) -> ExperimentPoint:
         expression_size=size,
         cache_hits=result.stats.cache_hits,
         cache_misses=result.stats.cache_misses,
-        cache_evictions=result.stats.cache_evictions,
-        successor_cache_evictions=result.stats.successor_cache_evictions,
-        goal_cache_evictions=result.stats.goal_cache_evictions,
         elapsed_seconds=result.stats.elapsed,
         trace_path=spec.trace_path,
         deadline_seconds=result.stats.deadline_seconds or 0.0,

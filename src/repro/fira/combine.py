@@ -138,6 +138,29 @@ class Merge(RelationOperator):
         return f"µ{{{self.attribute}}}({self.relation})"
 
 
+def product_attributes(left: Relation, right: Relation) -> list[str]:
+    """The attribute names of ``left × right``, left's columns first.
+
+    An attribute both operands have is qualified with its relation's name
+    (``R.a``).  A name that meets an earlier column's name takes the first
+    free suffix ``#2``, ``#3``, … (repeated products can re-clash).  The
+    algebra and the SQL compiler both name product columns here.
+    """
+    clashes = left.attribute_set & right.attribute_set
+    names: list[str] = []
+    used: set[str] = set()
+    for rel in (left, right):
+        for attr in rel.attributes:
+            name = f"{rel.name}.{attr}" if attr in clashes else attr
+            candidate, suffix = name, 2
+            while candidate in used:
+                candidate = f"{name}#{suffix}"
+                suffix += 1
+            used.add(candidate)
+            names.append(candidate)
+    return names
+
+
 @dataclass(frozen=True)
 class CartesianProduct(Operator):
     """×(R, S) — cartesian product as a new relation.
@@ -145,7 +168,7 @@ class CartesianProduct(Operator):
     The result is named ``<left>*<right>`` unless *result* is given; the
     operand relations remain in the database (the goal test tolerates
     supersets).  Attribute clashes are disambiguated by qualifying with the
-    operand relation names.
+    operand relation names (:func:`product_attributes`).
     """
 
     left: str
@@ -177,25 +200,12 @@ class CartesianProduct(Operator):
             )
         left_rel = db.relation(self.left)
         right_rel = db.relation(self.right)
-
-        clashes = left_rel.attribute_set & right_rel.attribute_set
-        used: set[str] = set()
-
-        def qualified(rel: Relation, attr: str) -> str:
-            name = f"{rel.name}.{attr}" if attr in clashes else attr
-            candidate, suffix = name, 2
-            while candidate in used:  # repeated products can re-clash
-                candidate = f"{name}#{suffix}"
-                suffix += 1
-            used.add(candidate)
-            return candidate
-
-        attributes = [qualified(left_rel, a) for a in left_rel.attributes]
-        attributes += [qualified(right_rel, a) for a in right_rel.attributes]
         rows = [
             lrow + rrow for lrow in left_rel.rows for rrow in right_rel.rows
         ]
-        product = Relation(self.result_name, attributes, rows)
+        product = Relation(
+            self.result_name, product_attributes(left_rel, right_rel), rows
+        )
         return db.with_relation(product, replace=False)
 
     def is_applicable(self, db: Database) -> bool:

@@ -47,7 +47,7 @@ from ..relational.intern import TEXTS, VALUES
 from ..relational.relation import Relation
 from ..relational.types import Value, is_null
 from .base import Operator
-from .combine import CartesianProduct, Merge
+from .combine import CartesianProduct, Merge, product_attributes
 from .dynamic import DEMOTE_ATT_ATTR, DEMOTE_REL_ATTR, Demote, Dereference, Partition, Promote
 from .expression import MappingExpression
 from .renames import RenameAttribute, RenameRelation
@@ -412,19 +412,14 @@ def _compile_merge(op: Merge, db: Database, d: SqlDialect) -> list[str]:
 def _compile_product(op: CartesianProduct, db: Database, d: SqlDialect) -> list[str]:
     left = db.relation(op.left)
     right = db.relation(op.right)
-    clashes = left.attribute_set & right.attribute_set
-
-    def select_list(rel, alias: str) -> str:
-        parts = []
-        for attr in rel.attributes:
-            name = f"{rel.name}.{attr}" if attr in clashes else attr
-            parts.append(
-                f"{alias}.{d.quote_identifier(attr)} AS {d.quote_identifier(name)}"
-            )
-        return ", ".join(parts)
-
+    columns = [("l", attr) for attr in left.attributes]
+    columns += [("r", attr) for attr in right.attributes]
+    select_list = ", ".join(
+        f"{alias}.{d.quote_identifier(attr)} AS {d.quote_identifier(name)}"
+        for (alias, attr), name in zip(columns, product_attributes(left, right))
+    )
     body = (
-        f"SELECT {d.select_modifier()}{select_list(left, 'l')}, {select_list(right, 'r')} "
+        f"SELECT {d.select_modifier()}{select_list} "
         f"FROM {d.quote_identifier(op.left)} l "
         f"CROSS JOIN {d.quote_identifier(op.right)} r"
     )

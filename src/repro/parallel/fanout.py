@@ -26,9 +26,9 @@ Design decisions, in the order they matter:
   write into the same JSONL stream; the rewritten path is what lands in
   ``ExperimentPoint.trace_path`` and hence in ``trace_index_table``.
 * **Determinism contract.**  Every counter a point carries (states, status,
-  expression size, cache hits/misses/evictions) is bit-identical to the
-  serial run; only wall-clock fields (``elapsed_seconds``) and trace paths
-  (the ``.w{n}`` marker) are volatile.  :func:`normalize_point` /
+  expression size, cache hits/misses) is bit-identical to the serial run;
+  only wall-clock fields (``elapsed_seconds``) and trace paths (the
+  ``.w{n}`` marker) are volatile.  :func:`normalize_point` /
   :func:`normalize_series` zero the volatile fields so archives from serial
   and parallel runs can be compared byte-for-byte.
 * **Graceful degradation.**  If process pools are unavailable (ImportError,

@@ -15,7 +15,6 @@ from ..errors import MappingNotFound
 from ..fira.base import Operator
 from ..heuristics.base import Heuristic
 from ..obs.events import PRUNE
-from ..relational.database import Database
 from .problem import MappingProblem, SearchNode
 from .stats import SearchStats
 
@@ -33,7 +32,7 @@ def make_beam(width: int = DEFAULT_BEAM_WIDTH):
         layer: list[tuple[SearchNode, Operator | None, list[Operator]]] = [
             (root, None, [])
         ]
-        seen: set[Database] = {root.state}
+        seen: set[SearchNode] = {root}
         depth = 0
         max_depth = problem.config.max_depth
         tracer = stats.tracer
@@ -51,11 +50,11 @@ def make_beam(width: int = DEFAULT_BEAM_WIDTH):
             ] = []
             for node, last, path in layer:
                 for op, child in problem.successors(node, last, stats):
-                    if child.state in seen:
+                    if child in seen:
                         if tracer.enabled:
                             tracer.emit(PRUNE, reason="seen", depth=depth + 1)
                         continue
-                    seen.add(child.state)
+                    seen.add(child)
                     f = len(path) + 1 + problem.estimate(child, stats)
                     candidates.append((f, op.sort_key[1], child, op, path))
             candidates.sort(key=lambda c: (c[0], c[1]))

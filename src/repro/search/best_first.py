@@ -17,7 +17,6 @@ from ..errors import MappingNotFound
 from ..fira.base import Operator
 from ..heuristics.base import Heuristic
 from ..obs.events import PRUNE
-from ..relational.database import Database
 from .problem import MappingProblem, SearchNode
 from .stats import SearchStats
 
@@ -37,56 +36,54 @@ def _best_first(
     counter = itertools.count()  # FIFO tie-break for determinism
     frontier: list[tuple[float, int, SearchNode]] = []
     heapq.heappush(frontier, (float(estimate(root, stats)), next(counter), root))
-    best_g: dict[Database, int] = {root.state: 0}
-    parent: dict[Database, tuple[Database, Operator] | None] = {root.state: None}
-    closed: set[Database] = set()
+    best_g: dict[SearchNode, int] = {root: 0}
+    parent: dict[SearchNode, tuple[SearchNode, Operator] | None] = {root: None}
+    closed: set[SearchNode] = set()
     max_depth = problem.config.max_depth
     tracer = stats.tracer
 
     while frontier:
         _f, _tick, node = heapq.heappop(frontier)
-        state = node.state
-        if state in closed:
+        if node in closed:
             if tracer.enabled:
                 tracer.emit(PRUNE, reason="closed")
             continue
-        closed.add(state)
-        g = best_g[state]
+        closed.add(node)
+        g = best_g[node]
         stats.current_f = _f  # progress-heartbeat payload only
         stats.frontier_size = len(frontier)
-        stats.examine(g, state)
+        stats.examine(g, node.state)
         if problem.is_goal(node, stats):
-            return _reconstruct(parent, state)
+            return _reconstruct(parent, node)
         if max_depth is not None and g >= max_depth:
             continue
-        came_from = parent[state]
+        came_from = parent[node]
         last_op = came_from[1] if came_from is not None else None
         for op, child in problem.successors(node, last_op, stats):
-            child_state = child.state
             child_g = g + 1
-            known = best_g.get(child_state)
+            known = best_g.get(child)
             if known is not None and known <= child_g:
                 if tracer.enabled:
                     tracer.emit(PRUNE, reason="dominated", depth=child_g)
                 continue
-            best_g[child_state] = child_g
-            parent[child_state] = (state, op)
-            if child_state in closed:
-                closed.remove(child_state)  # re-open: a cheaper path appeared
+            best_g[child] = child_g
+            parent[child] = (node, op)
+            if child in closed:
+                closed.remove(child)  # re-open: a cheaper path appeared
             f = weight_g * child_g + estimate(child, stats)
             heapq.heappush(frontier, (float(f), next(counter), child))
     raise MappingNotFound("best-first search exhausted the search space")
 
 
 def _reconstruct(
-    parent: dict[Database, tuple[Database, Operator] | None], state: Database
+    parent: dict[SearchNode, tuple[SearchNode, Operator] | None], node: SearchNode
 ) -> list[Operator]:
     ops: list[Operator] = []
     while True:
-        came_from = parent[state]
+        came_from = parent[node]
         if came_from is None:
             break
-        state, op = came_from
+        node, op = came_from
         ops.append(op)
     ops.reverse()
     return ops

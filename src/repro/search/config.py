@@ -3,8 +3,8 @@
 Bundles the knobs of the mapping-discovery search: the state budget, which
 operator families the successor generator may propose, whether the
 symmetry-breaking canonicalisation of commuting operator runs is active
-(the paper's "simple enhancements to search", §2.3), and the capacity of
-the memo tables (see :mod:`repro.search.problem`).
+(the paper's "simple enhancements to search", §2.3), a depth cap and a
+wall-clock deadline.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ class SearchConfig:
         prune_targets: restrict operator proposals to ones that can supply a
             missing target token (the remaining §2.3 enhancement rules).
         max_depth: optional hard depth cap (None = unbounded).
-        cache_capacity: bound (entries, LRU eviction) on the memo tables —
-            the node table (one node per state, holding its successor
-            entries, goal verdict and heuristic estimate; evicting a node
-            drops its memo) and the per-relation proposal table.  ``None``
-            means unbounded, trading the algorithms' linear-memory
-            guarantee for maximum reuse.  The tables are semantically
-            transparent: a bounded search visits exactly the same states in
-            the same order.
         deadline_seconds: optional wall-clock deadline for the run.  The
             kernel checks ``perf_counter`` cooperatively (every few
             examinations plus once per successor expansion — see
@@ -69,7 +61,6 @@ class SearchConfig:
     break_symmetry: bool = True
     prune_targets: bool = True
     max_depth: int | None = None
-    cache_capacity: int | None = None
     deadline_seconds: float | None = None
 
     def __post_init__(self) -> None:
@@ -83,10 +74,6 @@ class SearchConfig:
             )
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError(f"max_depth must be non-negative, got {self.max_depth}")
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise ValueError(
-                f"cache_capacity must be positive or None, got {self.cache_capacity}"
-            )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError(
                 f"deadline_seconds must be positive or None, "

@@ -16,7 +16,6 @@ from ..errors import MappingNotFound
 from ..fira.base import Operator
 from ..heuristics.base import Heuristic
 from ..obs.events import PRUNE
-from ..relational.database import Database
 from .problem import MappingProblem, SearchNode
 from .stats import SearchStats
 
@@ -34,7 +33,7 @@ def ida_star(
     """
     root = problem.start(heuristic)
     path_ops: list[Operator] = []
-    on_path: set[Database] = {root.state}
+    on_path: set[SearchNode] = {root}
     max_depth = problem.config.max_depth
     tracer = stats.tracer
     estimate = problem.estimate
@@ -54,18 +53,17 @@ def ida_star(
             return math.inf
         minimum: float = math.inf
         for op, child in successors(node, last_op, stats):
-            state = child.state
-            if state in on_path:
+            if child in on_path:
                 if tracer.enabled:
                     tracer.emit(PRUNE, reason="on_path", depth=g + 1)
                 continue
             path_ops.append(op)
-            on_path.add(state)
+            on_path.add(child)
             outcome = probe(child, op, g + 1, bound)
             if outcome is _FOUND:
                 return _FOUND
             path_ops.pop()
-            on_path.remove(state)
+            on_path.remove(child)
             if outcome < minimum:
                 minimum = outcome
         return minimum

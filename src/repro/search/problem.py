@@ -24,20 +24,20 @@ so the ablation benches can measure their impact.
 the price of linear memory (§2.3): the same state is re-examined on every
 deepening iteration / backtrack.  Because states are immutable and hashable,
 re-deriving anything about a state each time is pure waste, so
-:class:`MappingProblem` interns every state it meets in one node table.  A
-:class:`SearchNode` holds the state, its heuristic estimate, its goal
-verdict and its successor entries, so a repeat visit reads them off the
-node without a table lookup.  Successor entries are keyed by the
-*canonical symmetry key* of ``last_op`` (the part of the producing operator
-the symmetry-breaking rules actually consult), so memoised results are
-exact.  ``SearchConfig.cache_capacity`` bounds the table (LRU eviction,
-which drops the evicted node's memo); hit / miss / eviction counts and
-per-phase timings land in :class:`~repro.search.stats.SearchStats`.
+:class:`MappingProblem` interns every state it meets in one node table,
+which holds exactly one :class:`SearchNode` per state for the problem's
+life.  A node holds the state, its heuristic estimate, its goal verdict
+and its successor entries, so a repeat visit reads them off the node
+without a table lookup, and the algorithms track nodes by identity instead
+of hashing states.  Successor entries are keyed by the *canonical symmetry
+key* of ``last_op`` (the part of the producing operator the
+symmetry-breaking rules actually consult), so memoised results are exact.
+Hit / miss counts and per-phase timings land in
+:class:`~repro.search.stats.SearchStats`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 from operator import attrgetter
 from time import perf_counter
@@ -95,9 +95,8 @@ class SearchNode:
     ``h`` is the bound heuristic's estimate and ``goal`` the goal verdict,
     ``None`` until first asked.  ``entries`` are the successor entries for
     the symmetry key ``key``; the entries for any further key of the same
-    state live in the ``more`` dict, created only when needed.  Algorithms
-    hold nodes and compare states by ``node.state``: a bounded table can
-    hold two nodes for one state.
+    state live in the ``more`` dict, created only when needed.  A problem
+    holds one node per state, so algorithms compare nodes by identity.
     """
 
     __slots__ = ("state", "h", "goal", "key", "entries", "more")
@@ -210,10 +209,10 @@ class MappingProblem:
             intern_value(name) for name in self._target_rels
         )
 
-        # The node table: one node per state value (first-seen wins), each
-        # holding that state's estimate, goal verdict and successor entries.
-        self._nodes: OrderedDict[Database, SearchNode] = OrderedDict()
-        self._capacity = self.config.cache_capacity
+        # The node table: one node per state value (first-seen wins) for the
+        # problem's life, each holding that state's estimate, goal verdict
+        # and successor entries.
+        self._nodes: dict[Database, SearchNode] = {}
         #: the heuristic whose estimates the nodes memoise (see start())
         self._heuristic: Heuristic | None = None
         # Per-relation proposal table, keyed by what each rule reads: one
@@ -222,7 +221,7 @@ class MappingProblem:
         # on the rest of the state, and operators pass untouched relations
         # through by reference, so consecutive states share almost all
         # entries.
-        self._relation_move_cache: OrderedDict[tuple, object] = OrderedDict()
+        self._relation_move_cache: dict[tuple, object] = {}
         allows = self.config.allows
         self._rename_att_allowed = allows("rename_att")
         self._rename_rel_allowed = allows("rename_rel")
@@ -253,8 +252,8 @@ class MappingProblem:
         :mod:`repro.parallel.providers`.)
         """
         state = dict(self.__dict__)
-        state["_nodes"] = OrderedDict()
-        state["_relation_move_cache"] = OrderedDict()
+        state["_nodes"] = {}
+        state["_relation_move_cache"] = {}
         state["_heuristic"] = None
         # A cancel token is an in-process flag; cancellation never crosses
         # a pickle boundary.
@@ -289,16 +288,18 @@ class MappingProblem:
         return self.node(self.source)
 
     def clear_caches(self) -> None:
-        """Drop the node table (every node's memo) and the proposal table."""
+        """Drop the node table (every node's memo) and the proposal table.
+
+        A node still held outside the table keeps no memo either.
+        """
         for node in self._nodes.values():
-            self._drop(node, None)
+            node.h = node.goal = node.entries = node.more = None
+            node.key = _NO_KEY
         self._nodes.clear()
         self._relation_move_cache.clear()
         self._heuristic = None
 
-    def node(
-        self, state: Database, stats: SearchStats | None = None
-    ) -> SearchNode:
+    def node(self, state: Database) -> SearchNode:
         """The interned node of *state* (first-seen equal value wins).
 
         Search re-derives equal databases along many paths; one node per
@@ -307,50 +308,13 @@ class MappingProblem:
         of once per derivation.  Semantically free: databases are immutable
         and compare by value.
         """
-        nodes = self._nodes
-        node = nodes.get(state)
+        node = self._nodes.get(state)
         if node is None:
-            node = nodes[state] = SearchNode(state)
-            if self._capacity is not None and len(nodes) > self._capacity:
-                self._drop(nodes.popitem(last=False)[1], stats)
-        elif self._capacity is not None:  # LRU order only matters when bounded
-            nodes.move_to_end(state)
+            node = self._nodes[state] = SearchNode(state)
         return node
 
-    def _touch(self, node: SearchNode, stats: SearchStats | None) -> None:
-        """Bounded tables only: make *node* its state's most recent entry.
-
-        Called before a memo is read or filled.  A node that was evicted
-        (its memo dropped) is re-admitted, replacing any newer node of the
-        same state.  So a node with a filled memo is always in the table,
-        and the table bounds every memo.
-        """
-        nodes = self._nodes
-        state = node.state
-        current = nodes.get(state)
-        if current is not node:
-            if current is not None:
-                self._drop(current, stats)
-            nodes[state] = node
-        nodes.move_to_end(state)
-        if len(nodes) > self._capacity:
-            self._drop(nodes.popitem(last=False)[1], stats)
-
-    @staticmethod
-    def _drop(node: SearchNode, stats: SearchStats | None) -> None:
-        """Clear an evicted node's memo, counting the entries that were filled."""
-        if stats is not None:
-            if node.h is not None:
-                stats.heuristic_cache_evictions += 1
-            if node.goal is not None:
-                stats.goal_cache_evictions += 1
-            filled = (node.entries is not None) + len(node.more or ())
-            stats.successor_cache_evictions += filled
-        node.h = node.goal = node.entries = node.more = None
-        node.key = _NO_KEY
-
     def _relation_view(self, key: tuple, rel: Relation, build) -> object:
-        """Memoise a per-relation proposal view (LRU, capacity-bound).
+        """Memoise a per-relation proposal view.
 
         *key* is chosen by the caller: the schema bundle keys on
         ``(name, attributes, has_nulls)``, so it is shared across states
@@ -359,14 +323,8 @@ class MappingProblem:
         """
         cache = self._relation_move_cache
         value = cache.get(key)
-        capacity = self._capacity
-        if value is not None:
-            if capacity is not None:  # LRU order only matters when bounded
-                cache.move_to_end(key)
-            return value
-        value = cache[key] = build(rel)
-        if capacity is not None and len(cache) > capacity:
-            cache.popitem(last=False)
+        if value is None:
+            value = cache[key] = build(rel)
         return value
 
     def estimate(self, node: SearchNode, stats: SearchStats | None = None) -> int:
@@ -375,8 +333,6 @@ class MappingProblem:
         Hits and misses are counted on *stats* when given; only computed
         estimates are timed (a hit is a slot read).
         """
-        if self._capacity is not None:
-            self._touch(node, stats)
         h = node.h
         if h is not None:
             if stats is not None:
@@ -403,8 +359,6 @@ class MappingProblem:
         hit/miss counts are recorded on *stats* when given.
         """
         begin = perf_counter()
-        if self._capacity is not None:
-            self._touch(node, stats)
         verdict = node.goal
         cached = verdict is not None
         if not cached:
@@ -460,8 +414,6 @@ class MappingProblem:
                 more = node.more
                 entries = more.get(key) if more is not None else None
             if entries is not None:
-                if self._capacity is not None:
-                    self._touch(node, stats)
                 if stats is not None:
                     stats.successor_cache_hits += 1
                     stats.generated(len(entries))
@@ -469,10 +421,7 @@ class MappingProblem:
                     tracer.emit(CACHE_HIT, cache="successor")
                     self._emit_generate(tracer, entries, cached=True)
                 return entries
-            entries = self._compute_successors(node.state, last_op, stats)
-            if self._capacity is not None:
-                # interning the children may have evicted the node itself
-                self._touch(node, stats)
+            entries = self._compute_successors(node, last_op)
             if node.entries is None:
                 node.key = key
                 node.entries = entries
@@ -492,9 +441,7 @@ class MappingProblem:
                 stats.time_in_successors += perf_counter() - begin
 
     @staticmethod
-    def _emit_generate(
-        tracer, successors: Sequence[tuple[Operator, Database]], cached: bool
-    ) -> None:
+    def _emit_generate(tracer, successors: Entries, cached: bool) -> None:
         """Emit one ``generate`` event with per-operator-family counts."""
         ops: dict[str, int] = {}
         for op, _child in successors:
@@ -522,27 +469,30 @@ class MappingProblem:
         return None
 
     def _compute_successors(
-        self,
-        state: Database,
-        last_op: Operator | None,
-        stats: SearchStats | None,
+        self, parent: SearchNode, last_op: Operator | None
     ) -> Entries:
-        """Uncached successor generation (propose, apply, deduplicate)."""
+        """Uncached successor generation (propose, apply, deduplicate).
+
+        Each child is interned first, so deduplication compares nodes by
+        identity and only the node table hashes its state.
+        """
+        state = parent.state
         moves = self._propose(state, last_op)
         moves.sort(key=_SORT_KEY)
         out: list[tuple[Operator, SearchNode]] = []
-        seen: set[Database] = {state}
+        seen: set[SearchNode] = {parent}
         registry = self.registry
-        node = self.node
+        intern = self.node
         for op in moves:
             try:
                 child = op.apply(state, registry)
             except (OperatorApplicationError, SchemaError, NameCollisionError):
                 continue
-            if child in seen:
+            node = intern(child)
+            if node in seen:
                 continue  # no-op or duplicate of an earlier move
-            seen.add(child)
-            out.append((op, node(child, stats)))
+            seen.add(node)
+            out.append((op, node))
         return tuple(out)
 
     # -- proposal rules -----------------------------------------------------------

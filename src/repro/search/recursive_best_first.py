@@ -15,7 +15,6 @@ from ..errors import MappingNotFound
 from ..fira.base import Operator
 from ..heuristics.base import Heuristic
 from ..obs.events import PRUNE
-from ..relational.database import Database
 from .problem import MappingProblem, SearchNode
 from .stats import SearchStats
 
@@ -35,7 +34,7 @@ def rbfs(
     """
     root = problem.start(heuristic)
     path_ops: list[Operator] = []
-    on_path: set[Database] = {root.state}
+    on_path: set[SearchNode] = {root}
     max_depth = problem.config.max_depth
     tracer = stats.tracer
     estimate = problem.estimate
@@ -62,7 +61,7 @@ def rbfs(
         # [f, tie-break text, op, child] — mutable f for back-up
         entries: list[list] = []
         for op, child in successors(node, last_op, stats):
-            if child.state in on_path:
+            if child in on_path:
                 if tracer.enabled:
                     tracer.emit(PRUNE, reason="on_path", depth=g + 1)
                 continue
@@ -85,14 +84,13 @@ def rbfs(
                 depth=g + 1,
             )
             op, child = best[2], best[3]
-            state = child.state
             path_ops.append(op)
-            on_path.add(state)
+            on_path.add(child)
             # On _Found the exception propagates and the path is preserved;
             # on a normal return the child is unwound from the path.
             best[0] = visit(child, op, g + 1, best[0], child_limit)
             path_ops.pop()
-            on_path.remove(state)
+            on_path.remove(child)
 
     try:
         root_f = float(estimate(root, stats))

@@ -90,11 +90,6 @@ class SearchResult:
         """Total memo-cache misses (transposition + goal + heuristic)."""
         return self.stats.cache_misses
 
-    @property
-    def cache_evictions(self) -> int:
-        """Total memo-cache LRU evictions."""
-        return self.stats.cache_evictions
-
     def __repr__(self) -> str:
         size = len(self.expression) if self.expression is not None else "-"
         return (

@@ -7,9 +7,9 @@ wall-clock time) used by the ablation benches.
 
 The memoisation layer (the node table of :mod:`repro.search.problem`: each
 state's successor entries, goal verdict and heuristic estimate) reports
-through here as well: hit / miss / eviction counters per memo, and
-per-phase wall-clock (successor generation, heuristic evaluation, goal
-tests) so benches can attribute time saved.
+through here as well: hit / miss counters per memo, and per-phase
+wall-clock (successor generation, heuristic evaluation, goal tests) so
+benches can attribute time saved.
 
 ``SearchStats`` is the one store of a run's counters.  :meth:`as_dict`
 is the snapshot the engine publishes in the ``search_end`` event, and
@@ -69,23 +69,17 @@ class SearchStats:
             IDA* re-examines states across deepening iterations and RBFS
             across backtracks; such re-visits count again, as in the paper.
         states_generated: successor states delivered to the algorithm
-            (memo hits count again, so the counter is identical however
-            the node table is bounded).
+            (memo hits count again, so the counter does not depend on what
+            the node table holds).
         iterations: IDA* deepening iterations / RBFS recursive re-expansions.
         max_depth: deepest ``g`` reached.
         successor_cache_hits: successor entries served from a node
             without re-applying operators (transposition-table hits).
         successor_cache_misses: successor entries computed.
-        successor_cache_evictions: filled successor entries dropped with
-            an evicted node.
         goal_cache_hits: goal verdicts served from a node.
         goal_cache_misses: goal verdicts computed.
-        goal_cache_evictions: filled goal verdicts dropped with an evicted
-            node.
         heuristic_cache_hits: heuristic estimates served from a node.
         heuristic_cache_misses: heuristic estimates actually computed.
-        heuristic_cache_evictions: filled estimates dropped with an
-            evicted node.
         time_in_successors: wall-clock seconds spent in successor generation
             (memo hits included).
         time_in_heuristic: wall-clock seconds spent computing heuristic
@@ -127,13 +121,10 @@ class SearchStats:
     max_depth: int = 0
     successor_cache_hits: int = 0
     successor_cache_misses: int = 0
-    successor_cache_evictions: int = 0
     goal_cache_hits: int = 0
     goal_cache_misses: int = 0
-    goal_cache_evictions: int = 0
     heuristic_cache_hits: int = 0
     heuristic_cache_misses: int = 0
-    heuristic_cache_evictions: int = 0
     time_in_successors: float = 0.0
     time_in_heuristic: float = 0.0
     time_in_goal_tests: float = 0.0
@@ -341,15 +332,6 @@ class SearchStats:
         )
 
     @property
-    def cache_evictions(self) -> int:
-        """Total LRU evictions across all three memo caches."""
-        return (
-            self.successor_cache_evictions
-            + self.goal_cache_evictions
-            + self.heuristic_cache_evictions
-        )
-
-    @property
     def cache_hit_rate(self) -> float:
         """Hits / (hits + misses) across all caches (0.0 when unused)."""
         total = self.cache_hits + self.cache_misses
@@ -369,13 +351,10 @@ class SearchStats:
             "elapsed_seconds": self.elapsed_seconds,
             "successor_cache_hits": self.successor_cache_hits,
             "successor_cache_misses": self.successor_cache_misses,
-            "successor_cache_evictions": self.successor_cache_evictions,
             "goal_cache_hits": self.goal_cache_hits,
             "goal_cache_misses": self.goal_cache_misses,
-            "goal_cache_evictions": self.goal_cache_evictions,
             "heuristic_cache_hits": self.heuristic_cache_hits,
             "heuristic_cache_misses": self.heuristic_cache_misses,
-            "heuristic_cache_evictions": self.heuristic_cache_evictions,
             "time_in_successors": self.time_in_successors,
             "time_in_heuristic": self.time_in_heuristic,
             "time_in_goal_tests": self.time_in_goal_tests,

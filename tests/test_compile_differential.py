@@ -27,9 +27,6 @@ counted.  Merge compiles to GROUP BY/MAX, which equals the algebra's merge
 only when each key group holds at most one non-NULL value per other
 column; a pipeline with any other merge is compiled but not executed
 (:func:`test_merge_of_incompatible_rows` pins the fault on both engines).
-Likewise a product whose qualified column name meets another of its
-column names, which the algebra suffixes with ``#2`` and the compiled
-``SELECT`` does not (:func:`test_product_whose_qualified_name_meets_a_column`).
 """
 
 from __future__ import annotations
@@ -145,23 +142,6 @@ def folds_to_a_clash(before: Database, after: Database) -> bool:
     )
 
 
-def product_names_apart(db: Database, op: CartesianProduct) -> bool:
-    """Whether the product's qualified column names are all distinct.
-
-    A clashing attribute ``a`` of ``R`` becomes ``R.a``; the compiled
-    ``SELECT`` uses that name as is, so it matches the algebra only while
-    no other column of the product already has it.
-    """
-    left, right = db.relation(op.left), db.relation(op.right)
-    clashes = left.attribute_set & right.attribute_set
-    names = [
-        f"{rel.name}.{attr}" if attr in clashes else attr
-        for rel in (left, right)
-        for attr in rel.attributes
-    ]
-    return len(set(names)) == len(names)
-
-
 def merge_is_exact(db: Database, op: Merge) -> bool:
     """Whether GROUP BY/MAX equals the algebra's merge on *db*."""
     rel = db.relation(op.relation)
@@ -182,8 +162,6 @@ def why_inexact(db: Database, op) -> str | None:
     """Why the engines cannot return the algebra's result of *op* on *db*."""
     if isinstance(op, Merge) and not merge_is_exact(db, op):
         return "merge outside GROUP BY/MAX"
-    if isinstance(op, CartesianProduct) and not product_names_apart(db, op):
-        return "product re-qualifying a name"
     return None
 
 
@@ -395,16 +373,10 @@ def test_merge_of_incompatible_rows(backend):
     assert result.database == expression.apply(db, REGISTRY)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the compiled product does not suffix a qualified column name "
-    "that meets another column's name, as the algebra does",
-)
 @pytest.mark.parametrize("backend", ["minisql", "sqlite"])
 def test_product_whose_qualified_name_meets_a_column(backend):
-    # k clashes, so R's k becomes R.k, which T already has: the algebra
-    # names the second R.k#2; minisql refuses the duplicate column and
-    # sqlite names it R.k:1.
+    # k clashes, so R's k becomes R.k, which T already has: the second
+    # R.k is named R.k#2 by the algebra and the compiled SELECT alike.
     db = Database(
         [
             Relation("R", ("k",), [(1,)]),

@@ -112,19 +112,6 @@ class TestCaching:
         assert stats.heuristic_cache_misses == 1  # one computed
         assert stats.heuristic_cache_hits == 1  # one served from the node
 
-    def test_cache_capacity_bound(self, db_a, db_b, db_c):
-        from repro.search import MappingProblem, SearchConfig, SearchStats
-
-        problem = MappingProblem(db_b, db_a, config=SearchConfig(cache_capacity=1))
-        stats = SearchStats()
-        node_b = problem.start(MissingTokensHeuristic(db_a))
-        problem.estimate(node_b, stats)
-        problem.estimate(problem.node(db_c, stats), stats)  # evicts db_b
-        problem.estimate(node_b, stats)  # recomputed, not a hit
-        assert stats.heuristic_cache_evictions >= 1
-        assert stats.heuristic_cache_hits == 0
-        assert len(problem._nodes) <= 1
-
     def test_negative_estimate_rejected(self, db_a):
         class Broken(MissingTokensHeuristic):
             def estimate(self, state):

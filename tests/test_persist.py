@@ -85,3 +85,56 @@ class TestFileRoundtrip:
         save_series(tmp_path / "run.json", [series])
         loaded, _ = load_series(tmp_path / "run.json")
         assert loaded[0] == series
+
+    def test_loads_archives_with_eviction_counters(self, tmp_path):
+        """Archives written while the node table could be bounded carried
+        memo-eviction counters; they load, and those keys are ignored."""
+        path = tmp_path / "bounded.json"
+        path.write_text(
+            """{
+  "format_version": 1,
+  "metadata": {"budget": 200000},
+  "series": [
+    {
+      "label": "ida/h1",
+      "points": [
+        {
+          "x": 2,
+          "states": 3,
+          "status": "found",
+          "expression_size": 2,
+          "cache_hits": 7,
+          "cache_misses": 5,
+          "cache_evictions": 4,
+          "elapsed_seconds": 0.25,
+          "trace_path": "",
+          "successor_cache_evictions": 3,
+          "goal_cache_evictions": 1
+        }
+      ]
+    }
+  ]
+}
+"""
+        )
+        loaded, metadata = load_series(path)
+        assert metadata == {"budget": 200000}
+        assert loaded == [
+            ExperimentSeries(
+                "ida/h1",
+                (
+                    ExperimentPoint(
+                        2,
+                        3,
+                        "found",
+                        expression_size=2,
+                        cache_hits=7,
+                        cache_misses=5,
+                        elapsed_seconds=0.25,
+                    ),
+                ),
+            )
+        ]
+        # and a re-save writes none of them
+        resaved = save_series(tmp_path / "resaved.json", loaded).read_text()
+        assert "evictions" not in resaved

@@ -88,13 +88,10 @@ class TestSearchStats:
             "elapsed_seconds",
             "successor_cache_hits",
             "successor_cache_misses",
-            "successor_cache_evictions",
             "goal_cache_hits",
             "goal_cache_misses",
-            "goal_cache_evictions",
             "heuristic_cache_hits",
             "heuristic_cache_misses",
-            "heuristic_cache_evictions",
             "time_in_successors",
             "time_in_heuristic",
             "time_in_goal_tests",
@@ -106,10 +103,8 @@ class TestSearchStats:
         stats.goal_cache_hits = 2
         stats.heuristic_cache_hits = 1
         stats.successor_cache_misses = 4
-        stats.heuristic_cache_evictions = 5
         assert stats.cache_hits == 6
         assert stats.cache_misses == 4
-        assert stats.cache_evictions == 5
         assert stats.cache_hit_rate == 0.6
 
     def test_examined_trace_only_when_enabled(self):

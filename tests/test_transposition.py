@@ -14,8 +14,8 @@ from repro.errors import SearchError
 from repro.fira import RenameAttribute
 from repro.heuristics import make_heuristic
 from repro.relational import Database
-from repro.search import MappingProblem, SearchConfig, SearchStats
-from repro.workloads import matching_pair
+from repro.search import ALGORITHMS, MappingProblem, SearchConfig, SearchStats
+from repro.workloads import flights_a, flights_b, matching_pair
 
 
 def make_problem(**config_kwargs) -> MappingProblem:
@@ -90,23 +90,6 @@ class TestSuccessorCache:
         renames = [op for op in ops if isinstance(op, RenameAttribute)]
         assert problem._symmetry_key(renames[0]) is None
         assert problem._symmetry_key(None) is None
-
-    def test_capacity_bound_evicts_lru(self):
-        problem = make_problem(cache_capacity=1)
-        stats = SearchStats()
-        root = root_of(problem)
-        succ = problem.successors(root, None, stats)
-        # interning the children evicted the root; its entries were kept by
-        # re-admitting it, so the one table entry is the root again
-        assert list(problem._nodes.values()) == [root]
-        op, child = succ[0]
-        problem.successors(child, op, stats)  # evicts the root and its entries
-        assert root.entries is None
-        assert stats.successor_cache_evictions == 1
-        problem.successors(root, None, stats)  # recomputed, not a hit
-        assert stats.successor_cache_hits == 0
-        assert stats.successor_cache_misses == 3
-        assert len(problem._nodes) <= 1
 
     def test_clear_caches(self):
         problem = make_problem()
@@ -204,33 +187,37 @@ class TestInterning:
         for op, child in recomputed:
             assert child is by_op[str(op)]
 
-    def test_intern_respects_capacity(self):
-        problem = make_problem(cache_capacity=1)
-        a = problem.node(Database.from_dict({"R": [{"X": 1}]}))
-        problem.node(Database.from_dict({"S": [{"Y": 2}]}))
-        fresh_a = Database.from_dict({"R": [{"X": 1}]})
-        assert problem.node(fresh_a).state is fresh_a  # a was evicted
-        assert len(problem._nodes) <= 1
-        assert a.state == fresh_a
-
-    def test_evictions_count_filled_memos_only(self):
-        problem = make_problem(cache_capacity=1)
-        stats = SearchStats()
-        root = problem.start(make_heuristic("h1", problem.target))
-        problem.is_goal(root, stats)
-        problem.node(problem.target, stats)  # evicts the root: one verdict
-        assert stats.goal_cache_evictions == 1
-        assert stats.heuristic_cache_evictions == 0
-        assert stats.successor_cache_evictions == 0
-        assert root.goal is None
+    @pytest.mark.parametrize("algorithm", ["ida", "rbfs"])
+    def test_every_child_is_the_tables_node(self, algorithm):
+        """After a finished search, each memoised child is the one node the
+        table holds for its state, so the algorithms may track nodes by
+        identity.  Fig. 1 B→A reaches many states from several parents."""
+        target = flights_a()
+        problem = MappingProblem(flights_b(), target)
+        heuristic = make_heuristic("h1", target, algorithm=algorithm)
+        ALGORITHMS[algorithm](problem, heuristic, SearchStats())
+        nodes = problem._nodes
+        children = [
+            child
+            for node in nodes.values()
+            for entries in (node.entries or (), *(node.more or {}).values())
+            for _op, child in entries
+        ]
+        assert len(children) > 2 * len(nodes)  # states met more than once
+        for child in children:
+            assert nodes[child.state] is child
 
 
 class TestConfig:
     def test_cache_fields_default_on(self):
-        config = SearchConfig()
-        assert config.cache_capacity is None  # unbounded tables
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(cache_capacity=0)
-        assert SearchConfig(cache_capacity=1).cache_capacity == 1
+        """The memo tables are always on: no setting bounds or disables
+        them."""
+        fields = {field.name for field in dataclasses.fields(SearchConfig)}
+        assert fields == {
+            "max_states",
+            "enabled_operators",
+            "break_symmetry",
+            "prune_targets",
+            "max_depth",
+            "deadline_seconds",
+        }
