@@ -1,20 +1,25 @@
-"""SQL execution backends — sqlite vs the minisql reference interpreter.
+"""SQL execution — sqlite against the in-memory algebra.
 
 Scales the paper's Fig. 1 FlightsB schema to a ≥100k-row ``Prices``
-instance and pushes the Example 2 restructuring pipeline (↑, π̄, π̄, µ,
-ρatt, ρrel) through every execution backend.  Two things are
-measured, one thing is asserted twice:
+instance and runs the Example 2 restructuring pipeline (↑, π̄, π̄, µ,
+ρatt, ρrel) on both execution engines: stdlib sqlite, and the in-memory
+algebra (``MappingExpression.apply``) that ``execute_mapping`` hands a
+mapping to when sqlite declines it.  Two things are measured, one thing is
+asserted twice:
 
-* **bit-identity** — every backend's result must equal replaying the
-  mapping through the in-memory algebra (``==`` on ``Database``), at
-  every size.  The speedup claim is meaningless if an engine cheats.
-* **speedup** — min-of-rounds execute-phase wall clock; the headline bar
-  is sqlite ≥ 5x over minisql at the largest size.
+* **bit-identity** — sqlite's result must equal the algebra's (``==`` on
+  ``Database``), at every size.  The speedup claim is meaningless if the
+  engine cheats.
+* **speedup** — min-of-rounds execute-phase wall clock of each engine,
+  GC collected then paused around every round; the headline bar is
+  sqlite ≥ :data:`TARGET_SQLITE_VS_ALGEBRA` times the algebra at the
+  largest size.
 
-Beside the execute phase, each backend reports what a caller waits for:
-min-of-rounds compile seconds, and the wall time of one first
-``execute_mapping`` call on a freshly built instance, whose memoised views
-(the sorted rows the loader reads) do not exist yet.
+Beside the execute phase, each engine reports what a caller waits for:
+min-of-rounds compile seconds (zero for the algebra, which compiles
+nothing), and the wall time of one first call on a freshly built
+instance, whose memoised views (the sorted rows sqlite's loader reads,
+the token columns the algebra reads) do not exist yet.
 
 Results land in ``BENCH_sql_backends.json`` at the repo root and flow
 through ``tools/bench_history.py`` when ``REPRO_BENCH_HISTORY`` is set.
@@ -37,7 +42,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.backends import backend_names, execute_mapping
+from repro.backends import execute_mapping
 from repro.fira import (
     DropAttribute,
     MappingExpression,
@@ -59,13 +64,17 @@ HEADLINE_SIZES = ((1_000, 10), (10_000, 10))
 QUICK_SIZES = ((200, 4),)
 JSON_NAME = "BENCH_sql_backends.json"
 
-#: asserted bar at the largest size: sqlite execute ≥ 5x minisql execute
-TARGET_SQLITE_VS_MINISQL = 5.0
+#: asserted bar at the largest size: sqlite execute ≥ 2.5x the algebra's.
+#: Eight headline runs on a shared 2-CPU host read 2.6x to 4.6x (median
+#: 3.9x); the 2.6x run shared the host with a test run.
+TARGET_SQLITE_VS_ALGEBRA = 2.5
 #: re-measure attempts before declaring the bar unmet (minima only improve)
 MAX_ATTEMPTS = 3
 
-BASELINE = "minisql"
-HEADLINE_BACKEND = "sqlite"
+BASELINE = "algebra"
+HEADLINE_ENGINE = "sqlite"
+#: the engines in the sweep, the baseline first
+ENGINES = (BASELINE, HEADLINE_ENGINE)
 
 
 def prices_instance(carriers: int, routes: int) -> Database:
@@ -99,124 +108,115 @@ def restructuring_expression() -> MappingExpression:
     )
 
 
-def backend_names_in_sweep() -> tuple[str, ...]:
-    """Every backend, minisql (the baseline) first."""
-    names = list(backend_names())
-    names.remove(BASELINE)
-    return (BASELINE, *names)
+def _run(engine: str, expression, source) -> dict:
+    """One call on *engine*: its execute and compile seconds, its result."""
+    if engine == BASELINE:
+        start = time.perf_counter()
+        database = expression.apply(source)
+        return {
+            "execute_secs": time.perf_counter() - start,
+            "compile_secs": 0.0,
+            "statements": 0,
+            "database": database,
+        }
+    result = execute_mapping(expression, source, backend=engine)
+    return {
+        "execute_secs": result.execute_seconds,
+        "compile_secs": result.compile_seconds,
+        "statements": result.script.statement_count,
+        "database": result.database,
+    }
 
 
-def _timed_execute(name: str, expression, source, rounds: int) -> dict:
-    """Min-of-rounds execute/compile seconds for one backend cell.
+def _timed_execute(engine: str, expression, source, rounds: int) -> dict:
+    """Min-of-rounds execute/compile seconds for one engine cell.
 
-    Cyclic GC is collected then paused around each timed round so another
-    backend's garbage doesn't bleed into this one's wall clock.
+    Cyclic GC is collected then paused around each timed round so the
+    other engine's garbage doesn't bleed into this one's wall clock.
     """
-    best_execute = float("inf")
-    best_compile = float("inf")
-    database = None
-    statements = 0
+    best: dict = {}
     gc_was_enabled = gc.isenabled()
     for _ in range(rounds):
         gc.collect()
         gc.disable()
         try:
-            result = execute_mapping(expression, source, backend=name)
+            cell = _run(engine, expression, source)
         finally:
             if gc_was_enabled:
                 gc.enable()
-        best_execute = min(best_execute, result.execute_seconds)
-        best_compile = min(best_compile, result.compile_seconds)
-        database = result.database
-        statements = result.script.statement_count
-    return {
-        "execute_secs": best_execute,
-        "compile_secs": best_compile,
-        "statements": statements,
-        "database": database,
-    }
+        for key in ("execute_secs", "compile_secs"):
+            cell[key] = min(cell[key], best.get(key, float("inf")))
+        best = cell
+    return best
 
 
-def _first_call(name: str, expression, carriers: int, routes: int) -> float:
+def _first_call(engine: str, expression, carriers: int, routes: int) -> float:
     """Wall seconds of one call on an instance with no view memoised."""
     source = prices_instance(carriers, routes)
     gc.collect()
     start = time.perf_counter()
-    execute_mapping(expression, source, backend=name)
+    _run(engine, expression, source)
     return time.perf_counter() - start
 
 
-def measure_backends(
+def _set_ratios(row: dict) -> None:
+    """Each engine's execute-phase speedup over the algebra in *row*."""
+    base = row["engines"][BASELINE]["execute_secs"]
+    for cell in row["engines"].values():
+        secs = cell["execute_secs"]
+        cell["vs_algebra"] = base / secs if secs else float("inf")
+
+
+def measure_engines(
     sizes: Sequence[tuple[int, int]], rounds: int = 2
 ) -> list[dict]:
     """The sweep: one row per instance size, bit-identity asserted."""
     expression = restructuring_expression()
-    names = backend_names_in_sweep()
     rows = []
     for carriers, routes in sizes:
         source = prices_instance(carriers, routes)
-        start = time.perf_counter()
-        algebra = expression.apply(source)
-        algebra_secs = time.perf_counter() - start
         row: dict = {
             "carriers": carriers,
             "routes": routes,
             "rows": carriers * routes,
-            "algebra_secs": algebra_secs,
-            "backends": {},
+            "engines": {},
         }
-        for name in names:
-            cell = _timed_execute(name, expression, source, rounds)
-            if cell["database"] != algebra:
-                raise AssertionError(
-                    f"backend {name} diverged from the in-memory algebra "
-                    f"at {row['rows']} rows — speedups are void"
-                )
-            row["backends"][name] = {
-                "execute_secs": cell["execute_secs"],
-                "compile_secs": cell["compile_secs"],
-                "first_call_secs": _first_call(
-                    name, expression, carriers, routes
-                ),
-                "statements": cell["statements"],
-            }
-        base = row["backends"][BASELINE]["execute_secs"]
-        for name in names:
-            secs = row["backends"][name]["execute_secs"]
-            row["backends"][name]["vs_minisql"] = (
-                base / secs if secs else float("inf")
+        databases = {}
+        for engine in ENGINES:
+            cell = _timed_execute(engine, expression, source, rounds)
+            databases[engine] = cell.pop("database")
+            cell["first_call_secs"] = _first_call(
+                engine, expression, carriers, routes
             )
+            row["engines"][engine] = cell
+        if databases[HEADLINE_ENGINE] != databases[BASELINE]:
+            raise AssertionError(
+                f"{HEADLINE_ENGINE} diverged from the in-memory algebra "
+                f"at {row['rows']} rows — speedups are void"
+            )
+        _set_ratios(row)
         rows.append(row)
     return rows
 
 
 def measure_headline(rounds: int = 2) -> tuple[list[dict], dict]:
     """The asserted sweep: retry on a noisy box, minima only improve."""
-    rows = measure_backends(HEADLINE_SIZES, rounds=rounds)
+    rows = measure_engines(HEADLINE_SIZES, rounds=rounds)
     for _ in range(MAX_ATTEMPTS - 1):
         head = rows[-1]
         if (
-            head["backends"][HEADLINE_BACKEND]["vs_minisql"]
-            >= TARGET_SQLITE_VS_MINISQL
+            head["engines"][HEADLINE_ENGINE]["vs_algebra"]
+            >= TARGET_SQLITE_VS_ALGEBRA
         ):
             break
-        retry = measure_backends(HEADLINE_SIZES[-1:], rounds=rounds)[0]
-        for name, cell in retry["backends"].items():
-            mine = head["backends"][name]
-            mine["execute_secs"] = min(
-                mine["execute_secs"], cell["execute_secs"]
-            )
-            for key in ("compile_secs", "first_call_secs"):
+        retry = measure_engines(HEADLINE_SIZES[-1:], rounds=rounds)[0]
+        for engine, cell in retry["engines"].items():
+            mine = head["engines"][engine]
+            for key in ("execute_secs", "compile_secs", "first_call_secs"):
                 mine[key] = min(mine[key], cell[key])
-        base = head["backends"][BASELINE]["execute_secs"]
-        for cell in head["backends"].values():
-            cell["vs_minisql"] = (
-                base / cell["execute_secs"]
-                if cell["execute_secs"]
-                else float("inf")
-            )
+        _set_ratios(head)
     head = rows[-1]
-    speedup = head["backends"][HEADLINE_BACKEND]["vs_minisql"]
+    speedup = head["engines"][HEADLINE_ENGINE]["vs_algebra"]
     payload = {
         "workload": {
             "schema": "FlightsB Prices (Carrier, Route, Cost, AgentFee)",
@@ -227,48 +227,46 @@ def measure_headline(rounds: int = 2) -> tuple[list[dict], dict]:
             ],
             "rounds": rounds,
         },
-        "backends": list(backend_names_in_sweep()),
+        "engines": list(ENGINES),
         "rows": [
             {
                 "rows": r["rows"],
-                "algebra_secs": r["algebra_secs"],
-                "backends": {
-                    name: dict(cell) for name, cell in r["backends"].items()
+                "engines": {
+                    engine: dict(cell) for engine, cell in r["engines"].items()
                 },
             }
             for r in rows
         ],
         "headline": {
             "rows": head["rows"],
-            "sqlite_vs_minisql": speedup,
+            "sqlite_vs_algebra": speedup,
             **{
-                f"{name}_{key}": head["backends"][name][key]
-                for name in (BASELINE, HEADLINE_BACKEND)
+                f"{engine}_{key}": head["engines"][engine][key]
+                for engine in ENGINES
                 for key in ("execute_secs", "compile_secs", "first_call_secs")
             },
         },
-        "targets": {"sqlite_vs_minisql": TARGET_SQLITE_VS_MINISQL},
+        "targets": {"sqlite_vs_algebra": TARGET_SQLITE_VS_ALGEBRA},
         "bit_identical": True,
-        "speedup_asserted": speedup >= TARGET_SQLITE_VS_MINISQL,
+        "speedup_asserted": speedup >= TARGET_SQLITE_VS_ALGEBRA,
     }
     return rows, payload
 
 
-def backends_table(rows: Sequence[dict]) -> str:
+def engines_table(rows: Sequence[dict]) -> str:
     """Render the sweep as an ASCII table."""
-    names = backend_names_in_sweep()
-    headers = ["rows", "algebra (s)"]
-    for name in names:
+    headers = ["rows"]
+    for engine in ENGINES:
         headers.extend(
-            [f"{name} (s)", "vs mini", "compile (s)", "first call (s)"]
+            [f"{engine} (s)", "vs algebra", "compile (s)", "first call (s)"]
         )
     body = []
     for r in rows:
-        cells = [str(r["rows"]), f"{r['algebra_secs']:.3f}"]
-        for name in names:
-            cell = r["backends"][name]
+        cells = [str(r["rows"])]
+        for engine in ENGINES:
+            cell = r["engines"][engine]
             cells.append(f"{cell['execute_secs']:.3f}")
-            cells.append(f"{cell['vs_minisql']:.1f}x")
+            cells.append(f"{cell['vs_algebra']:.1f}x")
             cells.append(f"{cell['compile_secs']:.3f}")
             cells.append(f"{cell['first_call_secs']:.3f}")
         body.append(cells)
@@ -281,7 +279,7 @@ def backends_table(rows: Sequence[dict]) -> str:
         return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
 
     lines = [
-        "FlightsB → FlightsA restructuring per backend: execute phase, "
+        "FlightsB → FlightsA restructuring per engine: execute phase, "
         "compile, and a first call on a fresh instance"
     ]
     lines.append(fmt(headers))
@@ -298,25 +296,25 @@ def test_sql_backend_speedup(benchmark):
         lambda: measure_headline(rounds=1), rounds=1, iterations=1
     )
     head = payload["headline"]
-    benchmark.extra_info["sqlite_vs_minisql"] = head["sqlite_vs_minisql"]
+    benchmark.extra_info["sqlite_vs_algebra"] = head["sqlite_vs_algebra"]
     record_section(
-        "SQL backends — FlightsB restructuring at scale (execute phase)",
-        backends_table(rows)
+        "SQL execution — FlightsB restructuring at scale (execute phase)",
+        engines_table(rows)
         + f"\n\nheadline {head['rows']} rows: "
-        f"{head['sqlite_vs_minisql']:.1f}x sqlite vs minisql "
-        f"(target {TARGET_SQLITE_VS_MINISQL:.0f}x)",
+        f"{head['sqlite_vs_algebra']:.1f}x sqlite vs the algebra "
+        f"(target {TARGET_SQLITE_VS_ALGEBRA:.1f}x)",
     )
     write_bench_json(Path(__file__).resolve().parent.parent / JSON_NAME, payload)
-    assert head["sqlite_vs_minisql"] >= TARGET_SQLITE_VS_MINISQL, (
-        f"sqlite only {head['sqlite_vs_minisql']:.1f}x over minisql "
-        f"(target {TARGET_SQLITE_VS_MINISQL}x)"
+    assert head["sqlite_vs_algebra"] >= TARGET_SQLITE_VS_ALGEBRA, (
+        f"sqlite only {head['sqlite_vs_algebra']:.1f}x over the algebra "
+        f"(target {TARGET_SQLITE_VS_ALGEBRA}x)"
     )
 
 
 def test_sql_backend_bit_identical(benchmark):
-    # small instance, every backend, identity enforced inside the sweep
+    # small instance, both engines, identity enforced inside the sweep
     rows = benchmark.pedantic(
-        lambda: measure_backends(QUICK_SIZES, rounds=1), rounds=1, iterations=1
+        lambda: measure_engines(QUICK_SIZES, rounds=1), rounds=1, iterations=1
     )
     assert rows, "sweep produced no rows"
 
@@ -326,7 +324,8 @@ def test_sql_backend_bit_identical(benchmark):
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure SQL execution backends against minisql."
+        description="Measure SQL execution on sqlite against the in-memory "
+        "algebra."
     )
     parser.add_argument(
         "--quick",
@@ -347,22 +346,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     rounds = args.rounds if args.rounds else (1 if args.quick else 2)
 
     if args.quick:
-        rows = measure_backends(QUICK_SIZES, rounds=rounds)
+        rows = measure_engines(QUICK_SIZES, rounds=rounds)
         payload = None
     else:
         rows, payload = measure_headline(rounds=rounds)
-    print(backends_table(rows))
+    print(engines_table(rows))
     print()
-    print("bit-identity: every backend matched the in-memory algebra")
+    print("bit-identity: sqlite matched the in-memory algebra")
 
     if payload is not None:
         head = payload["headline"]
         print(
             f"headline {head['rows']} rows: "
-            f"{head['sqlite_vs_minisql']:.1f}x sqlite vs minisql "
-            f"(target {TARGET_SQLITE_VS_MINISQL:.0f}x); sqlite compile "
+            f"{head['sqlite_vs_algebra']:.1f}x sqlite vs the algebra "
+            f"(target {TARGET_SQLITE_VS_ALGEBRA:.1f}x); sqlite compile "
             f"{head['sqlite_compile_secs']:.3f}s, first call "
-            f"{head['sqlite_first_call_secs']:.3f}s"
+            f"{head['sqlite_first_call_secs']:.3f}s; algebra first call "
+            f"{head['algebra_first_call_secs']:.3f}s"
         )
         if not args.no_json:
             path = write_bench_json(

@@ -8,14 +8,14 @@ discovered mapping can be replayed inside an RDBMS:
 * the TNF-construction statement for a relation (paper §2.2),
 * the discovered pipeline compiled to a step-by-step SQL script (dynamic
   operators are materialised against the instance, since their column and
-  table names come from data).
+  table names come from data), in sqlite's dialect, and run on sqlite.
 
 Run:  python examples/sql_export.py
 """
 
 from __future__ import annotations
 
-from repro import compile_expression, discover_mapping
+from repro import discover_mapping, execute_mapping
 from repro.relational import relation_to_sql, tnf_construction_sql
 from repro.workloads import flights_a, flights_b
 
@@ -38,16 +38,14 @@ def main() -> None:
         print(f"--   {line}")
     print()
 
-    script = compile_expression(result.expression, source)
-    print("-- the same expression compiled to SQL " + "-" * 32)
-    print(script)
-
-    # prove the script is executable: run it on the bundled mini-SQL engine
-    from repro import run_script
-
-    mapped = run_script(script, source)
+    # prove the script is executable: compile it for sqlite and run it there
+    executed = execute_mapping(result.expression, source, backend="sqlite")
+    print("-- the same expression compiled to sqlite's SQL " + "-" * 23)
+    print(executed.script.text)
+    mapped = executed.database
+    assert mapped == result.expression.apply(source)
     assert mapped.contains(target)
-    print("-- script executed by repro.minisql; result " + "-" * 27)
+    print("-- script executed by sqlite; result " + "-" * 34)
     print("\n".join(f"--   {line}" for line in mapped.to_text().splitlines()))
 
 

@@ -30,10 +30,7 @@ __version__ = "1.0.0"
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".backends.base": ("SqlBackend",),
-        ".backends.executor": (
-            "ExecutionResult", "backend_names", "execute_mapping", "get_backend",
-        ),
+        ".backends.executor": ("ExecutionResult", "execute_mapping"),
         ".errors": (
             "BackendError", "BackendExecutionError", "BackendUnsupportedError",
             "UnknownBackendError",
@@ -56,7 +53,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "HEURISTIC_NAMES", "PAPER_SCALING_CONSTANTS", "make_heuristic",
         ),
         ".instances": ("align_rows", "extract_critical_instances"),
-        ".minisql.engine": ("MiniSqlEngine", "run_script"),
         ".relational.database": ("Database",),
         ".relational.relation": ("Relation",),
         ".relational.tnf": ("database_string", "tnf_decode", "tnf_encode"),

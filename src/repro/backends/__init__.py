@@ -1,26 +1,16 @@
-"""Pluggable SQL execution backends for discovered mappings.
+"""Execute discovered mappings on stdlib sqlite.
 
 TUPELO's output is an executable mapping expression; this package makes
-"executable" literal across engines.  A :class:`~repro.backends.base
-.SqlBackend` pairs a rendering dialect with an engine that can load a
-source instance, run the compiled script, and hand the result back as a
-plain :class:`~repro.relational.database.Database` — so every engine's
-output is bit-comparable with the in-memory FIRA algebra and with every
-other engine.  Cross-backend equivalence is the compiler's correctness
-oracle (``tests/test_backend_equivalence.py``).
+"executable" literal.  :func:`execute_mapping` compiles the mapping to
+SQL, runs it on an in-memory :mod:`sqlite3` database and hands the result
+back as a plain :class:`~repro.relational.database.Database`, so it is
+bit-comparable with the in-memory FIRA algebra.  That equivalence is the
+compiler's correctness oracle (``tests/test_backend_equivalence.py``).
 
-Shipped backends, both always available:
-
-======== =================================
-name     engine
-======== =================================
-minisql  in-process reference interpreter
-sqlite   stdlib :mod:`sqlite3`
-======== =================================
-
-:func:`execute_mapping` dispatches between them (``backend="auto"`` takes
-sqlite when sqlite can run the mapping faithfully, minisql otherwise); see
-``docs/execution.md`` for the semantics matrix and how to add a backend.
+Under ``backend="auto"``, a mapping sqlite cannot run faithfully runs
+through the algebra instead, and the result names ``"algebra"`` as its
+engine; an explicit ``backend="sqlite"`` raises the decline.  See
+``docs/execution.md`` for the semantics matrix.
 """
 
 from .._lazy import lazy_exports
@@ -28,12 +18,10 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".base": ("SqlBackend", "StatementLimiter"),
         ".executor": (
-            "AUTO", "ExecutionResult", "backend_names", "execute_mapping",
-            "get_backend",
+            "AUTO", "BACKEND_NAMES", "ExecutionResult", "StatementLimiter",
+            "execute_mapping",
         ),
-        ".minisql_backend": ("MiniSqlBackend",),
         ".sqlite_backend": ("SqliteBackend",),
     },
 )

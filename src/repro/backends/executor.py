@@ -1,14 +1,23 @@
 """The front door for executing discovered mappings.
 
 :func:`execute_mapping` is the one-call API: give it a mapping expression
-and a source instance, and it picks an engine (``backend="auto"`` takes
-sqlite when sqlite can run the mapping faithfully, and the reference
-interpreter otherwise), compiles the pipeline into that engine's dialect,
-executes it, and hands back the resulting
+and a source instance, and it compiles the pipeline to SQL, runs it on
+stdlib sqlite, and hands back the resulting
 :class:`~repro.relational.database.Database` together with the compiled
-script and timings.  Telemetry rides along as ``backend_compile`` /
-``backend_execute`` trace events on an optional
-:class:`~repro.obs.tracer.Tracer`.
+script and timings.  Under ``backend="auto"`` a mapping that sqlite
+declines (see :meth:`~repro.backends.sqlite_backend.SqliteBackend
+.why_unsupported`) runs through the in-memory algebra instead, the
+reference every executed result is compared against.  Telemetry rides
+along as ``backend_compile`` / ``backend_execute`` trace events on an
+optional :class:`~repro.obs.tracer.Tracer`.
+
+Both legs honor the deadline/cancel contract of the search kernel:
+a :class:`StatementLimiter` polls the
+:class:`~repro.search.cancel.CancelToken` and the wall-clock deadline
+between statements (sqlite) or operators (the algebra) and unwinds with
+the standard :class:`~repro.errors.SearchCancelled` /
+:class:`~repro.errors.SearchDeadlineExceeded`, so the CLI's exit-code-3
+deadline path covers execution too.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import (
     BackendUnsupportedError,
+    SearchCancelled,
     SearchDeadlineExceeded,
     UnknownBackendError,
 )
@@ -26,8 +36,6 @@ from ..fira.expression import MappingExpression
 from ..fira.sqlcompile import SqlScript
 from ..obs.events import BACKEND_COMPILE, BACKEND_EXECUTE
 from ..relational.database import Database
-from .base import SqlBackend
-from .minisql_backend import MiniSqlBackend
 from .sqlite_backend import SqliteBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,30 +43,54 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..search.cancel import CancelToken
     from ..semantics.functions import FunctionRegistry
 
-#: the dispatch pseudo-backend name
+#: take sqlite, and the algebra for what sqlite declines
 AUTO = "auto"
+#: the engine an :class:`ExecutionResult` names when no SQL ran
+ALGEBRA = "algebra"
 
-_BACKENDS: dict[str, SqlBackend] = {
-    b.name: b for b in (MiniSqlBackend(), SqliteBackend())
-}
+_SQLITE = SqliteBackend()
 
-
-def backend_names() -> tuple[str, ...]:
-    """All registered backend names, sorted."""
-    return tuple(sorted(_BACKENDS))
+#: the *backend* values :func:`execute_mapping` accepts
+BACKEND_NAMES: tuple[str, ...] = (AUTO, _SQLITE.name)
 
 
-def get_backend(name: str) -> SqlBackend:
-    """Look up a backend by name.
+class StatementLimiter:
+    """Per-call deadline/cancel poller shared by both execution legs.
 
-    Raises:
-        UnknownBackendError: naming the known backends (the CLI turns this
-            into an exit-code-2 usage error).
+    Construct once per call and call :meth:`check` before every statement
+    or operator (and once more after the last): a set cancel token raises
+    :class:`~repro.errors.SearchCancelled`, a deadline elapsed since
+    construction raises :class:`~repro.errors.SearchDeadlineExceeded`,
+    both carrying the number of steps completed so far as their progress
+    counter.
     """
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise UnknownBackendError(name, backend_names()) from None
+
+    __slots__ = ("deadline", "cancel", "started", "statements_done")
+
+    def __init__(
+        self,
+        deadline: float | None = None,
+        cancel: "CancelToken | None" = None,
+    ) -> None:
+        self.deadline = deadline
+        self.cancel = cancel
+        self.started = perf_counter()
+        self.statements_done = 0
+
+    def check(self) -> None:
+        """Raise if cancelled or past deadline; otherwise return cheaply."""
+        if self.cancel is not None and self.cancel.cancelled:
+            raise SearchCancelled(self.statements_done)
+        if self.deadline is not None:
+            elapsed = perf_counter() - self.started
+            if elapsed > self.deadline:
+                raise SearchDeadlineExceeded(
+                    self.deadline, elapsed, self.statements_done
+                )
+
+    def completed(self, count: int = 1) -> None:
+        """Record *count* more steps finished."""
+        self.statements_done += count
 
 
 @dataclass(frozen=True)
@@ -66,17 +98,22 @@ class ExecutionResult:
     """What one mapping execution produced.
 
     Attributes:
-        backend: name of the engine that ran the script.
-        script: the compiled script (in that engine's dialect).
-        database: the resulting instance, bit-comparable across backends.
-        compile_seconds / execute_seconds: wall-clock timings.
+        backend: ``"sqlite"``, or ``"algebra"`` when sqlite declined the
+            mapping under ``auto`` and the in-memory algebra ran it.
+        script: the compiled sqlite script; None when no SQL ran.
+        database: the resulting instance, bit-comparable with the algebra.
+        compile_seconds / execute_seconds: wall-clock timings; compile
+            counts a compile that sqlite declined, execute the algebra's
+            run when it took over.
+        declined: why sqlite declined the mapping, None when it ran it.
     """
 
     backend: str
-    script: SqlScript
+    script: SqlScript | None
     database: Database
     compile_seconds: float
     execute_seconds: float
+    declined: str | None = None
 
 
 def execute_mapping(
@@ -90,77 +127,95 @@ def execute_mapping(
 ) -> ExecutionResult:
     """Compile and run *expression* over *source*; see module docs.
 
-    *backend* is a backend name, or ``"auto"``: sqlite when its
-    :meth:`~repro.backends.base.SqlBackend.why_unsupported` returns None,
-    minisql otherwise.  Under ``auto``, a sqlite decline at compile (a
-    name that only the compile replay meets) also hands the mapping to
-    minisql.  *tracer* receives ``backend_compile`` / ``backend_execute``
-    events.  *deadline* counts from this call: the capability check and
-    compile spend it first, and the engine runs its statements under what
-    is left.
+    *backend* is ``"sqlite"`` or ``"auto"``.  sqlite declines a mapping
+    at its capability check (booleans, ints beyond 64 bits, ``sqlite_``
+    names in the source or the renames) or at compile (names that differ
+    only in case, a ``sqlite_`` table that the data names, a column called
+    ``TRUE`` or ``FALSE``); under ``auto`` either decline hands the mapping
+    to :meth:`~repro.fira.expression.MappingExpression.apply`.  *tracer*
+    receives ``backend_compile`` / ``backend_execute`` events.  *deadline*
+    counts from this call: the capability check and compile spend it
+    first, and the statements or operators run under what is left.
 
     Raises:
-        UnknownBackendError: *backend* names no registered backend.
-        BackendUnsupportedError: an explicit *backend* declines the
+        UnknownBackendError: *backend* is neither name.
+        BackendUnsupportedError: an explicit ``"sqlite"`` declines the
             mapping, with the reason.
     """
-    started = perf_counter()
-    engine = get_backend("sqlite" if backend == AUTO else backend)
-    reason = engine.why_unsupported(expression, source)
-    if reason is not None:
-        if backend != AUTO:
-            raise BackendUnsupportedError(engine.name, reason)
-        engine = _BACKENDS["minisql"]  # the reference declines nothing
-
+    if backend not in BACKEND_NAMES:
+        raise UnknownBackendError(backend, BACKEND_NAMES)
+    limiter = StatementLimiter(deadline, cancel)
+    declined = _SQLITE.why_unsupported(expression, source)
+    if declined is not None and backend != AUTO:
+        raise BackendUnsupportedError(_SQLITE.name, declined)
     t0 = perf_counter()
-    try:
-        script = engine.compile(expression, source, registry)
-    except BackendUnsupportedError:
-        if backend != AUTO:
-            raise
-        engine = _BACKENDS["minisql"]
-        script = engine.compile(expression, source, registry)
+    if declined is None:
+        try:
+            script = _SQLITE.compile(expression, source, registry)
+        except BackendUnsupportedError as exc:
+            if backend != AUTO:
+                raise
+            declined = exc.reason
     compile_seconds = perf_counter() - t0
+    if declined is not None:
+        return _run_on_algebra(
+            expression, source, registry, limiter, tracer,
+            compile_seconds, declined,
+        )
     if tracer is not None:
         tracer.emit(
             BACKEND_COMPILE,
-            backend=engine.name,
+            backend=_SQLITE.name,
             statements=script.statement_count,
         )
 
-    remaining = None
-    if deadline is not None:
-        elapsed = perf_counter() - started
-        if elapsed > deadline:
-            raise SearchDeadlineExceeded(deadline, elapsed, 0)
-        remaining = deadline - elapsed
-
+    limiter.check()  # a compile that spent the deadline skips the load
     t1 = perf_counter()
-    try:
-        database = engine.execute(
-            script,
-            source,
-            registry=registry,
-            deadline=remaining,
-            cancel=cancel,
-        )
-    except SearchDeadlineExceeded as exc:
-        raise SearchDeadlineExceeded(
-            deadline, perf_counter() - started, exc.states_examined
-        ) from None
+    database = _SQLITE.execute(script, source, limiter, registry)
     execute_seconds = perf_counter() - t1
     if tracer is not None:
         tracer.emit(
             BACKEND_EXECUTE,
-            backend=engine.name,
+            backend=_SQLITE.name,
             statements=script.statement_count,
             dur=execute_seconds,
         )
-
     return ExecutionResult(
-        backend=engine.name,
+        backend=_SQLITE.name,
         script=script,
         database=database,
         compile_seconds=compile_seconds,
         execute_seconds=execute_seconds,
+    )
+
+
+def _run_on_algebra(
+    expression: MappingExpression,
+    source: Database,
+    registry: "FunctionRegistry | None",
+    limiter: StatementLimiter,
+    tracer: "Tracer | None",
+    compile_seconds: float,
+    declined: str,
+) -> ExecutionResult:
+    """Apply *expression* operator by operator, polling *limiter* between."""
+    t0 = perf_counter()
+    database = source
+    for operator in expression:
+        limiter.check()
+        database = operator.apply(database, registry)
+        limiter.completed()
+    limiter.check()
+    execute_seconds = perf_counter() - t0
+    if tracer is not None:
+        tracer.emit(
+            BACKEND_EXECUTE, backend=ALGEBRA, statements=0, dur=execute_seconds
+        )
+    return ExecutionResult(
+        backend=ALGEBRA,
+        script=None,
+        database=database,
+        compile_seconds=compile_seconds,
+        execute_seconds=execute_seconds,
+        declined=declined,
     )

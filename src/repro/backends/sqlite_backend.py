@@ -1,8 +1,8 @@
 """SQLite backend: execute discovered mappings on the stdlib engine.
 
-SQLite ships with Python, so this backend is always available — it is the
-first "real" RDBMS in the equivalence oracle and typically executes large
-instances far faster than the interpreted reference engine.
+SQLite ships with Python, so this backend is always available.  It runs
+large instances several times faster than the in-memory algebra, whose
+results it must equal bit for bit (``tests/test_backend_equivalence.py``).
 
 Faithfulness notes (see docs/execution.md for the full matrix):
 
@@ -17,8 +17,8 @@ Faithfulness notes (see docs/execution.md for the full matrix):
 * **No booleans** — SQLite has no BOOLEAN storage class: ``True`` round
   trips as ``1``.  Rather than silently rewriting values, the backend
   *declines* sources containing booleans (:meth:`SqliteBackend
-  .why_unsupported`), and ``auto`` dispatch falls back to the reference
-  engine.
+  .why_unsupported`), and ``auto`` hands the mapping to the in-memory
+  algebra.
 * **64-bit integers** — SQLite's INTEGER holds signed 64-bit values, so
   the backend declines a source holding a wider int.  The intern pool
   records such values as it meets them, so the check costs nothing while
@@ -29,7 +29,10 @@ Faithfulness notes (see docs/execution.md for the full matrix):
   identifier case; names that come from data are known only once compile
   has replayed the steps that make them, so the sqlite dialect declines
   there any step that puts two names differing only in case side by side
-  or makes a ``sqlite_`` table, and ``auto`` hands over to minisql.
+  or makes a ``sqlite_`` table.  A table copy (``CREATE TABLE … AS``)
+  names a column called ``TRUE`` or ``FALSE``, in any case, ``column<N>``,
+  so the dialect declines such column names too.  Under ``auto`` each of
+  these declines hands the mapping to the in-memory algebra.
 * **UDFs** — λ applications run through :meth:`sqlite3.Connection
   .create_function` wrappers around the project's semantic functions, with
   NULL↔None conversion at the boundary.  SQLite reports a function that
@@ -46,6 +49,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from ..errors import BackendExecutionError
 from ..fira.combine import CartesianProduct
 from ..fira.renames import RenameRelation
+from ..fira.sqlcompile import SqlScript, compile_script
 from ..fira.structure import Select
 from ..relational.database import Database
 from ..relational.dialect import SqliteDialect, sqlite_reserved_table
@@ -54,13 +58,11 @@ from ..relational.relation import Relation
 from ..relational.sql import create_table_sql
 from ..relational.types import NULL, Value, is_null
 from ..semantics.functions import builtin_registry
-from .base import SqlBackend, StatementLimiter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fira.expression import MappingExpression
-    from ..fira.sqlcompile import SqlScript
-    from ..search.cancel import CancelToken
     from ..semantics.functions import FunctionRegistry
+    from .executor import StatementLimiter
 
 
 def _to_engine(value: Value) -> object:
@@ -113,7 +115,7 @@ def _holds_any(db: Database, tokens: "set[int] | frozenset[int]") -> bool:
     )
 
 
-class SqliteBackend(SqlBackend):
+class SqliteBackend:
     """Stdlib :mod:`sqlite3` backend (in-memory database per execution)."""
 
     name = "sqlite"
@@ -124,6 +126,13 @@ class SqliteBackend(SqlBackend):
         expression: "MappingExpression",
         source: Database | None = None,
     ) -> str | None:
+        """None when sqlite can run the mapping faithfully, else why not.
+
+        "Faithfully" means the executed result is bit-identical with the
+        in-memory algebra: sources and names SQLite cannot round-trip are
+        declined rather than silently changed.  Names that only the data
+        makes are checked at :meth:`compile`.
+        """
         names: list[str] = []
         if source is not None:
             if _holds_any(source, _bool_tokens()):
@@ -148,6 +157,20 @@ class SqliteBackend(SqlBackend):
             elif isinstance(op, CartesianProduct):
                 names.append(op.result_name)
         return sqlite_reserved_table(names)
+
+    def compile(
+        self,
+        expression: "MappingExpression",
+        source: Database,
+        registry: "FunctionRegistry | None" = None,
+    ) -> SqlScript:
+        """Compile *expression* over *source* into the sqlite dialect.
+
+        Raises:
+            BackendUnsupportedError: a step puts side by side names that
+                SQLite cannot hold apart.
+        """
+        return compile_script(expression, source, registry, self.dialect)
 
     def _load(self, conn: sqlite3.Connection, source: Database) -> None:
         """Create untyped tables and stream rows in via chunked inserts.
@@ -235,13 +258,15 @@ class SqliteBackend(SqlBackend):
 
     def execute(
         self,
-        script: "SqlScript",
+        script: SqlScript,
         source: Database,
+        limiter: "StatementLimiter",
         registry: "FunctionRegistry | None" = None,
-        deadline: float | None = None,
-        cancel: "CancelToken | None" = None,
     ) -> Database:
-        limiter = StatementLimiter(deadline, cancel)
+        """Load *source*, run *script* statement by statement, read back.
+
+        Polls *limiter* before every statement and after the last.
+        """
         faults: list[Exception] = []
         conn = sqlite3.connect(":memory:")
         try:

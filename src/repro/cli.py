@@ -20,7 +20,7 @@ Commands::
     python -m repro apply --expression FILE --source DIR [--output DIR]
 
     python -m repro execute --expression FILE --source DIR
-        [--backend auto|minisql|sqlite] [--deadline SECONDS]
+        [--backend auto|sqlite] [--deadline SECONDS]
         [--show-sql] [--output DIR]
 
     python -m repro tnf --source DIR
@@ -162,15 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument(
         "--execute",
         action="store_true",
-        help="also execute the discovered mapping on an SQL backend and "
-        "print the resulting instance",
+        help="also execute the discovered mapping on sqlite and print the "
+        "resulting instance",
     )
     discover.add_argument(
         "--backend",
         default="auto",
         metavar="NAME",
-        help="execution backend for --execute (auto takes sqlite when it "
-        "runs the mapping faithfully, else minisql; see `repro info`)",
+        help="engine for --execute: auto (sqlite, or the in-memory algebra "
+        "for a mapping sqlite declines) or sqlite (a decline is an error)",
     )
     discover.add_argument(
         "--output", default=None, help="write the expression to this file"
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     execute = sub.add_parser(
         "execute",
-        help="execute a mapping expression on an SQL backend "
+        help="execute a mapping expression on sqlite "
         "(compile + run + read back)",
     )
     execute.add_argument("--expression", required=True, help="expression file")
@@ -282,21 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="auto",
         metavar="NAME",
-        help="backend name or 'auto' (sqlite when it runs the mapping "
-        "faithfully, else minisql; see `repro info` for the list)",
+        help="auto (sqlite, or the in-memory algebra for a mapping sqlite "
+        "declines) or sqlite (a decline is an error)",
     )
     execute.add_argument(
         "--deadline",
         type=_seconds,
         default=None,
         metavar="SECONDS",
-        help="wall-clock deadline for script execution; a cut run exits "
+        help="wall-clock deadline for the execution; a cut run exits "
         f"{EXIT_DEADLINE_EXCEEDED}",
     )
     execute.add_argument(
         "--show-sql",
         action="store_true",
-        help="also print the compiled script (in the backend's dialect)",
+        help="also print the compiled sqlite script",
     )
     execute.add_argument(
         "--output", default=None, help="write result CSVs here (default: print)"
@@ -425,6 +425,13 @@ def _load_pair(args: argparse.Namespace) -> tuple | int:
     return 2
 
 
+def _engine_note(executed) -> str:
+    """What ran an executed mapping: the sqlite statements, or why not."""
+    if executed.script is None:
+        return f"sqlite declined: {executed.declined}"
+    return f"{executed.script.statement_count} statement(s)"
+
+
 def _print_mapping(args: argparse.Namespace, expression, source) -> int:
     """The output tail of a found discovery."""
     from .semantics import builtin_registry
@@ -451,7 +458,7 @@ def _print_mapping(args: argparse.Namespace, expression, source) -> int:
         print()
         print(
             f"executed on backend {executed.backend} "
-            f"({executed.script.statement_count} statement(s), "
+            f"({_engine_note(executed)}; "
             f"{executed.execute_seconds * 1000:.1f} ms)"
         )
         print()
@@ -474,9 +481,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
     if args.backend != "auto":
         # Validate the backend name up front so a typo fails before the
         # search spends its budget (UnknownBackendError -> exit 2).
-        from .backends import get_backend
+        from .backends import BACKEND_NAMES
+        from .errors import UnknownBackendError
 
-        get_backend(args.backend)
+        if args.backend not in BACKEND_NAMES:
+            raise UnknownBackendError(args.backend, BACKEND_NAMES)
     from .search import SearchConfig, discover_mapping
 
     tracer = None
@@ -610,7 +619,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_execute(args: argparse.Namespace) -> int:
-    """Run a stored mapping expression through an SQL execution backend."""
+    """Run a stored mapping expression on sqlite (or, under auto, the algebra)."""
     from .backends import execute_mapping
     from .errors import SearchDeadlineExceeded
     from .relational import load_database_dir, save_database
@@ -637,13 +646,16 @@ def cmd_execute(args: argparse.Namespace) -> int:
         return EXIT_DEADLINE_EXCEEDED
     print(
         f"backend: {result.backend}  "
-        f"({result.script.statement_count} statement(s), "
+        f"({_engine_note(result)}; "
         f"compile {result.compile_seconds * 1000:.1f} ms, "
         f"execute {result.execute_seconds * 1000:.1f} ms)"
     )
     if args.show_sql:
         print()
-        print(result.script.text)
+        if result.script is None:
+            print("-- no SQL ran: the in-memory algebra executed the mapping")
+        else:
+            print(result.script.text)
     if args.output:
         paths = save_database(result.database, args.output)
         print(f"wrote {len(paths)} relation(s) to {args.output}")
@@ -826,9 +838,12 @@ def cmd_info(_args: argparse.Namespace) -> int:
     print(f"json backend: {FAST_JSON_BACKEND}")
     print("sinks: " + ", ".join(SINK_NAMES))
     print("events: " + ", ".join(EVENT_TYPES))
-    from .backends import backend_names
+    from .backends import BACKEND_NAMES
 
-    print("backends: " + ", ".join(backend_names()))
+    print(
+        "backends: " + ", ".join(BACKEND_NAMES)
+        + " (auto runs what sqlite declines on the in-memory algebra)"
+    )
     from .parallel import (
         available_start_methods,
         cpu_count,

@@ -65,9 +65,10 @@ SPAN_END = "span_end"
 #: periodic live-progress heartbeat (examined / elapsed / frontier / best-f),
 #: emitted at the LIMIT_CHECK_EVERY cadence from the existing limit polls
 PROGRESS = "progress"
-#: a mapping was compiled for an execution backend
+#: a mapping was compiled for sqlite
 BACKEND_COMPILE = "backend_compile"
-#: a compiled script finished executing on a backend
+#: a mapping finished executing: a compiled script on sqlite, or the
+#: algebra's operators (backend "algebra", no statements) for one it declined
 BACKEND_EXECUTE = "backend_execute"
 #: the warm-start store served a verified mapping (kind: memo)
 STORE_HIT = "store_hit"

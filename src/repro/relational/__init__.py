@@ -25,7 +25,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         ".database": ("Database",),
         ".dialect": (
-            "CANONICAL_DIALECT", "MiniSqlDialect", "SqlDialect", "SqliteDialect",
+            "CANONICAL_DIALECT", "CanonicalDialect", "SqlDialect", "SqliteDialect",
         ),
         ".fingerprint": (
             "instance_digest", "pair_fingerprint", "pair_shape_fingerprint",

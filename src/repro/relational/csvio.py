@@ -25,7 +25,9 @@ def parse_value(text: str) -> Value:
 
     Empty string and the literal ``NULL`` parse to NULL; decimal integers
     and floats are converted; ``true``/``false`` become booleans; all other
-    text stays a string.
+    text stays a string.  So do ``nan``, ``NaN`` and the other spellings
+    :class:`float` reads as NaN (a first name ``Nan``, say): NaN equals
+    nothing, not even itself, so it is no relational value.
     """
     if text == "" or text == "NULL":
         return NULL
@@ -39,10 +41,10 @@ def parse_value(text: str) -> Value:
     except ValueError:
         pass
     try:
-        return float(text)
+        number = float(text)
     except ValueError:
-        pass
-    return text
+        return text
+    return number if number == number else text
 
 
 def render_value(value: Value) -> str:

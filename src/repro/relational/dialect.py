@@ -4,21 +4,26 @@ The FIRA → SQL compiler (:mod:`repro.fira.sqlcompile`) emits one logical
 statement sequence per pipeline; a :class:`SqlDialect` decides how that
 sequence is *rendered* for a concrete engine — identifier and literal
 quoting, ``CAST``-to-text, duplicate-row handling, and whether a column can
-be dropped in place.  Two dialects ship with the library, one per backend:
+be dropped in place.  Two dialects ship with the library:
 
-* :class:`MiniSqlDialect` — the canonical rendering understood by the
-  zero-dependency :mod:`repro.minisql` reference engine.  Its engine has
-  native *set semantics* (duplicate rows collapse, matching the paper's
-  relational model) and a canonical ``CAST(x AS TEXT)`` that mirrors
-  :func:`repro.relational.types.value_to_text`.
-* :class:`SqliteDialect` — stdlib ``sqlite3``.  SQLite tables are bags, so
-  the dialect renders re-creations with ``SELECT DISTINCT`` and compiles
-  column drops as DISTINCT re-creations; its ``CAST`` is wrapped in a
-  ``typeof`` guard so integral REALs render as canonical integers.  SQLite
-  has no BOOLEAN storage class, so boolean literals are rejected (the
-  sqlite backend declines bool-carrying instances up front).  It folds
-  identifier case and reserves ``sqlite_`` table names, so the dialect
-  declines a step whose names it cannot hold side by side.
+* :class:`CanonicalDialect` — the paper's relational model written as SQL:
+  *set semantics* (duplicate rows collapse) and a canonical
+  ``CAST(x AS TEXT)`` that mirrors
+  :func:`repro.relational.types.value_to_text`.  It is what
+  :func:`~repro.fira.sqlcompile.compile_expression`, ``repro discover
+  --show-sql`` and :mod:`repro.relational.sql` print; no engine in the
+  library runs it.
+* :class:`SqliteDialect` — stdlib ``sqlite3``, the engine
+  :func:`~repro.backends.executor.execute_mapping` runs.  SQLite tables
+  are bags, so the dialect renders re-creations with ``SELECT DISTINCT``
+  and compiles column drops as DISTINCT re-creations; its ``CAST`` is
+  wrapped in a ``typeof`` guard so integral REALs render as canonical
+  integers.  SQLite has no BOOLEAN storage class, so boolean literals are
+  rejected (the sqlite backend declines bool-carrying instances up
+  front).  It folds
+  identifier case, reserves ``sqlite_`` table names and renames columns
+  called ``TRUE`` or ``FALSE`` when it copies a table, so the dialect
+  declines a step whose names it cannot hold.
 
 Both dialects quote identifiers identically (double quotes, doubling
 embedded quotes) and reject identifiers/literals no engine can represent:
@@ -157,7 +162,7 @@ class SqlDialect:
         (the source twice, for the source itself): a step's output tables
         coexist with its input's for a moment, as when a partition creates
         its tables before it drops the one it splits.  None when the engine
-        holds every name apart, as the canonical engine does.
+        holds every name apart, as the canonical dialect does.
         """
         return None
 
@@ -192,16 +197,15 @@ class SqlDialect:
         return f"<SqlDialect {self.name}>"
 
 
-class MiniSqlDialect(SqlDialect):
-    """Canonical dialect for the in-process reference engine.
+class CanonicalDialect(SqlDialect):
+    """The paper's relational model as SQL text.
 
-    The mini-SQL engine implements the paper's relational model directly:
-    set semantics, two-valued NULL comparisons, and a ``CAST(x AS TEXT)``
-    that already matches the library's canonical text rendering — so this
-    dialect is the identity rendering the compiler historically emitted.
+    Set semantics, two-valued NULL comparisons, and a ``CAST(x AS TEXT)``
+    that matches the library's canonical text rendering: the identity
+    rendering the compiler emits when no engine is named.
     """
 
-    name = "minisql"
+    name = "canonical"
     set_semantics = True
     supports_boolean = True
 
@@ -218,6 +222,19 @@ def sqlite_reserved_table(names: Iterable[str]) -> str | None:
                 f"relation name {name!r} starts with 'sqlite_', which SQLite "
                 "reserves for internal use"
             )
+    return None
+
+
+#: names SQLite reads as a boolean: it names a CREATE TABLE AS result column
+#: spelled so (in any ASCII case) ``column<N>``, so no table copy keeps one
+_BOOLEAN_WORDS = frozenset({"true", "false"})
+
+
+def _boolean_word(names: Iterable[str]) -> str | None:
+    """One of *names* that SQLite reads as a boolean, if any."""
+    for name in names:
+        if len(name) in (4, 5) and name.translate(_ASCII_FOLD) in _BOOLEAN_WORDS:
+            return name
     return None
 
 
@@ -243,7 +260,9 @@ class SqliteDialect(SqlDialect):
     bit-identical with the in-memory algebra.  SQLite folds the case of
     identifiers, so two names differing only in case are one table or one
     column to it (a promote over ``A`` and ``a`` returns a column ``a:1``),
-    and it refuses tables named ``sqlite_…``; such steps are declined.
+    it refuses tables named ``sqlite_…``, and a table copy renames a column
+    called ``TRUE`` or ``FALSE`` (in any case) ``column<N>``; such steps are
+    declined.
     """
 
     name = "sqlite"
@@ -262,7 +281,15 @@ class SqliteDialect(SqlDialect):
             groups.append(tables)
         # a relation the step left as it was brings no new column name
         unchanged = set() if before is after else set(map(id, before))
-        groups += [rel.attributes for rel in after if id(rel) not in unchanged]
+        columns = [rel.attributes for rel in after if id(rel) not in unchanged]
+        for names in columns:
+            word = _boolean_word(names)
+            if word is not None:
+                return (
+                    f"column name {word!r} reads as a boolean to SQLite, which "
+                    "renames such a column when it copies a table"
+                )
+        groups += columns
         for names in groups:
             clash = _case_clash(names)
             if clash is not None:
@@ -310,4 +337,4 @@ class SqliteDialect(SqlDialect):
 
 #: the canonical dialect — what the compiler emits when none is given,
 #: identical to the historical single-flavor output
-CANONICAL_DIALECT = MiniSqlDialect()
+CANONICAL_DIALECT = CanonicalDialect()

@@ -116,10 +116,9 @@ def tnf_construction_sql(
     One ``INSERT ... SELECT`` per attribute, unioned — the standard
     system-table-free way to unpivot a known schema.  TIDs are synthesised
     from the row ordering for illustration; inside the library TIDs come
-    from :func:`repro.relational.tnf.iter_tnf_cells`.  Note the mini-SQL
-    engine numbers rows in the relation's deterministic sorted order while
-    real engines leave ``ROW_NUMBER() OVER ()`` unordered — a documented
-    divergence (docs/execution.md).
+    from :func:`repro.relational.tnf.iter_tnf_cells`.  Engines leave
+    ``ROW_NUMBER() OVER ()`` unordered, so which TID a row gets is the
+    engine's choice (docs/execution.md).
     """
     d = dialect or CANONICAL_DIALECT
     rel_ident = d.quote_identifier(relation.name)

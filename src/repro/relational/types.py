@@ -58,18 +58,21 @@ def is_null(value: object) -> bool:
 def check_value(value: object) -> Value:
     """Validate that *value* is an allowed atomic value and return it.
 
-    ``None`` is coerced to :data:`NULL` as a convenience for loaders.
+    ``None`` is coerced to :data:`NULL` as a convenience for loaders.  A
+    float NaN is refused: it equals nothing, not even itself, so two
+    relations holding it could never compare equal.
 
     Raises:
-        TypeError: if the value is not an allowed atomic type.
+        TypeError: if the value is not an allowed atomic type, or is NaN.
     """
     if value is None:
         return NULL
-    if isinstance(value, _ALLOWED_TYPES):
+    # value == value is False only for NaN
+    if isinstance(value, _ALLOWED_TYPES) and value == value:
         return value
     raise TypeError(
         f"invalid relational value {value!r} of type {type(value).__name__}; "
-        "allowed: str, int, float, bool, NULL"
+        "allowed: str, int, float (not NaN), bool, NULL"
     )
 
 

@@ -215,7 +215,6 @@ def _discover(
                     correspondences=correspondences,
                     registry=registry,
                     config=config,
-                    cancel=cancel,
                 )
                 h = make_heuristic(heuristic, target, k=k, algorithm=algorithm)
         if run_tracer.enabled:

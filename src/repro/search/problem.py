@@ -59,7 +59,6 @@ from ..errors import (
     NameCollisionError,
     OperatorApplicationError,
     SchemaError,
-    SearchCancelled,
     SearchError,
 )
 from ..obs.events import CACHE_HIT, CACHE_MISS, GENERATE, GOAL_TEST
@@ -73,7 +72,6 @@ from .stats import SearchStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..heuristics.base import Heuristic
     from ..semantics.correspondence import Correspondence
-    from .cancel import CancelToken
 
 _RESERVED_ATTRS = (DEMOTE_REL_ATTR, DEMOTE_ATT_ATTR)
 
@@ -172,11 +170,6 @@ class MappingProblem:
         registry: function registry resolving λ symbols; defaults to the
             built-ins.
         config: search knobs (budget, pruning, operator families).
-        cancel: optional :class:`~repro.search.cancel.CancelToken`;
-            :meth:`successors` polls it once per expansion and raises
-            :class:`~repro.errors.SearchCancelled` when set, so even
-            algorithms that examine states in coarse bursts (beam layers)
-            react to cancellation within one expansion.
     """
 
     def __init__(
@@ -186,14 +179,12 @@ class MappingProblem:
         correspondences: Sequence[Correspondence] = (),
         registry: FunctionRegistry | None = None,
         config: SearchConfig | None = None,
-        cancel: CancelToken | None = None,
     ) -> None:
         self.source = source
         self.target = target
         self.correspondences = tuple(correspondences)
         self.registry = registry if registry is not None else builtin_registry()
         self.config = config if config is not None else SearchConfig()
-        self.cancel_token = cancel
         for corr in self.correspondences:
             corr.check_signature(self.registry)
 
@@ -255,9 +246,6 @@ class MappingProblem:
         state["_nodes"] = {}
         state["_relation_move_cache"] = {}
         state["_heuristic"] = None
-        # A cancel token is an in-process flag; cancellation never crosses
-        # a pickle boundary.
-        state["cancel_token"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -327,59 +315,56 @@ class MappingProblem:
             value = cache[key] = build(rel)
         return value
 
-    def estimate(self, node: SearchNode, stats: SearchStats | None = None) -> int:
+    def estimate(self, node: SearchNode, stats: SearchStats) -> int:
         """The bound heuristic's estimate for *node* (memoised on the node).
 
-        Hits and misses are counted on *stats* when given; only computed
-        estimates are timed (a hit is a slot read).
+        Hits and misses are counted on *stats*; only computed estimates
+        are timed (a hit is a slot read).
         """
         h = node.h
         if h is not None:
-            if stats is not None:
-                stats.heuristic_cache_hits += 1
-                if stats.tracer.enabled:
-                    stats.tracer.emit(CACHE_HIT, cache="heuristic")
+            stats.heuristic_cache_hits += 1
+            if stats.tracer.enabled:
+                stats.tracer.emit(CACHE_HIT, cache="heuristic")
             return h
         heuristic = self._heuristic
         if heuristic is None:
             raise SearchError("no heuristic bound: call start(heuristic) first")
         begin = perf_counter()
         h = node.h = heuristic(node.state)
-        if stats is not None:
-            stats.heuristic_cache_misses += 1
-            stats.time_in_heuristic += perf_counter() - begin
-            if stats.tracer.enabled:
-                stats.tracer.emit(CACHE_MISS, cache="heuristic", value=h)
+        stats.heuristic_cache_misses += 1
+        stats.time_in_heuristic += perf_counter() - begin
+        if stats.tracer.enabled:
+            stats.tracer.emit(CACHE_MISS, cache="heuristic", value=h)
         return h
 
-    def is_goal(self, node: SearchNode, stats: SearchStats | None = None) -> bool:
+    def is_goal(self, node: SearchNode, stats: SearchStats) -> bool:
         """Goal test: *node*'s state contains the target critical instance.
 
         Verdicts are memoised on the node; time spent (hits included) and
-        hit/miss counts are recorded on *stats* when given.
+        hit/miss counts are recorded on *stats*.
         """
         begin = perf_counter()
         verdict = node.goal
         cached = verdict is not None
         if not cached:
             verdict = node.goal = node.state.contains(self.target)
-        if stats is not None:
-            if cached:
-                stats.goal_cache_hits += 1
-            else:
-                stats.goal_cache_misses += 1
-            tracer = stats.tracer
-            if tracer.enabled:
-                tracer.emit(CACHE_HIT if cached else CACHE_MISS, cache="goal")
-                tracer.emit(GOAL_TEST, verdict=verdict, cached=cached)
-            stats.time_in_goal_tests += perf_counter() - begin
+        if cached:
+            stats.goal_cache_hits += 1
+        else:
+            stats.goal_cache_misses += 1
+        tracer = stats.tracer
+        if tracer.enabled:
+            tracer.emit(CACHE_HIT if cached else CACHE_MISS, cache="goal")
+            tracer.emit(GOAL_TEST, verdict=verdict, cached=cached)
+        stats.time_in_goal_tests += perf_counter() - begin
         return verdict
 
     def successors(
         self,
         node: SearchNode,
-        last_op: Operator | None = None,
-        stats: SearchStats | None = None,
+        last_op: Operator | None,
+        stats: SearchStats,
     ) -> Entries:
         """Applicable, pruned, deduplicated moves from *node*'s state.
 
@@ -394,18 +379,14 @@ class MappingProblem:
         ``stats.states_generated`` counts successors *delivered*, so a hit
         counts like a fresh generation.
 
-        Limit checks: each call polls the problem's cancel token and, via
-        *stats*, the wall-clock deadline — one check per expansion keeps
-        every algorithm (including beam's layer-wide bursts) responsive.
+        Limit checks: each call polls the run's cancel token and deadline
+        through :meth:`~repro.search.stats.SearchStats.check_limits`, so one
+        check per expansion keeps every algorithm (including beam's
+        layer-wide bursts) responsive.
         """
-        if self.cancel_token is not None and self.cancel_token.cancelled:
-            raise SearchCancelled(
-                stats.states_examined if stats is not None else 0
-            )
-        if stats is not None:
-            stats.check_limits()
+        stats.check_limits()
         begin = perf_counter()
-        tracer = stats.tracer if stats is not None else None
+        tracer = stats.tracer
         try:
             key = self._symmetry_key(last_op)
             if node.key is key:
@@ -414,10 +395,9 @@ class MappingProblem:
                 more = node.more
                 entries = more.get(key) if more is not None else None
             if entries is not None:
-                if stats is not None:
-                    stats.successor_cache_hits += 1
-                    stats.generated(len(entries))
-                if tracer is not None and tracer.enabled:
+                stats.successor_cache_hits += 1
+                stats.generated(len(entries))
+                if tracer.enabled:
                     tracer.emit(CACHE_HIT, cache="successor")
                     self._emit_generate(tracer, entries, cached=True)
                 return entries
@@ -429,16 +409,14 @@ class MappingProblem:
                 if node.more is None:
                     node.more = {}
                 node.more[key] = entries
-            if stats is not None:
-                stats.successor_cache_misses += 1
-                stats.generated(len(entries))
-            if tracer is not None and tracer.enabled:
+            stats.successor_cache_misses += 1
+            stats.generated(len(entries))
+            if tracer.enabled:
                 tracer.emit(CACHE_MISS, cache="successor")
                 self._emit_generate(tracer, entries, cached=False)
             return entries
         finally:
-            if stats is not None:
-                stats.time_in_successors += perf_counter() - begin
+            stats.time_in_successors += perf_counter() - begin
 
     @staticmethod
     def _emit_generate(tracer, successors: Entries, cached: bool) -> None:

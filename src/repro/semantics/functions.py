@@ -144,7 +144,13 @@ def _as_number(value: Value, context: str) -> float:
 
 
 def _numeric(value: float) -> Value:
-    """Collapse floats that are integral back to int for clean rendering."""
+    """Collapse floats that are integral back to int for clean rendering.
+
+    A NaN result (``inf - inf``, say) is NULL, as a zero denominator is:
+    NaN is no relational value, and SQLite stores it as NULL.
+    """
+    if value != value:
+        return NULL
     if value.is_integer():
         return int(value)
     return value

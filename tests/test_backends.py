@@ -1,19 +1,24 @@
-"""The backend registry, auto dispatch, and the deadline/cancel contract."""
+"""Backend names, auto dispatch to sqlite or the algebra, and the
+deadline/cancel contract on both legs."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import CancelToken, Database, Relation
 from repro.backends import (
-    MiniSqlBackend,
-    SqlBackend,
+    BACKEND_NAMES,
     SqliteBackend,
-    backend_names,
+    StatementLimiter,
     execute_mapping,
-    get_backend,
 )
 from repro.errors import (
     BackendExecutionError,
@@ -24,6 +29,7 @@ from repro.errors import (
 )
 from repro.fira import (
     CartesianProduct,
+    DropAttribute,
     MappingExpression,
     Partition,
     Promote,
@@ -34,6 +40,9 @@ from repro.fira.sqlcompile import SqlScript
 from repro.obs import MemorySink, Tracer
 from repro.workloads import flights_b
 from repro.workloads.flights import b_to_a_expression, flights_registry
+
+#: the directory holding the ``repro`` package under test
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 #: ints outside SQLite's signed 64-bit INTEGER that no float equals, so the
 #: intern pool keeps them as ints whatever this process interned before
@@ -47,21 +56,31 @@ def simple_case():
     return db, expr
 
 
+def case_clash():
+    """A promote that puts columns ``a`` and ``A`` side by side: sqlite
+    declines it at compile, so under ``auto`` the algebra runs it."""
+    db = Database.single(Relation("R", ("k", "v"), [("a", "x"), ("A", "y")]))
+    return MappingExpression([Promote("R", "k", "v")]), db
+
+
+def leg_case(leg):
+    """An expression, a source and the *backend* argument that run on *leg*."""
+    if leg == "sqlite":
+        return b_to_a_expression(), flights_b(), "sqlite"
+    return (*case_clash(), "auto")
+
+
 class TestRegistry:
+    """The names ``execute_mapping`` accepts."""
+
     def test_backend_names(self):
-        assert backend_names() == ("minisql", "sqlite")
+        assert BACKEND_NAMES == ("auto", "sqlite")
 
-    def test_get_backend(self):
-        assert get_backend("minisql").name == "minisql"
-        assert get_backend("sqlite").name == "sqlite"
-
-    def test_unknown_backend_lists_known(self):
+    def test_unknown_backend_lists_known(self, simple_case):
+        db, expr = simple_case
         with pytest.raises(UnknownBackendError) as err:
-            get_backend("bogus")
-        message = str(err.value)
-        assert "bogus" in message
-        for name in backend_names():
-            assert name in message
+            execute_mapping(expr, db, backend="minisql")
+        assert str(err.value) == "unknown backend 'minisql' (known: auto, sqlite)"
 
 
 def _canonical_bools(db, relation="R"):
@@ -80,10 +99,6 @@ def _canonical_bools(db, relation="R"):
 
 
 class TestSupports:
-    def test_minisql_supports_everything(self, simple_case):
-        db, expr = simple_case
-        assert MiniSqlBackend().why_unsupported(expr, db) is None
-
     def test_sqlite_declines_boolean_sources(self):
         db = Database.single(Relation("R", ("A",), [(True,), (False,)]))
         expr = MappingExpression([RenameAttribute("R", "A", "B")])
@@ -127,16 +142,52 @@ class TestExecutorDispatch:
         expr = MappingExpression([RenameAttribute("R", "A", "B")])
         result = execute_mapping(expr, db, backend="auto")
         if _canonical_bools(db):
-            # sqlite declined the boolean source; auto fell back
-            assert result.backend == "minisql"
+            # sqlite declined the boolean source; the algebra ran it
+            assert result.backend == "algebra"
         assert result.database == expr.apply(db)
+
+    def test_auto_runs_boolean_sources_on_the_algebra(self):
+        """In a fresh interpreter True is interned before 1, so the source
+        holds a bool that sqlite must decline."""
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(
+                """
+                from repro import Database, MappingExpression, Relation, RenameAttribute
+                from repro.backends import execute_mapping
+                from repro.errors import BackendUnsupportedError
+
+                db = Database.single(Relation("R", ("A",), [(True,), (False,)]))
+                expr = MappingExpression([RenameAttribute("R", "A", "B")])
+                result = execute_mapping(expr, db, backend="auto")
+                assert result.backend == "algebra", result.backend
+                assert result.script is None
+                assert "BOOLEAN" in result.declined
+                assert result.database == expr.apply(db)
+                cells = [v for row in result.database.relation("R").rows for v in row]
+                assert all(isinstance(v, bool) for v in cells), cells
+                try:
+                    execute_mapping(expr, db, backend="sqlite")
+                except BackendUnsupportedError:
+                    pass
+                else:
+                    raise AssertionError("explicit sqlite ran a boolean source")
+                """
+            )],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("value", WIDE_INTS)
     def test_auto_falls_back_on_wide_ints(self, value):
         db = Database.single(Relation("R", ("A",), [(value,), (1,)]))
         expr = MappingExpression([RenameAttribute("R", "A", "B")])
         result = execute_mapping(expr, db, backend="auto")
-        assert result.backend == "minisql"
+        assert result.backend == "algebra"
+        assert result.script is None
+        assert "64-bit" in result.declined
         assert result.database == expr.apply(db)
 
     def test_unknown_backend_raises_eagerly(self, simple_case):
@@ -176,6 +227,17 @@ class TestExecutorDispatch:
         assert result.script.statement_count >= 1
         assert result.compile_seconds >= 0
         assert result.execute_seconds >= 0
+        assert result.declined is None
+        assert result.database == expr.apply(db)
+
+    def test_algebra_result_carries_no_script(self):
+        expr, db = case_clash()
+        result = execute_mapping(expr, db, backend="auto")
+        assert result.backend == "algebra"
+        assert result.script is None
+        assert "differ only in case" in result.declined
+        assert result.compile_seconds >= 0  # the compile sqlite declined
+        assert result.execute_seconds >= 0
         assert result.database == expr.apply(db)
 
 
@@ -184,29 +246,40 @@ class TestTelemetry:
         db, expr = simple_case
         sink = MemorySink()
         with Tracer(sink) as tracer:
-            execute_mapping(expr, db, backend="minisql", tracer=tracer)
+            execute_mapping(expr, db, backend="sqlite", tracer=tracer)
         kinds = [e["event"] for e in sink.events]
         assert "backend_compile" in kinds
         assert "backend_execute" in kinds
         execute_event = next(
             e for e in sink.events if e["event"] == "backend_execute"
         )
-        assert execute_event["backend"] == "minisql"
+        assert execute_event["backend"] == "sqlite"
         assert execute_event["statements"] >= 1
         assert execute_event["dur"] >= 0
 
+    def test_algebra_leg_emits_execute_only(self):
+        expr, db = case_clash()
+        sink = MemorySink()
+        with Tracer(sink) as tracer:
+            execute_mapping(expr, db, tracer=tracer)
+        events = [e for e in sink.events if e["event"].startswith("backend_")]
+        assert [e["event"] for e in events] == ["backend_execute"]
+        assert events[0]["backend"] == "algebra"
+        assert events[0]["statements"] == 0
+
 
 class TestDeadlineAndCancel:
-    """Backends honor the PR-5 resilience contract between statements."""
+    """Both legs honor the PR-5 resilience contract: sqlite between
+    statements, the algebra between operators."""
 
-    @pytest.mark.parametrize("backend", ["minisql", "sqlite"])
-    def test_preset_cancel_stops_before_first_statement(self, backend):
+    @pytest.mark.parametrize("leg", ["sqlite", "algebra"])
+    def test_preset_cancel_stops_before_first_statement(self, leg):
         token = CancelToken()
         token.cancel()
-        src = flights_b()
+        expr, src, backend = leg_case(leg)
         with pytest.raises(SearchCancelled) as err:
             execute_mapping(
-                b_to_a_expression(),
+                expr,
                 src,
                 backend=backend,
                 registry=flights_registry(),
@@ -214,12 +287,12 @@ class TestDeadlineAndCancel:
             )
         assert err.value.states_examined == 0
 
-    @pytest.mark.parametrize("backend", ["minisql", "sqlite"])
-    def test_zero_deadline_trips_immediately(self, backend):
-        src = flights_b()
+    @pytest.mark.parametrize("leg", ["sqlite", "algebra"])
+    def test_zero_deadline_trips_immediately(self, leg):
+        expr, src, backend = leg_case(leg)
         with pytest.raises(SearchDeadlineExceeded) as err:
             execute_mapping(
-                b_to_a_expression(),
+                expr,
                 src,
                 backend=backend,
                 registry=flights_registry(),
@@ -227,20 +300,41 @@ class TestDeadlineAndCancel:
             )
         assert err.value.deadline == 0.0
 
-    @pytest.mark.parametrize("backend", ["minisql", "sqlite"])
-    def test_deadline_counts_compile_time(self, simple_case, monkeypatch, backend):
-        db, expr = simple_case
-        compile_ = SqlBackend.compile
+    @pytest.mark.parametrize("leg", ["sqlite", "algebra"])
+    def test_deadline_counts_compile_time(self, monkeypatch, leg):
+        expr, src, backend = leg_case(leg)
+        compile_ = SqliteBackend.compile
 
         def slow_compile(self, *args, **kwargs):
             time.sleep(0.2)
             return compile_(self, *args, **kwargs)
 
-        monkeypatch.setattr(SqlBackend, "compile", slow_compile)
+        monkeypatch.setattr(SqliteBackend, "compile", slow_compile)
         with pytest.raises(SearchDeadlineExceeded) as err:
-            execute_mapping(expr, db, backend=backend, deadline=0.1)
+            execute_mapping(
+                expr, src, backend=backend, registry=flights_registry(),
+                deadline=0.1,
+            )
         assert err.value.deadline == 0.1
         assert err.value.elapsed >= 0.2
+
+    def test_cancel_between_operators_on_the_algebra(self, monkeypatch):
+        """A token set while an operator runs stops the next one."""
+        token = CancelToken()
+        src = Database.single(Relation("R", ("A",), [(WIDE_INTS[0],), (1,)]))
+        expr = MappingExpression(
+            [RenameAttribute("R", "A", "B"), RenameRelation("R", "S")]
+        )
+        apply_ = RenameAttribute.apply
+
+        def cancelling_apply(self, *args, **kwargs):
+            token.cancel()
+            return apply_(self, *args, **kwargs)
+
+        monkeypatch.setattr(RenameAttribute, "apply", cancelling_apply)
+        with pytest.raises(SearchCancelled) as err:
+            execute_mapping(expr, src, cancel=token)
+        assert err.value.states_examined == 1
 
     def test_generous_deadline_completes(self):
         src = flights_b()
@@ -267,7 +361,7 @@ class TestExecutionErrors:
             text="",
         )
         with pytest.raises(BackendExecutionError) as err:
-            SqliteBackend().execute(script, db)
+            SqliteBackend().execute(script, db, StatementLimiter())
         assert "NoSuchTable" in str(err.value)
 
     def test_load_failure_raises_backend_execution_error(self):
@@ -275,7 +369,7 @@ class TestExecutionErrors:
         db = Database.single(Relation("R", ("A",), [(2**63,)]))
         script = SqlScript(dialect="sqlite", statements=(), text="")
         with pytest.raises(BackendExecutionError) as err:
-            SqliteBackend().execute(script, db)
+            SqliteBackend().execute(script, db, StatementLimiter())
         assert err.value.statement.startswith("INSERT")
 
     def test_blob_read_back_raises_backend_execution_error(self, simple_case):
@@ -286,7 +380,7 @@ class TestExecutionErrors:
             text="",
         )
         with pytest.raises(BackendExecutionError) as err:
-            SqliteBackend().execute(script, db)
+            SqliteBackend().execute(script, db, StatementLimiter())
         assert "bytes" in str(err.value)
 
 
@@ -313,7 +407,7 @@ class TestSqliteNames:
         with pytest.raises(BackendUnsupportedError):
             execute_mapping(expr, db, backend="sqlite")
         result = execute_mapping(expr, db, backend="auto")
-        assert result.backend == "minisql"
+        assert result.backend == "algebra"
         assert result.database == expr.apply(db)
 
     @pytest.mark.parametrize(
@@ -329,21 +423,22 @@ class TestSqliteNames:
         )
         expr = MappingExpression([op])
         assert "reserves" in SqliteBackend().why_unsupported(expr, db)
+        with pytest.raises(BackendUnsupportedError):
+            execute_mapping(expr, db, backend="sqlite")
         result = execute_mapping(expr, db, backend="auto")
-        assert result.backend == "minisql"
+        assert result.backend == "algebra"
         assert result.database == expr.apply(db)
 
     def test_names_differing_only_in_case(self):
         """SQLite folds case: promoted columns 'a' and 'A' would be one
-        column to it, so it declines at compile and auto falls back."""
-        db = Database.single(Relation("R", ("k", "v"), [("a", "x"), ("A", "y")]))
-        expr = MappingExpression([Promote("R", "k", "v")])
+        column to it, so it declines at compile and the algebra runs it."""
+        expr, db = case_clash()
         assert SqliteBackend().why_unsupported(expr, db) is None
         with pytest.raises(BackendUnsupportedError) as err:
             execute_mapping(expr, db, backend="sqlite")
         assert "differ only in case" in str(err.value)
         result = execute_mapping(expr, db, backend="auto")
-        assert result.backend == "minisql"
+        assert result.backend == "algebra"
         assert result.database == expr.apply(db)
 
     def test_partition_into_reserved_name_is_declined(self):
@@ -355,7 +450,30 @@ class TestSqliteNames:
             execute_mapping(expr, db, backend="sqlite")
         assert "reserves" in str(err.value)
         result = execute_mapping(expr, db, backend="auto")
-        assert result.backend == "minisql"
+        assert result.backend == "algebra"
+        assert result.database == expr.apply(db)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            MappingExpression([DropAttribute("R", "k")]),
+            MappingExpression([RenameAttribute("R", "k", "true")]),
+        ],
+        ids=["source-column", "renamed-column"],
+    )
+    def test_boolean_column_names_are_declined(self, expr):
+        """A table copy names a column FALSE or true ``column<N>``."""
+        db = Database.single(
+            Relation("R", ("k", "v", "FALSE"), [("x", 1, 2), ("y", 1, 2)])
+        )
+        if expr[0].keyword == "rename_att":
+            db = DropAttribute("R", "FALSE").apply(db)
+            expr = MappingExpression([*expr, DropAttribute("R", "v")])
+        with pytest.raises(BackendUnsupportedError) as err:
+            execute_mapping(expr, db, backend="sqlite")
+        assert "reads as a boolean" in str(err.value)
+        result = execute_mapping(expr, db, backend="auto")
+        assert result.backend == "algebra"
         assert result.database == expr.apply(db)
 
     def test_rename_to_own_name_in_other_case(self):

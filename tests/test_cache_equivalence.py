@@ -33,15 +33,15 @@ def forget(node: SearchNode) -> None:
 class Recomputing(MappingProblem):
     """The reference: a problem whose every memo read is a miss."""
 
-    def estimate(self, node, stats=None):
+    def estimate(self, node, stats):
         forget(node)
         return super().estimate(node, stats)
 
-    def is_goal(self, node, stats=None):
+    def is_goal(self, node, stats):
         forget(node)
         return super().is_goal(node, stats)
 
-    def successors(self, node, last_op=None, stats=None):
+    def successors(self, node, last_op, stats):
         forget(node)
         return super().successors(node, last_op, stats)
 

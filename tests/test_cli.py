@@ -45,6 +45,24 @@ class TestDiscover:
         assert "status: found" in out
         assert "promote[" in out
 
+    def test_discover_matches_a_first_name_nan(self, tmp_path, capsys):
+        """A cell ``Nan`` is text, so source and target rows match."""
+        for side, header in (("source", "First,Last"), ("target", "Given,Family")):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "People.csv").write_text(f"{header}\nNan,Smith\n")
+        code = main(
+            [
+                "discover",
+                "--source", str(tmp_path / "source"),
+                "--target", str(tmp_path / "target"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "status: found" in out
+        assert "rename_att[People](First -> Given)" in out
+        assert "rename_att[People](Last -> Family)" in out
+
     def test_discover_writes_replayable_expression(self, dirs, capsys):
         source, target, tmp = dirs
         expr_file = tmp / "expr.txt"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Database, Relation
 from repro.cli import EXIT_DEADLINE_EXCEEDED, main
 from repro.relational import load_database_dir, save_database
 from repro.workloads import flights_b
@@ -17,6 +18,19 @@ def prepared(tmp_path):
     expr_file = tmp_path / "expr.txt"
     expr_file.write_text(str(b_to_a_expression()) + "\n")
     return source, expr_file, tmp_path
+
+
+@pytest.fixture
+def declined(tmp_path):
+    """A promote meeting values ``a`` and ``A``: sqlite declines it."""
+    source = tmp_path / "source"
+    save_database(
+        Database.single(Relation("R", ("k", "v"), [("a", "x"), ("A", "y")])),
+        source,
+    )
+    expr_file = tmp_path / "expr.txt"
+    expr_file.write_text("promote[R](k; v)\n")
+    return ["--expression", str(expr_file), "--source", str(source)]
 
 
 class TestExecute:
@@ -33,7 +47,7 @@ class TestExecute:
     def test_execute_matches_algebra_via_output_dir(self, prepared, capsys):
         source, expr_file, tmp = prepared
         out_dir = tmp / "result"
-        for backend in ("minisql", "sqlite"):
+        for backend in ("auto", "sqlite"):
             code = main(
                 [
                     "execute",
@@ -50,7 +64,7 @@ class TestExecute:
             assert code == 0
         capsys.readouterr()
         expected = b_to_a_expression().apply(flights_b(), flights_registry())
-        assert load_database_dir(out_dir / "minisql") == expected
+        assert load_database_dir(out_dir / "auto") == expected
         assert load_database_dir(out_dir / "sqlite") == expected
 
     def test_show_sql_prints_dialect_script(self, prepared, capsys):
@@ -73,7 +87,7 @@ class TestExecute:
 
     def test_unknown_backend_exits_2_with_known_list(self, prepared, capsys):
         source, expr_file, _tmp = prepared
-        for name in ("bogus", "duckdb"):
+        for name in ("bogus", "minisql"):
             code = main(
                 [
                     "execute",
@@ -87,7 +101,7 @@ class TestExecute:
             )
             err = capsys.readouterr().err
             assert code == 2
-            assert f"unknown backend '{name}' (known: minisql, sqlite)" in err
+            assert f"unknown backend '{name}' (known: auto, sqlite)" in err
 
     def test_expired_deadline_exits_3(self, prepared, capsys):
         # --deadline must be > 0 (0 is a usage error, exit 2); a 1 ns
@@ -108,6 +122,38 @@ class TestExecute:
         assert code == EXIT_DEADLINE_EXCEEDED
         assert "deadline" in err
 
+    def test_declined_mapping_runs_on_the_algebra(self, declined, capsys):
+        assert main(["execute", *declined, "--show-sql"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("backend: algebra  (sqlite declined: names ")
+        assert "-- no SQL ran" in out
+        assert "  A     a     k  v\n" in out  # both promoted columns
+
+    def test_declined_mapping_with_explicit_sqlite_exits_2(self, declined, capsys):
+        assert main(["execute", *declined, "--backend", "sqlite"]) == 2
+        assert "differ only in case" in capsys.readouterr().err
+
+    def test_expired_deadline_on_the_algebra_exits_3(self, declined, capsys):
+        code = main(["execute", *declined, "--deadline", "1e-9"])
+        assert code == EXIT_DEADLINE_EXCEEDED
+        assert "deadline" in capsys.readouterr().err
+
+
+def test_execute_prints_a_nan_cell_as_apply_does(tmp_path, capsys):
+    """``nan`` is text: sqlite keeps it, where a float NaN became NULL."""
+    source = tmp_path / "source"
+    source.mkdir()
+    (source / "R.csv").write_text("A,B\nnan,1\n")
+    expr_file = tmp_path / "expr.txt"
+    expr_file.write_text("rename_att[R](A -> C)\n")
+    args = ["--expression", str(expr_file), "--source", str(source)]
+    assert main(["apply", *args]) == 0
+    applied = capsys.readouterr().out
+    assert main(["execute", *args, "--backend", "sqlite"]) == 0
+    executed = capsys.readouterr().out
+    assert "nan" in applied and "NULL" not in executed
+    assert executed.endswith(applied)
+
 
 class TestDiscoverExecute:
     def test_discover_execute_prints_backend_result(self, capsys):
@@ -118,13 +164,13 @@ class TestDiscoverExecute:
         assert "B01" in out
 
     def test_discover_bogus_backend_fails_before_search(self, capsys):
-        for name in ("nope", "duckdb"):
+        for name in ("nope", "minisql"):
             code = main(
                 ["discover", "--synthetic", "3", "--execute", "--backend", name]
             )
             captured = capsys.readouterr()
             assert code == 2
-            assert f"unknown backend '{name}' (known: minisql, sqlite)" in captured.err
+            assert f"unknown backend '{name}' (known: auto, sqlite)" in captured.err
             assert "status:" not in captured.out
 
 
@@ -132,4 +178,4 @@ class TestInfoBackends:
     def test_info_lists_backends(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        assert "backends: minisql, sqlite\n" in out
+        assert "backends: auto, sqlite (auto runs what sqlite declines" in out

@@ -16,17 +16,20 @@ checked twice:
   dialect; a pipeline the reference cannot compile must fail with the same
   error.  The compiler itself replays on the data only up to the last
   promote or partition.
-* a pipeline the algebra can apply must give the algebra's result on
-  minisql and, where the backend supports the instance, on sqlite.
+* a pipeline the algebra can apply must give the algebra's result under
+  ``execute_mapping``'s ``auto``: on sqlite where sqlite supports the
+  instance, and on the algebra leg, named ``"algebra"``, where it
+  declines.
 
 SQLite folds the case of ASCII letters in identifiers, and of no other
 letters, so wherever a step puts two names differing only in ASCII case
 side by side, sqlite must decline the pipeline at compile
-(``BackendUnsupportedError``) and the sqlite leg is skipped; the event is
-counted.  Merge compiles to GROUP BY/MAX, which equals the algebra's merge
-only when each key group holds at most one non-NULL value per other
-column; a pipeline with any other merge is compiled but not executed
-(:func:`test_merge_of_incompatible_rows` pins the fault on both engines).
+(``BackendUnsupportedError``) and ``auto`` must hand it to the algebra;
+the event is counted.  Merge compiles to GROUP BY/MAX, which equals the
+algebra's merge only when each key group holds at most one non-NULL value
+per other column; a pipeline with any other merge is compiled but not
+executed (:func:`test_merge_of_incompatible_rows` pins the fault on
+sqlite).
 """
 
 from __future__ import annotations
@@ -307,13 +310,11 @@ def test_compile_and_engines_match_the_algebra(case):
     if inexact is not None:
         event(inexact)
         return
-    backends = ["minisql"]
-    if not clash and SqliteBackend().why_unsupported(expression, source) is None:
-        backends.append("sqlite")
-    event(f"engines: {backends}")
-    for backend in backends:
-        result = execute_mapping(expression, source, backend=backend, registry=REGISTRY)
-        assert result.database == db, f"{backend} diverged from the algebra"
+    declined = clash or SqliteBackend().why_unsupported(expression, source)
+    result = execute_mapping(expression, source, registry=REGISTRY)
+    event(f"engine: {result.backend}")
+    assert result.backend == ("algebra" if declined else "sqlite")
+    assert result.database == db, f"{result.backend} diverged from the algebra"
 
 
 @pytest.fixture
@@ -332,7 +333,7 @@ def test_compile_leaves_value_faults_to_the_engine(weights):
     assert script.statement_count == 3
 
 
-@pytest.mark.parametrize("backend", ["minisql", "sqlite"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 def test_lambda_value_fault_raises_the_functions_error(weights, backend):
     expression = MappingExpression(
         [ApplyFunction("W", "lb_to_kg", ("lb",), "kg")]
@@ -344,7 +345,7 @@ def test_lambda_value_fault_raises_the_functions_error(weights, backend):
     assert str(engine.value) == str(algebra.value)
 
 
-@pytest.mark.parametrize("backend", ["minisql", "sqlite"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 def test_lambda_whose_output_a_later_step_drops_still_runs(weights, backend):
     """A drop of a computed column ends the run, so no λ is left out."""
     expression = MappingExpression(
@@ -363,7 +364,7 @@ def test_lambda_whose_output_a_later_step_drops_still_runs(weights, backend):
     strict=True,
     reason="merge compiles to GROUP BY/MAX, which pools rows the algebra keeps apart",
 )
-@pytest.mark.parametrize("backend", ["minisql", "sqlite"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 def test_merge_of_incompatible_rows(backend):
     # (1, "a") and (1, "b") disagree on v, so the algebra keeps both rows;
     # MAX(v) per key group leaves one.
@@ -373,7 +374,7 @@ def test_merge_of_incompatible_rows(backend):
     assert result.database == expression.apply(db, REGISTRY)
 
 
-@pytest.mark.parametrize("backend", ["minisql", "sqlite"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 def test_product_whose_qualified_name_meets_a_column(backend):
     # k clashes, so R's k becomes R.k, which T already has: the second
     # R.k is named R.k#2 by the algebra and the compiled SELECT alike.

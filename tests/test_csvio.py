@@ -48,6 +48,13 @@ class TestParseValue:
     def test_numeric_looking_string_with_spaces(self):
         assert parse_value("1 2") == "1 2"
 
+    @pytest.mark.parametrize("text", ["Nan", "NaN", "nan", "-nan", "+NAN"])
+    def test_nan_spellings_stay_strings(self, text):
+        assert parse_value(text) == text
+
+    def test_infinity_is_a_float(self):
+        assert parse_value("inf") == float("inf")
+
 
 class TestRelationCsv:
     def test_parse_header_and_rows(self):
@@ -89,6 +96,13 @@ class TestFiles:
         path = tmp_path / "MyTable.csv"
         path.write_text("A\n1\n")
         assert load_relation(path).name == "MyTable"
+
+    def test_two_loads_of_a_nan_cell_compare_equal(self, tmp_path):
+        path = tmp_path / "People.csv"
+        path.write_text("First,Last\nNan,Smith\nnan,NaN\n")
+        first, second = load_relation(path), load_relation(path)
+        assert first == second
+        assert first.rows == {("Nan", "Smith"), ("nan", "NaN")}
 
     def test_save_and_load_database(self, tmp_path, db_c):
         save_database(db_c, tmp_path)

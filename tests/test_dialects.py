@@ -8,13 +8,13 @@ from repro.errors import SqlRenderingError
 from repro.relational import NULL
 from repro.relational.dialect import (
     CANONICAL_DIALECT,
-    MiniSqlDialect,
+    CanonicalDialect,
     SqlDialect,
     SqliteDialect,
 )
 from repro.relational.sql import quote_identifier, quote_literal
 
-ALL_DIALECTS = [MiniSqlDialect(), SqliteDialect()]
+ALL_DIALECTS = [CanonicalDialect(), SqliteDialect()]
 
 
 def _ids(dialects):
@@ -84,8 +84,8 @@ class TestLiteralQuoting:
             dialect.quote_literal(bad)
 
     def test_booleans_per_engine(self):
-        assert MiniSqlDialect().quote_literal(True) == "TRUE"
-        assert MiniSqlDialect().quote_literal(False) == "FALSE"
+        assert CanonicalDialect().quote_literal(True) == "TRUE"
+        assert CanonicalDialect().quote_literal(False) == "FALSE"
         with pytest.raises(SqlRenderingError):
             SqliteDialect().quote_literal(True)
 
@@ -107,19 +107,19 @@ class TestModuleLevelHelpers:
 
 class TestDialectBehaviors:
     def test_set_vs_bag_semantics(self):
-        assert MiniSqlDialect().select_modifier() == ""
+        assert CanonicalDialect().select_modifier() == ""
         assert SqliteDialect().select_modifier() == "DISTINCT "
 
     def test_drop_column_in_place(self):
-        assert MiniSqlDialect().drop_column_in_place()
+        assert CanonicalDialect().drop_column_in_place()
         assert not SqliteDialect().drop_column_in_place()
 
     def test_sqlite_cast_guards_integral_reals(self):
         cast = SqliteDialect().cast_to_text('"x"')
         assert "typeof" in cast and "CAST" in cast
 
-    def test_canonical_is_minisql(self):
-        assert CANONICAL_DIALECT.name == "minisql"
+    def test_canonical_name(self):
+        assert CANONICAL_DIALECT.name == "canonical"
 
     def test_canonical_cast_is_plain(self):
         assert CANONICAL_DIALECT.cast_to_text('"x"') == 'CAST("x" AS TEXT)'
@@ -139,4 +139,4 @@ class TestDialectBehaviors:
     def test_sqlite_function_call_quotes_keyword_names(self):
         call = SqliteDialect().function_call("add", ['"A"', '"B"'])
         assert call == '"add"("A", "B")'
-        assert MiniSqlDialect().function_call("add", ['"A"']) == 'add("A")'
+        assert CanonicalDialect().function_call("add", ['"A"']) == 'add("A")'

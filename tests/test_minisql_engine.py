@@ -1,264 +1,46 @@
-"""Unit and integration tests for the mini-SQL engine."""
+"""Compiled pipelines: a FIRA mapping compiled to SQL and run on sqlite
+replays the in-memory algebra."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.fira import compile_expression
-from repro.minisql import MiniSqlEngine, SqlExecutionError, run_script
-from repro.relational import (
-    NULL,
-    Database,
-    Relation,
-    relation_to_sql,
-    tnf_construction_sql,
-    tnf_decode,
+from repro.backends import execute_mapping
+from repro.fira import (
+    CartesianProduct,
+    DropAttribute,
+    MappingExpression,
+    Merge,
+    Promote,
 )
 from repro.workloads import (
     b_to_a_expression,
     b_to_c_expression,
-    flights_a,
-    flights_b,
-    flights_c,
     flights_registry,
 )
 
 
-def engine_with(db):
-    return MiniSqlEngine(db)
-
-
-class TestDdlDml:
-    def test_create_insert_select(self):
-        engine = MiniSqlEngine()
-        engine.execute(
-            'CREATE TABLE "T" ("A" TEXT, "B" INTEGER);'
-            "INSERT INTO \"T\" (\"A\", \"B\") VALUES ('x', 1);"
-            "INSERT INTO \"T\" (\"A\", \"B\") VALUES ('y', 2);"
-        )
-        assert engine.table("T").rows == {("x", 1), ("y", 2)}
-
-    def test_recreate_from_generated_sql(self, db_b):
-        engine = MiniSqlEngine()
-        engine.execute(relation_to_sql(db_b.relation("Prices")))
-        assert engine.database == db_b
-
-    def test_insert_missing_column_null(self):
-        engine = MiniSqlEngine()
-        engine.execute(
-            'CREATE TABLE "T" ("A" TEXT, "B" INTEGER);'
-            "INSERT INTO \"T\" (\"A\") VALUES ('x');"
-        )
-        assert engine.table("T").rows == {("x", NULL)}
-
-    def test_drop_table(self, db_b):
-        engine = engine_with(db_b)
-        engine.execute('DROP TABLE "Prices";')
-        assert "Prices" not in engine
-
-    def test_rename_table_and_column(self, db_b):
-        engine = engine_with(db_b)
-        engine.execute(
-            'ALTER TABLE "Prices" RENAME COLUMN "AgentFee" TO "Fee";'
-            'ALTER TABLE "Prices" RENAME TO "Flights";'
-        )
-        assert engine.table("Flights").has_attribute("Fee")
-
-    def test_drop_column(self, db_b):
-        engine = engine_with(db_b)
-        engine.execute('ALTER TABLE "Prices" DROP COLUMN "Cost";')
-        assert not engine.table("Prices").has_attribute("Cost")
-
-    def test_delete_where(self, db_b):
-        engine = engine_with(db_b)
-        engine.execute(
-            "DELETE FROM \"Prices\" WHERE \"Carrier\" <> 'AirEast';"
-        )
-        assert engine.table("Prices").column_values("Carrier") == {"AirEast"}
-
-    def test_delete_all(self, db_b):
-        engine = engine_with(db_b)
-        engine.execute('DELETE FROM "Prices";')
-        assert engine.table("Prices").cardinality == 0
-
-    def test_errors(self, db_b):
-        engine = engine_with(db_b)
-        with pytest.raises(SqlExecutionError):
-            engine.execute('DROP TABLE "Nope";')
-        with pytest.raises(SqlExecutionError):
-            engine.execute('CREATE TABLE "Prices" ("A" TEXT);')
-        with pytest.raises(SqlExecutionError):
-            engine.execute("INSERT INTO \"Prices\" (\"Nope\") VALUES (1);")
-
-
-class TestSelect:
-    def test_projection_and_where(self, db_b):
-        engine = engine_with(db_b)
-        engine.execute(
-            'CREATE TABLE "T" AS SELECT "Carrier", "Cost" FROM "Prices" '
-            "WHERE \"Route\" = 'ATL29';"
-        )
-        assert engine.table("T").rows == {("AirEast", 100), ("JetWest", 200)}
-
-    def test_case_when(self, db_b):
-        engine = engine_with(db_b)
-        engine.execute(
-            'CREATE TABLE "T" AS SELECT *, '
-            "CASE WHEN \"Route\" = 'ATL29' THEN \"Cost\" END AS \"ATL29\" "
-            'FROM "Prices";'
-        )
-        rel = engine.table("T")
-        values = rel.column_values("ATL29", include_null=True)
-        assert values == {100, 200, NULL}
-
-    def test_cross_join_values(self, db_b):
-        engine = engine_with(db_b)
-        engine.execute(
-            'CREATE TABLE "T" AS SELECT "Prices".*, __meta.* FROM "Prices" '
-            "CROSS JOIN (VALUES ('Prices', 'Route'), ('Prices', 'Cost')) "
-            'AS __meta("$REL", "$ATT");'
-        )
-        rel = engine.table("T")
-        assert rel.cardinality == 8
-        assert rel.column_values("$ATT") == {"Route", "Cost"}
-
-    def test_group_by_max_coalesces(self):
-        db = Database.single(
-            Relation(
-                "R",
-                ("K", "X", "Y"),
-                [("a", 1, NULL), ("a", NULL, 2), ("b", 3, NULL)],
-            )
-        )
-        engine = engine_with(db)
-        engine.execute(
-            'CREATE TABLE "T" AS SELECT "K", MAX("X") AS "X", MAX("Y") AS "Y" '
-            'FROM "R" GROUP BY "K";'
-        )
-        assert engine.table("T").rows == {("a", 1, 2), ("b", 3, NULL)}
-
-    def test_count_aggregate(self, db_b):
-        engine = engine_with(db_b)
-        engine.execute(
-            'CREATE TABLE "T" AS SELECT "Carrier", COUNT(*) AS "N" '
-            'FROM "Prices" GROUP BY "Carrier";'
-        )
-        assert engine.table("T").rows == {("AirEast", 2), ("JetWest", 2)}
-
-    def test_udf_call(self, db_b):
-        engine = MiniSqlEngine(db_b, flights_registry())
-        engine.execute(
-            'CREATE TABLE "T" AS SELECT *, add("Cost", "AgentFee") AS "Total" '
-            'FROM "Prices";'
-        )
-        assert 115 in engine.table("T").column_values("Total")
-
-    def test_aliases(self, db_c):
-        engine = engine_with(db_c)
-        engine.execute(
-            'CREATE TABLE "T" AS SELECT l."Route" AS "L", r."Route" AS "R" '
-            'FROM "AirEast" l CROSS JOIN "JetWest" r;'
-        )
-        assert engine.table("T").cardinality == 4
-
-    def test_ambiguous_column_rejected(self, db_c):
-        engine = engine_with(db_c)
-        with pytest.raises(SqlExecutionError):
-            engine.execute(
-                'CREATE TABLE "T" AS SELECT "Route" FROM "AirEast" l '
-                'CROSS JOIN "JetWest" r;'
-            )
-
-    def test_unknown_column_rejected(self, db_b):
-        engine = engine_with(db_b)
-        with pytest.raises(SqlExecutionError):
-            engine.execute('CREATE TABLE "T" AS SELECT "Nope" FROM "Prices";')
-
-    def test_union_all(self, db_c):
-        engine = engine_with(db_c)
-        engine.execute(
-            'CREATE TABLE "T" AS SELECT "Route" FROM "AirEast" '
-            'UNION ALL SELECT "Route" FROM "JetWest";'
-        )
-        assert engine.table("T").rows == {("ATL29",), ("ORD17",)}
+def run_on_sqlite(expression, source, registry=None):
+    return execute_mapping(
+        expression, source, backend="sqlite", registry=registry
+    ).database
 
 
 class TestCompiledPipelines:
-    """The headline property: compile_expression + MiniSqlEngine replays the
-    algebra exactly."""
+    """The headline property: the compiled script, executed by sqlite,
+    replays the algebra exactly."""
 
     def test_example2_via_sql(self, db_a, db_b):
-        script = compile_expression(b_to_a_expression(), db_b)
-        out = run_script(script, db_b)
+        out = run_on_sqlite(b_to_a_expression(), db_b)
         assert out.contains(db_a)
 
     def test_b_to_c_via_sql_with_udf(self, db_b, db_c):
-        script = compile_expression(
-            b_to_c_expression(), db_b, flights_registry()
-        )
-        out = run_script(script, db_b, flights_registry())
+        out = run_on_sqlite(b_to_c_expression(), db_b, flights_registry())
         assert out.contains(db_c)
-
-    def test_discovered_expression_via_sql(self, db_a, db_b):
-        from repro import discover_mapping
-
-        result = discover_mapping(db_b, db_a, heuristic="cosine")
-        script = compile_expression(result.expression, db_b)
-        assert run_script(script, db_b).contains(db_a)
-
-    def test_tnf_construction_sql(self, db_c):
-        engine = engine_with(db_c)
-        engine.execute(tnf_construction_sql(db_c.relation("AirEast")))
-        tnf = engine.table("TNF")
-        assert tnf.cardinality == 6  # 2 tuples x 3 attributes
-        decoded = tnf_decode(tnf)
-        # values pass through CAST AS TEXT, so compare textually
-        air_east = decoded.relation("AirEast")
-        assert air_east.column_values("Route") == {"ATL29", "ORD17"}
-        assert air_east.column_values("TotalCost") == {"115", "125"}
-
-    def test_every_operator_compiles_and_runs(self, db_b):
-        """Each operator family's compilation executes and matches apply()."""
-        from repro.fira import (
-            ApplyFunction,
-            CartesianProduct,
-            Demote,
-            Dereference,
-            DropAttribute,
-            Merge,
-            Partition,
-            Promote,
-            RenameAttribute,
-            RenameRelation,
-            Select,
-            compile_operator,
-        )
-
-        operators = [
-            RenameAttribute("Prices", "AgentFee", "Fee"),
-            RenameRelation("Prices", "Quotes"),
-            DropAttribute("Prices", "Cost"),
-            Promote("Prices", "Route", "Cost"),
-            Demote("Prices"),
-            Dereference("Prices", "Route", "V"),
-            Partition("Prices", "Carrier"),
-            ApplyFunction("Prices", "add", ("Cost", "AgentFee"), "Total"),
-            Select("Prices", "Carrier", "AirEast"),
-        ]
-        registry = flights_registry()
-        for op in operators:
-            expected = op.apply(db_b, registry)
-            script = "\n".join(compile_operator(op, db_b))
-            actual = run_script(script, db_b, registry)
-            assert actual == expected, f"SQL mismatch for {op}"
 
     def test_merge_compiles_on_its_intended_input(self, db_b):
         """The GROUP BY/MAX rendering of µ assumes at most one non-NULL
         value per column per group — exactly the post-promote shape
         (documented caveat in the compiler).  On that shape SQL and
         algebra agree."""
-        from repro.fira import DropAttribute, Merge, Promote, compile_operator
-
         prepared = db_b
         for op in (
             Promote("Prices", "Route", "Cost"),
@@ -268,13 +50,9 @@ class TestCompiledPipelines:
             prepared = op.apply(prepared)
         merge = Merge("Prices", "Carrier")
         expected = merge.apply(prepared)
-        script = "\n".join(compile_operator(merge, prepared))
-        assert run_script(script, prepared) == expected
+        assert run_on_sqlite(MappingExpression([merge]), prepared) == expected
 
     def test_product_compiles_and_runs(self, db_c):
-        from repro.fira import CartesianProduct, compile_operator
-
         op = CartesianProduct("AirEast", "JetWest")
         expected = op.apply(db_c)
-        script = "\n".join(compile_operator(op, db_c))
-        assert run_script(script, db_c) == expected
+        assert run_on_sqlite(MappingExpression([op]), db_c) == expected

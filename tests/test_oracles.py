@@ -50,6 +50,7 @@ from repro.relational import (
 )
 from repro.relational.intern import token_text
 from repro.search.problem import MappingProblem
+from repro.search.stats import SearchStats
 from repro.workloads import flights_b, matching_pair
 from repro.workloads.flights import (
     flights_a,
@@ -359,12 +360,14 @@ class TestEstimateOracle:
 def bfs_depth(problem: MappingProblem) -> int | None:
     """Length of a shortest operator path from the source to a goal.
 
-    Breadth-first over ``problem.successors(node, last_op)``, deduplicated
-    on ``(state, last_op)`` because successor generation depends on both
-    (symmetry breaking reads the operator that produced the state).
+    Breadth-first over ``problem.successors(node, last_op, stats)``,
+    deduplicated on ``(state, last_op)`` because successor generation
+    depends on both (symmetry breaking reads the operator that produced the
+    state).
     """
+    stats = SearchStats()
     root = problem.node(problem.initial_state())
-    if problem.is_goal(root):
+    if problem.is_goal(root, stats):
         return 0
     seen = {(root.state, None)}
     frontier = [(root, None)]
@@ -373,11 +376,11 @@ def bfs_depth(problem: MappingProblem) -> int | None:
         depth += 1
         next_frontier = []
         for node, last_op in frontier:
-            for op, child in problem.successors(node, last_op):
+            for op, child in problem.successors(node, last_op, stats):
                 key = (child.state, op)
                 if key in seen:
                     continue
-                if problem.is_goal(child):
+                if problem.is_goal(child, stats):
                     return depth
                 seen.add(key)
                 next_frontier.append((child, op))

@@ -46,6 +46,7 @@ from repro.parallel.providers import (
 )
 from repro.relational import Database, Relation
 from repro.search.problem import MappingProblem
+from repro.search.stats import SearchStats
 from repro.semantics import FunctionRegistry
 from repro.workloads.bamm import bamm_corpus
 from repro.workloads.semantic_tasks import inventory_domain
@@ -98,8 +99,9 @@ class TestPickleSafety:
         )
         # warm the memo tables, then check they do not cross the pickle line
         root = problem.start(make_heuristic("h1", pair.target))
-        problem.successors(root)
-        problem.is_goal(root)
+        stats = SearchStats()
+        problem.successors(root, None, stats)
+        problem.is_goal(root, stats)
         clone = pickle.loads(pickle.dumps(problem))
         assert clone._nodes == {}
         assert clone._relation_move_cache == {}

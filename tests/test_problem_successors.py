@@ -16,13 +16,16 @@ from repro.fira import (
     RenameRelation,
 )
 from repro.relational import NULL, Database, Relation
-from repro.search import MappingProblem, SearchConfig
+from repro.search import MappingProblem, SearchConfig, SearchStats
 from repro.semantics import Correspondence
 from repro.workloads import matching_pair, total_cost_correspondence
 
 
 def ops_of(problem, state, last_op=None, kind=None):
-    moves = [op for op, _child in problem.successors(problem.node(state), last_op)]
+    moves = [
+        op
+        for op, _child in problem.successors(problem.node(state), last_op, SearchStats())
+    ]
     if kind is not None:
         moves = [op for op in moves if isinstance(op, kind)]
     return moves
@@ -31,13 +34,13 @@ def ops_of(problem, state, last_op=None, kind=None):
 class TestGoal:
     def test_goal_is_containment(self, db_a, db_b):
         problem = MappingProblem(db_b, db_a)
-        assert not problem.is_goal(problem.node(db_b))
-        assert problem.is_goal(problem.node(db_a))
+        assert not problem.is_goal(problem.node(db_b), SearchStats())
+        assert problem.is_goal(problem.node(db_a), SearchStats())
 
     def test_goal_tolerates_superset(self, db_a):
         wider = db_a.with_relation(Relation("Extra", ("Z",), [(1,)]))
         problem = MappingProblem(db_a, db_a)
-        assert problem.is_goal(problem.node(wider))
+        assert problem.is_goal(problem.node(wider), SearchStats())
 
     def test_initial_state(self, db_a, db_b):
         assert MappingProblem(db_b, db_a).initial_state() == db_b
@@ -201,19 +204,19 @@ class TestLambdaProposals:
 class TestSuccessorHygiene:
     def test_no_duplicate_children(self, db_a, db_b):
         problem = MappingProblem(db_b, db_a)
-        children = [child.state for _op, child in problem.successors(problem.node(db_b))]
+        children = [child.state for _op, child in problem.successors(problem.node(db_b), None, SearchStats())]
         assert len(children) == len(set(children))
 
     def test_no_noop_children(self, db_a, db_b):
         problem = MappingProblem(db_b, db_a)
         root = problem.node(db_b)
-        assert all(child.state != db_b for _op, child in problem.successors(root))
+        assert all(child.state != db_b for _op, child in problem.successors(root, None, SearchStats()))
 
     def test_deterministic_order(self, db_a, db_b):
         problem = MappingProblem(db_b, db_a)
-        first = [str(op) for op, _ in problem.successors(problem.node(db_b))]
+        first = [str(op) for op, _ in problem.successors(problem.node(db_b), None, SearchStats())]
         problem.clear_caches()  # the second list is derived afresh
-        second = [str(op) for op, _ in problem.successors(problem.node(db_b))]
+        second = [str(op) for op, _ in problem.successors(problem.node(db_b), None, SearchStats())]
         assert first == second
 
     def test_disabled_families_not_proposed(self, db_b, db_c):
@@ -222,9 +225,7 @@ class TestSuccessorHygiene:
         assert ops_of(problem, db_b, kind=Partition) == []
 
     def test_stats_generation_counted(self, db_a, db_b):
-        from repro.search import SearchStats
-
         problem = MappingProblem(db_b, db_a)
         stats = SearchStats()
-        children = problem.successors(problem.node(db_b), stats=stats)
+        children = problem.successors(problem.node(db_b), None, stats)
         assert stats.states_generated == len(children)

@@ -28,14 +28,13 @@ PACKAGES = ["repro"] + [
     if info.ispkg
 ]
 
-#: what a CSV discovery never runs: execution backends, the SQL compiler
-#: and interpreter, fan-out, the store, the experiment harness, workload
-#: generators and trace merging
+#: what a CSV discovery never runs: execution backends, the SQL compiler,
+#: fan-out, the store, the experiment harness, workload generators and
+#: trace merging
 NOT_ON_DISCOVER_PATH = (
     "numpy",
     "sqlite3",
     "repro.backends",
-    "repro.minisql",
     "repro.parallel",
     "repro.store",
     "repro.experiments",
@@ -179,6 +178,22 @@ class TestPublicSurface:
             repro.Select,
         ]
         assert all(issubclass(op, repro.Operator) for op in operators)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "SqlBackend", "get_backend", "backend_names", "MiniSqlBackend",
+            "MiniSqlEngine", "run_script",
+        ],
+    )
+    def test_removed_execution_exports_stay_gone(self, name):
+        """One engine is left, so no backend ABC, registry or SQL
+        interpreter is exported."""
+        import repro.backends
+
+        for package in (repro, repro.backends):
+            assert name not in package.__all__
+            assert not hasattr(package, name)
 
 
 class TestStartUp:

@@ -251,6 +251,41 @@ def test_cancel_cuts_search_quickly():
     assert latency < 0.1  # responds within 100ms of the token firing
 
 
+class NthReadToken:
+    """A cancel token that reads as cancelled from its *n*-th read on."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.reads = 0
+
+    @property
+    def cancelled(self) -> bool:
+        self.reads += 1
+        return self.reads >= self.n
+
+
+@pytest.mark.parametrize("algorithm", ["ida", "rbfs", "astar", "greedy", "beam"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cancelled_run_traces_one_cancelled_event(algorithm, n):
+    """Whichever poll first sees the token set, the trace says so once."""
+    pair = matching_pair(3)
+    sink = MemorySink()
+    with Tracer(sink) as tracer:
+        result = discover_mapping(
+            pair.source,
+            pair.target,
+            algorithm=algorithm,
+            heuristic="h0",
+            tracer=tracer,
+            cancel=NthReadToken(n),
+            simplify=False,
+        )
+    assert result.status == "cancelled"
+    cancelled = [e for e in sink.events if e["event"] == "cancelled"]
+    assert len(cancelled) == 1
+    assert cancelled[0]["examined"] == result.stats.states_examined
+
+
 def test_stats_check_limits_raises_typed_errors():
     cancelled = SearchStats()
     cancelled.cancel_token = CancelToken()

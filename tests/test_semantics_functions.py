@@ -114,6 +114,16 @@ class TestBuiltins:
     def test_divide_by_zero_is_null(self):
         assert builtin_registry().get("divide").apply(1, 0) is NULL
 
+    def test_nan_results_are_null(self):
+        """inf - inf is NaN, which no relational value can hold."""
+        registry = builtin_registry()
+        inf = float("inf")
+        assert registry.get("add").apply(inf, -inf) is NULL
+        assert registry.get("subtract").apply(inf, inf) is NULL
+        assert registry.get("multiply").apply(inf, 0) is NULL
+        assert registry.get("divide").apply(inf, inf) is NULL
+        assert registry.get("add").apply(inf, 1) == inf
+
     def test_full_name_example5_f2(self):
         assert builtin_registry().get("full_name").apply("John", "Smith") == (
             "John Smith"

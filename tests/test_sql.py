@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.relational import NULL, Database, Relation
+import sqlite3
+
+from repro.relational import NULL, Database, Relation, tnf_decode
+from repro.relational.dialect import SqliteDialect
 from repro.relational.sql import (
     create_table_sql,
     database_to_sql,
@@ -92,3 +95,25 @@ class TestTnfConstruction:
     def test_custom_tnf_name(self, db_a):
         sql = tnf_construction_sql(db_a.relation("Flights"), tnf_table="Interop")
         assert '"Interop"' in sql
+
+    def test_tnf_construction_sql_runs_on_sqlite(self, db_c):
+        """The DDL and the TNF construction run on sqlite, and the TNF
+        table decodes back to the relation's values as text."""
+        dialect = SqliteDialect()
+        air_east = db_c.relation("AirEast")
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.executescript(
+                relation_to_sql(air_east, dialect)
+                + "\n"
+                + tnf_construction_sql(air_east, dialect=dialect)
+            )
+            cursor = conn.execute('SELECT * FROM "TNF"')
+            tnf = Relation("TNF", [d[0] for d in cursor.description], cursor)
+        finally:
+            conn.close()
+        assert tnf.cardinality == 6  # 2 tuples x 3 attributes
+        decoded = tnf_decode(tnf).relation("AirEast")
+        # values pass through CAST AS TEXT, so compare textually
+        assert decoded.column_values("Route") == {"ATL29", "ORD17"}
+        assert decoded.column_values("TotalCost") == {"115", "125"}

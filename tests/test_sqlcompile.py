@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.backends import execute_mapping, get_backend
+from repro.backends import execute_mapping
 from repro.fira import (
     ApplyFunction,
     CartesianProduct,
@@ -20,8 +20,12 @@ from repro.fira import (
     compile_operator,
     compile_script,
 )
+from repro.relational.dialect import CANONICAL_DIALECT, SqliteDialect
 from repro.semantics import builtin_registry
 from repro.workloads import b_to_a_expression, flights_b
+
+#: every dialect the compiler renders, by name
+DIALECTS = {d.name: d for d in (CANONICAL_DIALECT, SqliteDialect())}
 
 
 class TestOperatorCompilation:
@@ -116,18 +120,17 @@ def _statements(expression, db, dialect):
         MappingExpression(expression),
         db,
         builtin_registry(),
-        get_backend(dialect).dialect,
+        DIALECTS[dialect],
     ).statements
 
 
 def _runs_like_the_algebra(expression, db):
     expression = MappingExpression(expression)
     expected = expression.apply(db, builtin_registry())
-    for backend in ("minisql", "sqlite"):
-        result = execute_mapping(
-            expression, db, backend=backend, registry=builtin_registry()
-        )
-        assert result.database == expected, backend
+    result = execute_mapping(
+        expression, db, backend="sqlite", registry=builtin_registry()
+    )
+    assert result.database == expected
 
 
 class TestRowWiseRuns:
@@ -150,7 +153,7 @@ class TestRowWiseRuns:
             ApplyFunction("Prices", "upper", ("Carrier",), "Airline"),
             RenameAttribute("Prices", "Total", "TotalCost"),
         ]
-        for dialect in ("minisql", "sqlite"):
+        for dialect in DIALECTS:
             (create, drop, rename) = _statements(steps, db_b, dialect)
             assert '"Cost" AS "Base"' in create
             assert 'AS "TotalCost"' in create and 'AS "Total"' not in create
@@ -190,7 +193,7 @@ class TestRowWiseRuns:
             RenameAttribute("Prices", "Cost", "Base"),
             RenameAttribute("Prices", "AgentFee", "Fee"),
         ]
-        for dialect in ("minisql", "sqlite"):
+        for dialect in DIALECTS:
             statements = _statements(steps, db_b, dialect)
             assert statements == (
                 'ALTER TABLE "Prices" RENAME COLUMN "Cost" TO "Base";',

@@ -86,7 +86,7 @@ class TestSuccessorCache:
 
     def test_no_symmetry_breaking_collapses_keys(self):
         problem = make_problem(break_symmetry=False)
-        ops = [op for op, _ in problem.successors(root_of(problem), None)]
+        ops = [op for op, _ in problem.successors(root_of(problem), None, SearchStats())]
         renames = [op for op in ops if isinstance(op, RenameAttribute)]
         assert problem._symmetry_key(renames[0]) is None
         assert problem._symmetry_key(None) is None
@@ -95,9 +95,10 @@ class TestSuccessorCache:
         problem = make_problem()
         problem.start(make_heuristic("h1", problem.target))
         root = root_of(problem)
-        problem.successors(root, None)
-        problem.is_goal(root)
-        problem.estimate(root)
+        stats = SearchStats()
+        problem.successors(root, None, stats)
+        problem.is_goal(root, stats)
+        problem.estimate(root, stats)
         assert problem._nodes and root.entries is not None
         problem.clear_caches()
         assert not problem._nodes
@@ -159,7 +160,7 @@ class TestEstimates:
     def test_estimate_needs_a_bound_heuristic(self):
         problem = make_problem()
         with pytest.raises(SearchError):
-            problem.estimate(root_of(problem))
+            problem.estimate(root_of(problem), SearchStats())
 
 
 class TestInterning:
@@ -174,11 +175,12 @@ class TestInterning:
         """Re-derived equal children come back as the *same node*."""
         problem = make_problem()
         root = root_of(problem)
-        first = problem.successors(root, None)
+        stats = SearchStats()
+        first = problem.successors(root, None, stats)
         renames = [op for op, _ in first if isinstance(op, RenameAttribute)]
         # a different symmetry key forces a fresh computation of the same
         # children; interning must map them back to the first-run nodes
-        second = problem.successors(root, renames[0])
+        second = problem.successors(root, renames[0], stats)
         by_op = {str(op): child for op, child in first}
         recomputed = [
             (op, child) for op, child in second if str(op) in by_op

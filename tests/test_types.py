@@ -65,6 +65,19 @@ class TestCheckValue:
         with pytest.raises(TypeError):
             check_value(object())
 
+    def test_rejects_nan(self):
+        """NaN equals nothing, not even itself: no relation could hold it
+        and compare equal to its own copy."""
+        with pytest.raises(TypeError, match="invalid relational value nan"):
+            check_value(float("nan"))
+        assert check_value(float("inf")) == float("inf")
+
+    def test_relation_rejects_nan_cells(self):
+        from repro.relational import Relation
+
+        with pytest.raises(TypeError, match="invalid relational value nan"):
+            Relation("R", ("A",), [(float("nan"),)])
+
 
 class TestValueSortKey:
     def test_null_sorts_first(self):

@@ -48,7 +48,7 @@ DEFAULT_THRESHOLD = 0.15
 #: higher-is-better metrics as dotted paths into the payload
 TRACKED_METRICS: dict[str, tuple[str, ...]] = {
     "parallel_scaling": ("arms.workers_2.speedup",),
-    "sql_backends": ("headline.sqlite_vs_minisql",),
+    "sql_backends": ("headline.sqlite_vs_algebra",),
     "warm_start": ("headline.warm_vs_cold",),
 }
 
