@@ -1,14 +1,15 @@
 """Exporting TUPELO artifacts to SQL.
 
 TUPELO's internal format is Tuple Normal Form and its output is an
-executable mapping expression; both can be rendered as portable SQL so the
-discovered mapping can be replayed inside an RDBMS:
+executable mapping expression; both can be rendered as SQL (SQLite's, the
+engine the library runs mappings on) so the discovered mapping can be
+replayed inside an RDBMS:
 
 * DDL + INSERTs recreating the critical instances,
 * the TNF-construction statement for a relation (paper §2.2),
 * the discovered pipeline compiled to a step-by-step SQL script (dynamic
   operators are materialised against the instance, since their column and
-  table names come from data), in sqlite's dialect, and run on sqlite.
+  table names come from data), and run on sqlite.
 
 Run:  python examples/sql_export.py
 """

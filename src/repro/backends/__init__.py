@@ -22,6 +22,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "AUTO", "BACKEND_NAMES", "ExecutionResult", "StatementLimiter",
             "execute_mapping",
         ),
-        ".sqlite_backend": ("SqliteBackend",),
     },
 )

@@ -5,11 +5,11 @@ and a source instance, and it compiles the pipeline to SQL, runs it on
 stdlib sqlite, and hands back the resulting
 :class:`~repro.relational.database.Database` together with the compiled
 script and timings.  Under ``backend="auto"`` a mapping that sqlite
-declines (see :meth:`~repro.backends.sqlite_backend.SqliteBackend
-.why_unsupported`) runs through the in-memory algebra instead, the
-reference every executed result is compared against.  Telemetry rides
-along as ``backend_compile`` / ``backend_execute`` trace events on an
-optional :class:`~repro.obs.tracer.Tracer`.
+declines at compile (see :func:`~repro.fira.sqlcompile.check_step`) runs
+through the in-memory algebra instead, the reference every executed
+result is compared against.  Telemetry rides along as
+``backend_compile`` / ``backend_execute`` trace events on an optional
+:class:`~repro.obs.tracer.Tracer`.
 
 Both legs honor the deadline/cancel contract of the search kernel:
 a :class:`StatementLimiter` polls the
@@ -33,10 +33,11 @@ from ..errors import (
     UnknownBackendError,
 )
 from ..fira.expression import MappingExpression
-from ..fira.sqlcompile import SqlScript
+from ..fira.sqlcompile import SqlScript, compile_script
 from ..obs.events import BACKEND_COMPILE, BACKEND_EXECUTE
 from ..relational.database import Database
-from .sqlite_backend import SqliteBackend
+from ..relational.dialect import SQLITE
+from .sqlite_backend import execute_script
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.tracer import Tracer
@@ -48,10 +49,8 @@ AUTO = "auto"
 #: the engine an :class:`ExecutionResult` names when no SQL ran
 ALGEBRA = "algebra"
 
-_SQLITE = SqliteBackend()
-
 #: the *backend* values :func:`execute_mapping` accepts
-BACKEND_NAMES: tuple[str, ...] = (AUTO, _SQLITE.name)
+BACKEND_NAMES: tuple[str, ...] = (AUTO, SQLITE)
 
 
 class StatementLimiter:
@@ -128,14 +127,13 @@ def execute_mapping(
     """Compile and run *expression* over *source*; see module docs.
 
     *backend* is ``"sqlite"`` or ``"auto"``.  sqlite declines a mapping
-    at its capability check (booleans, ints beyond 64 bits, ``sqlite_``
-    names in the source or the renames) or at compile (names that differ
-    only in case, a ``sqlite_`` table that the data names, a column called
-    ``TRUE`` or ``FALSE``); under ``auto`` either decline hands the mapping
-    to :meth:`~repro.fira.expression.MappingExpression.apply`.  *tracer*
-    receives ``backend_compile`` / ``backend_execute`` events.  *deadline*
-    counts from this call: the capability check and compile spend it
-    first, and the statements or operators run under what is left.
+    at compile (booleans or ints beyond 64 bits in the source, a select on
+    a boolean, names that differ only in case, a ``sqlite_`` table, a
+    column called ``TRUE`` or ``FALSE``); under ``auto`` a decline hands the
+    mapping to :meth:`~repro.fira.expression.MappingExpression.apply`.
+    *tracer* receives ``backend_compile`` / ``backend_execute`` events.
+    *deadline* counts from this call: compile spends it first, and the
+    statements or operators run under what is left.
 
     Raises:
         UnknownBackendError: *backend* is neither name.
@@ -145,43 +143,35 @@ def execute_mapping(
     if backend not in BACKEND_NAMES:
         raise UnknownBackendError(backend, BACKEND_NAMES)
     limiter = StatementLimiter(deadline, cancel)
-    declined = _SQLITE.why_unsupported(expression, source)
-    if declined is not None and backend != AUTO:
-        raise BackendUnsupportedError(_SQLITE.name, declined)
     t0 = perf_counter()
-    if declined is None:
-        try:
-            script = _SQLITE.compile(expression, source, registry)
-        except BackendUnsupportedError as exc:
-            if backend != AUTO:
-                raise
-            declined = exc.reason
-    compile_seconds = perf_counter() - t0
-    if declined is not None:
+    try:
+        script = compile_script(expression, source, registry)
+    except BackendUnsupportedError as exc:
+        if backend != AUTO:
+            raise
         return _run_on_algebra(
             expression, source, registry, limiter, tracer,
-            compile_seconds, declined,
+            perf_counter() - t0, exc.reason,
         )
+    compile_seconds = perf_counter() - t0
     if tracer is not None:
         tracer.emit(
-            BACKEND_COMPILE,
-            backend=_SQLITE.name,
-            statements=script.statement_count,
+            BACKEND_COMPILE, backend=SQLITE, statements=script.statement_count
         )
 
     limiter.check()  # a compile that spent the deadline skips the load
     t1 = perf_counter()
-    database = _SQLITE.execute(script, source, limiter, registry)
+    database = execute_script(script, source, limiter, registry)
     execute_seconds = perf_counter() - t1
     if tracer is not None:
         tracer.emit(
             BACKEND_EXECUTE,
-            backend=_SQLITE.name,
+            backend=SQLITE,
             statements=script.statement_count,
             dur=execute_seconds,
         )
     return ExecutionResult(
-        backend=_SQLITE.name,
+        backend=SQLITE,
         script=script,
         database=database,
         compile_seconds=compile_seconds,

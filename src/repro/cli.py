@@ -157,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the induced schema matching",
     )
     discover.add_argument(
-        "--show-sql", action="store_true", help="also print the SQL compilation"
+        "--show-sql",
+        action="store_true",
+        help="also print the sqlite script that repro execute runs",
     )
     discover.add_argument(
         "--execute",
@@ -445,10 +447,15 @@ def _print_mapping(args: argparse.Namespace, expression, source) -> int:
         print("# induced schema matching")
         print(extract_matching(expression))
     if args.show_sql:
+        from .errors import BackendUnsupportedError
         from .fira import compile_expression
 
         print()
-        print(compile_expression(expression, source, builtin_registry()))
+        try:
+            print(compile_expression(expression, source, builtin_registry()))
+        except BackendUnsupportedError as err:
+            print(f"-- sqlite declined: {err.reason}")
+            print("-- repro execute runs this mapping on the in-memory algebra")
     if args.execute:
         from .backends import execute_mapping
 

@@ -60,12 +60,12 @@ class TNFError(RelationalError):
 
 
 class SqlRenderingError(RelationalError):
-    """A value or name has no faithful SQL rendering in the target dialect.
+    """A value or name has no faithful rendering in SQLite's SQL.
 
     Raised by :mod:`repro.relational.dialect` for empty identifiers, NUL
-    bytes, non-finite floats, and boolean literals on engines without a
-    BOOLEAN storage class — cases where emitting SQL anyway would either
-    fail to parse or silently change meaning.
+    bytes, non-finite floats, and boolean literals (SQLite has no BOOLEAN
+    storage class) — cases where emitting SQL anyway would either fail to
+    parse or silently change meaning.
     """
 
 
@@ -181,9 +181,10 @@ class BackendUnsupportedError(BackendError):
     """A backend cannot faithfully execute this expression/instance pair.
 
     Example: SQLite has no BOOLEAN storage class, so bool-carrying
-    instances cannot round-trip bit-identically through it.  The ``auto``
-    front door skips unsupporting backends; explicit requests fail with
-    the reason.
+    instances cannot round-trip bit-identically through it.  Compile
+    raises it (:func:`~repro.fira.sqlcompile.check_step`); the ``auto``
+    front door then runs the mapping on the in-memory algebra, and an
+    explicit ``"sqlite"`` request fails with the reason.
     """
 
     def __init__(self, name: str, reason: str) -> None:

@@ -1,8 +1,14 @@
-"""Compile mapping expressions to SQL scripts.
+"""Compile mapping expressions to SQLite scripts.
 
 TUPELO's output is an executable mapping expression; this module renders one
-as a portable SQL script so it can be replayed inside an RDBMS, as the paper
-envisions for TNF-based interoperation (§2.2).
+as a SQL script so it can be replayed inside an RDBMS, as the paper
+envisions for TNF-based interoperation (§2.2).  The script is the one
+:func:`~repro.backends.executor.execute_mapping` runs on stdlib sqlite, and
+``repro discover --show-sql`` prints; its spelling follows SQLite's rules
+(:mod:`repro.relational.dialect`).  SQLite tables are bags, so tables are
+re-created with ``SELECT DISTINCT`` and column drops compile as such
+re-creations, keeping executed results bit-identical with the in-memory
+algebra.
 
 Promote and partition create columns and tables whose *names come from
 data*, so the emitted SQL is necessarily instance-directed: the compiler
@@ -16,33 +22,38 @@ GROUP-BY/MAX coalescing query, the standard SQL rendering of the
 Wyss–Robertson merge when each group holds at most one non-NULL value per
 column (as after Example 2's promote and drops).
 
-Consecutive steps that rewrite one relation row by row (λ applications,
-promotes, dereferences, drops on dialects that re-create a table to drop a
-column, and the attribute renames between them) compile as one run: a
-single ``CREATE TABLE … AS SELECT`` over a column-expression list, so the
-table is copied once per run instead of once per step (:class:`RowWiseRun`).
+Compile is where sqlite declines a mapping: :func:`check_step` runs on the
+source and after every step, and raises
+:class:`~repro.errors.BackendUnsupportedError` for what SQLite cannot run as
+the algebra does.
 
-Emission is split from rendering: this module decides the *statement
-sequence* while a :class:`~repro.relational.dialect.SqlDialect` decides how
-identifiers, literals, casts, and duplicate handling are spelled for a
-concrete engine.  The default dialect reproduces the historical canonical
-output byte for byte; the bag-semantics sqlite dialect re-creates
-tables with ``SELECT DISTINCT`` and compiles column drops as DISTINCT
-re-creations so executed results stay bit-identical with the in-memory
-algebra.  :func:`compile_script` returns a :class:`SqlScript` whose
-statement list backends execute one at a time (polling deadline/cancel
-between statements); :func:`compile_expression` keeps the annotated-text
-form.
+Consecutive steps that rewrite one relation row by row (λ applications,
+promotes, dereferences, drops, and the attribute renames between them)
+compile as one run: a single ``CREATE TABLE … AS SELECT`` over a
+column-expression list, so the table is copied once per run instead of once
+per step (:class:`RowWiseRun`).  :func:`compile_script` returns a
+:class:`SqlScript` whose statement list the backend executes one at a time
+(polling deadline/cancel between statements); :func:`compile_expression`
+keeps the annotated-text form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import BackendUnsupportedError, OperatorApplicationError
 from ..relational.database import Database
-from ..relational.dialect import CANONICAL_DIALECT, SqlDialect
+from ..relational.dialect import (
+    SQLITE,
+    cast_to_text,
+    fold_case,
+    function_call,
+    quote_identifier,
+    quote_literal,
+    values_table,
+    why_unrepresentable,
+)
 from ..relational.intern import TEXTS, VALUES
 from ..relational.relation import Relation
 from ..relational.types import Value, is_null
@@ -63,15 +74,13 @@ class SqlScript:
     """A compiled pipeline: executable statements plus the annotated text.
 
     Attributes:
-        dialect: name of the dialect the script was rendered for.
         statements: executable statements only (no comments), one entry
-            per statement — the granularity at which backends poll the
+            per statement — the granularity at which the backend polls the
             deadline/cancel contract.
         text: the full annotated script (step markers + instance-directed
             commentary), suitable for display and files.
     """
 
-    dialect: str
     statements: tuple[str, ...]
     text: str
 
@@ -89,12 +98,21 @@ def is_sql_comment(line: str) -> bool:
     return line.lstrip().startswith("--") or not line.strip()
 
 
-def _recreate(
-    relation: str, select_body: str, dialect: SqlDialect
-) -> list[str]:
-    """CREATE-new / DROP-old / RENAME dance replacing *relation* in place."""
-    rel = dialect.quote_identifier(relation)
-    tmp = dialect.quote_identifier(relation + "__tupelo_tmp")
+def _scratch_table(relation: str, taken: Iterable[str]) -> str:
+    """A name for a scratch copy of *relation* that SQLite tells apart from
+    each of the table names *taken*."""
+    folded = set(map(fold_case, taken))
+    name, n = relation + "__tupelo_tmp", 1
+    while fold_case(name) in folded:
+        n += 1
+        name = f"{relation}__tupelo_tmp{n}"
+    return name
+
+
+def _recreate(relation: str, select_body: str, db: Database) -> list[str]:
+    """CREATE-new / DROP-old / RENAME dance replacing *relation* of *db*."""
+    rel = quote_identifier(relation)
+    tmp = quote_identifier(_scratch_table(relation, db.relation_names))
     return [
         f"CREATE TABLE {tmp} AS {select_body};",
         f"DROP TABLE {rel};",
@@ -106,20 +124,13 @@ def _recreate(
 #: SQL reads at most the relation's attribute list
 DATA_READING_OPERATORS: tuple[type[Operator], ...] = (Promote, Partition)
 
-
-def is_row_wise(op: Operator, dialect: SqlDialect) -> bool:
-    """Whether *op* rewrites its relation row by row under *dialect*.
-
-    A drop does so only on dialects that re-create a table to drop a column.
-    """
-    return isinstance(op, (RenameAttribute, ApplyFunction, Promote, Dereference)) or (
-        isinstance(op, DropAttribute) and not dialect.drop_column_in_place()
-    )
+#: operators that rewrite their relation row by row
+ROW_WISE_OPERATORS: tuple[type[Operator], ...] = (
+    RenameAttribute, ApplyFunction, Promote, Dereference, DropAttribute,
+)
 
 
-def compile_operator(
-    op: Operator, db: Database, dialect: SqlDialect | None = None
-) -> list[str]:
+def compile_operator(op: Operator, db: Database) -> list[str]:
     """SQL statements implementing *op* on a database in the state *db*.
 
     *db* is the database **before** the operator runs; the
@@ -128,38 +139,31 @@ def compile_operator(
     (``-- ...``) may be interleaved; filter with :func:`is_sql_comment`
     when executing.
     """
-    d = dialect or CANONICAL_DIALECT
-    if is_row_wise(op, d):
-        run = RowWiseRun(op.relation, db, d)
+    if isinstance(op, ROW_WISE_OPERATORS):
+        run = RowWiseRun(op.relation, db)
         run.add(op, db, [])
         return run.lines()
     if isinstance(op, RenameRelation):
         return [
-            f"ALTER TABLE {d.quote_identifier(op.old)} "
-            f"RENAME TO {d.quote_identifier(op.new)};"
-        ]
-    if isinstance(op, DropAttribute):
-        return [
-            f"ALTER TABLE {d.quote_identifier(op.relation)} "
-            f"DROP COLUMN {d.quote_identifier(op.attribute)};"
+            f"ALTER TABLE {quote_identifier(op.old)} "
+            f"RENAME TO {quote_identifier(op.new)};"
         ]
     if isinstance(op, Select):
+        table, column = quote_identifier(op.relation), quote_identifier(op.attribute)
+        if is_null(op.value):
+            return [f"DELETE FROM {table} WHERE {column} IS NOT NULL;"]
         return [
-            f"DELETE FROM {d.quote_identifier(op.relation)} "
-            f"WHERE {d.quote_identifier(op.attribute)} IS NULL "
-            f"OR {d.quote_identifier(op.attribute)} <> {d.quote_literal(op.value)};"
-            if not is_null(op.value)
-            else f"DELETE FROM {d.quote_identifier(op.relation)} "
-            f"WHERE {d.quote_identifier(op.attribute)} IS NOT NULL;"
+            f"DELETE FROM {table} WHERE {column} IS NULL "
+            f"OR {column} <> {quote_literal(op.value)};"
         ]
     if isinstance(op, Demote):
-        return _compile_demote(op, db, d)
+        return _compile_demote(op, db)
     if isinstance(op, Partition):
-        return _compile_partition(op, db, d)
+        return _compile_partition(op, db)
     if isinstance(op, Merge):
-        return _compile_merge(op, db, d)
+        return _compile_merge(op, db)
     if isinstance(op, CartesianProduct):
-        return _compile_product(op, db, d)
+        return _compile_product(op, db)
     raise OperatorApplicationError(f"no SQL compilation for operator {op!r}")
 
 
@@ -177,10 +181,9 @@ class RowWiseRun:
     TABLE`` statements, which copy no rows.
     """
 
-    def __init__(self, relation: str, start: Database, dialect: SqlDialect) -> None:
+    def __init__(self, relation: str, start: Database) -> None:
         self.relation = relation
         self.start = start
-        self.dialect = dialect
         #: per step: its comment lines, and a rename's own statement
         self.steps: list[tuple[list[str], str | None]] = []
         self.aliases: dict[str, str] = {}
@@ -188,7 +191,8 @@ class RowWiseRun:
         self.computed: dict[str, str] = {}
 
     def takes(self, op: Operator) -> bool:
-        """Whether row-wise *op* continues this run (see :func:`is_row_wise`)."""
+        """Whether row-wise *op* continues this run (see
+        :data:`ROW_WISE_OPERATORS`)."""
         if op.relation != self.relation:
             return False
         if isinstance(op, RenameAttribute):
@@ -207,12 +211,11 @@ class RowWiseRun:
         *notes* opens the step's text; the step's comments follow.  Raises
         what compiling *op* on its own raises.
         """
-        d = self.dialect
         alter = None
         if isinstance(op, RenameAttribute):
             alter = (
-                f"ALTER TABLE {d.quote_identifier(op.relation)} RENAME COLUMN "
-                f"{d.quote_identifier(op.old)} TO {d.quote_identifier(op.new)};"
+                f"ALTER TABLE {quote_identifier(op.relation)} RENAME COLUMN "
+                f"{quote_identifier(op.old)} TO {quote_identifier(op.new)};"
             )
             if op.old in self.computed:
                 self.computed = {
@@ -227,7 +230,7 @@ class RowWiseRun:
             notes.append(
                 f"-- apply: {op.function!r} must be available as a UDF / stored procedure"
             )
-            call = d.function_call(op.function, [self._read(a) for a in op.inputs])
+            call = function_call(op.function, [self._read(a) for a in op.inputs])
             self._compute(op.output, call)
         elif isinstance(op, Promote):
             notes.append(
@@ -240,7 +243,7 @@ class RowWiseRun:
                 if name:  # NULL and the empty string name no column
                     self._compute(
                         name,
-                        f"CASE WHEN {_equals_any(key, values, d)} "
+                        f"CASE WHEN {_equals_any(key, values)} "
                         f"THEN {self._read(op.value_attr)} END",
                     )
         elif isinstance(op, Dereference):
@@ -250,20 +253,15 @@ class RowWiseRun:
             # would break the cross-backend equivalence oracle on
             # non-string columns.
             rel = db.relation(op.relation)
-            pointer = d.cast_to_text(self._read(op.pointer_attr))
+            pointer = cast_to_text(self._read(op.pointer_attr))
             whens = " ".join(
-                f"WHEN {pointer} = {d.quote_literal(attr)} THEN {self._read(attr)}"
+                f"WHEN {pointer} = {quote_literal(attr)} THEN {self._read(attr)}"
                 for attr in rel.attributes
             )
             self._compute(op.new_attr, f"CASE {whens} END")
         else:
-            # Bag-semantics engines: an in-place drop can expose duplicate
-            # rows the algebra would collapse, so re-create with SELECT
-            # DISTINCT instead.
-            if db.relation(op.relation).attributes == (op.attribute,):
-                raise OperatorApplicationError(
-                    f"drop: cannot drop the last attribute of {op.relation!r}"
-                )
+            # An in-place drop can expose duplicate rows the algebra would
+            # collapse, so the run re-creates the table with SELECT DISTINCT.
             notes.append(
                 "-- drop: re-created with DISTINCT to preserve set semantics "
                 "on a bag-semantics engine"
@@ -273,10 +271,10 @@ class RowWiseRun:
 
     def _read(self, attr: str) -> str:
         """SQL reading attribute *attr* from the table the run found."""
-        return self.dialect.quote_identifier(self.aliases.get(attr, attr))
+        return quote_identifier(self.aliases.get(attr, attr))
 
     def _compute(self, name: str, expression: str) -> None:
-        self.dialect.quote_identifier(name)  # an unquotable name fails here
+        quote_identifier(name)  # an unquotable name fails here
         self.computed[name] = expression
 
     def lines(self) -> list[str]:
@@ -289,7 +287,7 @@ class RowWiseRun:
                 for line in (*notes, alter, "")
             ]
             return text[:-1]
-        q = self.dialect.quote_identifier
+        q = quote_identifier
         columns = ["*"]
         if self.aliases or self.dropped:
             names = {source: name for name, source in self.aliases.items()}
@@ -299,17 +297,14 @@ class RowWiseRun:
                 if a not in self.dropped
             ]
         columns += [f"{sql} AS {q(name)}" for name, sql in self.computed.items()]
-        body = (
-            f"SELECT {self.dialect.select_modifier()}{', '.join(columns)} "
-            f"FROM {q(self.relation)}"
-        )
+        body = f"SELECT DISTINCT {', '.join(columns)} FROM {q(self.relation)}"
         text = [line for notes, _ in self.steps for line in notes]
         if len(self.steps) > 1:
             text.append(
                 f"-- one copy of {self.relation!r} runs the "
                 f"{len(self.steps)} steps above"
             )
-        return [*text, *_recreate(self.relation, body, self.dialect)]
+        return [*text, *_recreate(self.relation, body, self.start)]
 
 
 def _values_by_name(rel: Relation, attr: str) -> dict[str, list[Value]]:
@@ -330,74 +325,73 @@ def _values_by_name(rel: Relation, attr: str) -> dict[str, list[Value]]:
     return groups
 
 
-def _equals_any(column: str, values: list[Value], d: SqlDialect) -> str:
+def _equals_any(column: str, values: list[Value]) -> str:
     """SQL matching *column* against any of *values*."""
-    tests = [f"{column} = {d.quote_literal(value)}" for value in values]
+    tests = [f"{column} = {quote_literal(value)}" for value in values]
     return tests[0] if len(tests) == 1 else f"({' OR '.join(tests)})"
 
 
-def _compile_demote(op: Demote, db: Database, d: SqlDialect) -> list[str]:
+def _compile_demote(op: Demote, db: Database) -> list[str]:
+    # Both sides are aliased, so a relation named like the constant table
+    # still reads as two tables.
     rel = db.relation(op.relation)
-    meta = d.values_table(
+    meta = values_table(
         [(rel.name, attr) for attr in rel.attributes],
-        "__meta",
+        "r",
         (DEMOTE_REL_ATTR, DEMOTE_ATT_ATTR),
     )
     body = (
-        f"SELECT {d.select_modifier()}{d.quote_identifier(op.relation)}.*, __meta.* "
-        f"FROM {d.quote_identifier(op.relation)} CROSS JOIN {meta}"
+        "SELECT DISTINCT l.*, r.* "
+        f"FROM {quote_identifier(op.relation)} l CROSS JOIN {meta}"
     )
-    return _recreate(op.relation, body, d)
+    return _recreate(op.relation, body, db)
 
 
-def _compile_partition(op: Partition, db: Database, d: SqlDialect) -> list[str]:
+def _compile_partition(op: Partition, db: Database) -> list[str]:
     groups = _values_by_name(db.relation(op.relation), op.attribute)
     statements = [
         f"-- partition: table names below come from the data of "
         f"{op.attribute!r} (instance-directed)"
     ]
     # The algebra drops the input before naming the outputs, so a partition
-    # may reuse the input's name; SQL must move the input aside first.
+    # may reuse the input's name; SQL must move the input aside first, to a
+    # name no table and no output takes.
     input_table = op.relation
     if op.relation in groups:
-        input_table = op.relation + "__tupelo_tmp"
+        input_table = _scratch_table(op.relation, [*db.relation_names, *groups])
         statements.append(
-            f"ALTER TABLE {d.quote_identifier(op.relation)} "
-            f"RENAME TO {d.quote_identifier(input_table)};"
+            f"ALTER TABLE {quote_identifier(op.relation)} "
+            f"RENAME TO {quote_identifier(input_table)};"
         )
-    key = d.quote_identifier(op.attribute)
+    key = quote_identifier(op.attribute)
     for table, values in groups.items():
         statements.append(
-            f"CREATE TABLE {d.quote_identifier(table)} AS "
-            f"SELECT {d.select_modifier()}* FROM {d.quote_identifier(input_table)} "
-            f"WHERE {_equals_any(key, values, d)};"
+            f"CREATE TABLE {quote_identifier(table)} AS "
+            f"SELECT DISTINCT * FROM {quote_identifier(input_table)} "
+            f"WHERE {_equals_any(key, values)};"
         )
-    statements.append(f"DROP TABLE {d.quote_identifier(input_table)};")
+    statements.append(f"DROP TABLE {quote_identifier(input_table)};")
     return statements
 
 
-def _compile_merge(op: Merge, db: Database, d: SqlDialect) -> list[str]:
+def _compile_merge(op: Merge, db: Database) -> list[str]:
     # NULL never equals NULL in the merge semantics, so NULL-keyed tuples do
     # not participate: GROUP BY the non-NULL keys and UNION the NULL-keyed
     # rows back in untouched (SQL's GROUP BY would wrongly pool them).
     rel = db.relation(op.relation)
-    key = d.quote_identifier(op.attribute)
-    others = [a for a in rel.attributes if a != op.attribute]
-    aggregates = [
-        f"MAX({d.quote_identifier(a)}) AS {d.quote_identifier(a)}" for a in others
-    ]
-    passthrough_cols = ", ".join(
-        [key, *(d.quote_identifier(a) for a in others)]
-    )
+    table = quote_identifier(op.relation)
+    key = quote_identifier(op.attribute)
+    others = [quote_identifier(a) for a in rel.attributes if a != op.attribute]
+    aggregates = [f"MAX({a}) AS {a}" for a in others]
     grouped = (
         f"SELECT {', '.join([key, *aggregates])} "
-        f"FROM {d.quote_identifier(op.relation)} "
+        f"FROM {table} "
         f"WHERE {key} IS NOT NULL "
         f"GROUP BY {key}"
     )
     passthrough = (
-        f"SELECT {d.select_modifier()}{passthrough_cols} "
-        f"FROM {d.quote_identifier(op.relation)} "
+        f"SELECT DISTINCT {', '.join([key, *others])} "
+        f"FROM {table} "
         f"WHERE {key} IS NULL"
     )
     body = f"{grouped} UNION ALL {passthrough}"
@@ -405,25 +399,25 @@ def _compile_merge(op: Merge, db: Database, d: SqlDialect) -> list[str]:
         "-- merge: GROUP BY/MAX coalescing is exact only when each key group "
         "holds at most one non-NULL value per column; NULL-keyed rows pass "
         "through unmerged",
-        *_recreate(op.relation, body, d),
+        *_recreate(op.relation, body, db),
     ]
 
 
-def _compile_product(op: CartesianProduct, db: Database, d: SqlDialect) -> list[str]:
+def _compile_product(op: CartesianProduct, db: Database) -> list[str]:
     left = db.relation(op.left)
     right = db.relation(op.right)
     columns = [("l", attr) for attr in left.attributes]
     columns += [("r", attr) for attr in right.attributes]
     select_list = ", ".join(
-        f"{alias}.{d.quote_identifier(attr)} AS {d.quote_identifier(name)}"
+        f"{alias}.{quote_identifier(attr)} AS {quote_identifier(name)}"
         for (alias, attr), name in zip(columns, product_attributes(left, right))
     )
     body = (
-        f"SELECT {d.select_modifier()}{select_list} "
-        f"FROM {d.quote_identifier(op.left)} l "
-        f"CROSS JOIN {d.quote_identifier(op.right)} r"
+        f"SELECT DISTINCT {select_list} "
+        f"FROM {quote_identifier(op.left)} l "
+        f"CROSS JOIN {quote_identifier(op.right)} r"
     )
-    return [f"CREATE TABLE {d.quote_identifier(op.result_name)} AS {body};"]
+    return [f"CREATE TABLE {quote_identifier(op.result_name)} AS {body};"]
 
 
 def _rows_free(db: Database) -> Database:
@@ -438,25 +432,22 @@ def compile_script(
     expression: MappingExpression,
     source: Database,
     registry: "FunctionRegistry | None" = None,
-    dialect: SqlDialect | None = None,
 ) -> SqlScript:
     """Compile a whole pipeline to a :class:`SqlScript`, step by step.
 
     The pipeline is executed on *source* up to and including its last
     :data:`DATA_READING_OPERATORS` step, so those steps can materialise
     the names they create, and on a rows-free copy of the schema after it.
-    Every step's checks run either way, so schema faults (a missing
-    relation or attribute, a name collision, an unknown function, a wrong
-    arity) raise here; a value fault in a later λ surfaces in the engine.
-    Each maximal run of row-wise steps on one relation compiles as one
-    :class:`RowWiseRun`.  A dialect whose engine cannot hold the names a
-    step puts side by side declines the pipeline here
-    (:meth:`~repro.relational.dialect.SqlDialect.why_unrepresentable`).
+    Each step is replayed and checked (:func:`check_step`) before its SQL
+    is written, so schema faults (a missing relation or attribute, a name
+    collision, an unknown function, a wrong arity) raise here; a value
+    fault in a later λ surfaces in the engine.  Each maximal run of
+    row-wise steps on one relation compiles as one :class:`RowWiseRun`.
 
     Raises:
-        BackendUnsupportedError: when the dialect declines a name.
+        BackendUnsupportedError: when SQLite cannot run the pipeline as
+            the algebra does.
     """
-    d = dialect or CANONICAL_DIALECT
     lines: list[str] = ["-- TUPELO mapping expression compiled to SQL"]
     last_data_step = max(
         (
@@ -466,47 +457,66 @@ def compile_script(
         ),
         default=0,
     )
-    check_names(d, source, source)
+    check_step(source, source)
     db = source if last_data_step else _rows_free(source)
     run: RowWiseRun | None = None
     for i, op in enumerate(expression, start=1):
+        after = op.apply(db, registry)
+        check_step(db, after, op)
         notes = [f"-- step {i}: {op}"]
-        row_wise = is_row_wise(op, d)
+        row_wise = isinstance(op, ROW_WISE_OPERATORS)
         if run is not None and not (row_wise and run.takes(op)):
             lines += [*run.lines(), ""]
             run = None
         if row_wise:
-            run = run or RowWiseRun(op.relation, db, d)
+            run = run or RowWiseRun(op.relation, db)
             run.add(op, db, notes)
         else:
-            lines += [*notes, *compile_operator(op, db, d), ""]
-        before, db = db, op.apply(db, registry)
-        check_names(d, before, db)
-        if i == last_data_step:
-            db = _rows_free(db)
+            lines += [*notes, *compile_operator(op, db), ""]
+        db = _rows_free(after) if i == last_data_step else after
     if run is not None:
         lines += run.lines()
     text = "\n".join(lines).rstrip() + "\n"
     statements = tuple(line for line in lines if not is_sql_comment(line))
-    return SqlScript(dialect=d.name, statements=statements, text=text)
+    return SqlScript(statements=statements, text=text)
 
 
-def check_names(dialect: SqlDialect, before: Database, after: Database) -> None:
-    """Decline a step whose names *dialect*'s engine cannot hold side by side.
+def check_step(
+    before: Database, after: Database, op: Operator | None = None
+) -> None:
+    """Decline what SQLite cannot run as the algebra does.
+
+    Compile calls this on the source (passed as *before* and *after*, with
+    no *op*) and after every step *op*, which took *before* to *after*:
+    it is where sqlite declines a mapping.  A select on a boolean literal
+    is declined, and so is what
+    :func:`~repro.relational.dialect.why_unrepresentable` finds: a bool or
+    an int wider than 64 bits in the source, or names SQLite cannot hold
+    side by side.
 
     Raises:
-        BackendUnsupportedError: naming the dialect and the reason.
+        BackendUnsupportedError: naming sqlite and the reason.
     """
-    reason = dialect.why_unrepresentable(before, after)
+    if isinstance(op, Select) and isinstance(op.value, bool):
+        reason: str | None = (
+            f"select on boolean literal {op.value!r} cannot be rendered for "
+            "SQLite"
+        )
+    else:
+        reason = why_unrepresentable(before, after)
     if reason is not None:
-        raise BackendUnsupportedError(dialect.name, reason)
+        raise BackendUnsupportedError(SQLITE, reason)
 
 
 def compile_expression(
     expression: MappingExpression,
     source: Database,
     registry: "FunctionRegistry | None" = None,
-    dialect: SqlDialect | None = None,
 ) -> str:
-    """Compile a whole pipeline to an annotated SQL script (text form)."""
-    return compile_script(expression, source, registry, dialect).text
+    """Compile a whole pipeline to an annotated SQL script (text form).
+
+    Raises:
+        BackendUnsupportedError: when SQLite cannot run the pipeline as
+            the algebra does.
+    """
+    return compile_script(expression, source, registry).text

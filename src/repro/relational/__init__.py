@@ -24,9 +24,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "relation_to_csv", "save_database", "save_relation",
         ),
         ".database": ("Database",),
-        ".dialect": (
-            "CANONICAL_DIALECT", "CanonicalDialect", "SqlDialect", "SqliteDialect",
-        ),
         ".fingerprint": (
             "instance_digest", "pair_fingerprint", "pair_shape_fingerprint",
             "relation_digest", "relation_shape_digest", "shape_digest",

@@ -1,5 +1,5 @@
-"""Backend names, auto dispatch to sqlite or the algebra, and the
-deadline/cancel contract on both legs."""
+"""Backend names, sqlite's declines at compile, auto dispatch to sqlite or
+the algebra, and the deadline/cancel contract on both legs."""
 
 from __future__ import annotations
 
@@ -14,12 +14,9 @@ import pytest
 
 import repro
 from repro import CancelToken, Database, Relation
-from repro.backends import (
-    BACKEND_NAMES,
-    SqliteBackend,
-    StatementLimiter,
-    execute_mapping,
-)
+import repro.backends.executor
+from repro.backends import BACKEND_NAMES, StatementLimiter, execute_mapping
+from repro.backends.sqlite_backend import execute_script
 from repro.errors import (
     BackendExecutionError,
     BackendUnsupportedError,
@@ -29,12 +26,15 @@ from repro.errors import (
 )
 from repro.fira import (
     CartesianProduct,
+    Demote,
     DropAttribute,
     MappingExpression,
     Partition,
     Promote,
     RenameAttribute,
     RenameRelation,
+    Select,
+    compile_script,
 )
 from repro.fira.sqlcompile import SqlScript
 from repro.obs import MemorySink, Tracer
@@ -61,6 +61,15 @@ def case_clash():
     declines it at compile, so under ``auto`` the algebra runs it."""
     db = Database.single(Relation("R", ("k", "v"), [("a", "x"), ("A", "y")]))
     return MappingExpression([Promote("R", "k", "v")]), db
+
+
+def why_declined(expression, source):
+    """The reason compile gives for declining, None when sqlite runs it."""
+    try:
+        compile_script(expression, source)
+    except BackendUnsupportedError as exc:
+        return exc.reason
+    return None
 
 
 def leg_case(leg):
@@ -99,29 +108,41 @@ def _canonical_bools(db, relation="R"):
 
 
 class TestSupports:
+    """sqlite declines at compile what it cannot run as the algebra does."""
+
     def test_sqlite_declines_boolean_sources(self):
         db = Database.single(Relation("R", ("A",), [(True,), (False,)]))
         expr = MappingExpression([RenameAttribute("R", "A", "B")])
-        backend = SqliteBackend()
         if _canonical_bools(db):
-            assert "BOOLEAN" in backend.why_unsupported(expr, db)
+            assert "BOOLEAN" in why_declined(expr, db)
             with pytest.raises(BackendUnsupportedError):
                 execute_mapping(expr, db, backend="sqlite")
         else:
             # True canonicalized to 1 process-wide; sqlite is then faithful
-            assert backend.why_unsupported(expr, db) is None
+            assert why_declined(expr, db) is None
 
     def test_sqlite_supports_plain_sources(self, simple_case):
         db, expr = simple_case
-        assert SqliteBackend().why_unsupported(expr, db) is None
+        assert why_declined(expr, db) is None
 
     @pytest.mark.parametrize("value", WIDE_INTS)
     def test_sqlite_declines_wide_int_sources(self, value):
         db = Database.single(Relation("R", ("A",), [(value,), (1,)]))
         expr = MappingExpression([RenameAttribute("R", "A", "B")])
-        assert "64-bit" in SqliteBackend().why_unsupported(expr, db)
+        assert "64-bit" in why_declined(expr, db)
         with pytest.raises(BackendUnsupportedError):
             execute_mapping(expr, db, backend="sqlite")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_sqlite_declines_a_select_on_a_boolean(self, value):
+        db = Database.single(Relation("R", ("A",), [("x",)]))
+        expr = MappingExpression([Select("R", "A", value)])
+        assert "boolean literal" in why_declined(expr, db)
+        with pytest.raises(BackendUnsupportedError):
+            execute_mapping(expr, db, backend="sqlite")
+        result = execute_mapping(expr, db, backend="auto")
+        assert result.backend == "algebra"
+        assert result.database == expr.apply(db)
 
     def test_sqlite_runs_the_64_bit_extremes(self):
         db = Database.single(Relation("R", ("A",), [(2**63 - 1,), (-(2**63),)]))
@@ -207,23 +228,23 @@ class TestExecutorDispatch:
 
     @pytest.mark.parametrize("backend", ["auto", "sqlite"])
     def test_capability_checked_once_per_call(self, simple_case, monkeypatch, backend):
+        """sqlite's capability is decided at compile, once per call."""
         db, expr = simple_case
         calls = []
-        original = SqliteBackend.why_unsupported
+        original = repro.backends.executor.compile_script
 
-        def counting(self, expression, source=None):
+        def counting(expression, *args, **kwargs):
             calls.append(expression)
-            return original(self, expression, source)
+            return original(expression, *args, **kwargs)
 
-        monkeypatch.setattr(SqliteBackend, "why_unsupported", counting)
-        result = execute_mapping(expr, db, backend=backend)
-        assert len(calls) == (1 if result.backend == "sqlite" else 0)
+        monkeypatch.setattr(repro.backends.executor, "compile_script", counting)
+        execute_mapping(expr, db, backend=backend)
+        assert len(calls) == 1
 
     def test_result_carries_script_and_timings(self, simple_case):
         db, expr = simple_case
         result = execute_mapping(expr, db, backend="sqlite")
         assert result.backend == "sqlite"
-        assert result.script.dialect == "sqlite"
         assert result.script.statement_count >= 1
         assert result.compile_seconds >= 0
         assert result.execute_seconds >= 0
@@ -303,13 +324,13 @@ class TestDeadlineAndCancel:
     @pytest.mark.parametrize("leg", ["sqlite", "algebra"])
     def test_deadline_counts_compile_time(self, monkeypatch, leg):
         expr, src, backend = leg_case(leg)
-        compile_ = SqliteBackend.compile
+        compile_ = repro.backends.executor.compile_script
 
-        def slow_compile(self, *args, **kwargs):
+        def slow_compile(*args, **kwargs):
             time.sleep(0.2)
-            return compile_(self, *args, **kwargs)
+            return compile_(*args, **kwargs)
 
-        monkeypatch.setattr(SqliteBackend, "compile", slow_compile)
+        monkeypatch.setattr(repro.backends.executor, "compile_script", slow_compile)
         with pytest.raises(SearchDeadlineExceeded) as err:
             execute_mapping(
                 expr, src, backend=backend, registry=flights_registry(),
@@ -353,34 +374,27 @@ class TestDeadlineAndCancel:
 class TestExecutionErrors:
     def test_bad_statement_raises_backend_execution_error(self, simple_case):
         db, _ = simple_case
-        from repro.fira.sqlcompile import SqlScript
-
-        script = SqlScript(
-            dialect="sqlite",
-            statements=('SELECT * FROM "NoSuchTable";',),
-            text="",
-        )
+        script = SqlScript(statements=('SELECT * FROM "NoSuchTable";',), text="")
         with pytest.raises(BackendExecutionError) as err:
-            SqliteBackend().execute(script, db, StatementLimiter())
+            execute_script(script, db, StatementLimiter())
         assert "NoSuchTable" in str(err.value)
 
     def test_load_failure_raises_backend_execution_error(self):
-        # Past the capability check, which declines this source.
+        # Past compile, which declines this source.
         db = Database.single(Relation("R", ("A",), [(2**63,)]))
-        script = SqlScript(dialect="sqlite", statements=(), text="")
+        script = SqlScript(statements=(), text="")
         with pytest.raises(BackendExecutionError) as err:
-            SqliteBackend().execute(script, db, StatementLimiter())
+            execute_script(script, db, StatementLimiter())
         assert err.value.statement.startswith("INSERT")
 
     def test_blob_read_back_raises_backend_execution_error(self, simple_case):
         db, _ = simple_case
         script = SqlScript(
-            dialect="sqlite",
             statements=("CREATE TABLE \"B\" AS SELECT X'00' AS \"b\";",),
             text="",
         )
         with pytest.raises(BackendExecutionError) as err:
-            SqliteBackend().execute(script, db, StatementLimiter())
+            execute_script(script, db, StatementLimiter())
         assert "bytes" in str(err.value)
 
 
@@ -403,7 +417,7 @@ class TestSqliteNames:
     def test_reserved_source_name_is_declined(self, name):
         db = Database.single(Relation(name, ("A",), [("x",)]))
         expr = MappingExpression([RenameAttribute(name, "A", "B")])
-        assert "reserves" in SqliteBackend().why_unsupported(expr, db)
+        assert "reserves" in why_declined(expr, db)
         with pytest.raises(BackendUnsupportedError):
             execute_mapping(expr, db, backend="sqlite")
         result = execute_mapping(expr, db, backend="auto")
@@ -422,7 +436,7 @@ class TestSqliteNames:
             [Relation("R", ("A",), [("x",)]), Relation("S", ("B",), [("y",)])]
         )
         expr = MappingExpression([op])
-        assert "reserves" in SqliteBackend().why_unsupported(expr, db)
+        assert "reserves" in why_declined(expr, db)
         with pytest.raises(BackendUnsupportedError):
             execute_mapping(expr, db, backend="sqlite")
         result = execute_mapping(expr, db, backend="auto")
@@ -433,7 +447,6 @@ class TestSqliteNames:
         """SQLite folds case: promoted columns 'a' and 'A' would be one
         column to it, so it declines at compile and the algebra runs it."""
         expr, db = case_clash()
-        assert SqliteBackend().why_unsupported(expr, db) is None
         with pytest.raises(BackendUnsupportedError) as err:
             execute_mapping(expr, db, backend="sqlite")
         assert "differ only in case" in str(err.value)
@@ -482,3 +495,54 @@ class TestSqliteNames:
         expr = MappingExpression([RenameAttribute("R", "k", "K")])
         result = execute_mapping(expr, db, backend="sqlite")
         assert result.database == expr.apply(db)
+
+
+def assert_runs_like_the_algebra(expr, db):
+    """Under ``auto`` and ``sqlite`` alike, sqlite returns the algebra's result."""
+    expected = expr.apply(db)
+    for backend in ("auto", "sqlite"):
+        result = execute_mapping(expr, db, backend=backend)
+        assert result.backend == "sqlite"
+        assert result.database == expected
+
+
+class TestFixedNames:
+    """The names the compiler makes up itself meet the data's names: a
+    scratch copy ``<relation>__tupelo_tmp`` and demote's constant table."""
+
+    @pytest.mark.parametrize("name", ["R__tupelo_tmp", "r__TUPELO_TMP"])
+    def test_drop_beside_a_source_named_like_the_scratch_table(self, name):
+        db = Database(
+            [
+                Relation("R", ("a", "b"), [(1, "x"), (1, "y")]),
+                Relation(name, ("z",), [(1,)]),
+            ]
+        )
+        assert_runs_like_the_algebra(
+            MappingExpression([DropAttribute("R", "b")]), db
+        )
+
+    @pytest.mark.parametrize("name", ["R__tupelo_tmp", "R__Tupelo_Tmp"])
+    def test_drop_after_a_rename_to_the_scratch_name(self, name):
+        db = Database(
+            [
+                Relation("R", ("a", "b"), [(1, "x"), (1, "y")]),
+                Relation("S", ("z",), [(1,)]),
+            ]
+        )
+        expr = MappingExpression(
+            [RenameRelation("S", name), DropAttribute("R", "b")]
+        )
+        assert_runs_like_the_algebra(expr, db)
+
+    @pytest.mark.parametrize("name", ["R__tupelo_tmp", "r__tupelo_TMP"])
+    def test_partition_whose_data_names_the_scratch_table(self, name):
+        db = Database.single(
+            Relation("R", ("k", "v"), [("R", 1), (name, 2), ("S", 3)])
+        )
+        assert_runs_like_the_algebra(MappingExpression([Partition("R", "k")]), db)
+
+    @pytest.mark.parametrize("name", ["__meta", "__META"])
+    def test_demote_of_a_relation_named_like_the_constant_table(self, name):
+        db = Database.single(Relation(name, ("a", "b"), [(1, "x"), (2, "y")]))
+        assert_runs_like_the_algebra(MappingExpression([Demote(name)]), db)

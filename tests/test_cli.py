@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro.cli
+from repro import Database, Promote, Relation
 from repro.cli import build_parser, main
 from repro.relational import load_database_dir, save_database
 from repro.workloads import flights_a, flights_b, flights_c
@@ -157,6 +158,67 @@ class TestDiscover:
         )
         assert code == 0
         assert "CREATE TABLE" in capsys.readouterr().out
+
+    def test_show_sql_prints_the_script_execute_runs(self, dirs, capsys):
+        """Fig. 1 B→A: discover prints the sqlite script that repro execute
+        runs for the mapping it found, statement for statement."""
+        source, target, tmp = dirs
+        expr_file = tmp / "expr.txt"
+        code = main(
+            [
+                "discover",
+                "--source", str(source),
+                "--target", str(target),
+                "--heuristic", "cosine",
+                "--show-sql",
+                "--output", str(expr_file),
+            ]
+        )
+        assert code == 0
+        shown = _printed_script(capsys.readouterr().out)
+        code = main(
+            [
+                "execute",
+                "--expression", str(expr_file),
+                "--source", str(source),
+                "--show-sql",
+            ]
+        )
+        assert code == 0
+        executed = capsys.readouterr().out
+        assert executed.startswith("backend: sqlite  (8 statement(s);")
+        assert shown == _printed_script(executed)
+
+    def test_show_sql_prints_sqlites_decline(self, tmp_path, capsys):
+        """A promote over values a and A makes two columns SQLite reads as
+        one: discover prints the decline, and exits 0."""
+        source = Database.single(
+            Relation("R", ("k", "v"), [("a", "x"), ("A", "y")])
+        )
+        save_database(source, tmp_path / "source")
+        save_database(Promote("R", "k", "v").apply(source), tmp_path / "target")
+        code = main(
+            [
+                "discover",
+                "--source", str(tmp_path / "source"),
+                "--target", str(tmp_path / "target"),
+                "--show-sql",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "promote[R](k; v)" in out
+        assert (
+            "-- sqlite declined: names 'A' and 'a' differ only in case" in out
+        )
+        assert "-- repro execute runs this mapping on the in-memory algebra" in out
+        assert "CREATE TABLE" not in out
+
+
+def _printed_script(out: str) -> str:
+    """The SQL script in a command's output: it opens with its title line,
+    and a double blank line follows it."""
+    return out[out.index("-- TUPELO mapping expression"):].split("\n\n\n")[0]
 
 
 class TestDiscoverTrace:

@@ -3,7 +3,9 @@
 Hypothesis draws small instances (NULL-heavy and empty relations,
 duplicate rows, ``"1"`` next to ``1``, ``"A"`` next to ``"a"``, non-ASCII
 names and values such as ``"É"`` next to ``"é"``, values naming an
-attribute) and pipelines of one to five operators: promote and partition,
+attribute or a relation, and names the compiler uses itself: demote's
+constant table ``__meta`` and a scratch copy ``R__tupelo_tmp``) and
+pipelines of one to five operators: promote and partition,
 whose SQL names come from cell values, at random positions among renames,
 drops, merges, dereferences, demotions, cartesian products and up to three
 λs with distinct outputs, which may read an earlier λ's output.  Consecutive
@@ -12,10 +14,10 @@ hold fused runs and the points where a run must break.  Each pipeline is
 checked twice:
 
 * :func:`compile_script` must equal a reference that replays *every* step
-  on the data and fuses the same runs, statements and text, under every
-  dialect; a pipeline the reference cannot compile must fail with the same
-  error.  The compiler itself replays on the data only up to the last
-  promote or partition.
+  on the data and fuses the same runs, statements and text; a pipeline
+  the reference cannot compile must fail with the same error.  The
+  compiler itself replays on the data only up to the last promote or
+  partition.
 * a pipeline the algebra can apply must give the algebra's result under
   ``execute_mapping``'s ``auto``: on sqlite where sqlite supports the
   instance, and on the algebra leg, named ``"algebra"``, where it
@@ -25,7 +27,9 @@ SQLite folds the case of ASCII letters in identifiers, and of no other
 letters, so wherever a step puts two names differing only in ASCII case
 side by side, sqlite must decline the pipeline at compile
 (``BackendUnsupportedError``) and ``auto`` must hand it to the algebra;
-the event is counted.  Merge compiles to GROUP BY/MAX, which equals the
+the event is counted.  No drawn name or value meets sqlite's other
+declines (booleans, ints beyond 64 bits, ``sqlite_`` tables, columns
+called ``TRUE`` or ``FALSE``), so sqlite must run every other pipeline.  Merge compiles to GROUP BY/MAX, which equals the
 algebra's merge only when each key group holds at most one non-NULL value
 per other column; a pipeline with any other merge is compiled but not
 executed (:func:`test_merge_of_incompatible_rows` pins the fault on
@@ -40,7 +44,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, note, settings, strategies as st
 
 from repro import Database, Relation
-from repro.backends import SqliteBackend, execute_mapping
+from repro.backends import execute_mapping
 from repro.errors import BackendUnsupportedError, SignatureError
 from repro.fira import (
     ApplyFunction,
@@ -56,33 +60,32 @@ from repro.fira import (
     RenameRelation,
 )
 from repro.fira.sqlcompile import (
+    ROW_WISE_OPERATORS,
     RowWiseRun,
     SqlScript,
-    check_names,
+    check_step,
     compile_operator,
     compile_script,
-    is_row_wise,
     is_sql_comment,
 )
 from repro.relational import NULL
-from repro.relational.dialect import CANONICAL_DIALECT, SqliteDialect
 from repro.semantics import builtin_registry
 
 REGISTRY = builtin_registry()
 
-#: every dialect the compiler renders, the canonical one included
-ALL_DIALECTS = (CANONICAL_DIALECT, SqliteDialect())
-
 #: cell values: strings, ints and a float, with "1" next to 1, "A" next to
-#: "a", "É" next to "é", and "w" and "é" naming an attribute for
-#: dereference to follow
-CELLS = ("a", "A", "b", "c", "w", "é", "É", "1", 1, 2, 2.5, NULL)
+#: "a", "É" next to "é", "w" and "é" naming an attribute for dereference to
+#: follow, and "R" and "r__Tupelo_tmp" naming a relation and its scratch
+#: copy for partition to make
+CELLS = ("a", "A", "b", "c", "w", "é", "É", "R", "r__Tupelo_tmp", "1", 1, 2, 2.5, NULL)
 
 #: names, a few of them non-ASCII: "Ü" next to "ü" and "é" next to "É"
-#: differ in a case SQLite does not fold
-RELATION_NAMES = ("R", "S", "Ü")
+#: differ in a case SQLite does not fold; "__meta" names demote's constant
+#: table, and "R__tupelo_tmp", in any ASCII case, the scratch copy a step
+#: on "R" makes
+RELATION_NAMES = ("R", "S", "Ü", "__meta", "R__TUPELO_TMP")
 ATTRIBUTES = ("k", "v", "w", "é")
-NEW_RELATION_NAMES = ("T", "U", "R", "ü")
+NEW_RELATION_NAMES = ("T", "U", "R", "ü", "R__tupelo_tmp")
 NEW_ATTRIBUTES = ("x", "y", "k", "É")
 
 #: SQLite folds the case of ASCII letters in identifiers, and only those
@@ -102,30 +105,31 @@ KINDS = (
 NO_LAMBDA_KINDS = tuple(kind for kind in KINDS if kind != "apply")
 
 
-def reference_compile(expression, source, registry, dialect) -> SqlScript:
+def reference_compile(expression, source, registry) -> SqlScript:
     """The compiler with every step replayed on the data."""
     lines = ["-- TUPELO mapping expression compiled to SQL"]
-    check_names(dialect, source, source)
+    check_step(source, source)
     db = source
     run = None
     for i, op in enumerate(expression, start=1):
+        after = op.apply(db, registry)
+        check_step(db, after, op)
         notes = [f"-- step {i}: {op}"]
-        row_wise = is_row_wise(op, dialect)
+        row_wise = isinstance(op, ROW_WISE_OPERATORS)
         if run is not None and not (row_wise and run.takes(op)):
             lines += [*run.lines(), ""]
             run = None
         if row_wise:
-            run = run or RowWiseRun(op.relation, db, dialect)
+            run = run or RowWiseRun(op.relation, db)
             run.add(op, db, notes)
         else:
-            lines += [*notes, *compile_operator(op, db, dialect), ""]
-        before, db = db, op.apply(db, registry)
-        check_names(dialect, before, db)
+            lines += [*notes, *compile_operator(op, db), ""]
+        db = after
     if run is not None:
         lines += run.lines()
     text = "\n".join(lines).rstrip() + "\n"
     statements = tuple(line for line in lines if not is_sql_comment(line))
-    return SqlScript(dialect=dialect.name, statements=statements, text=text)
+    return SqlScript(statements=statements, text=text)
 
 
 def folds_to_a_clash(before: Database, after: Database) -> bool:
@@ -275,18 +279,19 @@ def cases(draw):
 def test_compile_and_engines_match_the_algebra(case):
     source, expression = case
     note(f"{source.to_text()}\n{expression}")
-    for dialect in ALL_DIALECTS:
-        try:
-            expected = reference_compile(expression, source, REGISTRY, dialect)
-        except Exception as exc:  # noqa: BLE001 - compared below
-            with pytest.raises(type(exc)) as raised:
-                compile_script(expression, source, REGISTRY, dialect)
-            assert str(raised.value) == str(exc)
-        else:
-            assert compile_script(expression, source, REGISTRY, dialect) == expected
-            if dialect.name == "sqlite":
-                fused = expected.text.count("-- one copy of")
-                event(f"sqlite runs fusing steps: {fused}")
+    try:
+        expected = reference_compile(expression, source, REGISTRY)
+    except Exception as exc:  # noqa: BLE001 - compared below
+        with pytest.raises(type(exc)) as raised:
+            compile_script(expression, source, REGISTRY)
+        assert str(raised.value) == str(exc)
+    else:
+        assert compile_script(expression, source, REGISTRY) == expected
+        event(f"sqlite runs fusing steps: {expected.text.count('-- one copy of')}")
+        if "__tupelo_tmp2" in expected.text:
+            event("scratch table renumbered past a taken name")
+        if any(isinstance(op, Demote) and op.relation == "__meta" for op in expression):
+            event("demote of __meta")
 
     db = source
     inexact = None  # why the engines cannot give the algebra's result
@@ -310,10 +315,9 @@ def test_compile_and_engines_match_the_algebra(case):
     if inexact is not None:
         event(inexact)
         return
-    declined = clash or SqliteBackend().why_unsupported(expression, source)
     result = execute_mapping(expression, source, registry=REGISTRY)
     event(f"engine: {result.backend}")
-    assert result.backend == ("algebra" if declined else "sqlite")
+    assert result.backend == ("algebra" if clash else "sqlite")
     assert result.database == db, f"{result.backend} diverged from the algebra"
 
 
@@ -329,7 +333,7 @@ def test_compile_leaves_value_faults_to_the_engine(weights):
     expression = MappingExpression(
         [ApplyFunction("W", "lb_to_kg", ("lb",), "kg")]
     )
-    script = compile_script(expression, weights, REGISTRY, SqliteDialect())
+    script = compile_script(expression, weights, REGISTRY)
     assert script.statement_count == 3
 
 

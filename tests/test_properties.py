@@ -291,12 +291,11 @@ class TestSqlProperties:
     def test_generated_ddl_recreates_relation(self, rel):
         import sqlite3
 
-        from repro.relational.dialect import SqliteDialect
         from repro.relational.sql import relation_to_sql
 
         conn = sqlite3.connect(":memory:")
         try:
-            conn.executescript(relation_to_sql(rel, SqliteDialect()))
+            conn.executescript(relation_to_sql(rel))
             cursor = conn.execute(f'SELECT * FROM "{rel.name}"')
             recreated = Relation(
                 rel.name, [d[0] for d in cursor.description], cursor
@@ -308,25 +307,25 @@ class TestSqlProperties:
     @given(sqlite_relations(min_rows=1))
     @settings(max_examples=40)
     def test_compiled_drop_matches_algebra(self, rel):
-        from repro.backends import SqliteBackend, StatementLimiter, execute_mapping
+        from repro.backends import StatementLimiter, execute_mapping
+        from repro.backends.sqlite_backend import execute_script
         from repro.fira import DropAttribute, MappingExpression, compile_operator
         from repro.fira.sqlcompile import SqlScript
-        from repro.relational.dialect import SqliteDialect
+        from repro.relational.dialect import why_unrepresentable
 
         if rel.arity < 2:
             return
         db = Database.single(rel)
         op = DropAttribute(rel.name, rel.attributes[0])
-        dialect = SqliteDialect()
-        if dialect.why_unrepresentable(db, db) is not None:
+        if why_unrepresentable(db, db) is not None:
             # a column named TRUE or FALSE, which a table copy renames
             executed = execute_mapping(MappingExpression([op]), db)
             assert executed.backend == "algebra"
             assert executed.database == op.apply(db)
             return
-        statements = compile_operator(op, db, dialect)
-        script = SqlScript(dialect="sqlite", statements=tuple(statements), text="")
-        executed = SqliteBackend().execute(script, db, StatementLimiter())
+        statements = compile_operator(op, db)
+        script = SqlScript(statements=tuple(statements), text="")
+        executed = execute_script(script, db, StatementLimiter())
         assert executed == op.apply(db)
 
 

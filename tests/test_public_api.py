@@ -183,15 +183,17 @@ class TestPublicSurface:
         "name",
         [
             "SqlBackend", "get_backend", "backend_names", "MiniSqlBackend",
-            "MiniSqlEngine", "run_script",
+            "MiniSqlEngine", "run_script", "SqliteBackend", "SqlDialect",
+            "CanonicalDialect", "CANONICAL_DIALECT", "SqliteDialect",
         ],
     )
     def test_removed_execution_exports_stay_gone(self, name):
-        """One engine is left, so no backend ABC, registry or SQL
-        interpreter is exported."""
+        """One engine and one dialect are left, so no backend ABC, backend
+        object, registry, SQL interpreter or dialect class is exported."""
         import repro.backends
+        import repro.relational
 
-        for package in (repro, repro.backends):
+        for package in (repro, repro.backends, repro.relational):
             assert name not in package.__all__
             assert not hasattr(package, name)
 

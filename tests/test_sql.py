@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import sqlite3
 
+import pytest
+
+from repro.errors import SqlRenderingError
 from repro.relational import NULL, Database, Relation, tnf_decode
-from repro.relational.dialect import SqliteDialect
 from repro.relational.sql import (
     create_table_sql,
     database_to_sql,
@@ -39,7 +41,9 @@ class TestQuoting:
         assert quote_literal(NULL) == "NULL"
 
     def test_literal_bool(self):
-        assert quote_literal(True) == "TRUE"
+        """SQLite has no BOOLEAN storage class, so a bool has no literal."""
+        with pytest.raises(SqlRenderingError):
+            quote_literal(True)
 
 
 class TestTypes:
@@ -99,14 +103,11 @@ class TestTnfConstruction:
     def test_tnf_construction_sql_runs_on_sqlite(self, db_c):
         """The DDL and the TNF construction run on sqlite, and the TNF
         table decodes back to the relation's values as text."""
-        dialect = SqliteDialect()
         air_east = db_c.relation("AirEast")
         conn = sqlite3.connect(":memory:")
         try:
             conn.executescript(
-                relation_to_sql(air_east, dialect)
-                + "\n"
-                + tnf_construction_sql(air_east, dialect=dialect)
+                relation_to_sql(air_east) + "\n" + tnf_construction_sql(air_east)
             )
             cursor = conn.execute('SELECT * FROM "TNF"')
             tnf = Relation("TNF", [d[0] for d in cursor.description], cursor)
