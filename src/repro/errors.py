@@ -65,7 +65,9 @@ class SqlRenderingError(RelationalError):
     Raised by :mod:`repro.relational.dialect` for empty identifiers, NUL
     bytes, non-finite floats, and boolean literals (SQLite has no BOOLEAN
     storage class) — cases where emitting SQL anyway would either fail to
-    parse or silently change meaning.
+    parse or silently change meaning.  Compile declines a mapping that
+    would meet one (``BackendUnsupportedError``), so this reaches only
+    callers of the rendering helpers themselves.
     """
 
 

@@ -42,7 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from ..errors import BackendUnsupportedError, OperatorApplicationError
+from ..errors import (
+    BackendUnsupportedError,
+    OperatorApplicationError,
+    SqlRenderingError,
+)
 from ..relational.database import Database
 from ..relational.dialect import (
     SQLITE,
@@ -488,24 +492,47 @@ def check_step(
 
     Compile calls this on the source (passed as *before* and *after*, with
     no *op*) and after every step *op*, which took *before* to *after*:
-    it is where sqlite declines a mapping.  A select on a boolean literal
-    is declined, and so is what
-    :func:`~repro.relational.dialect.why_unrepresentable` finds: a bool or
-    an int wider than 64 bits in the source, or names SQLite cannot hold
-    side by side.
+    it is where sqlite declines a mapping.  A step whose SQL needs a
+    literal SQLite cannot spell is declined (:func:`_unspellable_literal`),
+    and so is what :func:`~repro.relational.dialect.why_unrepresentable`
+    finds: a bool or an int wider than 64 bits in the source, or names
+    SQLite cannot quote or hold side by side.
 
     Raises:
         BackendUnsupportedError: naming sqlite and the reason.
     """
-    if isinstance(op, Select) and isinstance(op.value, bool):
-        reason: str | None = (
-            f"select on boolean literal {op.value!r} cannot be rendered for "
-            "SQLite"
-        )
-    else:
+    reason = _unspellable_literal(op, before)
+    if reason is None:
         reason = why_unrepresentable(before, after)
     if reason is not None:
         raise BackendUnsupportedError(SQLITE, reason)
+
+
+def _unspellable_literal(op: Operator | None, db: Database) -> str | None:
+    """Why SQLite cannot spell a literal that *op* on *db* compiles to, or
+    None.
+
+    A select compares with its value, and a promote or partition with each
+    value of the column whose cells name its columns or tables: a bool, a
+    non-finite float or a string holding a NUL byte has no SQL literal.
+    """
+    if isinstance(op, Select):
+        values = [op.value]
+    elif isinstance(op, DATA_READING_OPERATORS):
+        rel = db.relation(op.relation)
+        pos = rel.attribute_position(
+            op.name_attr if isinstance(op, Promote) else op.attribute
+        )
+        tokens = {row[pos] for row in rel.token_rows}
+        values = [VALUES[token] for token in tokens]
+    else:
+        return None
+    for value in values:
+        try:
+            quote_literal(value)
+        except SqlRenderingError as exc:
+            return f"{op}: {exc}"
+    return None
 
 
 def compile_expression(

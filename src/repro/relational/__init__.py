@@ -25,8 +25,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         ".database": ("Database",),
         ".fingerprint": (
-            "instance_digest", "pair_fingerprint", "pair_shape_fingerprint",
-            "relation_digest", "relation_shape_digest", "shape_digest",
+            "instance_digest", "pair_fingerprint", "relation_digest",
         ),
         ".intern": ("NULL_TOKEN", "intern_value", "token_text"),
         ".relation": ("Relation", "Row", "TokenRow"),

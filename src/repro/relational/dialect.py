@@ -18,10 +18,10 @@ runs.  Its rules live here as plain functions:
   SELECTs; UDF names can collide with keywords, so :func:`function_call`
   quotes them.
 * :func:`why_unrepresentable` says why SQLite cannot hold a source or the
-  names a step puts side by side.  It folds the case of ASCII letters in
-  identifiers, reserves ``sqlite_`` table names and renames a copied
-  column called ``TRUE`` or ``FALSE``; it cannot store a bool or an int
-  beyond 64 bits.
+  names a step puts side by side.  It cannot quote an empty name or one
+  holding a NUL byte, folds the case of ASCII letters in identifiers,
+  reserves ``sqlite_`` table names and renames a copied column called
+  ``TRUE`` or ``FALSE``; it cannot store a bool or an int beyond 64 bits.
 
 SQLite tables are bags, so the compiler re-creates tables with ``SELECT
 DISTINCT`` and compiles column drops as such re-creations, which keeps
@@ -78,7 +78,7 @@ def quote_literal(value: Value) -> str:
         return "NULL"
     if isinstance(value, bool):
         raise SqlRenderingError(
-            f"cannot render boolean {value!r}: SQLite has no BOOLEAN "
+            f"cannot render boolean literal {value!r}: SQLite has no BOOLEAN "
             "storage class"
         )
     if isinstance(value, (int, float)):
@@ -176,6 +176,18 @@ def _boolean_word(names: Iterable[str]) -> str | None:
     return None
 
 
+def _unquotable(names: Collection[str]) -> str | None:
+    """Why SQLite cannot quote one of *names* as an identifier, or None."""
+    # one C-level test per group for what quote_identifier refuses
+    if "" in names or "\x00" in "".join(names):
+        for name in names:
+            try:
+                quote_identifier(name)
+            except SqlRenderingError as exc:
+                return str(exc)
+    return None
+
+
 def _case_clash(names: Collection[str]) -> tuple[str, str] | None:
     """Two of *names* (all distinct) that differ only in ASCII case, if any."""
     # names apart in lower case are apart in ASCII case too
@@ -248,6 +260,9 @@ def why_unrepresentable(before: "Database", after: "Database") -> str | None:
             )
     groups += columns
     for names in groups:
+        unquotable = _unquotable(names)
+        if unquotable is not None:
+            return unquotable
         clash = _case_clash(names)
         if clash is not None:
             return (

@@ -18,20 +18,10 @@ be stable where Python object identity is not:
   that differ only in cell types do not collide the way their text
   renderings would.
 
-Two digest granularities are exposed:
-
-* :func:`instance_digest` / :func:`pair_fingerprint` — the exact content
-  hash *including* relation and attribute names.  This is the memo's
-  serving key: a stored mapping expression names schema elements, so it
-  can only be replayed against an instance whose names match.
-* :func:`shape_digest` / :func:`pair_shape_fingerprint` — the
-  rename-insensitive companion: names are abstracted away and columns are
-  hashed as sorted content multisets, so instances that differ only by
-  relation/attribute renames share a shape.  The store records it per
-  entry for diagnostics and near-miss grouping (the precursor to
-  compositional reuse — see ROADMAP item 5); it is never used to *serve*
-  a mapping, because a mapping discovered under other names cannot apply
-  verbatim.
+:func:`instance_digest` / :func:`pair_fingerprint` hash the content
+*including* relation and attribute names.  The pair fingerprint is the
+memo's serving key: a stored mapping expression names schema elements, so
+it can only be replayed against an instance whose names match.
 
 All digests are hex SHA-256 strings and are memoised per database value
 through ``cached_view`` (immutable inputs make them pure).
@@ -89,38 +79,6 @@ def relation_digest(rel: Relation) -> str:
     return rel.cached_view("content_digest", compute)
 
 
-def relation_shape_digest(rel: Relation) -> str:
-    """Rename-insensitive digest of one relation.
-
-    Names are dropped; each column is hashed as its sorted multiset of
-    typed cell renderings, and the column digests are combined in sorted
-    order.  Two relations that differ only by relation/attribute renames
-    (or by attribute order) share a shape digest.  Coarser than
-    :func:`relation_digest` by construction: it also identifies relations
-    whose columns hold the same multisets under different row alignments,
-    which is exactly the "could a rename map these onto each other?"
-    over-approximation the diagnostics want.
-    """
-
-    def compute() -> str:
-        columns: list[str] = []
-        rows = rel.sorted_rows_view()
-        for position in range(rel.arity):
-            col = hashlib.sha256(_DIGEST_DOMAIN + b"column")
-            for cell in sorted(
-                (_cell_bytes(row[position]) for row in rows)
-            ):
-                col.update(cell + _END)
-            columns.append(col.hexdigest())
-        h = hashlib.sha256(_DIGEST_DOMAIN + b"relation-shape")
-        h.update(str(rel.cardinality).encode("utf-8") + _END)
-        for digest in sorted(columns):
-            h.update(digest.encode("utf-8") + _END)
-        return h.hexdigest()
-
-    return rel.cached_view("shape_digest", compute)
-
-
 def instance_digest(db: Database) -> str:
     """Exact content digest of a whole instance (memoised on the value).
 
@@ -137,29 +95,9 @@ def instance_digest(db: Database) -> str:
     return db.cached_view("instance_digest", compute)
 
 
-def shape_digest(db: Database) -> str:
-    """Rename-insensitive digest of a whole instance (memoised)."""
-
-    def compute() -> str:
-        h = hashlib.sha256(_DIGEST_DOMAIN + b"instance-shape")
-        for digest in sorted(relation_shape_digest(rel) for rel in db):
-            h.update(digest.encode("utf-8") + _END)
-        return h.hexdigest()
-
-    return db.cached_view("instance_shape_digest", compute)
-
-
 def pair_fingerprint(source: Database, target: Database) -> str:
     """The exact fingerprint of a (source, target) pair — the memo key."""
     h = hashlib.sha256(_DIGEST_DOMAIN + b"pair")
     h.update(instance_digest(source).encode("utf-8") + _END)
     h.update(instance_digest(target).encode("utf-8") + _END)
-    return h.hexdigest()
-
-
-def pair_shape_fingerprint(source: Database, target: Database) -> str:
-    """The rename-insensitive fingerprint of a pair (diagnostics only)."""
-    h = hashlib.sha256(_DIGEST_DOMAIN + b"pair-shape")
-    h.update(shape_digest(source).encode("utf-8") + _END)
-    h.update(shape_digest(target).encode("utf-8") + _END)
     return h.hexdigest()

@@ -8,7 +8,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".beam": ("DEFAULT_BEAM_WIDTH", "beam_search", "make_beam"),
         ".best_first": ("a_star", "greedy"),
         ".cancel": ("CancelToken",),
-        ".config": ("OPERATOR_FAMILIES", "SearchConfig"),
+        ".config": ("SearchConfig",),
         ".engine": (
             "ALGORITHM_NAMES", "ALGORITHMS", "Tupelo", "discover_mapping",
         ),

@@ -34,7 +34,6 @@ def make_beam(width: int = DEFAULT_BEAM_WIDTH):
         ]
         seen: set[SearchNode] = {root}
         depth = 0
-        max_depth = problem.config.max_depth
         tracer = stats.tracer
         while layer:
             stats.frontier_size = len(layer)  # progress-heartbeat payload only
@@ -43,8 +42,6 @@ def make_beam(width: int = DEFAULT_BEAM_WIDTH):
                 stats.examine(len(path), node.state)
                 if problem.is_goal(node, stats):
                     return path
-            if max_depth is not None and depth >= max_depth:
-                break
             candidates: list[
                 tuple[int, str, SearchNode, Operator, list[Operator]]
             ] = []

@@ -39,7 +39,6 @@ def _best_first(
     best_g: dict[SearchNode, int] = {root: 0}
     parent: dict[SearchNode, tuple[SearchNode, Operator] | None] = {root: None}
     closed: set[SearchNode] = set()
-    max_depth = problem.config.max_depth
     tracer = stats.tracer
 
     while frontier:
@@ -55,8 +54,6 @@ def _best_first(
         stats.examine(g, node.state)
         if problem.is_goal(node, stats):
             return _reconstruct(parent, node)
-        if max_depth is not None and g >= max_depth:
-            continue
         came_from = parent[node]
         last_op = came_from[1] if came_from is not None else None
         for op, child in problem.successors(node, last_op, stats):

@@ -91,7 +91,7 @@ def discover_mapping(
             the paper's tuned value for the chosen algorithm.
         correspondences: declared complex semantic correspondences (§4).
         registry: semantic function registry (defaults to the built-ins).
-        config: search configuration (budget, pruning, operator families).
+        config: search configuration (budget, pruning, deadline).
         simplify: post-process the discovered path, deleting operators not
             needed for the goal (does not affect the search statistics).
         tracer: optional :class:`~repro.obs.tracer.Tracer`; the run emits
@@ -249,8 +249,6 @@ def _discover(
                         )
         stats.stop_clock()
         if store_obj is not None and expression is not None and served is None:
-            from ..store import config_signature
-
             with run_tracer.span("store_save"):
                 store_obj.record(
                     source,
@@ -259,9 +257,6 @@ def _discover(
                     algorithm=algorithm,
                     heuristic=heuristic,
                     k=k,
-                    signature=config_signature(
-                        problem.config, problem.correspondences
-                    ),
                     states_examined=stats.states_examined,
                     tracer=run_tracer,
                 )

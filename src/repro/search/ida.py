@@ -34,7 +34,6 @@ def ida_star(
     root = problem.start(heuristic)
     path_ops: list[Operator] = []
     on_path: set[SearchNode] = {root}
-    max_depth = problem.config.max_depth
     tracer = stats.tracer
     estimate = problem.estimate
     is_goal = problem.is_goal
@@ -49,8 +48,6 @@ def ida_star(
             return f
         if is_goal(node, stats):
             return _FOUND
-        if max_depth is not None and g >= max_depth:
-            return math.inf
         minimum: float = math.inf
         for op, child in successors(node, last_op, stats):
             if child in on_path:

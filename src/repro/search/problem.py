@@ -13,12 +13,14 @@ Successor generation implements the paper's "simple enhancements to search":
   (e.g. attribute renames are skipped once every target attribute name is
   present, promotes are proposed only for columns whose values include a
   missing target attribute name, ...);
-* runs of consecutive commuting operators (attribute renames, drops, λ
-  applications, relation renames) are canonicalised to sorted order, so the
-  search does not explore the factorially many equivalent orderings.
+* runs of consecutive commuting operators (attribute renames, drops,
+  relation renames) are canonicalised to sorted order, so the search does
+  not explore the factorially many equivalent orderings.
 
-Both behaviours are controlled by :class:`~repro.search.config.SearchConfig`
-so the ablation benches can measure their impact.
+``SearchConfig(prune_targets=, break_symmetry=)`` turns either off, so the
+pruning ablation can measure its impact.  Search proposes every operator
+of L but σ (§2.1 treats selection as post-processing), and λ only for
+declared correspondences.
 
 **One node per state.**  IDA* and RBFS accept "redundant explorations" as
 the price of linear memory (§2.3): the same state is re-examined on every
@@ -169,7 +171,7 @@ class MappingProblem:
             each may be applied as a λ operator during search.
         registry: function registry resolving λ symbols; defaults to the
             built-ins.
-        config: search knobs (budget, pruning, operator families).
+        config: search settings (budget, pruning, deadline).
     """
 
     def __init__(
@@ -213,23 +215,11 @@ class MappingProblem:
         # through by reference, so consecutive states share almost all
         # entries.
         self._relation_move_cache: dict[tuple, object] = {}
-        allows = self.config.allows
-        self._rename_att_allowed = allows("rename_att")
-        self._rename_rel_allowed = allows("rename_rel")
-        self._apply_allowed = allows("apply") and bool(self.correspondences)
-        if self._apply_allowed:
+        if self.correspondences:
             # λ support loads only for a problem that can propose a λ.
             from ..fira.semantic import ApplyFunction
 
             self._apply_function = ApplyFunction
-        self._promote_allowed = allows("promote")
-        self._deref_allowed = allows("deref")
-        self._data_allowed = self._promote_allowed or self._deref_allowed
-        self._partition_allowed = allows("partition")
-        self._merge_allowed = allows("merge")
-        self._drop_allowed = allows("drop")
-        self._demote_allowed = allows("demote")
-        self._product_allowed = allows("product")
 
     def __getstate__(self) -> dict:
         """Pickle the problem without its memo tables.
@@ -492,9 +482,9 @@ class MappingProblem:
         moves: list[Operator] = []
         missing_rels = self._target_rels.difference(state.relation_names)
 
-        if self._rename_rel_allowed and (missing_rels or not prune):
+        if missing_rels or not prune:
             moves.extend(self._propose_relation_renames(state, missing_rels, last_op))
-        if self._apply_allowed:
+        if self.correspondences:
             moves.extend(self._propose_lambdas(state, last_op))
 
         # the symmetry floors come from a last attribute rename or drop
@@ -505,7 +495,6 @@ class MappingProblem:
             elif isinstance(last_op, DropAttribute):
                 dropped = last_op
         demote_missing: frozenset | None = None  # built on first use
-        data_allowed = self._data_allowed
         target_att_ids = self._target_att_ids
         view = self._relation_view
         schema_build = self._schema_bundle
@@ -544,7 +533,7 @@ class MappingProblem:
                     moves.append(Demote(name))
             # under pruning, promote needs a value naming a target
             # attribute and dereference one naming an attribute of rel
-            if data_allowed and not (
+            if not (
                 prune
                 and target_att_ids.isdisjoint(texts := rel.value_text_ids())
                 and attribute_ids.isdisjoint(texts)
@@ -553,9 +542,9 @@ class MappingProblem:
                 moves.extend(promote)
                 moves.extend(deref)
 
-        if self._partition_allowed and (missing_rels or not prune):
+        if missing_rels or not prune:
             moves.extend(self._propose_partitions(state, missing_rels))
-        if self._product_allowed and len(state) > 1:
+        if len(state) > 1:
             moves.extend(self._propose_products(state))
         return moves
 
@@ -567,21 +556,19 @@ class MappingProblem:
 
         None of the five reads column contents: each depends on the
         relation name, its attributes and the has-nulls bit, so one bundle
-        serves every state whose relation differs only in data.  Families
-        the config disallows contribute empty entries.  Demote candidates:
-        ``None`` = always fires (unpruned), empty = never.
+        serves every state whose relation differs only in data.  Demote
+        candidates: ``None`` = always fires (unpruned), empty = never.
         """
-        renames = self._attribute_rename_groups(rel) if self._rename_att_allowed else ()
-        drops = self._drop_entries(rel) if self._drop_allowed else ()
-        merges = self._merge_candidates(rel) if self._merge_allowed else ()
-        demote: frozenset | None
-        if not self._demote_allowed:
-            demote = _NO_CANDIDATES
-        elif self.config.prune_targets:
-            demote = self._demote_candidates(rel)
-        else:
-            demote = None
-        return (renames, drops, merges, demote, _interned_name_set(rel.attributes))
+        demote = (
+            self._demote_candidates(rel) if self.config.prune_targets else None
+        )
+        return (
+            self._attribute_rename_groups(rel),
+            self._drop_entries(rel),
+            self._merge_candidates(rel),
+            demote,
+            _interned_name_set(rel.attributes),
+        )
 
     def _data_moves(self, rel: Relation) -> tuple[tuple, tuple]:
         """Promote and dereference moves: the data-dependent bundle.
@@ -590,12 +577,9 @@ class MappingProblem:
         their probe keys on the relation value.  (Partitions stay separate:
         they are gated on missing target relations, and folding them in
         would charge their candidate computation to states the original
-        rule never touched.)  Families the config disallows contribute
-        empty entries, so the bundle shape is fixed per problem.
+        rule never touched.)
         """
-        promote = self._promote_moves(rel) if self._promote_allowed else ()
-        deref = self._deref_moves(rel) if self._deref_allowed else ()
-        return (promote, deref)
+        return (self._promote_moves(rel), self._deref_moves(rel))
 
     def _propose_partitions(
         self, state: Database, missing_rels: frozenset[str]

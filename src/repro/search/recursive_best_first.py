@@ -35,7 +35,6 @@ def rbfs(
     root = problem.start(heuristic)
     path_ops: list[Operator] = []
     on_path: set[SearchNode] = {root}
-    max_depth = problem.config.max_depth
     tracer = stats.tracer
     estimate = problem.estimate
     is_goal = problem.is_goal
@@ -56,8 +55,6 @@ def rbfs(
         stats.examine(g, node.state)
         if is_goal(node, stats):
             raise _Found
-        if max_depth is not None and g >= max_depth:
-            return math.inf
         # [f, tie-break text, op, child] — mutable f for back-up
         entries: list[list] = []
         for op, child in successors(node, last_op, stats):

@@ -22,10 +22,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".memo": (
-            "DEFAULT_MAX_ENTRIES", "MappingMemo", "STORE_VERSION",
-            "config_signature",
-        ),
+        ".memo": ("DEFAULT_MAX_ENTRIES", "MappingMemo", "STORE_VERSION"),
         ".store": ("WarmStartStore", "open_store", "resolve_store"),
     },
 )

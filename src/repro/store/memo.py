@@ -19,14 +19,14 @@ wrong version, failed verification, I/O error) bumps a
 ``resilience.store_*`` counter and falls back to a cold search; the memo
 never raises into a discovery.
 
-Each entry also records :func:`config_signature`, a hash of the config
-knobs that change what a discovered mapping *means*, so an entry can be
-traced back to the search space it came from.
+Serving reads three fields of an entry: the fingerprint, the
+``(algorithm, heuristic, k)`` request variant and the expression.  Any
+other field (``ops``, ``states_examined``, or the ``shape`` and
+``signature`` that older files carry) is informational and ignored.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -35,10 +35,8 @@ from ..errors import TupeloError
 from ..fira.expression import MappingExpression
 from ..fira.parser import parse_expression
 from ..relational.database import Database
-from ..relational.fingerprint import pair_fingerprint, pair_shape_fingerprint
+from ..relational.fingerprint import pair_fingerprint
 from ..resilience.runtime import resilience_warning, retry_call
-from ..search.config import SearchConfig
-from ..semantics.correspondence import encode_correspondence
 from ..semantics.functions import FunctionRegistry, builtin_registry
 from ..serialize import json_dumps_compact, json_loads
 
@@ -52,22 +50,6 @@ DEFAULT_MAX_ENTRIES = 1024
 #: per fingerprint, how many request variants (algorithm/heuristic/k) are
 #: kept by compaction — newest first
 _VARIANTS_PER_KEY = 4
-
-
-def config_signature(config: SearchConfig, correspondences=()) -> str:
-    """Hash of the config knobs that change what a discovered mapping means."""
-    payload = {
-        "enabled_operators": sorted(config.enabled_operators),
-        "break_symmetry": config.break_symmetry,
-        "prune_targets": config.prune_targets,
-        "max_depth": config.max_depth,
-        "correspondences": sorted(
-            encode_correspondence(corr) for corr in correspondences
-        ),
-    }
-    return hashlib.sha256(
-        ("tupelo-cfg-v1" + json_dumps_compact(payload)).encode("utf-8")
-    ).hexdigest()
 
 
 def _request_key(entry: Mapping) -> tuple:
@@ -209,7 +191,6 @@ class MappingMemo:
         algorithm: str,
         heuristic: str,
         k: float | None = None,
-        signature: str = "",
         states_examined: int | None = None,
     ) -> dict:
         """Append one discovered mapping; returns the entry written.
@@ -222,11 +203,9 @@ class MappingMemo:
             "kind": "mapping",
             "version": STORE_VERSION,
             "fingerprint": pair_fingerprint(source, target),
-            "shape": pair_shape_fingerprint(source, target),
             "algorithm": algorithm,
             "heuristic": heuristic,
             "k": k,
-            "signature": signature,
             "expression": str(expression),
             "ops": len(expression.operators),
         }

@@ -80,7 +80,6 @@ class WarmStartStore:
         algorithm,
         heuristic,
         k=None,
-        signature="",
         states_examined=None,
         tracer=None,
     ) -> dict | None:
@@ -93,7 +92,6 @@ class WarmStartStore:
                 algorithm=algorithm,
                 heuristic=heuristic,
                 k=k,
-                signature=signature,
                 states_examined=states_examined,
             )
         except OSError as exc:

@@ -144,6 +144,47 @@ class TestSupports:
         assert result.backend == "algebra"
         assert result.database == expr.apply(db)
 
+    @pytest.mark.parametrize(
+        "cell, op",
+        [
+            (float("inf"), Promote("R", "k", "v")),
+            (float("-inf"), Partition("R", "k")),
+            ("a\x00b", Promote("R", "k", "v")),
+            (float("inf"), Select("R", "k", float("inf"))),
+        ],
+        ids=["promote-inf", "partition-inf", "promote-nul", "select-inf"],
+    )
+    def test_sqlite_declines_a_literal_it_cannot_spell(self, cell, op):
+        """The algebra names a column or table after the cell (or selects
+        on it); SQL has no literal to compare the key column with."""
+        db = Database.single(Relation("R", ("k", "v"), [(cell, 1), ("a", 2)]))
+        expr = MappingExpression([op])
+        assert why_declined(expr, db).startswith(f"{op}: ")
+        with pytest.raises(BackendUnsupportedError):
+            execute_mapping(expr, db, backend="sqlite")
+        result = execute_mapping(expr, db, backend="auto")
+        assert result.backend == "algebra"
+        assert result.database == expr.apply(db)
+
+    @pytest.mark.parametrize(
+        "relation, op",
+        [
+            (Relation("R\x00", ("k",), [("a",)]), RenameRelation("R\x00", "S")),
+            (Relation("R", ("k\x00",), [("a",)]), RenameRelation("R", "S")),
+            (Relation("R", ("k",), [("a",)]), RenameAttribute("R", "k", "x\x00")),
+        ],
+        ids=["source-relation", "source-attribute", "renamed-attribute"],
+    )
+    def test_sqlite_declines_a_name_it_cannot_quote(self, relation, op):
+        db = Database.single(relation)
+        expr = MappingExpression([op])
+        assert "NUL byte" in why_declined(expr, db)
+        with pytest.raises(BackendUnsupportedError):
+            execute_mapping(expr, db, backend="sqlite")
+        result = execute_mapping(expr, db, backend="auto")
+        assert result.backend == "algebra"
+        assert result.database == expr.apply(db)
+
     def test_sqlite_runs_the_64_bit_extremes(self):
         db = Database.single(Relation("R", ("A",), [(2**63 - 1,), (-(2**63),)]))
         expr = MappingExpression([RenameAttribute("R", "A", "B")])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, Relation
+from repro import Database, Promote, Relation
 from repro.cli import EXIT_DEADLINE_EXCEEDED, main
 from repro.relational import load_database_dir, save_database
 from repro.workloads import flights_b
@@ -31,6 +31,24 @@ def declined(tmp_path):
     expr_file = tmp_path / "expr.txt"
     expr_file.write_text("promote[R](k; v)\n")
     return ["--expression", str(expr_file), "--source", str(source)]
+
+
+@pytest.fixture
+def unspellable(tmp_path):
+    """A promote over a column holding ``inf``: SQL has no literal for it."""
+    source = tmp_path / "source"
+    source.mkdir()
+    (source / "R.csv").write_text("k,v\ninf,1\na,2\n")
+    expr_file = tmp_path / "expr.txt"
+    expr_file.write_text("promote[R](k; v)\n")
+    return ["--expression", str(expr_file), "--source", str(source)]
+
+
+#: how sqlite declines the ``unspellable`` promote
+INF_DECLINE = (
+    "sqlite declined: promote[R](k; v): cannot render non-finite float inf "
+    "as a SQL literal"
+)
 
 
 class TestExecute:
@@ -137,6 +155,39 @@ class TestExecute:
         code = main(["execute", *declined, "--deadline", "1e-9"])
         assert code == EXIT_DEADLINE_EXCEEDED
         assert "deadline" in capsys.readouterr().err
+
+
+class TestUnspellableValue:
+    def test_execute_runs_it_on_the_algebra(self, unspellable, capsys):
+        assert main(["execute", *unspellable, "--show-sql"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"backend: algebra  ({INF_DECLINE};")
+        assert "  a     inf   k    v\n" in out  # both promoted columns
+
+    def test_explicit_sqlite_exits_2(self, unspellable, capsys):
+        assert main(["execute", *unspellable, "--backend", "sqlite"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: backend 'sqlite' cannot execute this mapping")
+        assert "non-finite float inf" in err
+
+    def test_discover_show_sql_prints_the_decline(
+        self, unspellable, tmp_path, capsys
+    ):
+        source = load_database_dir(tmp_path / "source")
+        save_database(Promote("R", "k", "v").apply(source), tmp_path / "target")
+        code = main(
+            [
+                "discover",
+                "--source", str(tmp_path / "source"),
+                "--target", str(tmp_path / "target"),
+                "--show-sql",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "\npromote[R](k; v)\n" in out
+        assert f"-- {INF_DECLINE}\n" in out
+        assert "CREATE TABLE" not in out
 
 
 def test_execute_prints_a_nan_cell_as_apply_does(tmp_path, capsys):

@@ -219,11 +219,6 @@ class TestSuccessorHygiene:
         second = [str(op) for op, _ in problem.successors(problem.node(db_b), None, SearchStats())]
         assert first == second
 
-    def test_disabled_families_not_proposed(self, db_b, db_c):
-        config = SearchConfig().without_operators("partition")
-        problem = MappingProblem(db_b, db_c, config=config)
-        assert ops_of(problem, db_b, kind=Partition) == []
-
     def test_stats_generation_counted(self, db_a, db_b):
         problem = MappingProblem(db_b, db_a)
         stats = SearchStats()

@@ -185,15 +185,25 @@ class TestPublicSurface:
             "SqlBackend", "get_backend", "backend_names", "MiniSqlBackend",
             "MiniSqlEngine", "run_script", "SqliteBackend", "SqlDialect",
             "CanonicalDialect", "CANONICAL_DIALECT", "SqliteDialect",
+            "OPERATOR_FAMILIES", "config_signature", "pair_shape_fingerprint",
+            "shape_digest", "relation_shape_digest",
         ],
     )
     def test_removed_execution_exports_stay_gone(self, name):
         """One engine and one dialect are left, so no backend ABC, backend
-        object, registry, SQL interpreter or dialect class is exported."""
+        object, registry, SQL interpreter or dialect class is exported.
+        Search proposes every operator family and the memo serves on the
+        exact fingerprint, so no family list, config signature or
+        rename-insensitive digest is exported either."""
         import repro.backends
         import repro.relational
+        import repro.search
+        import repro.store
 
-        for package in (repro, repro.backends, repro.relational):
+        packages = (
+            repro, repro.backends, repro.relational, repro.search, repro.store,
+        )
+        for package in packages:
             assert name not in package.__all__
             assert not hasattr(package, name)
 

@@ -69,15 +69,6 @@ class TestAllAlgorithms:
         with pytest.raises(SearchBudgetExceeded):
             solve(algorithm, pair.source, pair.target, heuristic="h0", budget=20)
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_max_depth_blocks_solution(self, algorithm):
-        pair = matching_pair(3)
-        problem = MappingProblem(
-            pair.source, pair.target, config=SearchConfig(max_depth=2)
-        )
-        h = make_heuristic("h1", pair.target)
-        with pytest.raises(MappingNotFound):
-            ALGORITHMS[algorithm](problem, h, SearchStats())
 
 
 class TestOptimality:

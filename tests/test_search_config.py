@@ -5,40 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SearchBudgetExceeded
-from repro.search import OPERATOR_FAMILIES, SearchConfig, SearchStats
+from repro.search import SearchConfig, SearchStats
 
 
 class TestSearchConfig:
     def test_defaults_enable_everything(self):
         config = SearchConfig()
         assert config.max_states == 1_000_000
-        for family in OPERATOR_FAMILIES:
-            assert config.allows(family)
         assert config.break_symmetry and config.prune_targets
+        assert config.deadline_seconds is None
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             SearchConfig(max_states=0)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            SearchConfig(enabled_operators=frozenset({"teleport"}))
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
-            SearchConfig(max_depth=-1)
-
-    def test_without_operators(self):
-        config = SearchConfig().without_operators("product", "demote")
-        assert not config.allows("product")
-        assert not config.allows("demote")
-        assert config.allows("rename_att")
-
-    def test_without_preserves_other_settings(self):
-        base = SearchConfig(max_states=123, break_symmetry=False)
-        derived = base.without_operators("merge")
-        assert derived.max_states == 123
-        assert derived.break_symmetry is False
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

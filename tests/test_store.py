@@ -18,10 +18,7 @@ from repro.obs import MemorySink, Tracer
 from repro.relational.fingerprint import (
     instance_digest,
     pair_fingerprint,
-    pair_shape_fingerprint,
     relation_digest,
-    relation_shape_digest,
-    shape_digest,
 )
 from repro.resilience.runtime import resilience_counters, resilience_delta
 from repro.semantics import builtin_registry
@@ -62,11 +59,13 @@ def test_digest_is_type_faithful():
 
 
 def test_rename_changes_exact_but_not_shape_digest():
+    # The rename-insensitive shape digest this test is named for is
+    # deleted: nothing read it.  A rename still changes the exact digests,
+    # so a mapping stored under other names is never served.
     base = Relation("R", ("X", "Y"), [("a", 1), ("b", 2)])
     renamed = Relation("Q", ("P", "Q"), [("a", 1), ("b", 2)])
     assert relation_digest(base) != relation_digest(renamed)
-    assert relation_shape_digest(base) == relation_shape_digest(renamed)
-    assert shape_digest(Database.single(base)) == shape_digest(
+    assert instance_digest(Database.single(base)) != instance_digest(
         Database.single(renamed)
     )
 
@@ -74,9 +73,6 @@ def test_rename_changes_exact_but_not_shape_digest():
 def test_pair_fingerprint_is_direction_sensitive():
     source, target = _pair(2)
     assert pair_fingerprint(source, target) != pair_fingerprint(target, source)
-    assert pair_shape_fingerprint(source, target) == pair_shape_fingerprint(
-        source, target
-    )
 
 
 def test_fingerprint_stable_across_processes():
@@ -160,6 +156,43 @@ def test_memo_survives_corrupt_and_torn_lines(tmp_path):
     assert str(served[0]) == str(cold.expression)
     assert fresh.corrupt_lines == 3
     assert resilience_delta(baseline).get("resilience.store_corrupt_entry") == 3
+
+
+#: a memo file written by the format that also stored a rename-insensitive
+#: ``shape`` fingerprint and a config ``signature`` per entry: matching
+#: pair 3, discovered by IDA*/h0
+EARLIER_FORMAT_MEMO = (
+    '{"kind":"header","store":"tupelo-memo","version":1}\n'
+    '{"algorithm":"ida","expression":"rename_att[R](A01 -> B01)\\n'
+    'rename_att[R](A02 -> B02)\\nrename_att[R](A03 -> B03)",'
+    '"fingerprint":"21ddf02f82099b1543370bb361b757fe55d83486d36760a011d52a881aad0f95",'
+    '"heuristic":"h0","k":null,"kind":"mapping","ops":3,'
+    '"shape":"327408e8ca478c616a936afdba3bb7bb14885bcb9dd9bdf0a215003ea808b3d7",'
+    '"signature":"f493b2e719e535182cd8d8604b06196829cbebe8d135ede014b81260636aedba",'
+    '"states_examined":76,"version":1}\n'
+)
+
+
+def test_earlier_format_entry_still_serves(tmp_path):
+    source, target = _pair(3)
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "memo.jsonl").write_text(EARLIER_FORMAT_MEMO, encoding="utf-8")
+    baseline = resilience_counters()
+    warm = _discover(source, target, store=store)
+    assert warm.served_from_store
+    assert warm.states_examined == 0
+    assert str(warm.expression) == str(_discover(source, target).expression)
+    assert resilience_delta(baseline) == {}
+    # what this format writes: the fields serving reads, plus two counts
+    entry = MappingMemo(tmp_path / "memo.jsonl").record(
+        source, target, expression=warm.expression,
+        algorithm="ida", heuristic="h0", states_examined=76,
+    )
+    assert set(entry) == {
+        "kind", "version", "fingerprint", "algorithm", "heuristic", "k",
+        "expression", "ops", "states_examined",
+    }
 
 
 def test_memo_version_mismatch_degrades_cold(tmp_path):

@@ -213,13 +213,13 @@ class TestInterning:
 class TestConfig:
     def test_cache_fields_default_on(self):
         """The memo tables are always on: no setting bounds or disables
-        them."""
+        them.  Nor does any setting cap the depth or switch off an operator
+        family: the config holds the budget, the two §2.3 pruning rules and
+        the deadline."""
         fields = {field.name for field in dataclasses.fields(SearchConfig)}
         assert fields == {
             "max_states",
-            "enabled_operators",
             "break_symmetry",
             "prune_targets",
-            "max_depth",
             "deadline_seconds",
         }
